@@ -15,12 +15,12 @@ deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coincidence import COUNT_FIELDS, CoincidenceCounts, SegmentCounts
+from .coincidence import CoincidenceCounts, SegmentCounts
 from .core import OpticsConfig
 
 __all__ = [
@@ -47,20 +47,12 @@ class G2Estimate:
 
     ``upper_limit`` marks zero-triple results: the value is 0 and ``sigma``
     is computed with a single substituted triple, so value + sigma reads as
-    a one-count upper limit.  ``x_rate`` (events/s) is the efficiency-
-    corrected signal-arm rate used as the power axis; it is attached by
-    :func:`corrected_rate` callers and may be None for standalone
-    estimates.
+    a one-count upper limit.
     """
 
     value: float
     sigma: float
-    counts: Optional[CoincidenceCounts] = None
-    x_rate: Optional[float] = None
     upper_limit: bool = False
-
-    def with_rate(self, x_rate: float) -> "G2Estimate":
-        return replace(self, x_rate=x_rate)
 
 
 @dataclass(frozen=True)
@@ -86,8 +78,8 @@ class FitResult:
         return math.sqrt(self.covariance[1, 1])
 
 
-def _g2_from_totals(n_h: float, n_h1: float, n_h2: float, n_h12: float,
-                    counts: Optional[CoincidenceCounts]) -> G2Estimate:
+def _g2_from_totals(n_h: float, n_h1: float, n_h2: float,
+                    n_h12: float) -> G2Estimate:
     if n_h1 <= 0 or n_h2 <= 0 or n_h <= 0:
         raise InsufficientStatistics(
             f"heralded g2 needs N_H, N_H1, N_H2 > 0 "
@@ -95,13 +87,12 @@ def _g2_from_totals(n_h: float, n_h1: float, n_h2: float, n_h12: float,
     if n_h12 > 0:
         value = n_h * n_h12 / (n_h1 * n_h2)
         rel_var = 1.0 / n_h12 + 1.0 / n_h1 + 1.0 / n_h2 + 1.0 / n_h
-        return G2Estimate(value=value, sigma=value * math.sqrt(rel_var),
-                          counts=counts)
+        return G2Estimate(value=value, sigma=value * math.sqrt(rel_var))
     # No triples: value 0 with a one-count upper limit.
     limit = n_h * 1.0 / (n_h1 * n_h2)
     rel_var = 1.0 + 1.0 / n_h1 + 1.0 / n_h2 + 1.0 / n_h
     return G2Estimate(value=0.0, sigma=limit * math.sqrt(rel_var),
-                      counts=counts, upper_limit=True)
+                      upper_limit=True)
 
 
 def heralded_g2(counts: CoincidenceCounts) -> G2Estimate:
@@ -111,8 +102,7 @@ def heralded_g2(counts: CoincidenceCounts) -> G2Estimate:
     and (ideally) 0 for a single-photon source.  Raises
     InsufficientStatistics when a denominator count is zero.
     """
-    return _g2_from_totals(counts.N_H, counts.N_H1, counts.N_H2, counts.N_H12,
-                           counts)
+    return _g2_from_totals(counts.N_H, counts.N_H1, counts.N_H2, counts.N_H12)
 
 
 def segmented_g2(counts: CoincidenceCounts, block_size: int = 100) -> G2Estimate:
@@ -142,7 +132,7 @@ def segmented_g2(counts: CoincidenceCounts, block_size: int = 100) -> G2Estimate
         n_h12 = sum(s.N_H12 for s in block)
         if n_h <= 0 or n_h1 <= 0 or n_h2 <= 0:
             continue
-        est = _g2_from_totals(n_h, n_h1, n_h2, n_h12, None)
+        est = _g2_from_totals(n_h, n_h1, n_h2, n_h12)
         any_triples = any_triples or not est.upper_limit
         values.append(est.value)
         weights.append(1.0 / est.sigma ** 2)
@@ -151,7 +141,7 @@ def segmented_g2(counts: CoincidenceCounts, block_size: int = 100) -> G2Estimate
     total_weight = sum(weights)
     pooled = sum(w * v for w, v in zip(weights, values)) / total_weight
     return G2Estimate(value=pooled, sigma=math.sqrt(1.0 / total_weight),
-                      counts=counts, upper_limit=not any_triples)
+                      upper_limit=not any_triples)
 
 
 def klyshko_efficiency(counts: CoincidenceCounts,

@@ -19,7 +19,6 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,11 +120,6 @@ class CoincidenceCounts:
         out = {"n_bins": self.n_bins}
         out.update({f: self._total(f) for f in COUNT_FIELDS})
         return out
-
-    @classmethod
-    def from_segments(cls, segments: Iterable[SegmentCounts],
-                      bin_width: float) -> "CoincidenceCounts":
-        return cls(bin_width=float(bin_width), segments=tuple(segments))
 
 
 def _popcount_bytes(packed: np.ndarray) -> np.ndarray:

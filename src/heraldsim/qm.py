@@ -30,6 +30,7 @@ E[q_S^n] = (1 + m(1-q_S))^(-M), times the per-channel no-noise factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -140,12 +141,14 @@ def no_click_prob(cfg: ExperimentConfig, channels: Iterable[int]) -> float:
     return quiet
 
 
+@functools.lru_cache(maxsize=64)
 def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Exact per-bin law over the 8 joint click patterns.
 
     Element (h << 2) | (s1 << 1) | s2 is the probability that exactly that
     click pattern occurs in one bin.  Obtained from the no-click subset
-    probabilities by inclusion-exclusion; sums to 1.
+    probabilities by inclusion-exclusion; sums to 1.  Cached per config,
+    so the returned array is read-only.
     """
     # quiet[mask] = P(no clicks on the channels in mask), mask bit 2 = herald,
     # bit 1 = detector 1, bit 0 = detector 2 (same packing as the patterns).
@@ -167,7 +170,9 @@ def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
             sub = (sub - 1) & pattern
     # Tiny negatives from float cancellation are clipped, then renormalised.
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs /= probs.sum()
+    probs.flags.writeable = False
+    return probs
 
 
 _PATTERN_H = np.array([(p >> 2) & 1 for p in range(N_PATTERNS)], dtype=bool)

@@ -71,7 +71,6 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
         else:
             # Statistical error belongs to the observed counts.
             headline = G2Estimate(value=estimate.value, sigma=raw.sigma,
-                                  counts=corrected,
                                   upper_limit=estimate.upper_limit)
             basis = corrected
 

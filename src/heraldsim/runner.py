@@ -11,8 +11,15 @@ Two production routes per theory:
 * click route — per-bin click streams (needed when stream files are part
   of the deliverable), counted segment by segment;
 * census route — per-segment pattern counts drawn directly from the joint
-  per-bin law, equal in distribution to counting the click route and far
-  faster for count-only studies.
+  per-bin law, far faster for count-only studies.  For qm it is equal in
+  distribution to counting the click route.  For pcsft it is not yet: the
+  census draws from the continuum click law, while the click route
+  monitors the walk on the Euler grid, misses crossings between grid
+  points and so clicks slightly less often.
+
+:func:`run_counts` takes the census, except for a pcsft config with an
+intensity envelope, which the census cannot represent; that one is counted
+on the click route.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -28,8 +35,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from . import pcsft, qm
 from .coincidence import CoincidenceCounts, SegmentCounts, accumulate, counts_from_cells
@@ -56,24 +61,8 @@ def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
     return [segment_bins] * full + ([rest] if rest else [])
 
 
-def _segment_clicks(cfg: ExperimentConfig, segment_index: int, n_bins: int,
-                    point_index: int) -> ClickStreams:
-    if cfg.theory is Theory.QM:
-        clicks = qm.segment_clicks(cfg, segment_index, n_bins=n_bins,
-                                   point_index=point_index)
-    else:
-        clicks = pcsft.segment_clicks(cfg, segment_index, n_bins=n_bins,
-                                      point_index=point_index)
-    return ClickStreams.from_bools(*clicks, bin_width=cfg.detectors.bin_width)
-
-
-def _segment_cells(cfg: ExperimentConfig, segment_index: int, n_bins: int,
-                   point_index: int) -> np.ndarray:
-    if cfg.theory is Theory.QM:
-        return qm.segment_cells(cfg, segment_index, n_bins=n_bins,
-                                point_index=point_index)
-    return pcsft.segment_cells(cfg, segment_index, n_bins=n_bins,
-                               point_index=point_index)
+# Each theory's module, holding its segment_clicks and segment_cells.
+_MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
 
 
 def _map_segments(fn: Callable[[int], object], n_segments: int,
@@ -108,32 +97,22 @@ def _map_segments(fn: Callable[[int], object], n_segments: int,
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
                  threads: int = 1) -> ClickStreams:
     """Produce the full per-bin click record for a configured run."""
+    model = _MODELS[cfg.theory]
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
 
     def one(index: int) -> ClickStreams:
-        return _segment_clicks(cfg, index, sizes[index], point_index)
+        clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
+                                      point_index=point_index)
+        return ClickStreams.from_bools(*clicks,
+                                       bin_width=cfg.detectors.bin_width)
 
     parts = list(_map_segments(one, len(sizes), threads))
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.concat(part)
-    return result
-
-
-def _pick_sampler(cfg: ExperimentConfig, sampler: str) -> str:
-    if sampler not in ("auto", "cells", "clicks"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if sampler != "auto":
-        return sampler
-    if (cfg.theory is Theory.PCSFT and cfg.pcsft is not None
-            and cfg.pcsft.envelope_modes is not None):
-        return "clicks"  # census route has no per-bin envelope equivalent
-    return "cells"
+    return parts[0].concat(*parts[1:])
 
 
 def run_counts(cfg: ExperimentConfig, point_index: int = 0,
-               target_triples: Optional[int] = None, threads: int = 1,
-               sampler: str = "auto") -> CoincidenceCounts:
+               target_triples: Optional[int] = None,
+               threads: int = 1) -> CoincidenceCounts:
     """Accumulate coincidence counts for a run, stopping early on a target.
 
     With ``target_triples`` set, segments are retained in index order until
@@ -141,14 +120,21 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     otherwise); the stop decision never splits a segment, so the result is
     independent of batching and thread count.
     """
-    mode = _pick_sampler(cfg, sampler)
+    model = _MODELS[cfg.theory]
+    # The census has no per-bin envelope equivalent.
+    census = not (cfg.theory is Theory.PCSFT and cfg.pcsft is not None
+                  and cfg.pcsft.envelope_modes is not None)
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
 
     def one(index: int) -> SegmentCounts:
-        if mode == "cells":
-            cells = _segment_cells(cfg, index, sizes[index], point_index)
+        if census:
+            cells = model.segment_cells(cfg, index, n_bins=sizes[index],
+                                        point_index=point_index)
             return counts_from_cells(cells, segment_index=index)
-        streams = _segment_clicks(cfg, index, sizes[index], point_index)
+        clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
+                                      point_index=point_index)
+        streams = ClickStreams.from_bools(*clicks,
+                                          bin_width=cfg.detectors.bin_width)
         return accumulate(streams, first_segment_index=index).segments[0]
 
     kept: list[SegmentCounts] = []
@@ -236,8 +222,8 @@ def load_sweep_plan(path) -> SweepPlan:
         return parse_sweep_plan(fh.read(), origin=str(path))
 
 
-def run_sweep(cfg: ExperimentConfig, plan: SweepPlan, threads: int = 1,
-              sampler: str = "auto") -> list[SweepPoint]:
+def run_sweep(cfg: ExperimentConfig, plan: SweepPlan,
+              threads: int = 1) -> list[SweepPoint]:
     """Collect counts at every attenuation of the plan.
 
     Each point gets its own stream namespace (point_index = position + 1),
@@ -253,7 +239,7 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan, threads: int = 1,
                                                  plan.max_bins))
         counts = run_counts(point_cfg, point_index=i + 1,
                             target_triples=plan.target_triples,
-                            threads=threads, sampler=sampler)
+                            threads=threads)
         points.append(SweepPoint(attenuation=attenuation, point_index=i + 1,
                                  counts=counts))
     return points

@@ -99,25 +99,23 @@ class ClickStreams:
         """Total observation time covered, in seconds."""
         return self.n_bins * self.bin_width
 
-    def concat(self, other: "ClickStreams") -> "ClickStreams":
-        """Append ``other`` after this stream (equal bin widths required)."""
-        if other.bin_width != self.bin_width:
+    def concat(self, *others: "ClickStreams") -> "ClickStreams":
+        """Append ``others`` after this stream, in order (equal bin widths)."""
+        parts = (self,) + others
+        if any(part.bin_width != self.bin_width for part in others):
             raise ValueError("cannot concatenate streams with different bin widths")
-        if self.n_bins % 8 == 0:
+        if all(part.n_bins % 8 == 0 for part in parts[:-1]):
             # Byte-aligned: concatenation is a straight bytes append.
             return ClickStreams(
-                n_bins=self.n_bins + other.n_bins,
+                n_bins=sum(part.n_bins for part in parts),
                 bin_width=self.bin_width,
-                herald=np.concatenate([self.herald, other.herald]),
-                signal_1=np.concatenate([self.signal_1, other.signal_1]),
-                signal_2=np.concatenate([self.signal_2, other.signal_2]),
+                herald=np.concatenate([p.herald for p in parts]),
+                signal_1=np.concatenate([p.signal_1 for p in parts]),
+                signal_2=np.concatenate([p.signal_2 for p in parts]),
             )
-        a, b, c = self.bools()
-        d, e, f = other.bools()
-        return ClickStreams.from_bools(
-            np.concatenate([a, d]), np.concatenate([b, e]), np.concatenate([c, f]),
-            bin_width=self.bin_width,
-        )
+        channels = zip(*(part.bools() for part in parts))
+        return ClickStreams.from_bools(*(np.concatenate(c) for c in channels),
+                                       bin_width=self.bin_width)
 
 
 def write_streams(streams: ClickStreams, path: str | Path) -> None:
@@ -160,6 +158,8 @@ def read_streams(path: str | Path) -> ClickStreams:
             f"{path}: size mismatch (expected {expected} bytes, got {len(raw)})"
         )
     body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    if n_bins % 8 and np.any(body[nbytes - 1 :: nbytes] >> (n_bins % 8)):
+        raise StreamFormatError(f"{path}: nonzero pad bits after bin {n_bins}")
     return ClickStreams(
         n_bins=n_bins,
         bin_width=bin_width,

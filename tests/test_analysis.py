@@ -69,14 +69,6 @@ class TestHeraldedG2:
         with pytest.raises(InsufficientStatistics):
             heralded_g2(make_counts())
 
-    def test_with_rate_attaches_axis_value(self):
-        est = heralded_g2(make_counts(N_H=100, N_H1=10, N_H2=10, N_H12=1))
-        assert est.x_rate is None
-        tagged = est.with_rate(2.5e5)
-        assert tagged.x_rate == 2.5e5
-        assert tagged.value == est.value
-        assert est.x_rate is None  # original untouched
-
 
 class TestSegmentedG2:
     def test_single_segment_matches_whole_run(self):

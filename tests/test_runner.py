@@ -1,13 +1,14 @@
 """Run drivers: segmentation, threading, early stop, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heraldsim import qm
 from heraldsim.analysis import heralded_g2
-from heraldsim.coincidence import accumulate
+from heraldsim.coincidence import accumulate, counts_from_cells
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                             validate_config, with_attenuation)
@@ -30,18 +31,31 @@ def photon_config(mu=0.05, mode_count=1, eta_h=0.5, eta_1=0.5, eta_2=0.5,
         seed=seed))
 
 
+ENVELOPE_BLOCK = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
+                             incident_power=1.0 / BIN,
+                             diffusion_step=BIN / 1000.0, coupling=0.0,
+                             envelope_modes=4)
+
+
 def envelope_config(n_bins=20_000, segment_bins=10_000,
                     seed=8101) -> ExperimentConfig:
-    block = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
-                        incident_power=1.0 / BIN, diffusion_step=BIN / 1000.0,
-                        coupling=0.0, envelope_modes=4)
     return validate_config(ExperimentConfig(
         source=SourceConfig(0.0),
         optics=OpticsConfig(0.5, 1.0, 1.0, 1.0, 0.5),
         detectors=DetectorConfig(dark_rate_h=0.0, dark_rate_1=0.0,
                                  dark_rate_2=0.0),
-        pcsft=block, theory=Theory.PCSFT,
+        pcsft=ENVELOPE_BLOCK, theory=Theory.PCSFT,
         n_bins=n_bins, segment_bins=segment_bins, seed=seed))
+
+
+def assert_takes_the_census(cfg: ExperimentConfig) -> None:
+    """Each segment of run_counts is the census of that segment."""
+    counts = run_counts(cfg)
+    sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
+    assert len(counts.segments) == len(sizes)
+    for index, (seg, n_bins) in enumerate(zip(counts.segments, sizes)):
+        cells = qm.segment_cells(cfg, index, n_bins=n_bins)
+        assert seg == counts_from_cells(cells, segment_index=index)
 
 
 def assert_same_streams(a, b) -> None:
@@ -98,31 +112,43 @@ class TestSimulateRun:
 
 class TestRunCounts:
     def test_click_route_equals_counting_the_streams(self):
-        cfg = photon_config(n_bins=30_000, segment_bins=7_000, seed=8005)
-        direct = run_counts(cfg, sampler="clicks")
-        recounted = accumulate(simulate_run(cfg),
-                               segment_bins=cfg.segment_bins)
-        assert direct == recounted
+        # Uneven segments: the remainder keeps its own index on this route.
+        cfg = envelope_config(n_bins=30_000, segment_bins=7_000, seed=8005)
+        direct = run_counts(cfg)
+        assert len(direct.segments) == len(segment_sizes(30_000, 7_000))
+        assert direct == accumulate(simulate_run(cfg),
+                                    segment_bins=cfg.segment_bins)
 
     def test_thread_count_never_changes_counts(self):
         cfg = photon_config(n_bins=5 * 10**6, segment_bins=10**6, seed=8006)
         assert run_counts(cfg, threads=1) == run_counts(cfg, threads=4)
 
-    def test_auto_sampler_is_census_for_photons(self):
-        cfg = photon_config(n_bins=2 * 10**6, segment_bins=10**6, seed=8007)
-        assert run_counts(cfg, sampler="auto") == run_counts(cfg,
-                                                             sampler="cells")
+    def test_photon_runs_take_the_census(self):
+        assert_takes_the_census(photon_config(n_bins=2 * 10**6,
+                                              segment_bins=10**6, seed=8007))
 
     def test_auto_sampler_falls_back_to_clicks_for_envelope(self):
+        # An intensity envelope has no census, so it is counted on clicks.
         cfg = envelope_config()
-        auto = run_counts(cfg, sampler="auto")
-        assert auto == run_counts(cfg, sampler="clicks")
-        assert auto.N_H > 0
+        counts = run_counts(cfg)
+        assert counts == accumulate(simulate_run(cfg),
+                                    segment_bins=cfg.segment_bins)
+        assert counts.N_H > 0
 
-    def test_unknown_sampler(self):
-        cfg = photon_config(n_bins=1000, segment_bins=1000)
-        with pytest.raises(ValueError, match="sampler"):
-            run_counts(cfg, sampler="exact")
+    def test_envelope_block_on_photon_config_keeps_the_census(self):
+        cfg = replace(photon_config(n_bins=30_000, segment_bins=7_000,
+                                    seed=8007), pcsft=ENVELOPE_BLOCK)
+        assert_takes_the_census(validate_config(cfg))
+
+    def test_joint_law_computed_once_per_config(self):
+        cfg = photon_config(n_bins=50_000, segment_bins=7_000, seed=8011)
+        before = qm.joint_pattern_probabilities.cache_info().misses
+        counts = run_counts(cfg)
+        assert len(counts.segments) > 1
+        assert qm.joint_pattern_probabilities.cache_info().misses == before + 1
+        law = qm.joint_pattern_probabilities(cfg)
+        with pytest.raises(ValueError, match="read-only"):
+            law[0] = 1.0
 
     def test_herald_rate_matches_exact_law(self):
         cfg = photon_config(eta_h=0.26, seed=8001)
@@ -152,8 +178,8 @@ class TestRunCounts:
 
     def test_early_stop_keeps_exact_segment_prefix(self):
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
-        full = run_counts(cfg, sampler="cells")
-        stopped = run_counts(cfg, sampler="cells", target_triples=20)
+        full = run_counts(cfg)
+        stopped = run_counts(cfg, target_triples=20)
         k = len(stopped.segments)
         assert stopped.segments == full.segments[:k]
         assert stopped.N_H12 >= 20
@@ -161,13 +187,13 @@ class TestRunCounts:
 
     def test_early_stop_is_thread_independent(self):
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
-        a = run_counts(cfg, sampler="cells", target_triples=20, threads=1)
-        b = run_counts(cfg, sampler="cells", target_triples=20, threads=3)
+        a = run_counts(cfg, target_triples=20, threads=1)
+        b = run_counts(cfg, target_triples=20, threads=3)
         assert a == b
 
     def test_unreachable_target_uses_whole_budget(self):
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
-        counts = run_counts(cfg, sampler="cells", target_triples=10**9)
+        counts = run_counts(cfg, target_triples=10**9)
         assert counts.n_bins == 200_000
         assert len(counts.segments) == len(segment_sizes(200_000, 9_973))
 

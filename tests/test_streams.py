@@ -62,13 +62,17 @@ class TestPacking:
 
 
 class TestConcat:
-    @pytest.mark.parametrize("n_first", [8, 16, 800, 3, 7, 13])
-    def test_concat_matches_bool_concatenation(self, n_first):
-        a, b = random_streams(n_first, seed=1), random_streams(101, seed=2)
-        merged = a.concat(b)
-        assert merged.n_bins == n_first + 101
-        for left, right, joined in zip(a.bools(), b.bools(), merged.bools()):
-            np.testing.assert_array_equal(np.concatenate([left, right]), joined)
+    @pytest.mark.parametrize(
+        "sizes", [(8, 101), (16, 101), (800, 101), (3, 101), (7, 101),
+                  (13, 101), (16, 13, 101)],
+        ids=lambda sizes: "-".join(map(str, sizes[:-1])))
+    def test_concat_matches_bool_concatenation(self, sizes):
+        parts = [random_streams(n, seed=i + 1) for i, n in enumerate(sizes)]
+        merged = parts[0].concat(*parts[1:])
+        assert merged.n_bins == sum(sizes)
+        for channel, joined in zip(zip(*(p.bools() for p in parts)),
+                                   merged.bools()):
+            np.testing.assert_array_equal(np.concatenate(channel), joined)
 
     def test_concat_requires_matching_bin_width(self):
         a = random_streams(8, bin_width=1e-9)
@@ -118,6 +122,19 @@ class TestBinaryFormat:
         raw[4:6] = struct.pack("<H", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(StreamFormatError, match="version"):
+            read_streams(path)
+
+    def test_nonzero_pad_bits_rejected(self, tmp_path):
+        # 10 silent bins: the last byte of each channel holds bins 8-9 and
+        # six pad bits.  Setting the herald pad bits would let byte-aligned
+        # counting see six heralds that are not in the stream.
+        path = tmp_path / "bad.pstm"
+        write_streams(ClickStreams.from_bools([0] * 10, [0] * 10, [0] * 10,
+                                              bin_width=1e-9), path)
+        raw = bytearray(path.read_bytes())
+        raw[struct.calcsize("<4sHQdB") + 1] = 0b1111_1100
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError, match="pad bits"):
             read_streams(path)
 
     def test_truncated_file_rejected(self, tmp_path):
