@@ -24,16 +24,15 @@ from .core import (ConfigError, DetectorConfig, ExperimentConfig,
                    config_from_dict, config_to_dict, load_config,
                    parse_config, rng_stream, stream_id, validate_config,
                    with_attenuation)
-from .pcsft import (PassageResult, bound_counts, bound_energy,
-                    crossing_probability, mean_first_passage,
-                    simulate_first_passage)
+from .pcsft import (bound_counts, bound_energy, crossing_probability,
+                    mean_first_passage)
 from .qm import (g_factor, heralded_g2_exact, pair_prob, predicted_g2_band,
                  predicted_heralded_g2)
 from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "__version__",
@@ -49,9 +48,8 @@ __all__ = [
     "write_segment_csv",
     # models
     "pair_prob", "g_factor", "heralded_g2_exact", "predicted_heralded_g2",
-    "predicted_g2_band", "PassageResult", "mean_first_passage",
-    "crossing_probability", "simulate_first_passage", "bound_energy",
-    "bound_counts",
+    "predicted_g2_band", "mean_first_passage", "crossing_probability",
+    "bound_energy", "bound_counts",
     # drivers
     "simulate_run", "run_counts", "run_sweep", "SweepPlan", "SweepPoint",
     "load_sweep_plan",

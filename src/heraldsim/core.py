@@ -138,7 +138,8 @@ class PCSFTConfig:
     +sqrt(threshold_energy))`` within the pulse window of length
     ``pulse_duration`` inside a bin.  ``incident_power`` is the source-side
     diffusion rate sigma^2; each channel diffuses at sigma^2 times its
-    optical power share.  ``diffusion_step`` is the Euler step dt.
+    optical power share.  The walk is continuous, so a bin's click
+    probability is the exact crossing probability (pcsft.crossing_probability).
 
     coupling: strength (0..1) of the splitter energy-budget coupling that
         correlates the two signal detectors; 0 means fully independent
@@ -151,7 +152,6 @@ class PCSFTConfig:
     threshold_energy: float
     pulse_duration: float
     incident_power: float
-    diffusion_step: float
     coupling: float = 0.5
     envelope_modes: Optional[int] = None
 
@@ -226,10 +226,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                f"pcsft.pulse_duration must be in (0, bin_width], got {pc.pulse_duration}")
         _check(errors, pc.incident_power >= 0.0,
                f"pcsft.incident_power must be >= 0, got {pc.incident_power}")
-        # Resolution guard: at least 1000 Euler steps per pulse window.
-        _check(errors, 0.0 < pc.diffusion_step <= pc.pulse_duration / 1000.0,
-               f"pcsft.diffusion_step must be in (0, pulse_duration/1000], "
-               f"got {pc.diffusion_step}")
         _check(errors, 0.0 <= pc.coupling <= 1.0,
                f"pcsft.coupling must be in [0, 1], got {pc.coupling}")
         if pc.envelope_modes is not None:
@@ -325,15 +321,19 @@ _SECTION_FIELDS = {
                   "background_rate_h", "background_rate_1", "background_rate_2",
                   "bin_width"),
     "pcsft": ("threshold_energy", "pulse_duration", "incident_power",
-              "diffusion_step", "coupling", "envelope_modes"),
+              "coupling", "envelope_modes"),
     "run": ("theory", "n_bins", "segment_bins", "seed"),
 }
+
+# Keys that files written by earlier versions carry and that no longer set
+# anything: accepted in INI files and stored config echoes, then ignored.
+# pcsft.diffusion_step was the Euler step of a grid-monitored click law.
+_IGNORED_KEYS = {"pcsft": ("diffusion_step",)}
 
 _REQUIRED_KEYS = {
     "source": ("pair_mean_per_bin",),
     "optics": ("eta_h", "eta_1", "eta_2"),
-    "pcsft": ("threshold_energy", "pulse_duration", "incident_power",
-              "diffusion_step"),
+    "pcsft": ("threshold_energy", "pulse_duration", "incident_power"),
 }
 
 
@@ -363,8 +363,9 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     """Parse and validate an INI experiment description.
 
     Sections: [source], [optics], [detectors], [pcsft], [run].  Keys map
-    one-to-one onto the configuration dataclass fields; unknown sections or
-    keys are hard errors, as is any malformed number.
+    one-to-one onto the configuration dataclass fields, except the retired
+    keys of ``_IGNORED_KEYS``, which are accepted and ignored; unknown
+    sections or keys are hard errors, as is any malformed number.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -377,7 +378,7 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
         if section not in _SECTION_FIELDS:
             errors.append(f"unknown section [{section}]")
             continue
-        allowed = _SECTION_FIELDS[section]
+        allowed = _SECTION_FIELDS[section] + _IGNORED_KEYS.get(section, ())
         for key in parser[section]:
             if key not in allowed:
                 errors.append(f"unknown key '{key}' in section [{section}]")
@@ -440,7 +441,6 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
             threshold_energy=_float_or(pc_sec, "threshold_energy", "pcsft", 0.0),
             pulse_duration=_float_or(pc_sec, "pulse_duration", "pcsft", 0.0),
             incident_power=_float_or(pc_sec, "incident_power", "pcsft", 0.0),
-            diffusion_step=_float_or(pc_sec, "diffusion_step", "pcsft", 0.0),
             coupling=_float_or(pc_sec, "coupling", "pcsft", 0.5),
             envelope_modes=envelope,
         )
@@ -507,12 +507,18 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict`, with full validation."""
+    """Inverse of :func:`config_to_dict`, with full validation.
+
+    Retired keys that older echoes carry (``_IGNORED_KEYS``) are ignored.
+    """
     try:
         source = SourceConfig(**data["source"])
         optics = OpticsConfig(**data["optics"])
         detectors = DetectorConfig(**data["detectors"])
-        pcsft = PCSFTConfig(**data["pcsft"]) if "pcsft" in data else None
+        pcsft = None
+        if "pcsft" in data:
+            pcsft = PCSFTConfig(**{k: v for k, v in data["pcsft"].items()
+                                   if k not in _IGNORED_KEYS["pcsft"]})
         run = data["run"]
         cfg = ExperimentConfig(
             source=source, optics=optics, detectors=detectors, pcsft=pcsft,

@@ -6,31 +6,33 @@ optical power reaching that detector (``incident_power`` scaled by the
 arm's transmission product).  A bin clicks when the walk, started at 0 at
 the beginning of the bin's pulse window, leaves the band
 ``(-sqrt(threshold_energy), +sqrt(threshold_energy))`` within the window
-``pulse_duration``.  The walk is monitored on the Euler grid
-``diffusion_step``; "clicks" are defined on that grid.
+``pulse_duration``.  The walk is continuous: every crossing counts.
 
 Closed forms
 ------------
-:func:`crossing_probability` gives the continuum click probability per bin,
-:func:`mean_first_passage` the unconstrained mean exit time
-``threshold_energy / power``.
+:func:`crossing_probability` gives the click probability per bin (scalar
+or per-bin power arrays), :func:`mean_first_passage` the unconstrained
+mean exit time ``threshold_energy / power``.
 
 Sampling
 --------
-:func:`simulate_first_passage` is the literal single-path Euler reference.
-:func:`discrete_exit_steps` is the production kernel: identical in law to
-stepping every Euler point, but it strides over quiet stretches in adaptive
-blocks (one Gaussian draw per block) and reconstructs a block's interior
-exactly — via a Gaussian bridge conditioned on the block increment — only
-when the interior could plausibly touch a barrier (continuum bridge touch
-bound above 1e-12, or the endpoint lands outside the band).  Single-step
-blocks are always exact, so near-barrier motion is never approximated.
-Tests compare the kernel against the literal reference by KS distance.
+Both routes draw from :func:`crossing_probability`: :func:`segment_clicks`
+as one uniform per bin and channel, :func:`segment_cells` as a multinomial
+census of the eight click patterns, so counting the click route is equal
+in distribution to the census.  :func:`first_passage_times` samples exit
+times themselves on an Euler grid with :func:`discrete_exit_steps`, which
+is identical in law to stepping every Euler point but strides over quiet
+stretches in adaptive blocks (one Gaussian draw per block) and
+reconstructs a block's interior exactly — via a Gaussian bridge
+conditioned on the block increment — only when the interior could
+plausibly touch a barrier (continuum bridge touch bound above 1e-12, or
+the endpoint lands outside the band).  Single-step blocks are always
+exact, so near-barrier motion is never approximated.
 
 Splitter coupling
 -----------------
 With ``coupling`` = kappa > 0, the two signal detectors share the pulse
-energy budget: after the per-channel exits are drawn, matched pairs of bins
+energy budget: after the per-channel clicks are drawn, matched pairs of bins
 are converted between the patterns {(1,1),(0,0)} and {(1,0),(0,1)} until
 the expected same-bin coincidence probability equals
 
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +63,8 @@ from .core import (
 )
 
 __all__ = [
-    "PassageResult",
     "mean_first_passage",
     "crossing_probability",
-    "simulate_first_passage",
     "discrete_exit_steps",
     "first_passage_times",
     "field_click_probabilities",
@@ -96,144 +95,128 @@ def mean_first_passage(threshold_energy: float, power: float) -> float:
     return threshold_energy / power
 
 
-def _survival(theta: float) -> float:
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``math`` function ``fn`` on each element of the 1-d array ``x``.
+
+    Keeps the values bit-identical to scalar calls: numpy's vectorised
+    ``exp`` can differ from ``math.exp`` in the last place.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _spectral(theta: np.ndarray) -> np.ndarray:
+    """(4/pi) sum_j (-1)^j / (2j+1) exp(-(2j+1)^2 pi^2 theta / 8).
+
+    Each element stops at its first term below 1e-18 in magnitude.
+    """
+    total = np.zeros(theta.size)
+    live = np.arange(theta.size)
+    for j in range(64):
+        if not live.size:
+            break
+        n = 2 * j + 1
+        term = ((-1.0) ** j / n) * _libm(
+            math.exp, -(n * n) * math.pi ** 2 * theta[live] / 8.0)
+        total[live] += term
+        live = live[np.abs(term) >= 1e-18]
+    return np.clip(4.0 / math.pi * total, 0.0, 1.0)
+
+
+def _reflection(theta: np.ndarray) -> np.ndarray:
+    """sum_{k=-8..8} (-1)^k [Phi((2k+1)c) - Phi((2k-1)c)], c = 1/sqrt(theta).
+
+    Phi is evaluated at the odd multiples m*c, |m| <= 17, outward from
+    m = 1; an element stops once Phi(+-m c) reaches exactly 1 and 0, after
+    which every further term is an exact zero, so the result equals the
+    full sum bit for bit.
+    """
+    c = 1.0 / np.sqrt(theta)
+    phi = {m: np.full(theta.size, 1.0 if m > 0 else 0.0)
+           for m in range(-17, 18, 2)}
+    live = np.arange(theta.size)
+    for m in range(1, 18, 2):
+        if not live.size:
+            break
+        for signed in (m, -m):
+            phi[signed][live] = 0.5 * (1.0 + _libm(math.erf,
+                                                   signed * c[live] / _SQRT2))
+        live = live[(phi[m][live] < 1.0) | (phi[-m][live] > 0.0)]
+    total = np.zeros(theta.size)
+    for k in range(-8, 9):
+        total += (-1.0) ** k * (phi[2 * k + 1] - phi[2 * k - 1])
+    return np.clip(total, 0.0, 1.0)
+
+
+def _survival(theta: np.ndarray) -> np.ndarray:
     """P(no exit) for unit barrier and unit rate after dimensionless time theta.
 
-    theta = power * t / threshold_energy.  Two complementary expansions:
-    the spectral series converges fast for large theta, the reflection
-    series for small theta; they agree to ~1e-15 near the switch point.
+    theta = power * t / threshold_energy, a 1-d array.  Two complementary
+    expansions: the spectral series converges fast for large theta, the
+    reflection series for small theta; they agree to ~1e-15 near the
+    switch point.
     """
-    if theta <= 0.0:
-        return 1.0
-    if theta >= 0.25:
-        # Spectral: (4/pi) sum_j (-1)^j / (2j+1) exp(-(2j+1)^2 pi^2 theta / 8)
-        total = 0.0
-        for j in range(64):
-            n = 2 * j + 1
-            term = ((-1.0) ** j / n) * math.exp(-(n * n) * math.pi ** 2 * theta / 8.0)
-            total += term
-            if abs(term) < 1e-18:
-                break
-        return max(0.0, min(1.0, 4.0 / math.pi * total))
-    # Reflection: sum_k (-1)^k [Phi((2k+1)c) - Phi((2k-1)c)], c = 1/sqrt(theta)
-    c = 1.0 / math.sqrt(theta)
-
-    def phi(x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-    total = 0.0
-    for k in range(-8, 9):
-        total += (-1.0) ** k * (phi((2 * k + 1) * c) - phi((2 * k - 1) * c))
-    return max(0.0, min(1.0, total))
+    out = np.ones(theta.size)
+    spectral = theta >= 0.25
+    reflection = (theta > 0.0) & ~spectral
+    out[spectral] = _spectral(theta[spectral])
+    out[reflection] = _reflection(theta[reflection])
+    return out
 
 
-def crossing_probability(threshold_energy: float, power: float,
-                         horizon: float) -> float:
+def crossing_probability(threshold_energy: float, power: float | np.ndarray,
+                         horizon: float) -> float | np.ndarray:
     """P(the walk exits the band within ``horizon``), continuum limit.
 
     This is the per-bin click probability of a detector receiving ``power``
-    with pulse window ``horizon``.
+    with pulse window ``horizon``.  ``power`` is a scalar (float result) or
+    an array of per-bin powers (array result); power <= 0 never clicks.
     """
     if threshold_energy <= 0.0:
         raise ValueError("threshold_energy must be > 0")
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
-    if power <= 0.0:
-        return 0.0
-    return 1.0 - _survival(power * horizon / threshold_energy)
+    theta = np.asarray(power, dtype=float) * horizon / threshold_energy
+    p = 1.0 - _survival(theta.ravel()).reshape(theta.shape)
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
-# Samplers
+# Exit-time sampler
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PassageResult:
-    """Outcome of one first-passage trial.
-
-    ``hit_time`` is the time of the first Euler step at or beyond a
-    barrier, in (0, t_max]; it is NaN when ``hit`` is false.
-    """
-
-    hit: bool
-    hit_time: float
-
-
-def simulate_first_passage(threshold_energy: float, power: float, dt: float,
-                           t_max: float, rng: np.random.Generator) -> PassageResult:
-    """Literal Euler walk of one path; the reference implementation.
-
-    The amplitude starts at 0 and gains N(0, power*dt) per step; the trial
-    hits when the amplitude energy reaches threshold_energy, i.e. when
-    |amplitude| >= sqrt(threshold_energy), checked at every step up to
-    ``t_max``.  Zero power never hits.
-    """
-    if threshold_energy <= 0.0:
-        raise ValueError("threshold_energy must be > 0")
-    if power < 0.0:
-        raise ValueError("power must be >= 0")
-    if not 0.0 < dt <= t_max:
-        raise ValueError("need 0 < dt <= t_max")
-    if power == 0.0:
-        return PassageResult(hit=False, hit_time=math.nan)
-    barrier = math.sqrt(threshold_energy)
-    step_std = math.sqrt(power * dt)
-    max_steps = int(round(t_max / dt))
-    position = 0.0
-    done = 0
-    while done < max_steps:
-        chunk = min(1 << 16, max_steps - done)
-        path = position + np.cumsum(rng.standard_normal(chunk) * step_std)
-        hits = np.flatnonzero(np.abs(path) >= barrier)
-        if hits.size:
-            return PassageResult(hit=True, hit_time=(done + int(hits[0]) + 1) * dt)
-        position = float(path[-1])
-        done += chunk
-    return PassageResult(hit=False, hit_time=math.nan)
-
 
 def discrete_exit_steps(rng: np.random.Generator, barrier: float,
-                        step_std, n_steps: int, n_paths: int | None = None,
+                        step_std: float, n_steps: int, n_paths: int,
                         ) -> np.ndarray:
-    """Exit steps of many independent Euler walks from (-barrier, +barrier).
+    """Exit steps of ``n_paths`` independent Euler walks from (-barrier, +barrier).
 
-    ``step_std`` is a scalar or per-path array of per-step standard
-    deviations.  Returns int64 exit step indices (1-based), 0 where a path
-    never reaches a barrier within ``n_steps`` steps.  The law is that of
-    checking every Euler point; see the module docstring for how blocks of
-    quiet steps are collapsed without changing it.
+    ``step_std`` is the per-step standard deviation.  Returns int64 exit
+    step indices (1-based), 0 where a path never reaches a barrier within
+    ``n_steps`` steps.  The law is that of checking every Euler point; see
+    the module docstring for how blocks of quiet steps are collapsed
+    without changing it.
     """
-    step_std = np.asarray(step_std, dtype=float)
-    if step_std.ndim == 0:
-        if n_paths is None:
-            raise ValueError("n_paths is required with scalar step_std")
-        step_std = np.full(n_paths, float(step_std))
-    elif n_paths is not None and step_std.shape != (n_paths,):
-        raise ValueError("step_std shape does not match n_paths")
-    n = step_std.size
-    if np.any(step_std <= 0.0):
+    if step_std <= 0.0:
         raise ValueError("step_std must be positive")
     if barrier <= 0.0:
         raise ValueError("barrier must be > 0")
 
-    position = np.zeros(n)
-    steps_done = np.zeros(n, dtype=np.int64)
-    exit_step = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
+    position = np.zeros(n_paths)
+    steps_done = np.zeros(n_paths, dtype=np.int64)
+    exit_step = np.zeros(n_paths, dtype=np.int64)
+    active = np.arange(n_paths)
 
     while active.size:
         pos = position[active]
-        std = step_std[active]
         done = steps_done[active]
         remaining = n_steps - done
 
         dist_up = barrier - pos
         dist_dn = barrier + pos
         dist = np.minimum(dist_up, dist_dn)
-        block = np.floor((_BLOCK_FRACTION * dist / std) ** 2).astype(np.int64)
+        block = np.floor((_BLOCK_FRACTION * dist / step_std) ** 2).astype(np.int64)
         np.clip(block, 1, remaining, out=block)
 
-        block_var = block * std * std
+        block_var = block * step_std * step_std
         jump = rng.standard_normal(active.size) * np.sqrt(block_var)
         new_pos = pos + jump
         endpoint_out = np.abs(new_pos) >= barrier
@@ -264,7 +247,7 @@ def discrete_exit_steps(rng: np.random.Generator, barrier: float,
         # block sum already drawn).
         for i in np.flatnonzero(needs_fill):
             k = int(block[i])
-            incr = rng.standard_normal(k) * std[i]
+            incr = rng.standard_normal(k) * step_std
             partial = np.cumsum(incr)
             bridge = partial + (np.arange(1, k + 1) / k) * (jump[i] - partial[-1])
             walk = pos[i] + bridge
@@ -394,11 +377,6 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
 # Segment samplers
 # ---------------------------------------------------------------------------
 
-def _window_steps(cfg: ExperimentConfig) -> int:
-    pc = cfg.pcsft
-    return int(round(pc.pulse_duration / pc.diffusion_step))
-
-
 def _conversion_count(rng: np.random.Generator, n_11: int, n_00: int,
                       n_10: int, n_01: int, f1: float, f2: float,
                       q: float) -> int:
@@ -428,42 +406,33 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin click sampler for one segment under the field model.
 
-    Each channel's bins are independent first-passage trials on the Euler
-    grid; the splitter coupling then rewrites matched bin pairs (preserving
-    every per-channel count), and noise is OR-ed in last.  Streams follow
-    the same (point, segment, role) discipline as the photon model.
+    Each channel clicks in a bin with its continuum crossing probability:
+    :func:`field_click_probabilities`, or with an intensity envelope the
+    :func:`crossing_probability` of that bin's power.  The splitter
+    coupling then rewrites matched bin pairs (preserving every per-channel
+    count), and noise is OR-ed in last.  Streams follow the same (point,
+    segment, role) discipline as the photon model.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
     pc = cfg.pcsft
     if pc is None:
         raise ValueError("configuration has no pcsft block")
-    barrier = math.sqrt(pc.threshold_energy)
-    n_steps = _window_steps(cfg)
-    shares = arm_efficiencies(cfg)
 
-    envelope = None
-    if pc.envelope_modes is not None:
+    if pc.envelope_modes is None:
+        probs = field_click_probabilities(cfg)
+    else:
         rng_env = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
         k = pc.envelope_modes
         envelope = rng_env.gamma(shape=k, scale=1.0 / k, size=n_bins)
+        probs = [crossing_probability(pc.threshold_energy,
+                                      pc.incident_power * share * envelope,
+                                      pc.pulse_duration)
+                 for share in arm_efficiencies(cfg)]
 
-    clicks: list[np.ndarray] = []
-    for share, role in zip(shares, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)):
-        power = pc.incident_power * share
-        if power == 0.0:
-            clicks.append(np.zeros(n_bins, dtype=bool))
-            continue
-        rng = rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
-        if envelope is None:
-            std = math.sqrt(power * pc.diffusion_step)
-            exits = discrete_exit_steps(rng, barrier, std, n_steps, n_paths=n_bins)
-        else:
-            std = np.sqrt(power * envelope * pc.diffusion_step)
-            exits = discrete_exit_steps(rng, barrier, std, n_steps)
-        clicks.append(exits > 0)
-
-    click_h, click_1, click_2 = clicks
+    click_h, click_1, click_2 = (
+        rng_stream(cfg.seed, stream_id(segment_index, role, point_index)).random(n_bins) < f
+        for f, role in zip(probs, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)))
 
     if pc.coupling > 0.0:
         _, f1, f2 = field_click_probabilities(cfg)
@@ -507,13 +476,10 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    The per-bin first passages are replaced by their exact continuum
-    click-probability census (multinomial), making the cost independent of
-    the window length.  Not yet identical in law to counting
-    :func:`segment_clicks` output: that route monitors the walk on the
-    Euler grid, misses crossings between grid points and so clicks
-    slightly less often than the continuum law drawn here.
-    The coupling conversion and noise OR act on the census with the same
+    The per-bin clicks are replaced by their census (multinomial) over the
+    same continuum click probabilities, so counting :func:`segment_clicks`
+    output is equal in distribution to this.  The coupling conversion and
+    noise OR act on the census with the same
     (hypergeometric / binomial) laws the per-bin route induces.  Not
     available with an intensity envelope, whose per-bin powers break the
     common-census shortcut.

@@ -11,11 +11,8 @@ Two production routes per theory:
 * click route — per-bin click streams (needed when stream files are part
   of the deliverable), counted segment by segment;
 * census route — per-segment pattern counts drawn directly from the joint
-  per-bin law, far faster for count-only studies.  For qm it is equal in
-  distribution to counting the click route.  For pcsft it is not yet: the
-  census draws from the continuum click law, while the click route
-  monitors the walk on the Euler grid, misses crossings between grid
-  points and so clicks slightly less often.
+  per-bin law, far faster for count-only studies and equal in
+  distribution to counting the click route.
 
 :func:`run_counts` takes the census, except for a pcsft config with an
 intensity envelope, which the census cannot represent; that one is counted

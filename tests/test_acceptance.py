@@ -215,8 +215,7 @@ def test_c05_threshold_model_contrast(capsys):
     half-click operating point: positive slope at >= 3 sigma, and every
     measured g2 stays below the singles-rate ceiling."""
     block = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
-                        incident_power=2.0 * THETA_HALF / BIN,
-                        diffusion_step=2.5e-12, coupling=0.5,
+                        incident_power=2.0 * THETA_HALF / BIN, coupling=0.5,
                         envelope_modes=None)
     cfg = validate_config(ExperimentConfig(
         source=SourceConfig(0.0),

@@ -28,7 +28,7 @@ def make_config(**overrides) -> ExperimentConfig:
 
 def pcsft_block(**overrides) -> PCSFTConfig:
     base = dict(threshold_energy=1.0, pulse_duration=20.83e-9,
-                incident_power=1e7, diffusion_step=2.0e-11)
+                incident_power=1e7)
     base.update(overrides)
     return PCSFTConfig(**base)
 
@@ -83,11 +83,6 @@ class TestValidation:
     def test_segment_larger_than_run_rejected(self):
         with pytest.raises(ConfigError, match="segment_bins"):
             validate_config(make_config(n_bins=100, segment_bins=101))
-
-    def test_diffusion_step_resolution_guard(self):
-        block = pcsft_block(diffusion_step=20.83e-9 / 100)
-        with pytest.raises(ConfigError, match="diffusion_step"):
-            validate_config(make_config(theory=Theory.PCSFT, pcsft=block))
 
     def test_pulse_longer_than_bin_rejected(self):
         block = pcsft_block(pulse_duration=30e-9)
@@ -162,6 +157,14 @@ n_bins = 100000
 seed = 7
 """
 
+PCSFT_INI = """
+[pcsft]
+threshold_energy = 1.0
+pulse_duration = 20.83e-9
+incident_power = 5e7
+coupling = 0.5
+"""
+
 
 class TestIniParsing:
     def test_round_trip_fields(self):
@@ -195,14 +198,7 @@ class TestIniParsing:
             parse_config(INI_TEXT.replace("eta_h = 0.26\n", ""))
 
     def test_pcsft_section_parsed(self):
-        text = INI_TEXT.replace("theory = qm", "theory = pcsft") + """
-[pcsft]
-threshold_energy = 1.0
-pulse_duration = 20.83e-9
-incident_power = 5e7
-diffusion_step = 2e-11
-coupling = 0.5
-"""
+        text = INI_TEXT.replace("theory = qm", "theory = pcsft") + PCSFT_INI
         cfg = parse_config(text)
         assert cfg.theory is Theory.PCSFT
         assert cfg.pcsft.incident_power == 5e7
@@ -211,6 +207,24 @@ coupling = 0.5
     def test_dict_round_trip(self):
         cfg = parse_config(INI_TEXT)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("step", ["2e-11", "2.083e-10"])
+    def test_retired_diffusion_step_is_ignored(self, step):
+        # Files from earlier versions carry the Euler step; 2.083e-10 is
+        # pulse_duration / 100, once rejected as too coarse.
+        text = INI_TEXT.replace("theory = qm", "theory = pcsft") + PCSFT_INI
+        old = text.replace("incident_power = 5e7\n",
+                           f"incident_power = 5e7\ndiffusion_step = {step}\n")
+        assert "diffusion_step" in old
+        assert parse_config(old) == parse_config(text)
+
+    def test_stored_echo_with_diffusion_step_round_trips(self):
+        cfg = parse_config(INI_TEXT.replace("theory = qm", "theory = pcsft")
+                           + PCSFT_INI)
+        echo = config_to_dict(cfg)
+        assert "diffusion_step" not in echo["pcsft"]
+        echo["pcsft"]["diffusion_step"] = 2.08e-11
+        assert config_from_dict(echo) == cfg
 
 
 class TestRandomStreams:

@@ -10,7 +10,9 @@ from scipy import stats
 from heraldsim import pcsft
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
-                            rng_stream, stream_id, validate_config)
+                            parse_config, rng_stream, stream_id,
+                            validate_config)
+from heraldsim.runner import simulate_run
 
 from helpers import euler_exit_steps
 
@@ -22,8 +24,7 @@ def field_config(theta=0.5, coupling=0.5, envelope_modes=None, seed=5001,
                  splitter_ratio=0.5, n_bins=10**5) -> ExperimentConfig:
     """Operating point where a share-0.5 channel sees theta = power*delta/E_d."""
     block = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
-                        incident_power=2.0 * theta / BIN,
-                        diffusion_step=BIN / 1000.0, coupling=coupling,
+                        incident_power=2.0 * theta / BIN, coupling=coupling,
                         envelope_modes=envelope_modes)
     cfg = ExperimentConfig(
         source=SourceConfig(0.0),
@@ -33,6 +34,46 @@ def field_config(theta=0.5, coupling=0.5, envelope_modes=None, seed=5001,
         pcsft=block, theory=Theory.PCSFT,
         n_bins=n_bins, segment_bins=n_bins, seed=seed)
     return validate_config(cfg)
+
+
+# The README's example experiment file on the field model, with a shorter run.
+README_INI = """
+[source]
+pair_mean_per_bin = 0.05
+mode_count = 1
+
+[optics]
+eta_h = 0.26
+eta_1 = 0.075
+eta_2 = 0.055
+attenuation = 1.0
+splitter_ratio = 0.5
+
+[detectors]
+dark_rate_h = 150
+dark_rate_1 = 150
+dark_rate_2 = 150
+bin_width = 20.83e-9
+
+[run]
+theory = pcsft
+n_bins = 480000
+segment_bins = 48000
+seed = 1
+
+[pcsft]
+threshold_energy = 1.0
+pulse_duration = 20.83e-9
+incident_power = 7.3e7
+diffusion_step = 2.08e-11
+coupling = 0.5
+"""
+
+
+def pattern_counts(herald, sig1, sig2) -> np.ndarray:
+    """Bins per joint click pattern, indexed (h << 2) | (s1 << 1) | s2."""
+    index = (herald.astype(np.int64) << 2) | (sig1.astype(np.int64) << 1) | sig2
+    return np.bincount(index, minlength=8)
 
 
 class TestMeanFirstPassage:
@@ -93,43 +134,22 @@ class TestCrossingProbability:
             assert pcsft.crossing_probability(c * 1.0, c * 0.7, 1.0) == \
                 pytest.approx(base, rel=1e-12)
 
+    def test_array_matches_scalar_calls(self):
+        # Per-bin power arrays (the envelope) and scalar calls (the census)
+        # share one click law, including either side of the series switch.
+        theta = np.concatenate([np.geomspace(1e-4, 50.0, 2000),
+                                [0.2499, 0.24999999, 0.25, 0.25000001, 0.2501]])
+        array = pcsft.crossing_probability(1.0, theta, 1.0)
+        assert array.shape == theta.shape
+        scalar = np.array([pcsft.crossing_probability(1.0, t, 1.0) for t in theta])
+        np.testing.assert_allclose(array, scalar, rtol=0.0, atol=1e-15)
+        assert (pcsft.crossing_probability(1.0, np.array([0.0, -1.0]), 1.0) == 0.0).all()
+
 
 class TestFirstPassageSampling:
     def test_zero_power_never_hits(self):
-        result = pcsft.simulate_first_passage(1.0, 0.0, 0.1, 10.0,
-                                              rng_stream(1, 0))
-        assert not result.hit
-        assert math.isnan(result.hit_time)
         assert not np.isfinite(pcsft.first_passage_times(
             rng_stream(1, 0), 1.0, 0.0, 0.1, 100, 10.0)).any()
-
-    def test_hit_time_in_window(self):
-        # Power-of-two step so k*dt comparisons below are float-exact.
-        dt, t_max = 2.0**-10, 4.0
-        rng = rng_stream(2, 0)
-        hits = 0
-        for _ in range(200):
-            result = pcsft.simulate_first_passage(1.0, 1.0, dt, t_max, rng)
-            if result.hit:
-                hits += 1
-                assert 0.0 < result.hit_time <= t_max
-        assert hits > 150  # crossing by 4*tau is the typical outcome
-
-    def test_deterministic_given_stream(self):
-        a = pcsft.simulate_first_passage(1.0, 1.0, 1e-3, 5.0, rng_stream(3, 7))
-        b = pcsft.simulate_first_passage(1.0, 1.0, 1e-3, 5.0, rng_stream(3, 7))
-        assert a == b
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            pcsft.simulate_first_passage(1.0, 1.0, 2.0, 1.0, rng_stream(0, 0))
-
-    def test_almost_sure_exit_by_hundred_tau(self):
-        rng = rng_stream(4, 0)
-        hit_fraction = np.mean([
-            pcsft.simulate_first_passage(1.0, 1.0, 1e-2, 100.0, rng).hit
-            for _ in range(400)])
-        assert hit_fraction >= 1.0 - 1e-3
 
     def test_threshold_scaling_law(self):
         # Mean exit time at E_d = 4 is 4x the E_d = 1 mean (dt scaled with
@@ -147,31 +167,13 @@ class TestKernelLawEquivalence:
 
     def test_exit_steps_match_literal_walk(self):
         kernel = pcsft.discrete_exit_steps(rng_stream(4001, 0), 1.0, 0.025,
-                                           4000, n_paths=4000)
+                                           4000, 4000)
         literal = euler_exit_steps(rng_stream(4002, 0), 1.0, 0.025, 4000, 4000)
         assert stats.ks_2samp(kernel[kernel > 0],
                               literal[literal > 0]).pvalue > 0.001
         table = [[int((kernel == 0).sum()), int((kernel > 0).sum())],
                  [int((literal == 0).sum()), int((literal > 0).sum())]]
         assert stats.fisher_exact(table).pvalue > 0.001
-
-    def test_exit_steps_match_literal_walk_per_path_rates(self):
-        rng = np.random.default_rng(123)
-        stds = np.sqrt(0.5 * rng.gamma(4.0, 0.25, size=30_000) / 1000.0)
-        kernel = pcsft.discrete_exit_steps(rng_stream(6001, 0), 1.0, stds, 1000)
-        literal = euler_exit_steps(rng_stream(6002, 0), 1.0, stds, 1000, 30_000)
-        assert stats.ks_2samp(kernel[kernel > 0],
-                              literal[literal > 0]).pvalue > 0.001
-
-    def test_single_path_reference_matches_kernel(self):
-        rng = rng_stream(4003, 0)
-        single = np.array([
-            pcsft.simulate_first_passage(1.0, 1.0, 1e-3, 10.0, rng).hit_time
-            for _ in range(1500)])
-        vectorised = pcsft.first_passage_times(rng_stream(4004, 0), 1.0, 1.0,
-                                               1e-3, 1500, 10.0)
-        assert stats.ks_2samp(single[np.isfinite(single)],
-                              vectorised[np.isfinite(vectorised)]).pvalue > 0.001
 
     def test_scale_invariance_in_law(self):
         a = pcsft.first_passage_times(rng_stream(4005, 0), 1.0, 1.0, 1e-3,
@@ -189,7 +191,7 @@ class TestKernelLawEquivalence:
         for n_steps, seed in ((250, 6201), (1000, 6202), (16000, 6203)):
             exits = pcsft.discrete_exit_steps(
                 rng_stream(seed, 0), 1.0, math.sqrt(0.5 / n_steps), n_steps,
-                n_paths=60_000)
+                60_000)
             gaps.append(continuum - np.mean(exits > 0))
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
@@ -283,36 +285,31 @@ class TestSegmentSamplers:
         with pytest.raises(ValueError, match="envelope"):
             pcsft.segment_cells(cfg, 0, 100)
 
-    def test_clicks_match_literal_grid_oracle(self):
-        # Production per-bin route vs the literal per-step walk at the same
-        # per-step deviation: same law on the Euler grid.
-        cfg = field_config(n_bins=40_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 40_000)
-        std = math.sqrt(cfg.pcsft.incident_power * 0.5
-                        * cfg.pcsft.diffusion_step)
-        literal = euler_exit_steps(rng_stream(6101, 0), 1.0, std, 1000, 40_000)
-        f_a, f_b = herald.mean(), np.mean(literal > 0)
-        sigma = math.sqrt(f_a * (1 - f_a) / 40_000 + f_b * (1 - f_b) / 40_000)
-        assert abs(f_a - f_b) < 3.0 * sigma
-
-    def test_grid_rate_sits_below_continuum(self):
-        # Euler monitoring only misses crossings, so the empirical rate can
-        # exceed the continuum value only through sampling noise.
-        cfg = field_config(n_bins=150_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 150_000)
-        f_cont = pcsft.field_click_probabilities(cfg)[0]
-        sigma = math.sqrt(f_cont * (1 - f_cont) / 150_000)
-        assert herald.mean() < f_cont + 3.0 * sigma
-
     def test_cells_census_matches_pattern_law(self):
+        # Both routes: the census, and the per-bin clicks counted by pattern.
+        routes = (pcsft.segment_cells,
+                  lambda *args: pattern_counts(*pcsft.segment_clicks(*args)))
         for cfg in (field_config(n_bins=150_000, seed=5001),
                     field_config(n_bins=150_000, seed=5003,
                                  dark=(2e5, 1e5, 3e5))):
             expected = pcsft.pattern_probabilities(cfg) * 150_000
             assert expected.min() > 5.0
-            cells = pcsft.segment_cells(cfg, 0, 150_000)
-            assert cells.sum() == 150_000
-            assert stats.chisquare(cells, expected).pvalue > 0.001
+            for sample in routes:
+                cells = sample(cfg, 0, 150_000)
+                assert cells.sum() == 150_000
+                assert stats.chisquare(cells, expected).pvalue > 0.001
+
+    def test_click_route_singles_match_law_at_readme_defaults(self):
+        # The click route draws the continuum law the census and the
+        # closed forms use; an Euler-grid route clicks measurably less.
+        cfg = parse_config(README_INI)
+        herald, sig1, sig2 = simulate_run(cfg).bools()
+        law = pcsft.pattern_probabilities(cfg)
+        n = cfg.n_bins
+        for clicks, bit in ((herald, 4), (sig1, 2), (sig2, 1)):
+            p = sum(law[i] for i in range(8) if i & bit)
+            z = (int(clicks.sum()) - n * p) / math.sqrt(n * p * (1 - p))
+            assert abs(z) < 4.0, (bit, z)
 
     def test_herald_independent_of_signals(self):
         cfg = field_config(seed=5004, n_bins=100_000)
@@ -376,36 +373,19 @@ class TestSplitterCoupling:
 
 
 class TestEnvelope:
-    def test_envelope_route_matches_literal_oracle(self):
+    def test_envelope_route_matches_per_bin_law(self):
         cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
                            n_bins=30_000)
         herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
-        # Reconstruct the segment's envelope draw, then walk the same
-        # per-bin rates literally.
+        # Rebuild the segment's envelope draw; each bin clicks with the
+        # crossing probability of its own power.
         rng_env = rng_stream(5002, stream_id(0, Role.SOURCE, 0))
         gain = rng_env.gamma(shape=4, scale=0.25, size=30_000)
-        stds = np.sqrt(cfg.pcsft.incident_power * 0.5 * gain
-                       * cfg.pcsft.diffusion_step)
-        literal = euler_exit_steps(rng_stream(6301, 0), 1.0, stds, 1000,
-                                   30_000)
-        f_a, f_b = herald.mean(), np.mean(literal > 0)
-        sigma = math.sqrt(f_a * (1 - f_a) / 30_000 + f_b * (1 - f_b) / 30_000)
-        assert abs(f_a - f_b) < 3.0 * sigma
-
-    def test_envelope_preserves_mean_rate_to_first_order(self):
-        # Gamma gain has mean 1; the mixture rate stays within the
-        # documented Euler bias ceiling of the continuum mixture value.
-        cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
-                           n_bins=30_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
-        rng = np.random.default_rng(99)
-        gain = rng.gamma(4.0, 0.25, size=20_000)
-        mixture = np.mean([
-            pcsft.crossing_probability(1.0, cfg.pcsft.incident_power * 0.5 * g,
-                                       cfg.pcsft.pulse_duration)
+        f = np.array([pcsft.crossing_probability(
+            1.0, cfg.pcsft.incident_power * 0.5 * g, cfg.pcsft.pulse_duration)
             for g in gain])
-        assert herald.mean() == pytest.approx(mixture, rel=0.06)
-        assert herald.mean() < mixture  # grid bias is one-sided
+        sigma = math.sqrt(np.sum(f * (1 - f)))
+        assert abs(int(herald.sum()) - f.sum()) < 3.0 * sigma
 
 
 class TestBounds:

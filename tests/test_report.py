@@ -36,7 +36,7 @@ def photon_config(eta_h=0.26, attenuation=1.0) -> ExperimentConfig:
 
 def field_config() -> ExperimentConfig:
     block = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
-                        incident_power=1.0 / BIN, diffusion_step=BIN / 1000.0)
+                        incident_power=1.0 / BIN)
     return validate_config(ExperimentConfig(
         source=SourceConfig(0.0),
         optics=OpticsConfig(0.5, 1.0, 1.0, 1.0, 0.5),

@@ -32,8 +32,7 @@ def photon_config(mu=0.05, mode_count=1, eta_h=0.5, eta_1=0.5, eta_2=0.5,
 
 
 ENVELOPE_BLOCK = PCSFTConfig(threshold_energy=1.0, pulse_duration=BIN,
-                             incident_power=1.0 / BIN,
-                             diffusion_step=BIN / 1000.0, coupling=0.0,
+                             incident_power=1.0 / BIN, coupling=0.0,
                              envelope_modes=4)
 
 
@@ -99,9 +98,13 @@ class TestSimulateRun:
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_thread_count_never_changes_bits(self, threads):
-        cfg = photon_config(n_bins=30_000, segment_bins=7_000, seed=8005)
-        assert_same_streams(simulate_run(cfg, threads=1),
-                            simulate_run(cfg, threads=threads))
+        envelope = envelope_config(n_bins=30_000, segment_bins=7_000, seed=8005)
+        coupled = validate_config(replace(envelope, pcsft=replace(
+            ENVELOPE_BLOCK, coupling=0.5, envelope_modes=None)))
+        for cfg in (photon_config(n_bins=30_000, segment_bins=7_000, seed=8005),
+                    coupled, envelope):
+            assert_same_streams(simulate_run(cfg, threads=1),
+                                simulate_run(cfg, threads=threads))
 
     def test_points_have_independent_randomness(self):
         cfg = photon_config(n_bins=30_000, segment_bins=30_000, seed=8005)
