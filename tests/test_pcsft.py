@@ -18,6 +18,12 @@ from helpers import euler_exit_steps
 
 BIN = 20.83e-9
 
+# -zeta(1/2) / sqrt(2 pi): checking a Wiener walk only at grid points with
+# step deviation s misses crossings as if the barrier sat beta * s further
+# out, so a literal walk with the band narrowed by beta * s follows the
+# continuum law up to o(s).
+CONTINUITY_BETA = 0.5825971579390106
+
 
 def field_config(theta=0.5, coupling=0.5, envelope_modes=None, seed=5001,
                  dark=(0.0, 0.0, 0.0), eta_h=0.5, eta_1=1.0, eta_2=1.0,
@@ -285,6 +291,35 @@ class TestSegmentSamplers:
         with pytest.raises(ValueError, match="envelope"):
             pcsft.segment_cells(cfg, 0, 100)
 
+    def test_clicks_match_literal_grid_oracle(self):
+        # Production per-bin route vs the literal per-step walk on a
+        # 1000-point grid with the continuity-corrected band.
+        cfg = field_config(n_bins=40_000)
+        herald, _, _ = pcsft.segment_clicks(cfg, 0, 40_000)
+        std = math.sqrt(cfg.pcsft.incident_power * 0.5
+                        * cfg.pcsft.pulse_duration / 1000)
+        literal = euler_exit_steps(rng_stream(6101, 0),
+                                   1.0 - CONTINUITY_BETA * std, std, 1000,
+                                   40_000)
+        f_a, f_b = herald.mean(), np.mean(literal > 0)
+        sigma = math.sqrt(f_a * (1 - f_a) / 40_000 + f_b * (1 - f_b) / 40_000)
+        assert abs(f_a - f_b) < 3.0 * sigma
+
+    def test_grid_rate_sits_below_continuum(self):
+        # Euler monitoring only misses crossings: the grid kernel at 1000
+        # points per bin clicks measurably less than the continuum value,
+        # while the click route samples the continuum value itself.
+        cfg = field_config(n_bins=150_000)
+        f_cont = pcsft.field_click_probabilities(cfg)[0]
+        sigma = math.sqrt(f_cont * (1 - f_cont) / 150_000)
+        std = math.sqrt(cfg.pcsft.incident_power * 0.5
+                        * cfg.pcsft.pulse_duration / 1000)
+        grid = pcsft.discrete_exit_steps(rng_stream(6102, 0), 1.0, std, 1000,
+                                         150_000)
+        assert np.mean(grid > 0) < f_cont - 3.0 * sigma
+        herald, _, _ = pcsft.segment_clicks(cfg, 0, 150_000)
+        assert abs(herald.mean() - f_cont) < 3.0 * sigma
+
     def test_cells_census_matches_pattern_law(self):
         # Both routes: the census, and the per-bin clicks counted by pattern.
         routes = (pcsft.segment_cells,
@@ -373,6 +408,41 @@ class TestSplitterCoupling:
 
 
 class TestEnvelope:
+    def test_envelope_route_matches_literal_oracle(self):
+        cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
+                           n_bins=30_000)
+        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
+        # Reconstruct the segment's envelope draw, then walk the same
+        # per-bin rates literally with the continuity-corrected band,
+        # rescaled to a unit barrier.
+        rng_env = rng_stream(5002, stream_id(0, Role.SOURCE, 0))
+        gain = rng_env.gamma(shape=4, scale=0.25, size=30_000)
+        stds = np.sqrt(cfg.pcsft.incident_power * 0.5 * gain
+                       * cfg.pcsft.pulse_duration / 1000)
+        literal = euler_exit_steps(rng_stream(6301, 0), 1.0,
+                                   stds / (1.0 - CONTINUITY_BETA * stds),
+                                   1000, 30_000)
+        f_a, f_b = herald.mean(), np.mean(literal > 0)
+        sigma = math.sqrt(f_a * (1 - f_a) / 30_000 + f_b * (1 - f_b) / 30_000)
+        assert abs(f_a - f_b) < 3.0 * sigma
+
+    def test_envelope_preserves_mean_rate_to_first_order(self):
+        # Gamma gain has mean 1; the click rate is the continuum mixture
+        # rate, estimated here from an independent gain draw.
+        cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
+                           n_bins=30_000)
+        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
+        rng = np.random.default_rng(99)
+        gain = rng.gamma(4.0, 0.25, size=20_000)
+        f = pcsft.crossing_probability(
+            1.0, cfg.pcsft.incident_power * 0.5 * gain,
+            cfg.pcsft.pulse_duration)
+        mixture = f.mean()
+        assert herald.mean() == pytest.approx(mixture, rel=0.06)
+        sigma = math.sqrt(mixture * (1 - mixture) / 30_000
+                          + f.var() / 20_000)
+        assert abs(herald.mean() - mixture) < 3.0 * sigma
+
     def test_envelope_route_matches_per_bin_law(self):
         cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
                            n_bins=30_000)
