@@ -16,9 +16,9 @@ from .analysis import (FitResult, G2Estimate, InsufficientStatistics,
                        heralded_g2, klyshko_efficiency, segmented_g2,
                        weighted_linear_fit)
 from .coincidence import (CoincidenceCounts, SegmentCounts, accumulate,
-                          brute_force_counts, counts_from_cells, merge,
-                          read_counts_json, read_segment_csv,
-                          write_counts_json, write_segment_csv)
+                          counts_from_cells, merge, read_counts_json,
+                          read_segment_csv, write_counts_json,
+                          write_segment_csv)
 from .core import (ConfigError, DetectorConfig, ExperimentConfig,
                    OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                    config_from_dict, config_to_dict, load_config,
@@ -43,8 +43,8 @@ __all__ = [
     "with_attenuation", "rng_stream", "stream_id",
     # streams and counting
     "ClickStreams", "read_streams", "write_streams", "CoincidenceCounts",
-    "SegmentCounts", "accumulate", "brute_force_counts", "counts_from_cells",
-    "merge", "read_counts_json", "write_counts_json", "read_segment_csv",
+    "SegmentCounts", "accumulate", "counts_from_cells", "merge",
+    "read_counts_json", "write_counts_json", "read_segment_csv",
     "write_segment_csv",
     # models
     "pair_prob", "g_factor", "heralded_g2_exact", "predicted_heralded_g2",

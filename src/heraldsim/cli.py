@@ -147,15 +147,13 @@ def cmd_sweep(args) -> int:
     records = []
     failures = 0
     from .analysis import InsufficientStatistics
-    from .core import with_attenuation
     for point in points:
-        point_cfg = with_attenuation(cfg, point.attenuation)
         stem = out / f"point_{point.point_index:03d}"
         write_segment_csv(point.counts, stem.with_suffix(".csv"))
         write_counts_json(point.counts, stem.with_suffix(".json"),
-                          config=config_to_dict(point_cfg))
+                          config=config_to_dict(point.config))
         try:
-            records.append(report.point_record(point_cfg, point.counts,
+            records.append(report.point_record(point.config, point.counts,
                                                background=background))
         except InsufficientStatistics as exc:
             failures += 1
@@ -178,7 +176,7 @@ def cmd_sweep(args) -> int:
               f"intercept = {fit['intercept']:.6g} +/- "
               f"{fit['intercept_sigma']:.6g}, "
               f"reduced chi2 = {fit['reduced_chi2']:.4g} (dof {fit['dof']})")
-    else:
+    if rep["fit_note"]:
         print(rep["fit_note"])
     print(f"wrote {out / 'report.json'}, {out / 'report.csv'}")
     return 1 if failures else 0

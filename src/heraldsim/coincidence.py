@@ -3,8 +3,7 @@
 Counting is defined per bin: a coincidence is two (or three) channels
 clicking in the *same* bin.  With packed bitmaps this reduces to bytewise
 AND plus population count, so 10^8-bin streams count in well under a
-second.  :func:`brute_force_counts` is the deliberately naive per-bin loop
-kept alongside as the equivalence oracle.
+second; the test suite checks it against a naive per-bin loop.
 
 Counts are reported the way a segmented counter would: per-segment rows
 (:class:`SegmentCounts`) bundled with run totals (:class:`CoincidenceCounts`).
@@ -28,7 +27,6 @@ __all__ = [
     "SegmentCounts",
     "CoincidenceCounts",
     "accumulate",
-    "brute_force_counts",
     "merge",
     "counts_from_cells",
     "write_segment_csv",
@@ -183,34 +181,6 @@ def accumulate(streams: ClickStreams, segment_bins: int | None = None,
                 sub.herald, sub.signal_1, sub.signal_2,
                 first_segment_index + i, hi - lo))
     return CoincidenceCounts(bin_width=streams.bin_width, segments=tuple(segments))
-
-
-def brute_force_counts(streams: ClickStreams) -> CoincidenceCounts:
-    """Naive per-bin loop over the three channels; the counting oracle.
-
-    One segment covering the whole stream.  Intended for small inputs.
-    """
-    h, s1, s2 = (bits.tolist() for bits in streams.bools())
-    n_h = n_1 = n_2 = n_h1 = n_h2 = n_12 = n_h12 = 0
-    for a, b, c in zip(h, s1, s2):
-        if a:
-            n_h += 1
-        if b:
-            n_1 += 1
-        if c:
-            n_2 += 1
-        if a and b:
-            n_h1 += 1
-        if a and c:
-            n_h2 += 1
-        if b and c:
-            n_12 += 1
-        if a and b and c:
-            n_h12 += 1
-    seg = SegmentCounts(segment_index=0, n_bins=streams.n_bins,
-                        N_H=n_h, N_1=n_1, N_2=n_2, N_H1=n_h1, N_H2=n_h2,
-                        N_12=n_12, N_H12=n_h12)
-    return CoincidenceCounts(bin_width=streams.bin_width, segments=(seg,))
 
 
 def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import configparser
 import enum
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -314,49 +315,52 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 # INI configuration files
 # ---------------------------------------------------------------------------
 
-_SECTION_FIELDS = {
-    "source": ("pair_mean_per_bin", "mode_count"),
-    "optics": ("eta_h", "eta_1", "eta_2", "attenuation", "splitter_ratio"),
-    "detectors": ("dark_rate_h", "dark_rate_1", "dark_rate_2",
-                  "background_rate_h", "background_rate_1", "background_rate_2",
-                  "bin_width"),
-    "pcsft": ("threshold_energy", "pulse_duration", "incident_power",
-              "coupling", "envelope_modes"),
-    "run": ("theory", "n_bins", "segment_bins", "seed"),
-}
+def _field_types(cls) -> list[tuple[Field, object]]:
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _has_default(f: Field) -> bool:
+    return f.default is not MISSING or f.default_factory is not MISSING
+
+
+# The dataclasses are the schema.  Each field of ExperimentConfig holding a
+# config dataclass (Optional or not) is an INI section of that dataclass's
+# fields; the scalar fields of ExperimentConfig form [run].  A key is
+# required exactly when its field has no default, and a section when its
+# ExperimentConfig field has none.
+_BLOCKS = {f.name: cls for f, kind in _field_types(ExperimentConfig)
+           for cls in (kind, *get_args(kind)) if is_dataclass(cls)}
+_SECTIONS = {name: _field_types(cls) for name, cls in _BLOCKS.items()}
+_SECTIONS["run"] = [(f, kind) for f, kind in _field_types(ExperimentConfig)
+                    if f.name not in _BLOCKS]
+_REQUIRED_SECTIONS = {f.name for f in fields(ExperimentConfig) if not _has_default(f)}
 
 # Keys that files written by earlier versions carry and that no longer set
 # anything: accepted in INI files and stored config echoes, then ignored.
 # pcsft.diffusion_step was the Euler step of a grid-monitored click law.
 _IGNORED_KEYS = {"pcsft": ("diffusion_step",)}
 
-_REQUIRED_KEYS = {
-    "source": ("pair_mean_per_bin",),
-    "optics": ("eta_h", "eta_1", "eta_2"),
-    "pcsft": ("threshold_energy", "pulse_duration", "incident_power"),
-}
 
+def _parse_value(kind, raw: str, where: str):
+    """An INI value read as a field declared ``kind``.
 
-def _get_float(sec, key: str, errors: list[str], section: str) -> Optional[float]:
-    raw = sec.get(key)
-    if raw is None:
+    Raises ValueError whose message starts with ``where``.
+    """
+    word = raw.strip().lower()
+    if kind is Theory:
+        try:
+            return Theory(word)
+        except ValueError:
+            choices = " or ".join(repr(t.value) for t in Theory)
+            raise ValueError(f"{where} must be {choices}, got {word!r}") from None
+    if kind == Optional[int] and word in ("", "none", "off"):
         return None
     try:
-        return float(raw)
+        return float(raw) if kind is float else int(raw, 0)
     except ValueError:
-        errors.append(f"[{section}] {key}: not a number: {raw!r}")
-        return None
-
-
-def _get_int(sec, key: str, errors: list[str], section: str) -> Optional[int]:
-    raw = sec.get(key)
-    if raw is None:
-        return None
-    try:
-        return int(raw, 0)
-    except ValueError:
-        errors.append(f"[{section}] {key}: not an integer: {raw!r}")
-        return None
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"{where}: not {what}: {raw!r}") from None
 
 
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
@@ -365,7 +369,8 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     Sections: [source], [optics], [detectors], [pcsft], [run].  Keys map
     one-to-one onto the configuration dataclass fields, except the retired
     keys of ``_IGNORED_KEYS``, which are accepted and ignored; unknown
-    sections or keys are hard errors, as is any malformed number.
+    sections or keys are hard errors, as is any malformed value.  Every
+    error is reported at once, each prefixed by ``origin``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -375,105 +380,41 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
 
     errors: list[str] = []
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
-        allowed = _SECTION_FIELDS[section] + _IGNORED_KEYS.get(section, ())
-        for key in parser[section]:
-            if key not in allowed:
-                errors.append(f"unknown key '{key}' in section [{section}]")
-    for section, keys in _REQUIRED_KEYS.items():
-        if section == "pcsft" and not parser.has_section("pcsft"):
-            continue
+        allowed = {f.name for f, _ in _SECTIONS[section]}
+        allowed.update(_IGNORED_KEYS.get(section, ()))
+        errors += [f"unknown key '{key}' in section [{section}]"
+                   for key in parser[section] if key not in allowed]
+
+    values: dict[str, dict] = {}
+    for section, schema in _SECTIONS.items():
         if not parser.has_section(section):
-            errors.append(f"missing required section [{section}]")
+            if section in _REQUIRED_SECTIONS:
+                errors.append(f"missing required section [{section}]")
             continue
-        for key in keys:
-            if key not in parser[section]:
-                errors.append(f"missing required key '{key}' in section [{section}]")
+        sec = parser[section]
+        values[section] = {}
+        for f, kind in schema:
+            if f.name not in sec:
+                if not _has_default(f):
+                    errors.append(f"missing required key '{f.name}' in section [{section}]")
+                continue
+            try:
+                values[section][f.name] = _parse_value(kind, sec[f.name],
+                                                       f"[{section}] {f.name}")
+            except ValueError as exc:
+                errors.append(str(exc))
     if errors:
         raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
 
-    src_sec = parser["source"]
-    opt_sec = parser["optics"]
-    det_sec = parser["detectors"] if parser.has_section("detectors") else {}
-    run_sec = parser["run"] if parser.has_section("run") else {}
-
-    def _float_or(sec, key: str, section: str, default: float) -> float:
-        if key not in sec:
-            return default
-        val = _get_float(sec, key, errors, section)
-        return default if val is None else val
-
-    def _int_or(sec, key: str, section: str, default: int) -> int:
-        if key not in sec:
-            return default
-        val = _get_int(sec, key, errors, section)
-        return default if val is None else val
-
-    source = SourceConfig(
-        pair_mean_per_bin=_float_or(src_sec, "pair_mean_per_bin", "source", 0.0),
-        mode_count=_int_or(src_sec, "mode_count", "source", 1),
-    )
-    optics = OpticsConfig(
-        eta_h=_float_or(opt_sec, "eta_h", "optics", 0.0),
-        eta_1=_float_or(opt_sec, "eta_1", "optics", 0.0),
-        eta_2=_float_or(opt_sec, "eta_2", "optics", 0.0),
-        attenuation=_float_or(opt_sec, "attenuation", "optics", 1.0),
-        splitter_ratio=_float_or(opt_sec, "splitter_ratio", "optics", 0.5),
-    )
-
-    det_kwargs = {}
-    for name in _SECTION_FIELDS["detectors"]:
-        if name in det_sec:
-            det_kwargs[name] = _get_float(det_sec, name, errors, "detectors")
-    detectors = DetectorConfig(**{k: v for k, v in det_kwargs.items() if v is not None})
-
-    pcsft = None
-    if parser.has_section("pcsft"):
-        pc_sec = parser["pcsft"]
-        envelope = None
-        if "envelope_modes" in pc_sec:
-            raw = pc_sec["envelope_modes"].strip().lower()
-            if raw not in ("", "none", "off"):
-                envelope = _get_int(pc_sec, "envelope_modes", errors, "pcsft")
-        pcsft = PCSFTConfig(
-            threshold_energy=_float_or(pc_sec, "threshold_energy", "pcsft", 0.0),
-            pulse_duration=_float_or(pc_sec, "pulse_duration", "pcsft", 0.0),
-            incident_power=_float_or(pc_sec, "incident_power", "pcsft", 0.0),
-            coupling=_float_or(pc_sec, "coupling", "pcsft", 0.5),
-            envelope_modes=envelope,
-        )
-
-    theory = Theory.QM
-    if "theory" in run_sec:
-        raw = run_sec["theory"].strip().lower()
-        try:
-            theory = Theory(raw)
-        except ValueError:
-            errors.append(f"[run] theory must be 'qm' or 'pcsft', got {raw!r}")
-
-    if errors:
-        raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
-
-    n_bins = _int_or(run_sec, "n_bins", "run", SEGMENT_BINS_DEFAULT)
-    if "segment_bins" in run_sec:
-        segment_bins = _int_or(run_sec, "segment_bins", "run", SEGMENT_BINS_DEFAULT)
-    else:
+    run = values.pop("run", {})
+    cfg = ExperimentConfig(**{name: _BLOCKS[name](**kwargs)
+                              for name, kwargs in values.items()}, **run)
+    if "segment_bins" not in run:
         # Unspecified segmenting shrinks to fit short runs.
-        segment_bins = min(SEGMENT_BINS_DEFAULT, n_bins) if n_bins >= 1 else n_bins
-    cfg = ExperimentConfig(
-        source=source,
-        optics=optics,
-        detectors=detectors,
-        pcsft=pcsft,
-        theory=theory,
-        n_bins=n_bins,
-        segment_bins=segment_bins,
-        seed=_int_or(run_sec, "seed", "run", 0),
-    )
-    if errors:
-        raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
+        cfg = replace(cfg, segment_bins=min(cfg.segment_bins, cfg.n_bins))
     try:
         return validate_config(cfg)
     except ConfigError as exc:
@@ -487,22 +428,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-friendly echo of a configuration (for run provenance)."""
-    out = {
-        "source": {"pair_mean_per_bin": cfg.source.pair_mean_per_bin,
-                   "mode_count": cfg.source.mode_count},
-        "optics": {"eta_h": cfg.optics.eta_h, "eta_1": cfg.optics.eta_1,
-                   "eta_2": cfg.optics.eta_2,
-                   "attenuation": cfg.optics.attenuation,
-                   "splitter_ratio": cfg.optics.splitter_ratio},
-        "detectors": {name: getattr(cfg.detectors, name)
-                      for name in _SECTION_FIELDS["detectors"]},
-        "run": {"theory": cfg.theory.value, "n_bins": cfg.n_bins,
-                "segment_bins": cfg.segment_bins, "seed": cfg.seed},
-    }
-    if cfg.pcsft is not None:
-        out["pcsft"] = {name: getattr(cfg.pcsft, name)
-                        for name in _SECTION_FIELDS["pcsft"]}
+    """JSON-friendly echo of a configuration (for run provenance).
+
+    One entry per INI section; a block that is None is left out.
+    """
+    out = {name: asdict(block) for name in _BLOCKS
+           if (block := getattr(cfg, name)) is not None}
+    run = {f.name: getattr(cfg, f.name) for f, _ in _SECTIONS["run"]}
+    out["run"] = {k: v.value if isinstance(v, Theory) else v for k, v in run.items()}
     return out
 
 
@@ -512,18 +445,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     Retired keys that older echoes carry (``_IGNORED_KEYS``) are ignored.
     """
     try:
-        source = SourceConfig(**data["source"])
-        optics = OpticsConfig(**data["optics"])
-        detectors = DetectorConfig(**data["detectors"])
-        pcsft = None
-        if "pcsft" in data:
-            pcsft = PCSFTConfig(**{k: v for k, v in data["pcsft"].items()
-                                   if k not in _IGNORED_KEYS["pcsft"]})
-        run = data["run"]
-        cfg = ExperimentConfig(
-            source=source, optics=optics, detectors=detectors, pcsft=pcsft,
-            theory=Theory(run["theory"]), n_bins=run["n_bins"],
-            segment_bins=run["segment_bins"], seed=run["seed"])
+        blocks = {name: cls(**{k: v for k, v in data[name].items()
+                               if k not in _IGNORED_KEYS.get(name, ())})
+                  for name, cls in _BLOCKS.items() if name in data}
+        run = {f.name: Theory(data["run"][f.name]) if kind is Theory
+               else data["run"][f.name] for f, kind in _SECTIONS["run"]}
+        cfg = ExperimentConfig(**blocks, **run)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration record: {exc}") from exc
     validate_config(cfg)

@@ -340,37 +340,39 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """
     f_h, f1, f2 = field_click_probabilities(cfg)
     q = coincidence_probability(cfg)
-    joint12 = {
-        (1, 1): q,
-        (1, 0): f1 - q,
-        (0, 1): f2 - q,
-        (0, 0): 1.0 - f1 - f2 + q,
-    }
-    p_noise = noise_probabilities(cfg)
-    probs = np.zeros(8)
-    for pattern in range(8):
-        h_bit, s1_bit, s2_bit = (pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1
-        # Noise ORs into each channel independently.
-        val = 0.0
-        for fh_click in (0, 1):
-            for c1_click in (0, 1):
-                for c2_click in (0, 1):
-                    base = (f_h if fh_click else 1.0 - f_h) * joint12[(c1_click, c2_click)]
-                    pr = base
-                    for bit, click, pn in ((h_bit, fh_click, p_noise[0]),
-                                           (s1_bit, c1_click, p_noise[1]),
-                                           (s2_bit, c2_click, p_noise[2])):
-                        if click and not bit:
-                            pr = 0.0
-                        elif click and bit:
-                            pass  # already clicking; noise irrelevant
-                        elif not click and bit:
-                            pr *= pn
-                        else:
-                            pr *= 1.0 - pn
-                    val += pr
-        probs[pattern] = val
-    return probs
+    field_law = np.outer([1.0 - f_h, f_h], [1.0 - f1 - f2 + q, f2 - q, f1 - q, q])
+    return _or_channels(field_law.ravel(), noise_probabilities(cfg))
+
+
+@functools.lru_cache(maxsize=64)
+def _field_pattern_law(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-bin pattern law of the independent field clicks alone.
+
+    No coupling, no noise.  Cached per config, so the returned array is
+    read-only.
+    """
+    all_silent = (1.0,) + (0.0,) * 7
+    law = _or_channels(all_silent, field_click_probabilities(cfg))
+    law.flags.writeable = False
+    return law
+
+
+def _or_channels(law, probs) -> np.ndarray:
+    """Pattern law after OR-ing independent clicks into each channel.
+
+    ``law`` holds 8 pattern probabilities, indexed as in
+    :func:`pattern_probabilities`; ``probs`` gives the (herald, det 1,
+    det 2) click probabilities.  Every cell whose channel bit is clear moves
+    to its bit-set partner with that channel's probability.
+    """
+    law = [float(x) for x in law]
+    for p, bit in zip(probs, (4, 2, 1)):
+        for cell in range(8):
+            if not cell & bit:
+                moved = law[cell] * p
+                law[cell] *= 1.0 - p
+                law[cell | bit] += moved
+    return np.array(law)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +494,9 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     if pc.envelope_modes is not None:
         raise ValueError("count-level sampling does not support envelope_modes")
 
-    f_h, f1, f2 = field_click_probabilities(cfg)
-    base = np.array([
-        (1 - f_h) * (1 - f1) * (1 - f2),
-        (1 - f_h) * (1 - f1) * f2,
-        (1 - f_h) * f1 * (1 - f2),
-        (1 - f_h) * f1 * f2,
-        f_h * (1 - f1) * (1 - f2),
-        f_h * (1 - f1) * f2,
-        f_h * f1 * (1 - f2),
-        f_h * f1 * f2,
-    ])
+    _, f1, f2 = field_click_probabilities(cfg)
     rng = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
-    cells = rng.multinomial(n_bins, base).astype(np.int64)
+    cells = rng.multinomial(n_bins, _field_pattern_law(cfg)).astype(np.int64)
 
     if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
         q = coincidence_probability(cfg)

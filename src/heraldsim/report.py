@@ -118,6 +118,10 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict]) -> dict:
             f"fit skipped: insufficient points ({len(fit_points)} < 3)")
     except ValueError as exc:
         report["fit_note"] = f"fit skipped: {exc}"
+    limits = sum(1 for r in records if r.get("upper_limit"))
+    if report["fit"] is not None and limits:
+        report["fit_note"] = (f"{limits} of {len(records)} fitted points are "
+                              "one-count upper limits (no triples)")
 
     # Photon-model prediction band (mode structure G in [1, 2]) at each
     # point's abscissa.  The single-pair probability is a source property,

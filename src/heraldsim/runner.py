@@ -178,11 +178,20 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One sweep point: the attenuation applied and the counts collected."""
+    """One sweep point: the config it ran with and the counts collected.
 
-    attenuation: float
+    ``config`` carries the point's attenuation and the plan's bin budget,
+    so ``run_counts(config, point_index, plan.target_triples)`` reproduces
+    ``counts``.
+    """
+
+    config: ExperimentConfig
     point_index: int
     counts: CoincidenceCounts
+
+    @property
+    def attenuation(self) -> float:
+        return self.config.optics.attenuation
 
 
 def parse_sweep_plan(text: str, origin: str = "<string>") -> SweepPlan:
@@ -237,6 +246,6 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan,
         counts = run_counts(point_cfg, point_index=i + 1,
                             target_triples=plan.target_triples,
                             threads=threads)
-        points.append(SweepPoint(attenuation=attenuation, point_index=i + 1,
+        points.append(SweepPoint(config=point_cfg, point_index=i + 1,
                                  counts=counts))
     return points

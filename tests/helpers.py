@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's own closed forms:
 pair-number probabilities come from scipy, click probabilities from
-explicit series summation, and first-passage laws from a literal
-per-step Euler walk.  Agreement between these and the production code
+explicit series summation, first-passage laws from a literal per-step
+Euler walk, and coincidence counts from a per-bin loop.  Agreement between these and the production code
 is then a genuine cross-check, not a tautology.
 """
 
@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from heraldsim.coincidence import CoincidenceCounts, SegmentCounts
 from heraldsim.core import (ExperimentConfig, arm_efficiencies,
                             noise_probabilities)
+from heraldsim.streams import ClickStreams
 
 _TAIL = 1e-16
 
@@ -105,3 +107,31 @@ def euler_exit_steps(rng: np.random.Generator, barrier: float, step_std,
         out[crossed] = step
         alive[crossed] = False
     return out
+
+
+def brute_force_counts(streams: ClickStreams) -> CoincidenceCounts:
+    """Naive per-bin loop over the three channels; the counting oracle.
+
+    One segment covering the whole stream.  Intended for small inputs.
+    """
+    h, s1, s2 = (bits.tolist() for bits in streams.bools())
+    n_h = n_1 = n_2 = n_h1 = n_h2 = n_12 = n_h12 = 0
+    for a, b, c in zip(h, s1, s2):
+        if a:
+            n_h += 1
+        if b:
+            n_1 += 1
+        if c:
+            n_2 += 1
+        if a and b:
+            n_h1 += 1
+        if a and c:
+            n_h2 += 1
+        if b and c:
+            n_12 += 1
+        if a and b and c:
+            n_h12 += 1
+    seg = SegmentCounts(segment_index=0, n_bins=streams.n_bins,
+                        N_H=n_h, N_1=n_1, N_2=n_2, N_H1=n_h1, N_H2=n_h2,
+                        N_12=n_12, N_H12=n_h12)
+    return CoincidenceCounts(bin_width=streams.bin_width, segments=(seg,))

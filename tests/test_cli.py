@@ -10,6 +10,7 @@ from heraldsim.cli import main
 from heraldsim.coincidence import (read_counts_json, read_segment_csv,
                                    write_counts_json)
 from heraldsim.core import config_from_dict, load_config
+from heraldsim.runner import run_counts
 
 RUN_INI = """\
 [source]
@@ -188,6 +189,23 @@ class TestSweep:
                      "--out", str(out), "--bins", "6000"]) == 0
         counts, _ = read_counts_json(out / "point_001.json")
         assert counts.n_bins == 6000
+
+
+    @pytest.mark.parametrize("max_bins", [12_000, 3_000])
+    def test_point_echo_is_the_config_it_ran(self, tmp_path, max_bins):
+        cfg, plan = write_inputs(tmp_path)
+        plan.write_text(SWEEP_INI + f"target_triples = 1000000\n"
+                        f"max_bins = {max_bins}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 0
+        for index in (1, 2, 3):
+            counts, echo = read_counts_json(out / f"point_{index:03d}.json")
+            assert echo["run"]["n_bins"] == counts.n_bins == max_bins
+            assert echo["run"]["segment_bins"] == min(5000, max_bins)
+            rerun = run_counts(config_from_dict(echo), point_index=index,
+                               target_triples=1_000_000)
+            assert rerun.totals() == counts.totals()
 
 
 class TestAnalyze:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from heraldsim.coincidence import (COUNT_FIELDS, CoincidenceCounts,
                                    SegmentCounts, accumulate,
-                                   brute_force_counts, counts_from_cells,
-                                   merge, read_counts_json, read_segment_csv,
-                                   write_counts_json, write_segment_csv)
+                                   counts_from_cells, merge, read_counts_json,
+                                   read_segment_csv, write_counts_json,
+                                   write_segment_csv)
 from heraldsim.streams import ClickStreams
+
+from helpers import brute_force_counts
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:

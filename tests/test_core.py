@@ -1,6 +1,10 @@
 """Configuration, validation, INI parsing, and random-stream contracts."""
 
+import configparser
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,95 @@ class TestIniParsing:
         assert "diffusion_step" not in echo["pcsft"]
         echo["pcsft"]["diffusion_step"] = 2.08e-11
         assert config_from_dict(echo) == cfg
+
+
+# INI sections holding a config dataclass; the other fields of
+# ExperimentConfig form [run].
+BLOCKS = {"source": SourceConfig, "optics": OpticsConfig,
+          "detectors": DetectorConfig, "pcsft": PCSFTConfig}
+SCHEMA_FIELDS = [(section, f) for section, cls in BLOCKS.items()
+                 for f in dataclasses.fields(cls)] + [
+    ("run", f) for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in BLOCKS]
+
+# The required keys only, plus a zero coupling so that envelope_modes may
+# be set on its own.
+MINIMAL_SECTIONS = {
+    "source": {"pair_mean_per_bin": "0.02"},
+    "optics": {"eta_h": "0.26", "eta_1": "0.075", "eta_2": "0.055"},
+    "pcsft": {"threshold_energy": "1.0", "pulse_duration": "20.83e-9",
+              "incident_power": "5e7", "coupling": "0"},
+}
+
+# An INI spelling and the parsed value of each field, unlike both its
+# default and the value in MINIMAL_SECTIONS.
+NON_DEFAULT = {
+    "pair_mean_per_bin": ("0.03", 0.03), "mode_count": ("0x4", 4),
+    "eta_h": ("0.3", 0.3), "eta_1": ("0.2", 0.2), "eta_2": ("0.1", 0.1),
+    "attenuation": ("0.7", 0.7), "splitter_ratio": ("0.4", 0.4),
+    "dark_rate_h": ("114", 114.0), "dark_rate_1": ("183", 183.0),
+    "dark_rate_2": ("99.5", 99.5), "background_rate_h": ("10", 10.0),
+    "background_rate_1": ("20", 20.0), "background_rate_2": ("3e1", 30.0),
+    "bin_width": ("25e-9", 25e-9), "threshold_energy": ("2.0", 2.0),
+    "pulse_duration": ("1e-8", 1e-8), "incident_power": ("3e7", 3e7),
+    "coupling": ("0.25", 0.25), "envelope_modes": ("4", 4),
+    "theory": (" PCSFT ", Theory.PCSFT), "n_bins": ("96000", 96_000),
+    "segment_bins": ("12000", 12_000), "seed": ("-7", -7),
+}
+
+
+def render_ini(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def field_value(cfg: ExperimentConfig, section: str, name: str):
+    return getattr(cfg if section == "run" else getattr(cfg, section), name)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section, f", SCHEMA_FIELDS,
+                             ids=[f"{s}.{f.name}" for s, f in SCHEMA_FIELDS])
+    def test_every_field_parses_and_round_trips(self, section, f):
+        raw, expected = NON_DEFAULT[f.name]
+        sections = {name: dict(keys) for name, keys in MINIMAL_SECTIONS.items()}
+        sections.setdefault(section, {})[f.name] = raw
+        cfg = parse_config(render_ini(sections))
+        assert field_value(cfg, section, f.name) == expected
+        assert expected not in (f.default, MINIMAL_SECTIONS.get(section, {}).get(f.name))
+        stored = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(stored) == cfg
+
+    @pytest.mark.parametrize("section, name", [
+        (section, f.name) for section, f in SCHEMA_FIELDS
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING])
+    def test_each_missing_required_key_reported(self, section, name):
+        sections = {s: {k: v for k, v in keys.items() if k != name}
+                    for s, keys in MINIMAL_SECTIONS.items()}
+        with pytest.raises(ConfigError) as err:
+            parse_config(render_ini(sections))
+        assert f"missing required key '{name}' in section [{section}]" in str(err.value)
+
+    def test_malformed_values_in_two_sections_reported_together(self):
+        text = INI_TEXT.replace("eta_1 = 0.075", "eta_1 = 0.07.5").replace(
+            "n_bins = 100000", "n_bins = 1e5")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, origin="run.ini")
+        lines = str(err.value).splitlines()
+        assert "run.ini: [optics] eta_1: not a number: '0.07.5'" in lines
+        assert "run.ini: [run] n_bins: not an integer: '1e5'" in lines
+
+    def test_readme_block_names_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Experiment configuration \(INI\)\n\n```ini\n(.*?)```",
+                          readme, re.S).group(1)
+        parse_config(block)
+        # Optional keys shown commented out count as documented.
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(re.sub(r"^; (\w+ =)", r"\1", block, flags=re.M))
+        for section, f in SCHEMA_FIELDS:
+            assert f.name in parser[section], f"README lacks {section}.{f.name}"
 
 
 class TestRandomStreams:

@@ -10,8 +10,8 @@ from scipy import stats
 from heraldsim import pcsft
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
-                            parse_config, rng_stream, stream_id,
-                            validate_config)
+                            noise_probabilities, parse_config, rng_stream,
+                            stream_id, validate_config)
 from heraldsim.runner import simulate_run
 
 from helpers import euler_exit_steps
@@ -255,6 +255,31 @@ class TestClickLaw:
         law = pcsft.pattern_probabilities(cfg)
         assert law[0b111] == pytest.approx(f_h * f1 * f2, rel=1e-12)
         assert law[0b100] == pytest.approx(f_h * (1 - f1) * (1 - f2), rel=1e-12)
+
+
+    def test_pattern_probabilities_match_literal_enumeration(self):
+        # Sum over every field click pattern of the chance that the noise
+        # ORs turn it into the target pattern.
+        for cfg in (field_config(dark=(2e5, 1e5, 3e5)),
+                    field_config(theta=5.0, coupling=1e-4, dark=(0.0, 4e6, 0.0)),
+                    field_config(theta=0.05, coupling=1.0, dark=(150.0,) * 3)):
+            f_h, f1, f2 = pcsft.field_click_probabilities(cfg)
+            q = pcsft.coincidence_probability(cfg)
+            joint = {(1, 1): q, (1, 0): f1 - q, (0, 1): f2 - q,
+                     (0, 0): 1.0 - f1 - f2 + q}
+            noise = noise_probabilities(cfg)
+            expected = np.zeros(8)
+            for pattern in range(8):
+                bits = ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
+                for h in (0, 1):
+                    for (c1, c2), p12 in joint.items():
+                        pr = (f_h if h else 1.0 - f_h) * p12
+                        for click, bit, pn in zip((h, c1, c2), bits, noise):
+                            pr *= (0.0 if click > bit else 1.0 if click
+                                   else pn if bit else 1.0 - pn)
+                        expected[pattern] += pr
+            np.testing.assert_allclose(pcsft.pattern_probabilities(cfg), expected,
+                                       rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 class TestSegmentSamplers:

@@ -143,6 +143,17 @@ class TestBuildReport:
                             "dof"}
         assert fit["dof"] == 1
 
+    def test_upper_limit_points_noted_in_fit(self):
+        cfg = photon_config()
+        records = [point_record(cfg, make_counts(N_H=10**5, N_1=1000 * k,
+                                                 N_2=900 * k, N_H1=400 * k,
+                                                 N_H2=300 * k))
+                   for k in range(1, 5)]
+        report = build_report(cfg, records)
+        assert report["fit"] is not None
+        assert report["fit_note"] == ("4 of 4 fitted points are one-count "
+                                      "upper limits (no triples)")
+
     def test_band_is_flat_with_ratio_two(self):
         cfg = photon_config()
         report = build_report(cfg, sample_points(cfg))
