@@ -15,10 +15,9 @@ from .analysis import (FitResult, G2Estimate, InsufficientStatistics,
                        background_subtract, corrected_rate, herald_efficiency,
                        heralded_g2, klyshko_efficiency, segmented_g2,
                        weighted_linear_fit)
-from .coincidence import (CoincidenceCounts, SegmentCounts, accumulate,
-                          counts_from_cells, merge, read_counts_json,
-                          read_segment_csv, write_counts_json,
-                          write_segment_csv)
+from .coincidence import (CoincidenceCounts, accumulate, counts_from_cells,
+                          merge, read_counts_json, read_segment_csv,
+                          segment_table, write_counts_json, write_segment_csv)
 from .core import (ConfigError, DetectorConfig, ExperimentConfig,
                    OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                    config_from_dict, config_to_dict, load_config,
@@ -32,7 +31,7 @@ from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "__version__",
@@ -43,7 +42,7 @@ __all__ = [
     "with_attenuation", "rng_stream", "stream_id",
     # streams and counting
     "ClickStreams", "read_streams", "write_streams", "CoincidenceCounts",
-    "SegmentCounts", "accumulate", "counts_from_cells", "merge",
+    "segment_table", "accumulate", "counts_from_cells", "merge",
     "read_counts_json", "write_counts_json", "read_segment_csv",
     "write_segment_csv",
     # models

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coincidence import CoincidenceCounts, SegmentCounts
+from .coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
 from .core import OpticsConfig
 
 __all__ = [
@@ -118,18 +118,17 @@ def segmented_g2(counts: CoincidenceCounts, block_size: int = 100) -> G2Estimate
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if not counts.segments:
+    segments = counts.segments
+    if not len(segments):
         raise InsufficientStatistics("no segments to pool")
 
+    starts = np.arange(0, len(segments), block_size)
+    blocks = zip(*(np.add.reduceat(segments[f], starts).tolist()
+                   for f in ("N_H", "N_H1", "N_H2", "N_H12")))
     values = []
     weights = []
     any_triples = False
-    for start in range(0, len(counts.segments), block_size):
-        block = counts.segments[start : start + block_size]
-        n_h = sum(s.N_H for s in block)
-        n_h1 = sum(s.N_H1 for s in block)
-        n_h2 = sum(s.N_H2 for s in block)
-        n_h12 = sum(s.N_H12 for s in block)
+    for n_h, n_h1, n_h2, n_h12 in blocks:
         if n_h <= 0 or n_h1 <= 0 or n_h2 <= 0:
             continue
         est = _g2_from_totals(n_h, n_h1, n_h2, n_h12)
@@ -183,19 +182,22 @@ def herald_efficiency(counts: CoincidenceCounts) -> tuple[float, float]:
 # Background subtraction
 # ---------------------------------------------------------------------------
 
-def _quiet_counts(c: CoincidenceCounts) -> dict[frozenset, float]:
-    """Bins with no clicks on each channel subset, by inclusion-exclusion."""
+def _quiet_counts(c: CoincidenceCounts) -> dict[str, float]:
+    """Bins with no clicks on each channel subset, by inclusion-exclusion.
+
+    Subsets are spelled with their channels in H, 1, 2 order.
+    """
     n = c.n_bins
     return {
-        frozenset(): float(n),
-        frozenset("H"): n - c.N_H,
-        frozenset("1"): n - c.N_1,
-        frozenset("2"): n - c.N_2,
-        frozenset("H1"): n - c.N_H - c.N_1 + c.N_H1,
-        frozenset("H2"): n - c.N_H - c.N_2 + c.N_H2,
-        frozenset("12"): n - c.N_1 - c.N_2 + c.N_12,
-        frozenset("H12"): (n - c.N_H - c.N_1 - c.N_2
-                           + c.N_H1 + c.N_H2 + c.N_12 - c.N_H12),
+        "": float(n),
+        "H": n - c.N_H,
+        "1": n - c.N_1,
+        "2": n - c.N_2,
+        "H1": n - c.N_H - c.N_1 + c.N_H1,
+        "H2": n - c.N_H - c.N_2 + c.N_H2,
+        "12": n - c.N_1 - c.N_2 + c.N_12,
+        "H12": (n - c.N_H - c.N_1 - c.N_2
+                + c.N_H1 + c.N_H2 + c.N_12 - c.N_H12),
     }
 
 
@@ -213,10 +215,11 @@ def background_subtract(signal: CoincidenceCounts, background: CoincidenceCounts
     so dividing the observed quiet fractions by the background quiet
     factors recovers the light-only joint law exactly, and
     inclusion-exclusion converts back to counts.  Returned counts are
-    real-valued expectations (not integer observations) in a single
-    segment; any negative result is clamped to 0 and reported in the
-    returned flag tuple.  Uncertainties should still be taken from the raw
-    counts downstream (quadrature combination).
+    real-valued expectations (not integer observations) in a one-row
+    float table whose ``n_bins`` stays an integer; any negative result is
+    clamped to 0 and reported in the returned flag tuple.  Uncertainties
+    should still be taken from the raw counts downstream (quadrature
+    combination).
     """
     if signal.bin_width != background.bin_width:
         raise ValueError("signal and background runs have different bin widths")
@@ -235,14 +238,13 @@ def background_subtract(signal: CoincidenceCounts, background: CoincidenceCounts
         if p >= 1.0:
             raise ValueError(f"background channel {name} clicks in every bin")
 
-    quiet = _quiet_counts(signal)
+    # The factors multiply in the subset's spelled order, so the result
+    # does not depend on string hashing.
     light_quiet = {
         subset: q / math.prod((1.0 - p_noise[c]) for c in subset)
-        for subset, q in quiet.items()
+        for subset, q in _quiet_counts(signal).items()
     }
-
-    def q(spec: str) -> float:
-        return light_quiet[frozenset(spec)]
+    q = light_quiet.__getitem__
 
     corrected = {
         "N_H": n - q("H"),
@@ -256,10 +258,9 @@ def background_subtract(signal: CoincidenceCounts, background: CoincidenceCounts
     }
 
     clamped = tuple(sorted(k for k, v in corrected.items() if v < 0.0))
-    corrected = {k: max(v, 0.0) for k, v in corrected.items()}
-    seg = SegmentCounts(segment_index=0, n_bins=n, **corrected)
-    return (CoincidenceCounts(bin_width=signal.bin_width, segments=(seg,)),
-            clamped)
+    row = (0, n) + tuple(max(corrected[f], 0.0) for f in COUNT_FIELDS)
+    table = segment_table([row], count_type=float)
+    return CoincidenceCounts(bin_width=signal.bin_width, segments=table), clamped
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ clicking in the *same* bin.  With packed bitmaps this reduces to bytewise
 AND plus population count, so 10^8-bin streams count in well under a
 second; the test suite checks it against a naive per-bin loop.
 
-Counts are reported the way a segmented counter would: per-segment rows
-(:class:`SegmentCounts`) bundled with run totals (:class:`CoincidenceCounts`).
-A short final segment is kept, never dropped — its smaller ``bins`` column
-marks it.  Everything serialises to plain CSV / JSON so analysis never
+Counts are reported the way a segmented counter would: one table with a
+row per segment (:func:`segment_table`), bundled with the bin width in
+:class:`CoincidenceCounts`, whose run totals are column sums.  A short
+final segment is kept, never dropped — its smaller ``n_bins`` marks it.
+The table is what ``counts.csv`` holds (``n_bins`` is its ``bins``
+column), and the totals are what ``counts.json`` holds, so analysis never
 needs the raw streams.
 """
 
@@ -18,14 +20,15 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .streams import ClickStreams
 
 __all__ = [
-    "SegmentCounts",
     "CoincidenceCounts",
+    "segment_table",
     "accumulate",
     "merge",
     "counts_from_cells",
@@ -36,114 +39,87 @@ __all__ = [
 ]
 
 COUNT_FIELDS = ("N_H", "N_1", "N_2", "N_H1", "N_H2", "N_12", "N_H12")
+SEGMENT_FIELDS = ("segment_index", "n_bins") + COUNT_FIELDS
 
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                           axis=1).sum(axis=1).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class SegmentCounts:
-    """Counting results for one contiguous segment of bins.
+def _segment_dtype(count_type) -> np.dtype:
+    return np.dtype([(f, np.int64) for f in SEGMENT_FIELDS[:2]]
+                    + [(f, count_type) for f in COUNT_FIELDS])
 
-    Invariants (guaranteed by construction from real streams): every pair
-    count is bounded by its singles, N_H12 <= min(N_H1, N_H2, N_12), and
-    everything is bounded by n_bins.
+
+def segment_table(rows: Iterable = (), count_type=np.int64) -> np.recarray:
+    """A segment table: one row per segment, fields ``SEGMENT_FIELDS``.
+
+    ``rows`` holds tuples (segment_index, n_bins, N_H, N_1, N_2, N_H1,
+    N_H2, N_12, N_H12) or rows of another table.  Observed counts are
+    integers; ``count_type=float`` holds expectations (background
+    subtraction), with ``segment_index`` and ``n_bins`` still integers.
+    Columns read as ``table.N_H12`` and rows as ``table[i].N_H12``.  The
+    table is read-only, so counts that share it cannot change each other.
     """
-
-    segment_index: int
-    n_bins: int
-    N_H: int
-    N_1: int
-    N_2: int
-    N_H1: int
-    N_H2: int
-    N_12: int
-    N_H12: int
+    table = np.array(list(rows), dtype=_segment_dtype(count_type)).view(np.recarray)
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoincidenceCounts:
-    """Per-segment counts plus run totals for one observation.
+    """A segment table plus the bin width, for one observation.
 
-    Totals are derived from the segment rows, so they can never drift out
-    of sync; ``duration`` is the observation time the counts represent.
+    Totals are column sums of the table, so they can never drift out of
+    sync, and come back as Python numbers.  Invariants (guaranteed by
+    construction from real streams): every pair count is bounded by its
+    singles, N_H12 <= min(N_H1, N_H2, N_12), and everything by n_bins.
+    Two counts are equal when their bin widths and rows are.
     """
 
     bin_width: float
-    segments: tuple[SegmentCounts, ...]
+    segments: np.recarray
 
-    def _total(self, field: str) -> int:
-        return sum(getattr(seg, field) for seg in self.segments)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoincidenceCounts):
+            return NotImplemented
+        return (self.bin_width == other.bin_width
+                and np.array_equal(self.segments, other.segments))
 
-    @property
-    def n_bins(self) -> int:
-        return self._total("n_bins")
+    def _total(self, field: str):
+        # A plain ndarray view: recarray field access costs microseconds.
+        return np.add.reduce(self.segments.view(np.ndarray)[field]).item()
 
-    @property
-    def N_H(self) -> int:
-        return self._total("N_H")
-
-    @property
-    def N_1(self) -> int:
-        return self._total("N_1")
-
-    @property
-    def N_2(self) -> int:
-        return self._total("N_2")
-
-    @property
-    def N_H1(self) -> int:
-        return self._total("N_H1")
-
-    @property
-    def N_H2(self) -> int:
-        return self._total("N_H2")
-
-    @property
-    def N_12(self) -> int:
-        return self._total("N_12")
-
-    @property
-    def N_H12(self) -> int:
-        return self._total("N_H12")
+    n_bins = property(lambda self: self._total("n_bins"))
+    N_H = property(lambda self: self._total("N_H"))
+    N_1 = property(lambda self: self._total("N_1"))
+    N_2 = property(lambda self: self._total("N_2"))
+    N_H1 = property(lambda self: self._total("N_H1"))
+    N_H2 = property(lambda self: self._total("N_H2"))
+    N_12 = property(lambda self: self._total("N_12"))
+    N_H12 = property(lambda self: self._total("N_H12"))
 
     @property
     def duration(self) -> float:
         """Total observation time in seconds."""
         return self.n_bins * self.bin_width
 
-    def totals(self) -> dict[str, int]:
-        """Run totals as a plain dict (plus n_bins)."""
-        out = {"n_bins": self.n_bins}
-        out.update({f: self._total(f) for f in COUNT_FIELDS})
-        return out
+    def totals(self) -> dict[str, int | float]:
+        """Run totals as a plain dict (plus n_bins).
+
+        Python ints for observed counts; floats for the count fields of a
+        float table.
+        """
+        return {f: self._total(f) for f in SEGMENT_FIELDS[1:]}
 
 
-def _popcount_bytes(packed: np.ndarray) -> np.ndarray:
-    """Per-byte set-bit counts, without materialising bools."""
-    return _POPCOUNT[packed]
-
-
-def _segment_counts_packed(h: np.ndarray, s1: np.ndarray, s2: np.ndarray,
-                           index: int, n_bins: int) -> SegmentCounts:
+def _packed_counts(h: np.ndarray, s1: np.ndarray,
+                   s2: np.ndarray) -> tuple[int, ...]:
+    """The COUNT_FIELDS of packed channel bitmaps, by popcount."""
     h1 = h & s1
     h2 = h & s2
-
-    def pop(arr: np.ndarray) -> int:
-        return int(_popcount_bytes(arr).sum(dtype=np.int64))
-
-    return SegmentCounts(
-        segment_index=index,
-        n_bins=n_bins,
-        N_H=pop(h),
-        N_1=pop(s1),
-        N_2=pop(s2),
-        N_H1=pop(h1),
-        N_H2=pop(h2),
-        N_12=pop(s1 & s2),
-        N_H12=pop(h1 & s2),
-    )
+    return tuple(int(_POPCOUNT[arr].sum(dtype=np.int64))
+                 for arr in (h, s1, s2, h1, h2, s1 & s2, h1 & s2))
 
 
 def accumulate(streams: ClickStreams, segment_bins: int | None = None,
@@ -159,32 +135,27 @@ def accumulate(streams: ClickStreams, segment_bins: int | None = None,
     if segment_bins < 1:
         raise ValueError(f"segment_bins must be >= 1, got {segment_bins}")
 
-    segments: list[SegmentCounts] = []
     if segment_bins % 8 == 0:
         # Byte-aligned segments: slice the packed arrays directly.
-        seg_bytes = segment_bins // 8
-        n_segments = -(-streams.n_bins // segment_bins)
-        for i in range(n_segments):
-            lo = i * seg_bytes
-            hi = min(lo + seg_bytes, streams.herald.size)
-            bins = min(segment_bins, streams.n_bins - i * segment_bins)
-            segments.append(_segment_counts_packed(
-                streams.herald[lo:hi], streams.signal_1[lo:hi],
-                streams.signal_2[lo:hi], first_segment_index + i, bins))
+        packed = (streams.herald, streams.signal_1, streams.signal_2)
+
+        def part(lo: int) -> list[np.ndarray]:
+            return [c[lo // 8:(lo + segment_bins) // 8] for c in packed]
     else:
-        h, s1, s2 = streams.bools()
-        for i, lo in enumerate(range(0, streams.n_bins, segment_bins)):
-            hi = min(lo + segment_bins, streams.n_bins)
-            sub = ClickStreams.from_bools(h[lo:hi], s1[lo:hi], s2[lo:hi],
-                                          bin_width=streams.bin_width)
-            segments.append(_segment_counts_packed(
-                sub.herald, sub.signal_1, sub.signal_2,
-                first_segment_index + i, hi - lo))
-    return CoincidenceCounts(bin_width=streams.bin_width, segments=tuple(segments))
+        bools = streams.bools()
+
+        def part(lo: int) -> list[np.ndarray]:
+            return [np.packbits(b[lo:lo + segment_bins]) for b in bools]
+
+    rows = [(first_segment_index + i, min(segment_bins, streams.n_bins - lo),
+             *_packed_counts(*part(lo)))
+            for i, lo in enumerate(range(0, streams.n_bins, segment_bins))]
+    return CoincidenceCounts(bin_width=streams.bin_width,
+                             segments=segment_table(rows))
 
 
 def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
-    """Concatenate segment lists; totals add.
+    """Concatenate segment tables; totals add.
 
     Segments are renumbered consecutively so merged results always carry
     unique, ordered indices; the per-segment count values are untouched.
@@ -192,36 +163,32 @@ def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
     """
     if a.bin_width != b.bin_width:
         raise ValueError("cannot merge counts with different bin widths")
-    renumbered = []
-    for i, seg in enumerate(a.segments + b.segments):
-        if seg.segment_index != i:
-            seg = SegmentCounts(segment_index=i, n_bins=seg.n_bins,
-                                **{f: getattr(seg, f) for f in COUNT_FIELDS})
-        renumbered.append(seg)
-    return CoincidenceCounts(bin_width=a.bin_width, segments=tuple(renumbered))
+    table = np.concatenate([a.segments, b.segments]).view(np.recarray)
+    table.segment_index = np.arange(len(table))
+    table.flags.writeable = False
+    return CoincidenceCounts(bin_width=a.bin_width, segments=table)
 
 
-def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> SegmentCounts:
-    """Convert an 8-pattern bin census into counting results.
+def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, ...]:
+    """Convert an 8-pattern bin census into one segment row.
 
     ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
-    that joint click pattern (see the segment_cells samplers).
+    that joint click pattern (see the segment_cells samplers).  The row is
+    a tuple of Python ints in ``SEGMENT_FIELDS`` order, as
+    :func:`segment_table` takes it.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.shape != (8,):
         raise ValueError(f"expected 8 pattern cells, got shape {cells.shape}")
-    c = [int(v) for v in cells]
-    return SegmentCounts(
-        segment_index=segment_index,
-        n_bins=int(cells.sum()),
-        N_H=c[4] + c[5] + c[6] + c[7],
-        N_1=c[2] + c[3] + c[6] + c[7],
-        N_2=c[1] + c[3] + c[5] + c[7],
-        N_H1=c[6] + c[7],
-        N_H2=c[5] + c[7],
-        N_12=c[3] + c[7],
-        N_H12=c[7],
-    )
+    c = cells.tolist()
+    return (segment_index, sum(c),
+            c[4] + c[5] + c[6] + c[7],   # N_H
+            c[2] + c[3] + c[6] + c[7],   # N_1
+            c[1] + c[3] + c[5] + c[7],   # N_2
+            c[6] + c[7],                 # N_H1
+            c[5] + c[7],                 # N_H2
+            c[3] + c[7],                 # N_12
+            c[7])                        # N_H12
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +199,35 @@ _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
 
 
 def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
-    """One CSV row per segment, in order."""
+    """The segment table as CSV, one row per segment, in order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SEGMENT_HEADER)
-        for seg in counts.segments:
-            writer.writerow([seg.segment_index, seg.n_bins]
-                            + [getattr(seg, f) for f in COUNT_FIELDS])
+        writer.writerows(counts.segments.tolist())
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
-    """Read rows written by :func:`write_segment_csv`.
+    """Read a table written by :func:`write_segment_csv`.
 
     The CSV carries no bin width, so it must be supplied (it lives in the
-    JSON summary written alongside).
+    JSON summary written alongside).  Raises ValueError naming the file
+    and line of a malformed row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _SEGMENT_HEADER:
+        header = next(reader, None)
+        if header is None or tuple(header) != _SEGMENT_HEADER:
             raise ValueError(f"{path}: unexpected header {header}")
-        segments = []
+        rows = []
         for row in reader:
-            vals = [int(v) for v in row]
-            segments.append(SegmentCounts(segment_index=vals[0], n_bins=vals[1],
-                                          **dict(zip(COUNT_FIELDS, vals[2:]))))
-    return CoincidenceCounts(bin_width=bin_width, segments=tuple(segments))
+            if len(row) != len(_SEGMENT_HEADER):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
+            try:
+                rows.append(tuple(int(v) for v in row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return CoincidenceCounts(bin_width=bin_width, segments=segment_table(rows))
 
 
 def write_counts_json(counts: CoincidenceCounts, path: str | Path,
@@ -280,13 +250,18 @@ def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
     """Read totals written by :func:`write_counts_json` (as one segment).
 
     Returns the counts and the configuration echo (None when the file was
-    written without one).
+    written without one).  Raises ValueError naming the file and the key
+    when a total is missing or not an integer.
     """
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "coincidence-counts":
+    if not isinstance(payload, dict) or payload.get("format") != "coincidence-counts":
         raise ValueError(f"{path}: not a coincidence-counts file")
-    seg = SegmentCounts(segment_index=0, n_bins=payload["n_bins"],
-                        **{f: payload[f] for f in COUNT_FIELDS})
+    for key in ("bin_width",) + SEGMENT_FIELDS[1:]:
+        if key not in payload:
+            raise ValueError(f"{path}: missing key '{key}'")
+        if key != "bin_width" and type(payload[key]) is not int:
+            raise ValueError(f"{path}: '{key}' is not an integer: {payload[key]!r}")
+    row = (0,) + tuple(payload[f] for f in SEGMENT_FIELDS[1:])
     counts = CoincidenceCounts(bin_width=payload["bin_width"],
-                               segments=(seg,))
+                               segments=segment_table([row]))
     return counts, payload.get("config")

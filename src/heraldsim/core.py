@@ -19,7 +19,7 @@ import warnings
 from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -345,8 +345,12 @@ _IGNORED_KEYS = {"pcsft": ("diffusion_step",)}
 def _parse_value(kind, raw: str, where: str):
     """An INI value read as a field declared ``kind``.
 
-    Raises ValueError whose message starts with ``where``.
+    ``tuple[X, ...]`` reads a comma-separated list of X.  Raises
+    ValueError whose message starts with ``where``.
     """
+    if get_origin(kind) is tuple:
+        return tuple(_parse_value(get_args(kind)[0], tok, where)
+                     for tok in raw.split(",") if tok.strip())
     word = raw.strip().lower()
     if kind is Theory:
         try:
@@ -363,6 +367,35 @@ def _parse_value(kind, raw: str, where: str):
         raise ValueError(f"{where}: not {what}: {raw!r}") from None
 
 
+def _read_ini(text: str, origin: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text, source=origin)
+    except configparser.Error as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
+    return parser
+
+
+def _read_section(sec: configparser.SectionProxy, schema, section: str,
+                  errors: list[str]) -> dict:
+    """Values of one INI section, read by the fields of its dataclass.
+
+    A missing required key or a malformed value is appended to ``errors``;
+    keys that no field names are left to the caller.
+    """
+    values = {}
+    for f, kind in schema:
+        if f.name not in sec:
+            if not _has_default(f):
+                errors.append(f"missing required key '{f.name}' in section [{section}]")
+            continue
+        try:
+            values[f.name] = _parse_value(kind, sec[f.name], f"[{section}] {f.name}")
+        except ValueError as exc:
+            errors.append(str(exc))
+    return values
+
+
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     """Parse and validate an INI experiment description.
 
@@ -372,12 +405,7 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     sections or keys are hard errors, as is any malformed value.  Every
     error is reported at once, each prefixed by ``origin``.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-
+    parser = _read_ini(text, origin)
     errors: list[str] = []
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -394,18 +422,7 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
             if section in _REQUIRED_SECTIONS:
                 errors.append(f"missing required section [{section}]")
             continue
-        sec = parser[section]
-        values[section] = {}
-        for f, kind in schema:
-            if f.name not in sec:
-                if not _has_default(f):
-                    errors.append(f"missing required key '{f.name}' in section [{section}]")
-                continue
-            try:
-                values[section][f.name] = _parse_value(kind, sec[f.name],
-                                                       f"[{section}] {f.name}")
-            except ValueError as exc:
-                errors.append(str(exc))
+        values[section] = _read_section(parser[section], schema, section, errors)
     if errors:
         raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
 

@@ -26,7 +26,6 @@ discarded.
 
 from __future__ import annotations
 
-import configparser
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from . import pcsft, qm
-from .coincidence import CoincidenceCounts, SegmentCounts, accumulate, counts_from_cells
-from .core import ConfigError, ExperimentConfig, Theory, with_attenuation
+from .coincidence import CoincidenceCounts, accumulate, counts_from_cells, segment_table
+from .core import (ConfigError, ExperimentConfig, Theory, _field_types,
+                   _read_ini, _read_section, with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [
@@ -112,8 +112,11 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
                threads: int = 1) -> CoincidenceCounts:
     """Accumulate coincidence counts for a run, stopping early on a target.
 
-    With ``target_triples`` set, segments are retained in index order until
-    the cumulative N_H12 reaches the target (the full cfg.n_bins budget
+    Each segment gives one row of the returned segment table
+    (``counts.segments``): ``counts_from_cells`` of its census, or the
+    count of its click streams on the click route.  With
+    ``target_triples`` set, segments are retained in index order until the
+    cumulative N_H12 reaches the target (the full cfg.n_bins budget
     otherwise); the stop decision never splits a segment, so the result is
     independent of batching and thread count.
     """
@@ -123,7 +126,7 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
                   and cfg.pcsft.envelope_modes is not None)
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
 
-    def one(index: int) -> SegmentCounts:
+    def one(index: int):
         if census:
             cells = model.segment_cells(cfg, index, n_bins=sizes[index],
                                         point_index=point_index)
@@ -132,17 +135,17 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
                                       point_index=point_index)
         streams = ClickStreams.from_bools(*clicks,
                                           bin_width=cfg.detectors.bin_width)
-        return accumulate(streams, first_segment_index=index).segments[0]
+        return accumulate(streams, first_segment_index=index).segments.item(0)
 
-    kept: list[SegmentCounts] = []
+    kept = []
     triples = 0
-    for seg in _map_segments(one, len(sizes), threads):
-        kept.append(seg)
-        triples += seg.N_H12
+    for row in _map_segments(one, len(sizes), threads):
+        kept.append(row)
+        triples += row[-1]  # N_H12, the last column
         if target_triples is not None and triples >= target_triples:
             break
     return CoincidenceCounts(bin_width=cfg.detectors.bin_width,
-                             segments=tuple(kept))
+                             segments=segment_table(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +198,26 @@ class SweepPoint:
 
 
 def parse_sweep_plan(text: str, origin: str = "<string>") -> SweepPlan:
-    """Parse a [sweep] INI section into a plan."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+    """Parse the [sweep] section of an INI text into a plan.
+
+    Keys are the fields of :class:`SweepPlan`, ``attenuations`` a
+    comma-separated list; other sections are ignored.  Every error is
+    reported at once, each prefixed by ``origin``.
+    """
+    parser = _read_ini(text, origin)
     if not parser.has_section("sweep"):
         raise ConfigError(f"{origin}: missing [sweep] section")
-    known = {"attenuations", "target_triples", "max_bins"}
-    unknown = set(parser["sweep"]) - known
-    if unknown:
-        raise ConfigError(
-            f"{origin}: unknown sweep key(s): {', '.join(sorted(unknown))}")
-    raw = parser["sweep"].get("attenuations", "")
+    schema = _field_types(SweepPlan)
+    names = {f.name for f, _ in schema}
+    errors = [f"unknown key '{key}' in section [sweep]"
+              for key in parser["sweep"] if key not in names]
+    values = _read_section(parser["sweep"], schema, "sweep", errors)
+    if errors:
+        raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
     try:
-        attenuations = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: bad attenuations list: {raw!r}") from exc
-    try:
-        target = parser["sweep"].getint("target_triples",
-                                        fallback=TARGET_TRIPLES_DEFAULT)
-        max_bins = parser["sweep"].getint("max_bins", fallback=None)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: bad integer in [sweep]: {exc}") from exc
-    return SweepPlan(attenuations=attenuations, target_triples=target,
-                     max_bins=max_bins)
+        return SweepPlan(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
 
 
 def load_sweep_plan(path) -> SweepPlan:

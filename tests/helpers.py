@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from heraldsim.coincidence import CoincidenceCounts, SegmentCounts
+from heraldsim.coincidence import CoincidenceCounts, segment_table
 from heraldsim.core import (ExperimentConfig, arm_efficiencies,
                             noise_probabilities)
 from heraldsim.streams import ClickStreams
 
 _TAIL = 1e-16
+BIN = 20.83e-9
 
 
 def nb_pmf(n, mu: float, modes: int):
@@ -131,7 +132,12 @@ def brute_force_counts(streams: ClickStreams) -> CoincidenceCounts:
             n_12 += 1
         if a and b and c:
             n_h12 += 1
-    seg = SegmentCounts(segment_index=0, n_bins=streams.n_bins,
-                        N_H=n_h, N_1=n_1, N_2=n_2, N_H1=n_h1, N_H2=n_h2,
-                        N_12=n_12, N_H12=n_h12)
-    return CoincidenceCounts(bin_width=streams.bin_width, segments=(seg,))
+    return make_counts(streams.n_bins, n_h, n_1, n_2, n_h1, n_h2, n_12, n_h12,
+                       bin_width=streams.bin_width)
+
+
+def make_counts(n_bins=1_000_000, N_H=0, N_1=0, N_2=0, N_H1=0, N_H2=0,
+                N_12=0, N_H12=0, bin_width=BIN) -> CoincidenceCounts:
+    """One-segment counts holding the given totals."""
+    row = (0, n_bins, N_H, N_1, N_2, N_H1, N_H2, N_12, N_H12)
+    return CoincidenceCounts(bin_width=bin_width, segments=segment_table([row]))

@@ -1,26 +1,25 @@
 """Estimators: heralded autocorrelation, calibration, subtraction, fitting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heraldsim
 from heraldsim.analysis import (FitResult, G2Estimate, InsufficientStatistics,
                                 background_subtract, corrected_rate,
                                 herald_efficiency, heralded_g2,
                                 klyshko_efficiency, segmented_g2,
                                 weighted_linear_fit)
-from heraldsim.coincidence import (CoincidenceCounts, SegmentCounts,
-                                   counts_from_cells)
+from heraldsim.coincidence import (CoincidenceCounts, counts_from_cells,
+                                   segment_table)
 from heraldsim.core import OpticsConfig
 
-BIN = 20.83e-9
-
-
-def make_counts(n_bins=1_000_000, N_H=0, N_1=0, N_2=0, N_H1=0, N_H2=0,
-                N_12=0, N_H12=0, bin_width=BIN) -> CoincidenceCounts:
-    seg = SegmentCounts(0, n_bins, N_H, N_1, N_2, N_H1, N_H2, N_12, N_H12)
-    return CoincidenceCounts(bin_width=bin_width, segments=(seg,))
+from helpers import BIN, make_counts
 
 
 def independent_law(p_h: float, p_1: float, p_2: float) -> np.ndarray:
@@ -84,25 +83,27 @@ class TestSegmentedG2:
 
     def test_no_segments(self):
         with pytest.raises(InsufficientStatistics):
-            segmented_g2(CoincidenceCounts(bin_width=BIN, segments=()))
+            segmented_g2(CoincidenceCounts(bin_width=BIN,
+                                           segments=segment_table()))
 
     def test_empty_blocks_are_skipped(self):
-        good = SegmentCounts(0, 10**6, 10**6, 0, 0, 1000, 1000, 0, 2)
-        dead = SegmentCounts(1, 10**6, 0, 0, 0, 0, 0, 0, 0)
-        counts = CoincidenceCounts(bin_width=BIN, segments=(good, dead))
+        good = (0, 10**6, 10**6, 0, 0, 1000, 1000, 0, 2)
+        dead = (1, 10**6, 0, 0, 0, 0, 0, 0, 0)
+        counts = CoincidenceCounts(bin_width=BIN,
+                                   segments=segment_table([good, dead]))
         assert segmented_g2(counts, block_size=1).value == 2.0
 
     def test_all_blocks_empty(self):
-        dead = SegmentCounts(0, 10**6, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(InsufficientStatistics, match="block"):
-            segmented_g2(CoincidenceCounts(bin_width=BIN, segments=(dead,)))
+            segmented_g2(make_counts(n_bins=10**6))
 
     def test_drift_immunity(self):
         # Second epoch has double the arm efficiency; each epoch alone
         # measures exactly 1, but the whole-run ratio mixes them into 10/9.
-        epoch_a = SegmentCounts(0, 10**8, 10**6, 0, 0, 1000, 1000, 0, 1)
-        epoch_b = SegmentCounts(1, 10**8, 10**6, 0, 0, 2000, 2000, 0, 4)
-        counts = CoincidenceCounts(bin_width=BIN, segments=(epoch_a, epoch_b))
+        epoch_a = (0, 10**8, 10**6, 0, 0, 1000, 1000, 0, 1)
+        epoch_b = (1, 10**8, 10**6, 0, 0, 2000, 2000, 0, 4)
+        counts = CoincidenceCounts(bin_width=BIN,
+                                   segments=segment_table([epoch_a, epoch_b]))
         whole = heralded_g2(counts)
         pooled = segmented_g2(counts, block_size=1)
         assert whole.value == pytest.approx(10.0 / 9.0, rel=1e-12)
@@ -110,10 +111,10 @@ class TestSegmentedG2:
 
     def test_stationary_input_agrees_with_whole_run(self):
         rng = np.random.default_rng(7001)
-        segments = tuple(
-            SegmentCounts(i, 100_000, int(rng.poisson(5000)), 300, 300,
-                          int(rng.poisson(250)), int(rng.poisson(250)), 20,
-                          int(rng.poisson(12.5)))
+        segments = segment_table(
+            (i, 100_000, int(rng.poisson(5000)), 300, 300,
+             int(rng.poisson(250)), int(rng.poisson(250)), 20,
+             int(rng.poisson(12.5)))
             for i in range(200))
         counts = CoincidenceCounts(bin_width=BIN, segments=segments)
         whole = heralded_g2(counts)
@@ -178,10 +179,10 @@ class TestBackgroundSubtract:
                        for a, b in zip(p_light, p_noise))
         n = 500_000
         rng = np.random.default_rng(7301)
-        signal = CoincidenceCounts(BIN, (counts_from_cells(
-            rng.multinomial(n, independent_law(*p_seen))),))
-        background = CoincidenceCounts(BIN, (counts_from_cells(
-            rng.multinomial(n, independent_law(*p_noise))),))
+        signal = CoincidenceCounts(BIN, segment_table([counts_from_cells(
+            rng.multinomial(n, independent_law(*p_seen)))]))
+        background = CoincidenceCounts(BIN, segment_table([counts_from_cells(
+            rng.multinomial(n, independent_law(*p_noise)))]))
         corrected, flags = background_subtract(signal, background)
         assert flags == ()
         p_h, p_1, p_2 = p_light
@@ -202,6 +203,24 @@ class TestBackgroundSubtract:
         assert flags == ("N_H1",)
         assert corrected.N_H1 == 0.0
         assert corrected.N_H == 0.0
+
+    def test_result_independent_of_string_hashing(self):
+        # PYTHONHASHSEED reorders iteration over sets of strings; the three
+        # noise factors of the triple term must multiply in a fixed order.
+        code = ("from helpers import make_counts\n"
+                "from heraldsim.analysis import background_subtract\n"
+                "signal = make_counts(4_800_000, 61530, 9093, 6548, 2536, 1757,"
+                " 22, 13)\n"
+                "background = make_counts(2_000_000, 4, 7, 8)\n"
+                "print(repr(background_subtract(signal, background)[0].N_H12))")
+        path = os.pathsep.join([str(Path(heraldsim.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        ).stdout for seed in range(6)}
+        assert len(outputs) == 1, outputs
 
     def test_bin_width_mismatch(self):
         signal = make_counts(N_H=10)

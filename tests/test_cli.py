@@ -250,6 +250,21 @@ class TestAnalyze:
         assert main(["analyze", "--counts", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("role", ["counts", "background"])
+    def test_counts_file_missing_a_total_is_an_error(self, sweep_out, tmp_path,
+                                                     capsys, role):
+        payload = json.loads((sweep_out / "point_001.json").read_text())
+        del payload["N_H2"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        counts = broken if role == "counts" else sweep_out / "point_001.json"
+        extra = ["--background", str(broken)] if role == "background" else []
+        assert main(["analyze", "--counts", str(counts), *extra,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{broken}: missing key 'N_H2'" in err
+
 
 class TestPlot:
     def test_renders_report_svg(self, sweep_out, tmp_path, capsys):

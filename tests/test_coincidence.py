@@ -1,5 +1,8 @@
 """Coincidence counting: exactness, segmentation, merging, serialisation."""
 
+import csv
+import io
+import json
 import time
 
 import numpy as np
@@ -8,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim.coincidence import (COUNT_FIELDS, CoincidenceCounts,
-                                   SegmentCounts, accumulate,
-                                   counts_from_cells, merge, read_counts_json,
-                                   read_segment_csv, write_counts_json,
+                                   accumulate, counts_from_cells, merge,
+                                   read_counts_json, read_segment_csv,
+                                   segment_table, write_counts_json,
                                    write_segment_csv)
 from heraldsim.streams import ClickStreams
 
@@ -106,7 +109,8 @@ class TestMerge:
 
     def test_merge_with_empty_is_identity(self):
         counts = accumulate(random_streams(1000, seed=7), segment_bins=100)
-        empty = CoincidenceCounts(bin_width=counts.bin_width, segments=())
+        empty = CoincidenceCounts(bin_width=counts.bin_width,
+                                  segments=segment_table())
         assert merge(counts, empty) == counts
         assert merge(empty, counts) == counts
 
@@ -137,8 +141,9 @@ class TestCellCensus:
         streams = streams_from_bits((patterns >> 2) & 1, (patterns >> 1) & 1,
                                     patterns & 1)
         cells = np.bincount(patterns, minlength=8)
-        seg = counts_from_cells(cells, segment_index=0)
-        assert seg == accumulate(streams).segments[0]
+        row = counts_from_cells(cells, segment_index=0)
+        assert row == accumulate(streams).segments.item(0)
+        assert all(type(v) is int for v in row)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="8"):
@@ -181,6 +186,79 @@ class TestSerialisation:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="coincidence-counts"):
+            read_counts_json(path)
+
+
+class TestSegmentTable:
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(3, 10, 4, 3, 2, 2, 1, 1, 1), (7, 5, 1, 1, 1, 1, 1, 1, 1),
+         (2, 8, 0, 0, 0, 0, 0, 0, 0)],
+    ], ids=["no-segments", "non-consecutive-indices"])
+    def test_csv_round_trip_is_exact(self, tmp_path, rows):
+        counts = CoincidenceCounts(bin_width=1e-9, segments=segment_table(rows))
+        path = tmp_path / "counts.csv"
+        write_segment_csv(counts, path)
+        # The bytes csv.writer gives, CRLF line endings included.
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [("segment_index", "bins") + COUNT_FIELDS] + rows)
+        assert path.read_bytes() == expected.getvalue().encode()
+        loaded = read_segment_csv(path, bin_width=1e-9)
+        assert loaded == counts
+        assert loaded.segments.shape == (len(rows),)
+        assert loaded.segments.dtype == counts.segments.dtype
+        assert loaded.segments.segment_index.tolist() == [r[0] for r in rows]
+        assert loaded.totals() == counts.totals()
+
+    def test_totals_are_python_ints(self):
+        counts = accumulate(random_streams(1000, seed=16), segment_bins=96)
+        assert all(type(v) is int for v in counts.totals().values())
+        assert type(counts.n_bins) is int and type(counts.N_H12) is int
+
+    def test_equality_compares_rows_and_bin_width(self):
+        counts = accumulate(random_streams(1000, seed=17), segment_bins=96)
+        same = CoincidenceCounts(bin_width=counts.bin_width,
+                                 segments=segment_table(counts.segments))
+        assert same == counts
+        assert CoincidenceCounts(2 * counts.bin_width, counts.segments) != counts
+        assert CoincidenceCounts(counts.bin_width, counts.segments[:-1]) != counts
+
+    def test_tables_are_read_only(self):
+        a = accumulate(random_streams(640, seed=20), segment_bins=64)
+        for table in (a.segments, merge(a, a).segments, a.segments[2:]):
+            with pytest.raises(ValueError, match="read-only"):
+                table.N_H[0] = 0
+
+    @pytest.mark.parametrize("line", [
+        "1,10,1,1,1,1,1,1",
+        "1,10,1,1,1,1,1,1,1,1",
+        "1,10,1,1,x,1,1,1,1",
+    ], ids=["too-few-columns", "too-many-columns", "not-an-integer"])
+    def test_malformed_csv_row_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "counts.csv"
+        header = ",".join(("segment_index", "bins") + COUNT_FIELDS)
+        path.write_text(f"{header}\n0,10,1,1,1,1,1,1,1\n{line}\n")
+        with pytest.raises(ValueError, match=r"counts\.csv, line 3: "):
+            read_segment_csv(path, bin_width=1e-9)
+
+    @pytest.mark.parametrize("key", ["bin_width", "n_bins", "N_H", "N_H12"])
+    def test_json_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "counts.json"
+        write_counts_json(accumulate(random_streams(100, seed=18)), path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"counts.json: missing key '{key}'"):
+            read_counts_json(path)
+
+    def test_json_fractional_count_rejected(self, tmp_path):
+        path = tmp_path / "counts.json"
+        write_counts_json(accumulate(random_streams(100, seed=19)), path)
+        payload = json.loads(path.read_text())
+        payload["N_1"] = 2.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'N_1' is not an integer"):
             read_counts_json(path)
 
 

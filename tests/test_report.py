@@ -8,7 +8,6 @@ import pytest
 from heraldsim import pcsft
 from heraldsim.analysis import (InsufficientStatistics, background_subtract,
                                 corrected_rate, heralded_g2)
-from heraldsim.coincidence import CoincidenceCounts, SegmentCounts
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, SourceConfig, Theory,
                             validate_config)
@@ -17,13 +16,7 @@ from heraldsim.report import (REPORT_FORMAT, REPORT_VERSION, build_report,
                               write_report_json)
 from heraldsim.svgplot import render_report, write_report_svg
 
-BIN = 20.83e-9
-
-
-def make_counts(n_bins=1_000_000, N_H=0, N_1=0, N_2=0, N_H1=0, N_H2=0,
-                N_12=0, N_H12=0) -> CoincidenceCounts:
-    seg = SegmentCounts(0, n_bins, N_H, N_1, N_2, N_H1, N_H2, N_12, N_H12)
-    return CoincidenceCounts(bin_width=BIN, segments=(seg,))
+from helpers import BIN, make_counts
 
 
 def photon_config(eta_h=0.26, attenuation=1.0) -> ExperimentConfig:
@@ -84,6 +77,21 @@ class TestPointRecord:
         assert record["g2"] == 0.0
         assert record["upper_limit"]
         assert record["sigma"] > 0.0
+
+    def test_corrected_counts_are_floats_over_integer_bins(self):
+        signal = make_counts(n_bins=1000, N_H=280, N_1=100, N_2=100,
+                             N_H1=50, N_H2=50, N_12=20, N_H12=10)
+        background = make_counts(n_bins=1000, N_H=250, N_1=30, N_2=20)
+        record = point_record(photon_config(), signal, background=background)
+        corrected = record["counts_corrected"]
+        assert type(corrected.pop("n_bins")) is int
+        assert set(corrected) == {"N_H", "N_1", "N_2", "N_H1", "N_H2",
+                                  "N_12", "N_H12"}
+        assert all(type(v) is float for v in corrected.values())
+        assert all(type(v) is int for v in record["counts"].values())
+        # The corrected herald count is n - (n - N_H) / (1 - p_noise).
+        assert corrected["N_H"] == pytest.approx(1000 - 720 / 0.75, rel=1e-12)
+        json.dumps(record)
 
     def test_background_changes_headline_not_sigma(self):
         cfg = photon_config()

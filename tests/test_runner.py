@@ -54,7 +54,7 @@ def assert_takes_the_census(cfg: ExperimentConfig) -> None:
     assert len(counts.segments) == len(sizes)
     for index, (seg, n_bins) in enumerate(zip(counts.segments, sizes)):
         cells = qm.segment_cells(cfg, index, n_bins=n_bins)
-        assert seg == counts_from_cells(cells, segment_index=index)
+        assert seg.item() == counts_from_cells(cells, segment_index=index)
 
 
 def assert_same_streams(a, b) -> None:
@@ -184,9 +184,9 @@ class TestRunCounts:
         full = run_counts(cfg)
         stopped = run_counts(cfg, target_triples=20)
         k = len(stopped.segments)
-        assert stopped.segments == full.segments[:k]
+        assert np.array_equal(stopped.segments, full.segments[:k])
         assert stopped.N_H12 >= 20
-        assert sum(s.N_H12 for s in stopped.segments[:-1]) < 20
+        assert stopped.segments.N_H12[:-1].sum() < 20
 
     def test_early_stop_is_thread_independent(self):
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
@@ -234,9 +234,30 @@ class TestSweepPlan:
             parse_sweep_plan("[sweep]\nattenuations = 1.0, high\n")
 
     def test_bad_integer(self):
-        with pytest.raises(ConfigError, match="bad integer"):
+        with pytest.raises(ConfigError,
+                           match=r"\[sweep\] target_triples: not an integer"):
             parse_sweep_plan(
                 "[sweep]\nattenuations = 1.0\ntarget_triples = many\n")
+
+    def test_two_malformed_keys_reported_together(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_plan("[sweep]\nattenuations = 1.0\n"
+                             "target_triples = abc\nmax_bins = y\n",
+                             origin="plan.ini")
+        lines = str(info.value).splitlines()
+        assert lines == ["plan.ini: [sweep] target_triples: not an integer: 'abc'",
+                         "plan.ini: [sweep] max_bins: not an integer: 'y'"]
+
+    def test_missing_attenuations_names_origin(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_plan("[sweep]\ntarget_triples = 5\n", origin="plan.ini")
+        assert str(info.value) == (
+            "plan.ini: missing required key 'attenuations' in section [sweep]")
+
+    def test_plan_check_names_origin(self):
+        with pytest.raises(ConfigError, match=r"^plan\.ini: .*target_triples"):
+            parse_sweep_plan("[sweep]\nattenuations = 1.0\ntarget_triples = 0\n",
+                             origin="plan.ini")
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
