@@ -16,8 +16,8 @@ from .analysis import (FitResult, G2Estimate, InsufficientStatistics,
                        heralded_g2, klyshko_efficiency, segmented_g2,
                        weighted_linear_fit)
 from .coincidence import (CoincidenceCounts, accumulate, counts_from_cells,
-                          merge, read_counts_json, read_segment_csv,
-                          segment_table, write_counts_json, write_segment_csv)
+                          read_counts_json, read_segment_csv, segment_table,
+                          write_counts_json, write_segment_csv)
 from .core import (ConfigError, DetectorConfig, ExperimentConfig,
                    OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                    config_from_dict, config_to_dict, load_config,
@@ -31,7 +31,7 @@ from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "__version__",
@@ -42,9 +42,8 @@ __all__ = [
     "with_attenuation", "rng_stream", "stream_id",
     # streams and counting
     "ClickStreams", "read_streams", "write_streams", "CoincidenceCounts",
-    "segment_table", "accumulate", "counts_from_cells", "merge",
-    "read_counts_json", "write_counts_json", "read_segment_csv",
-    "write_segment_csv",
+    "segment_table", "accumulate", "counts_from_cells", "read_counts_json",
+    "write_counts_json", "read_segment_csv", "write_segment_csv",
     # models
     "pair_prob", "g_factor", "heralded_g2_exact", "predicted_heralded_g2",
     "predicted_g2_band", "mean_first_passage", "crossing_probability",

@@ -30,7 +30,6 @@ __all__ = [
     "CoincidenceCounts",
     "segment_table",
     "accumulate",
-    "merge",
     "counts_from_cells",
     "write_segment_csv",
     "read_segment_csv",
@@ -152,21 +151,6 @@ def accumulate(streams: ClickStreams, segment_bins: int | None = None,
             for i, lo in enumerate(range(0, streams.n_bins, segment_bins))]
     return CoincidenceCounts(bin_width=streams.bin_width,
                              segments=segment_table(rows))
-
-
-def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
-    """Concatenate segment tables; totals add.
-
-    Segments are renumbered consecutively so merged results always carry
-    unique, ordered indices; the per-segment count values are untouched.
-    Associative and commutative on totals.
-    """
-    if a.bin_width != b.bin_width:
-        raise ValueError("cannot merge counts with different bin widths")
-    table = np.concatenate([a.segments, b.segments]).view(np.recarray)
-    table.segment_index = np.arange(len(table))
-    table.flags.writeable = False
-    return CoincidenceCounts(bin_width=a.bin_width, segments=table)
 
 
 def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import enum
+import threading
 import warnings
 from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
                          is_dataclass, replace)
@@ -300,15 +301,43 @@ def stream_id(segment_index: int, role: int, point_index: int = 0) -> int:
     return (point_index << (_SEGMENT_BITS + _ROLE_BITS)) | (segment_index << _ROLE_BITS) | role
 
 
-def rng_stream(seed: int, stream: int) -> np.random.Generator:
+# Per thread, one (generator, state) slot per role; see rng_stream.  Each
+# use resets the slot's whole state, so no caller sees what another left.
+_POOL = threading.local()
+
+
+def rng_stream(seed: int, stream: int, pooled: bool = False) -> np.random.Generator:
     """Independent generator for (seed, stream).
 
     Philox-4x64 keyed with the pair, so streams are independent by
     construction and reproducible across runs and machines for a given
     numpy version.  Negative seeds are taken modulo 2^64.
+
+    A new generator by default.  With ``pooled`` (how the samplers draw),
+    the calling thread's generator for the stream's role (its low bits, see
+    :func:`stream_id`) is rekeyed to the pair at counter 0 instead, which
+    gives the same numbers at a fraction of the cost.  It stays valid until
+    the next pooled call for the same role on the same thread.
     """
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = [seed & _MASK64, stream & _MASK64]
+    if not pooled:
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    slots = getattr(_POOL, "slots", None)
+    if slots is None:  # numpy's Philox state at counter 0, empty buffer, in lists
+        slots = _POOL.slots = [(np.random.Generator(np.random.Philox(0)), {
+            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
+            for _ in range(Role.COUNT)]
+    generator, state = slots[stream & (Role.COUNT - 1)]
+    state["state"]["key"] = key
+    generator.bit_generator.state = state
+    return generator
+
+
+def _segment_rng(cfg: ExperimentConfig, segment_index: int, role: int,
+                 point_index: int) -> np.random.Generator:
+    """Pooled generator of one (point, segment, role) stream: the samplers' path."""
+    return rng_stream(cfg.seed, stream_id(segment_index, role, point_index), pooled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +485,28 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+# The JSON types a stored echo may hold for each declared field type.
+_ECHO_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               Optional[int]: ((int, type(None)), "an integer or null"), Theory: (str, "a string")}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict`, with full validation.
 
-    Retired keys that older echoes carry (``_IGNORED_KEYS``) are ignored.
+    Each stored value must have its field's type; every mismatch is
+    reported at once, naming its section and key.  Retired keys that older
+    echoes carry (``_IGNORED_KEYS``) are ignored.
     """
+    errors = []
+    for name, schema in _SECTIONS.items():
+        stored = data.get(name, {})
+        for f, kind in schema if isinstance(stored, dict) else ():
+            types, what = _ECHO_TYPES[kind]
+            value = stored.get(f.name, MISSING)
+            if value is not MISSING and (isinstance(value, bool) or not isinstance(value, types)):
+                errors.append(f"[{name}] {f.name}: not {what}: {value!r}")
+    if errors:
+        raise ConfigError("bad configuration record:\n" + "\n".join(errors))
     try:
         blocks = {name: cls(**{k: v for k, v in data[name].items()
                                if k not in _IGNORED_KEYS.get(name, ())})
@@ -468,7 +514,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         run = {f.name: Theory(data["run"][f.name]) if kind is Theory
                else data["run"][f.name] for f, kind in _SECTIONS["run"]}
         cfg = ExperimentConfig(**blocks, **run)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration record: {exc}") from exc
     validate_config(cfg)
     return cfg
@@ -512,18 +558,14 @@ def noise_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
 
 
 def noise_masks(cfg: ExperimentConfig, n_bins: int, segment_index: int,
-                point_index: int = 0) -> list[Optional[np.ndarray]]:
+                point_index: int = 0, probs=None) -> list[Optional[np.ndarray]]:
     """Per-channel noise click masks for one segment (None where rate is 0).
 
     Channels draw from their own noise-role streams, so enabling noise on
-    one channel never shifts another channel's draws.
+    one channel never shifts another channel's draws.  ``probs`` is
+    :func:`noise_probabilities` of ``cfg``, computed here when omitted.
     """
-    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
-    out: list[Optional[np.ndarray]] = []
-    for p, role in zip(noise_probabilities(cfg), roles):
-        if p == 0.0:
-            out.append(None)
-            continue
-        rng = rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
-        out.append(rng.random(n_bins) < p)
-    return out
+    probs = noise_probabilities(cfg) if probs is None else probs
+    return [None if p == 0.0 else
+            _segment_rng(cfg, segment_index, role, point_index).random(n_bins) < p
+            for p, role in zip(probs, (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2))]

@@ -47,7 +47,6 @@ clicks are OR-ed in afterwards and take no part in the budget.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -55,11 +54,10 @@ import numpy as np
 from .core import (
     ExperimentConfig,
     Role,
+    _segment_rng,
     arm_efficiencies,
     noise_masks,
     noise_probabilities,
-    rng_stream,
-    stream_id,
 )
 
 __all__ = [
@@ -71,6 +69,7 @@ __all__ = [
     "coupled_g2_target",
     "coincidence_probability",
     "pattern_probabilities",
+    "sampling_law",
     "segment_clicks",
     "segment_cells",
     "bound_energy",
@@ -283,12 +282,11 @@ def first_passage_times(rng: np.random.Generator, threshold_energy: float,
 # Per-bin click law
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def field_click_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
     """Continuum field click probability per bin for (herald, det 1, det 2).
 
     Noise is not included; arm transmissions scale the power reaching each
-    detector.  Cached per config.
+    detector.
     """
     pc = cfg.pcsft
     if pc is None:
@@ -301,32 +299,31 @@ def field_click_probabilities(cfg: ExperimentConfig) -> tuple[float, float, floa
     )
 
 
-def coupled_g2_target(cfg: ExperimentConfig) -> float:
+def coupled_g2_target(cfg: ExperimentConfig, f=None) -> float:
     """Coincidence-to-singles target kappa * 2 (delta/bin)^2 (f1 + f2).
 
     The value the heralded autocorrelation converges to under the splitter
-    energy-budget coupling (before noise); 0 when coupling is off.
+    energy-budget coupling (before noise); 0 when coupling is off.  ``f`` is
+    :func:`field_click_probabilities` of ``cfg``, computed when omitted.
     """
+    _, f1, f2 = field_click_probabilities(cfg) if f is None else f
     pc = cfg.pcsft
-    if pc is None:
-        raise ValueError("configuration has no pcsft block")
-    _, f1, f2 = field_click_probabilities(cfg)
     window_ratio = pc.pulse_duration / cfg.detectors.bin_width
     return pc.coupling * 2.0 * window_ratio ** 2 * (f1 + f2)
 
 
-def coincidence_probability(cfg: ExperimentConfig) -> float:
+def coincidence_probability(cfg: ExperimentConfig, f=None) -> float:
     """Per-bin probability that both signal detectors field-click.
 
     Independent product f1*f2 when coupling is off; otherwise the coupled
     target g2 * f1 * f2, clipped to the range any joint law with the fixed
-    marginals can realise.
+    marginals can realise.  ``f`` as in :func:`coupled_g2_target`.
     """
-    pc = cfg.pcsft
-    _, f1, f2 = field_click_probabilities(cfg)
-    if pc.coupling == 0.0:
+    f = field_click_probabilities(cfg) if f is None else f
+    _, f1, f2 = f
+    if cfg.pcsft.coupling == 0.0:
         return f1 * f2
-    q = coupled_g2_target(cfg) * f1 * f2
+    q = coupled_g2_target(cfg, f) * f1 * f2
     lo = max(0.0, f1 + f2 - 1.0)
     hi = min(f1, f2)
     return min(max(q, lo), hi)
@@ -338,23 +335,21 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     Indexed (h << 2) | (s1 << 1) | s2, matching qm.joint_pattern_probabilities.
     The envelope, if configured, is not reflected here (sampling only).
     """
-    f_h, f1, f2 = field_click_probabilities(cfg)
-    q = coincidence_probability(cfg)
+    (f_h, f1, f2), q, _, noise = sampling_law(cfg)
     field_law = np.outer([1.0 - f_h, f_h], [1.0 - f1 - f2 + q, f2 - q, f1 - q, q])
-    return _or_channels(field_law.ravel(), noise_probabilities(cfg))
+    return _or_channels(field_law.ravel(), noise)
 
 
-@functools.lru_cache(maxsize=64)
-def _field_pattern_law(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-bin pattern law of the independent field clicks alone.
+def sampling_law(cfg: ExperimentConfig) -> tuple:
+    """What the samplers draw from, computed once per run by the runner.
 
-    No coupling, no noise.  Cached per config, so the returned array is
-    read-only.
+    ``(f, q, field_law, noise)``: the :func:`field_click_probabilities`,
+    the :func:`coincidence_probability`, the pattern law of the independent
+    field clicks alone and the noise probabilities.
     """
-    all_silent = (1.0,) + (0.0,) * 7
-    law = _or_channels(all_silent, field_click_probabilities(cfg))
-    law.flags.writeable = False
-    return law
+    f = field_click_probabilities(cfg)
+    return (f, coincidence_probability(cfg, f), _or_channels((1.0,) + (0.0,) * 7, f),
+            noise_probabilities(cfg))
 
 
 def _or_channels(law, probs) -> np.ndarray:
@@ -393,9 +388,7 @@ def _conversion_count(rng: np.random.Generator, n_11: int, n_00: int,
         rate = min(1.0, excess / (f1 * f2))
         return min(int(rng.binomial(n_11, rate)), n_00)
     if excess < 0.0:
-        f10 = f1 * (1.0 - f2)
-        f01 = (1.0 - f1) * f2
-        denom = min(f10, f01)
+        denom = min(f1 * (1.0 - f2), (1.0 - f1) * f2)
         if denom <= 0.0:
             return 0
         rate = min(1.0, -excess / denom)
@@ -404,7 +397,7 @@ def _conversion_count(rng: np.random.Generator, n_11: int, n_00: int,
 
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int | None = None, point_index: int = 0,
+                   n_bins: int | None = None, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin click sampler for one segment under the field model.
 
@@ -413,69 +406,59 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     :func:`crossing_probability` of that bin's power.  The splitter
     coupling then rewrites matched bin pairs (preserving every per-channel
     count), and noise is OR-ed in last.  Streams follow the same (point,
-    segment, role) discipline as the photon model.
+    segment, role) discipline as the photon model, drawn from the pooled
+    generators of :func:`heraldsim.core.rng_stream`.  ``law`` is
+    :func:`sampling_law` of ``cfg``, computed here when omitted.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
     pc = cfg.pcsft
     if pc is None:
         raise ValueError("configuration has no pcsft block")
+    f, q, _, noise = sampling_law(cfg) if law is None else law
+    _, f1, f2 = f
 
     if pc.envelope_modes is None:
-        probs = field_click_probabilities(cfg)
+        probs = f
     else:
-        rng_env = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
-        k = pc.envelope_modes
-        envelope = rng_env.gamma(shape=k, scale=1.0 / k, size=n_bins)
+        rng_env = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
+        envelope = rng_env.gamma(shape=pc.envelope_modes,
+                                 scale=1.0 / pc.envelope_modes, size=n_bins)
         probs = [crossing_probability(pc.threshold_energy,
                                       pc.incident_power * share * envelope,
                                       pc.pulse_duration)
                  for share in arm_efficiencies(cfg)]
 
     click_h, click_1, click_2 = (
-        rng_stream(cfg.seed, stream_id(segment_index, role, point_index)).random(n_bins) < f
-        for f, role in zip(probs, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)))
+        _segment_rng(cfg, segment_index, role, point_index).random(n_bins) < p
+        for p, role in zip(probs, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)))
 
-    if pc.coupling > 0.0:
-        _, f1, f2 = field_click_probabilities(cfg)
-        if f1 > 0.0 and f2 > 0.0:
-            q = coincidence_probability(cfg)
-            rng_c = rng_stream(cfg.seed,
-                               stream_id(segment_index, Role.COUPLING, point_index))
-            both = np.flatnonzero(click_1 & click_2)
-            neither = np.flatnonzero(~click_1 & ~click_2)
-            only_1 = np.flatnonzero(click_1 & ~click_2)
-            only_2 = np.flatnonzero(~click_1 & click_2)
-            moves = _conversion_count(rng_c, both.size, neither.size,
-                                      only_1.size, only_2.size, f1, f2, q)
-            if moves > 0:
-                src = rng_c.choice(both, size=moves, replace=False)
-                dst = rng_c.choice(neither, size=moves, replace=False)
-                click_2[src] = False   # (1,1) -> (1,0)
-                click_2[dst] = True    # (0,0) -> (0,1)
-            elif moves < 0:
-                take = -moves
-                src = rng_c.choice(only_1, size=take, replace=False)
-                dst = rng_c.choice(only_2, size=take, replace=False)
-                click_2[src] = True    # (1,0) -> (1,1)
-                click_2[dst] = False   # (0,1) -> (0,0)
+    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
+        rng_c = _segment_rng(cfg, segment_index, Role.COUPLING, point_index)
+        both = np.flatnonzero(click_1 & click_2)
+        neither = np.flatnonzero(~click_1 & ~click_2)
+        only_1 = np.flatnonzero(click_1 & ~click_2)
+        only_2 = np.flatnonzero(~click_1 & click_2)
+        moves = _conversion_count(rng_c, both.size, neither.size,
+                                  only_1.size, only_2.size, f1, f2, q)
+        if moves:
+            # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
+            src, dst = (both, neither) if moves > 0 else (only_1, only_2)
+            src = rng_c.choice(src, size=abs(moves), replace=False)
+            dst = rng_c.choice(dst, size=abs(moves), replace=False)
+            click_2[src] = moves < 0
+            click_2[dst] = moves > 0
 
-    for arr, noise in zip((click_h, click_1, click_2),
-                          noise_masks(cfg, n_bins, segment_index, point_index)):
-        if noise is not None:
-            arr |= noise
+    masks = noise_masks(cfg, n_bins, segment_index, point_index, probs=noise)
+    for arr, mask in zip((click_h, click_1, click_2), masks):
+        if mask is not None:
+            arr |= mask
 
     return click_h, click_1, click_2
 
 
-def _binomial_split(rng: np.random.Generator, count: int, p: float) -> int:
-    if count == 0 or p == 0.0:
-        return 0
-    return int(rng.binomial(count, p))
-
-
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int | None = None, point_index: int = 0) -> np.ndarray:
+                  n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     The per-bin clicks are replaced by their census (multinomial) over the
@@ -484,7 +467,8 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     noise OR act on the census with the same
     (hypergeometric / binomial) laws the per-bin route induces.  Not
     available with an intensity envelope, whose per-bin powers break the
-    common-census shortcut.
+    common-census shortcut.  Streams and ``law`` as in
+    :func:`segment_clicks`.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
@@ -494,61 +478,44 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     if pc.envelope_modes is not None:
         raise ValueError("count-level sampling does not support envelope_modes")
 
-    _, f1, f2 = field_click_probabilities(cfg)
-    rng = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
-    cells = rng.multinomial(n_bins, _field_pattern_law(cfg)).astype(np.int64)
+    (_, f1, f2), q, field_law, p_noise = sampling_law(cfg) if law is None else law
+    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
+    # Python ints: the cell arithmetic below is scalar.
+    cells = rng.multinomial(n_bins, field_law).tolist()
 
     if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
-        q = coincidence_probability(cfg)
-        rng_c = rng_stream(cfg.seed,
-                           stream_id(segment_index, Role.COUPLING, point_index))
-        n_11 = cells[3] + cells[7]
-        n_00 = cells[0] + cells[4]
-        n_10 = cells[2] + cells[6]
-        n_01 = cells[1] + cells[5]
-        moves = _conversion_count(rng_c, n_11, n_00, n_10, n_01, f1, f2, q)
-        if moves > 0:
-            # Converted (1,1) bins and their (0,0) partners carry their
-            # herald labels with them.
-            heralded_src = rng_c.hypergeometric(cells[7], cells[3], moves) if n_11 else 0
-            heralded_dst = rng_c.hypergeometric(cells[4], cells[0], moves) if n_00 else 0
-            cells[7] -= heralded_src
-            cells[3] -= moves - heralded_src
-            cells[6] += heralded_src          # (1,1) -> (1,0)
-            cells[2] += moves - heralded_src
-            cells[4] -= heralded_dst
-            cells[0] -= moves - heralded_dst
-            cells[5] += heralded_dst          # (0,0) -> (0,1)
-            cells[1] += moves - heralded_dst
-        elif moves < 0:
-            take = -moves
-            heralded_src = rng_c.hypergeometric(cells[6], cells[2], take) if n_10 else 0
-            heralded_dst = rng_c.hypergeometric(cells[5], cells[1], take) if n_01 else 0
-            cells[6] -= heralded_src
-            cells[2] -= take - heralded_src
-            cells[7] += heralded_src          # (1,0) -> (1,1)
-            cells[3] += take - heralded_src
-            cells[5] -= heralded_dst
-            cells[1] -= take - heralded_dst
-            cells[4] += heralded_dst          # (0,1) -> (0,0)
-            cells[0] += take - heralded_dst
+        rng_c = _segment_rng(cfg, segment_index, Role.COUPLING, point_index)
+        moves = _conversion_count(rng_c, cells[3] + cells[7], cells[0] + cells[4],
+                                  cells[2] + cells[6], cells[1] + cells[5],
+                                  f1, f2, q)
+        # Converted bins carry their herald labels with them.  Each step
+        # moves bins from one (heralded, unheralded) cell pair to another:
+        # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
+        steps = (((7, 3), (6, 2)), ((4, 0), (5, 1)))
+        if moves < 0:
+            steps = [(dst, src) for src, dst in steps]
+        moved = abs(moves)
+        for (src_h, src), (dst_h, dst) in steps:
+            heralded = (int(rng_c.hypergeometric(cells[src_h], cells[src], moved))
+                        if cells[src_h] + cells[src] else 0)
+            cells[src_h] -= heralded
+            cells[src] -= moved - heralded
+            cells[dst_h] += heralded
+            cells[dst] += moved - heralded
 
     # Noise ORs: bins with channel bit 0 move to bit 1 independently.
-    p_noise = noise_probabilities(cfg)
     roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
-    bits = (4, 2, 1)
-    for p, role, bit in zip(p_noise, roles, bits):
+    for p, role, bit in zip(p_noise, roles, (4, 2, 1)):
         if p == 0.0:
             continue
-        rng_n = rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
+        rng_n = _segment_rng(cfg, segment_index, role, point_index)
         for cell in range(8):
-            if cell & bit:
-                continue
-            moved = _binomial_split(rng_n, int(cells[cell]), p)
-            cells[cell] -= moved
-            cells[cell | bit] += moved
+            if not cell & bit and cells[cell]:
+                flipped = int(rng_n.binomial(cells[cell], p))
+                cells[cell] -= flipped
+                cells[cell | bit] += flipped
 
-    return cells
+    return np.array(cells, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

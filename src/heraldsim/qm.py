@@ -30,7 +30,6 @@ E[q_S^n] = (1 + m(1-q_S))^(-M), times the per-channel no-noise factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable
 
@@ -39,11 +38,10 @@ import numpy as np
 from .core import (
     ExperimentConfig,
     Role,
+    _segment_rng,
     arm_efficiencies,
     noise_masks,
     noise_probabilities,
-    rng_stream,
-    stream_id,
 )
 
 __all__ = [
@@ -52,6 +50,7 @@ __all__ = [
     "sample_pair_counts",
     "no_click_prob",
     "joint_pattern_probabilities",
+    "sampling_law",
     "expected_counts",
     "heralded_g2_exact",
     "predicted_heralded_g2",
@@ -141,14 +140,12 @@ def no_click_prob(cfg: ExperimentConfig, channels: Iterable[int]) -> float:
     return quiet
 
 
-@functools.lru_cache(maxsize=64)
 def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Exact per-bin law over the 8 joint click patterns.
 
     Element (h << 2) | (s1 << 1) | s2 is the probability that exactly that
     click pattern occurs in one bin.  Obtained from the no-click subset
-    probabilities by inclusion-exclusion; sums to 1.  Cached per config,
-    so the returned array is read-only.
+    probabilities by inclusion-exclusion; sums to 1.
     """
     # quiet[mask] = P(no clicks on the channels in mask), mask bit 2 = herald,
     # bit 1 = detector 1, bit 0 = detector 2 (same packing as the patterns).
@@ -171,8 +168,12 @@ def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     # Tiny negatives from float cancellation are clipped, then renormalised.
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    probs.flags.writeable = False
     return probs
+
+
+def sampling_law(cfg: ExperimentConfig) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The samplers' law, computed once per run: pattern law and noise probabilities."""
+    return joint_pattern_probabilities(cfg), noise_probabilities(cfg)
 
 
 _PATTERN_H = np.array([(p >> 2) & 1 for p in range(N_PATTERNS)], dtype=bool)
@@ -243,21 +244,23 @@ def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int | None = None, point_index: int = 0,
+                   n_bins: int | None = None, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mechanistic per-bin sampler for one segment.
 
     Returns boolean click arrays (herald, signal_1, signal_2) of length
     ``n_bins`` (default: the configured segment size).  Each (point,
     segment, role) triple draws from its own counter-based stream, so
-    segments reproduce independently of evaluation order.
+    segments reproduce independently of evaluation order; the generators
+    are the pooled ones of :func:`heraldsim.core.rng_stream`.  ``law`` is
+    :func:`sampling_law` of ``cfg`` (only its noise part is used here).
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
     src = cfg.source
     opt = cfg.optics
 
-    rng = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
+    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
     pairs = sample_pair_counts(rng, n_bins, src.pair_mean_per_bin, src.mode_count)
 
     occupied = np.flatnonzero(pairs)
@@ -268,19 +271,20 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     click_2 = np.zeros(n_bins, dtype=bool)
 
     if occupied.size:
-        rng_h = rng_stream(cfg.seed, stream_id(segment_index, Role.HERALD, point_index))
+        rng_h = _segment_rng(cfg, segment_index, Role.HERALD, point_index)
         detected_h = rng_h.binomial(n_occ, opt.eta_h)
         click_h[occupied] = detected_h > 0
 
-        rng_s = rng_stream(cfg.seed, stream_id(segment_index, Role.SIGNAL_1, point_index))
+        rng_s = _segment_rng(cfg, segment_index, Role.SIGNAL_1, point_index)
         passed = rng_s.binomial(n_occ, opt.attenuation)
         to_1 = rng_s.binomial(passed, opt.splitter_ratio)
         to_2 = passed - to_1
         click_1[occupied] = rng_s.binomial(to_1, opt.eta_1) > 0
         click_2[occupied] = rng_s.binomial(to_2, opt.eta_2) > 0
 
-    for clicks, noise in zip((click_h, click_1, click_2),
-                             noise_masks(cfg, n_bins, segment_index, point_index)):
+    masks = noise_masks(cfg, n_bins, segment_index, point_index,
+                        probs=None if law is None else law[1])
+    for clicks, noise in zip((click_h, click_1, click_2), masks):
         if noise is not None:
             clicks |= noise
 
@@ -288,18 +292,19 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
 
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int | None = None, point_index: int = 0) -> np.ndarray:
+                  n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     Returns an int64 array of length 8, element (h << 2)|(s1 << 1)|s2 being
     the number of bins showing exactly that click pattern.  Drawn as a
     single multinomial over the exact per-bin law, so all counting
     statistics match :func:`segment_clicks` in distribution while the cost
-    is independent of the pair rate.  Uses the segment's source stream;
-    realisations differ from the mechanistic sampler for the same seed.
+    is independent of the pair rate.  Uses the segment's (pooled) source
+    stream; realisations differ from the mechanistic sampler for the same
+    seed.  ``law`` is :func:`sampling_law` of ``cfg``, computed if omitted.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
-    probs = joint_pattern_probabilities(cfg)
-    rng = rng_stream(cfg.seed, stream_id(segment_index, Role.SOURCE, point_index))
+    probs = (sampling_law(cfg) if law is None else law)[0]
+    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
     return rng.multinomial(n_bins, probs).astype(np.int64)

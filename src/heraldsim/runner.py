@@ -58,7 +58,7 @@ def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
     return [segment_bins] * full + ([rest] if rest else [])
 
 
-# Each theory's module, holding its segment_clicks and segment_cells.
+# Each theory's module: its sampling_law, segment_clicks and segment_cells.
 _MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
 
 
@@ -95,11 +95,12 @@ def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
                  threads: int = 1) -> ClickStreams:
     """Produce the full per-bin click record for a configured run."""
     model = _MODELS[cfg.theory]
+    law = model.sampling_law(cfg)
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
 
     def one(index: int) -> ClickStreams:
         clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
-                                      point_index=point_index)
+                                      point_index=point_index, law=law)
         return ClickStreams.from_bools(*clicks,
                                        bin_width=cfg.detectors.bin_width)
 
@@ -118,9 +119,11 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     ``target_triples`` set, segments are retained in index order until the
     cumulative N_H12 reaches the target (the full cfg.n_bins budget
     otherwise); the stop decision never splits a segment, so the result is
-    independent of batching and thread count.
+    independent of batching and thread count.  The model's sampling law is
+    computed once and shared by every segment.
     """
     model = _MODELS[cfg.theory]
+    law = model.sampling_law(cfg)
     # The census has no per-bin envelope equivalent.
     census = not (cfg.theory is Theory.PCSFT and cfg.pcsft is not None
                   and cfg.pcsft.envelope_modes is not None)
@@ -129,10 +132,10 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     def one(index: int):
         if census:
             cells = model.segment_cells(cfg, index, n_bins=sizes[index],
-                                        point_index=point_index)
+                                        point_index=point_index, law=law)
             return counts_from_cells(cells, segment_index=index)
         clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
-                                      point_index=point_index)
+                                      point_index=point_index, law=law)
         streams = ClickStreams.from_bools(*clicks,
                                           bin_width=cfg.detectors.bin_width)
         return accumulate(streams, first_segment_index=index).segments.item(0)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own closed forms:
 pair-number probabilities come from scipy, click probabilities from
 explicit series summation, first-passage laws from a literal per-step
 Euler walk, and coincidence counts from a per-bin loop.  Agreement between these and the production code
-is then a genuine cross-check, not a tautology.
+is then a genuine cross-check, not a tautology.  ``merge`` joins two
+segment tables, for the split-and-rejoin checks of counting.
 """
 
 from __future__ import annotations
@@ -141,3 +142,18 @@ def make_counts(n_bins=1_000_000, N_H=0, N_1=0, N_2=0, N_H1=0, N_H2=0,
     """One-segment counts holding the given totals."""
     row = (0, n_bins, N_H, N_1, N_2, N_H1, N_H2, N_12, N_H12)
     return CoincidenceCounts(bin_width=bin_width, segments=segment_table([row]))
+
+
+def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
+    """Concatenate segment tables; totals add.
+
+    Segments are renumbered consecutively so merged results always carry
+    unique, ordered indices; the per-segment count values are untouched.
+    Associative and commutative on totals.
+    """
+    if a.bin_width != b.bin_width:
+        raise ValueError("cannot merge counts with different bin widths")
+    table = np.concatenate([a.segments, b.segments]).view(np.recarray)
+    table.segment_index = np.arange(len(table))
+    table.flags.writeable = False
+    return CoincidenceCounts(bin_width=a.bin_width, segments=table)

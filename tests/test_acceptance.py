@@ -15,13 +15,13 @@ from heraldsim import pcsft, qm, report
 from heraldsim.analysis import (heralded_g2, herald_efficiency,
                                 klyshko_efficiency, weighted_linear_fit)
 from heraldsim.cli import main
-from heraldsim.coincidence import COUNT_FIELDS, ClickStreams, accumulate, merge
+from heraldsim.coincidence import COUNT_FIELDS, ClickStreams, accumulate
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, SourceConfig, Theory, rng_stream,
                             validate_config, with_attenuation)
 from heraldsim.runner import SweepPlan, run_counts, run_sweep
 
-from helpers import brute_force_counts
+from helpers import brute_force_counts, merge
 
 BIN = 20.83e-9
 

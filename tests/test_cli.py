@@ -250,6 +250,20 @@ class TestAnalyze:
         assert main(["analyze", "--counts", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_mistyped_config_echo_is_a_configuration_error(self, sweep_out,
+                                                           tmp_path, capsys):
+        payload = json.loads((sweep_out / "point_001.json").read_text())
+        payload["config"]["optics"]["eta_h"] = "abc"
+        payload["config"]["run"]["seed"] = 1.5
+        broken = tmp_path / "mistyped.json"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", "--counts", str(broken),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "[optics] eta_h: not a number: 'abc'" in err
+        assert "[run] seed: not an integer: 1.5" in err
+
     @pytest.mark.parametrize("role", ["counts", "background"])
     def test_counts_file_missing_a_total_is_an_error(self, sweep_out, tmp_path,
                                                      capsys, role):

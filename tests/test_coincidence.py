@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim.coincidence import (COUNT_FIELDS, CoincidenceCounts,
-                                   accumulate, counts_from_cells, merge,
+                                   accumulate, counts_from_cells,
                                    read_counts_json, read_segment_csv,
                                    segment_table, write_counts_json,
                                    write_segment_csv)
 from heraldsim.streams import ClickStreams
 
-from helpers import brute_force_counts
+from helpers import brute_force_counts, merge
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:

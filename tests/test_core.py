@@ -4,6 +4,9 @@ import configparser
 import dataclasses
 import json
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,54 @@ class TestIniParsing:
         assert config_from_dict(echo) == cfg
 
 
+class TestStoredEcho:
+    @staticmethod
+    def echo() -> dict:
+        cfg = parse_config(INI_TEXT.replace("theory = qm", "theory = pcsft")
+                           + PCSFT_INI)
+        return json.loads(json.dumps(config_to_dict(cfg)))
+
+    @pytest.mark.parametrize("section, key, value, what", [
+        ("optics", "eta_h", "abc", "a number"),
+        ("optics", "eta_h", True, "a number"),
+        ("detectors", "dark_rate_h", None, "a number"),
+        ("source", "mode_count", 3.0, "an integer"),
+        ("pcsft", "envelope_modes", "4", "an integer or null"),
+        ("run", "theory", 1, "a string"),
+        ("run", "seed", [7], "an integer"),
+    ])
+    def test_mistyped_value_names_section_and_key(self, section, key, value,
+                                                  what):
+        echo = self.echo()
+        echo[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(echo)
+        assert f"[{section}] {key}: not {what}: {value!r}" in str(err.value)
+
+    def test_every_mismatch_reported_at_once(self):
+        echo = self.echo()
+        echo["optics"]["eta_1"] = "x"
+        echo["run"]["n_bins"] = 1e5
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(echo)
+        assert str(err.value).splitlines() == ["bad configuration record:",
+                                      "[optics] eta_1: not a number: 'x'",
+                                      "[run] n_bins: not an integer: 100000.0"]
+
+    def test_integers_in_float_fields_and_null_envelope_load(self):
+        echo = self.echo()
+        echo["optics"]["eta_h"] = 1
+        echo["pcsft"]["envelope_modes"] = None
+        cfg = config_from_dict(echo)
+        assert cfg.optics.eta_h == 1 and cfg.pcsft.envelope_modes is None
+
+    def test_section_that_is_not_a_table_is_an_error(self):
+        echo = self.echo()
+        echo["optics"] = "0.26"
+        with pytest.raises(ConfigError, match="bad configuration record"):
+            config_from_dict(echo)
+
+
 # INI sections holding a config dataclass; the other fields of
 # ExperimentConfig form [run].
 BLOCKS = {"source": SourceConfig, "optics": OpticsConfig,
@@ -318,6 +369,96 @@ class TestSchema:
         parser.read_string(re.sub(r"^; (\w+ =)", r"\1", block, flags=re.M))
         for section, f in SCHEMA_FIELDS:
             assert f.name in parser[section], f"README lacks {section}.{f.name}"
+
+
+# Every distribution the samplers draw, with arguments that reuse the
+# binomial set-up Generator keeps between calls.
+DRAWS = {
+    "random": lambda g: g.random(5),
+    "multinomial": lambda g: g.multinomial(48_000, [0.7, 0.2, 0.06, 0.04]),
+    "binomial": lambda g: [g.binomial(n, 0.3) for n in (0, 40_000, 7, 40_000)],
+    "hypergeometric": lambda g: g.hypergeometric(30, 400, 12, size=3),
+    "gamma": lambda g: g.gamma(4, 0.25, size=5),
+    "negative_binomial": lambda g: g.negative_binomial(3, 0.6, size=5),
+    "choice": lambda g: g.choice(np.arange(50), size=7, replace=False),
+}
+
+
+def plain_state(generator: np.random.Generator) -> dict:
+    """The bit generator's state with arrays as lists, for comparison."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(generator.bit_generator.state)
+
+
+def dirty(generator: np.random.Generator) -> None:
+    """Leave a partly used buffer and a pending 32-bit half behind."""
+    generator.random(3)
+    generator.integers(0, 7, size=3, dtype=np.int32)
+
+
+class TestPooledStreams:
+    """rng_stream(..., pooled=True) draws exactly what a fresh stream draws."""
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 - 1])
+    def test_rekeyed_state_is_a_fresh_generators_state(self, seed):
+        # Pins numpy's Philox state layout: a layout change fails here.
+        for stream in (stream_id(0, role, 5) for role in range(Role.COUNT)):
+            dirty(rng_stream(seed, stream, pooled=True))
+            pooled = rng_stream(seed, stream, pooled=True)
+            assert plain_state(pooled) == plain_state(rng_stream(seed, stream))
+
+    @pytest.mark.parametrize("name", list(DRAWS))
+    def test_interleaved_roles_match_fresh_streams(self, name):
+        draw = DRAWS[name]
+        for segment in (0, 1, 9):
+            ids = [stream_id(segment, role, 2) for role in range(Role.COUNT)]
+            pooled = [rng_stream(11, s, pooled=True) for s in ids]
+            fresh = [rng_stream(11, s) for s in ids]
+            assert len({id(g) for g in pooled}) == Role.COUNT
+            for _ in range(2):  # one draw per role in turn, twice over
+                for a, b in zip(pooled, fresh):
+                    np.testing.assert_array_equal(draw(a), draw(b))
+
+    @pytest.mark.parametrize("name", list(DRAWS))
+    def test_rekeying_a_stream_twice_restarts_it(self, name):
+        draw = DRAWS[name]
+        stream = stream_id(4, Role.NOISE_1, 1)
+        expected = draw(rng_stream(11, stream))
+        for _ in range(2):
+            generator = rng_stream(11, stream, pooled=True)
+            np.testing.assert_array_equal(draw(generator), expected)
+            dirty(generator)
+
+    @pytest.mark.parametrize("name", list(DRAWS))
+    def test_two_threads_match_fresh_streams(self, name):
+        draw = DRAWS[name]
+        ids = [stream_id(segment, role, 3) for segment in range(6)
+               for role in range(Role.COUNT)]
+        expected = [draw(rng_stream(11, s)) for s in ids]
+        both_running = threading.Barrier(2)
+
+        def task(half: int):
+            both_running.wait(timeout=10)
+            out = {}
+            for k in range(half, len(ids), 2):
+                out[k] = draw(rng_stream(11, ids[k], pooled=True))
+            return threading.get_ident(), rng_stream(0, 0, pooled=True), out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between draws
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(task, (0, 1), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        (thread_a, gen_a, _), (thread_b, gen_b, _) = results
+        assert thread_a != thread_b and gen_a is not gen_b  # one pool per thread
+        for _, _, out in results:
+            for k, values in out.items():
+                np.testing.assert_array_equal(values, expected[k])
 
 
 class TestRandomStreams:

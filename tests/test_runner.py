@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heraldsim import qm
+from heraldsim import pcsft, qm
 from heraldsim.analysis import heralded_g2
 from heraldsim.coincidence import accumulate, counts_from_cells
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
@@ -45,6 +45,22 @@ def envelope_config(n_bins=20_000, segment_bins=10_000,
                                  dark_rate_2=0.0),
         pcsft=ENVELOPE_BLOCK, theory=Theory.PCSFT,
         n_bins=n_bins, segment_bins=segment_bins, seed=seed))
+
+
+def coupled_noisy_config(n_bins=200_000, segment_bins=9_973,
+                         seed=8012) -> ExperimentConfig:
+    """A coupled pcsft census with noise on all three channels.
+
+    Each segment draws from the SOURCE, COUPLING and three NOISE streams.
+    """
+    return validate_config(ExperimentConfig(
+        source=SourceConfig(0.0),
+        optics=OpticsConfig(0.5, 1.0, 1.0, 1.0, 0.5),
+        detectors=DetectorConfig(dark_rate_h=2e4, dark_rate_1=1e4,
+                                 dark_rate_2=3e4),
+        pcsft=replace(ENVELOPE_BLOCK, coupling=0.5, envelope_modes=None),
+        theory=Theory.PCSFT, n_bins=n_bins, segment_bins=segment_bins,
+        seed=seed))
 
 
 def assert_takes_the_census(cfg: ExperimentConfig) -> None:
@@ -123,8 +139,13 @@ class TestRunCounts:
                                     segment_bins=cfg.segment_bins)
 
     def test_thread_count_never_changes_counts(self):
-        cfg = photon_config(n_bins=5 * 10**6, segment_bins=10**6, seed=8006)
-        assert run_counts(cfg, threads=1) == run_counts(cfg, threads=4)
+        for cfg in (photon_config(n_bins=5 * 10**6, segment_bins=10**6,
+                                  seed=8006),
+                    coupled_noisy_config()):
+            assert run_counts(cfg, threads=1) == run_counts(cfg, threads=4)
+        cfg = coupled_noisy_config(n_bins=60_000, segment_bins=7_000)
+        plan = SweepPlan(attenuations=(1.0, 0.5, 0.2), target_triples=10**9)
+        assert run_sweep(cfg, plan, threads=1) == run_sweep(cfg, plan, threads=2)
 
     def test_photon_runs_take_the_census(self):
         assert_takes_the_census(photon_config(n_bins=2 * 10**6,
@@ -143,15 +164,22 @@ class TestRunCounts:
                                     seed=8007), pcsft=ENVELOPE_BLOCK)
         assert_takes_the_census(validate_config(cfg))
 
-    def test_joint_law_computed_once_per_config(self):
-        cfg = photon_config(n_bins=50_000, segment_bins=7_000, seed=8011)
-        before = qm.joint_pattern_probabilities.cache_info().misses
-        counts = run_counts(cfg)
-        assert len(counts.segments) > 1
-        assert qm.joint_pattern_probabilities.cache_info().misses == before + 1
-        law = qm.joint_pattern_probabilities(cfg)
-        with pytest.raises(ValueError, match="read-only"):
-            law[0] = 1.0
+    def test_joint_law_computed_once_per_config(self, monkeypatch):
+        # One sampling-law build per run, handed to every segment.
+        for model, cfg in (
+                (qm, photon_config(n_bins=50_000, segment_bins=7_000,
+                                   seed=8011)),
+                (pcsft, coupled_noisy_config(n_bins=50_000,
+                                             segment_bins=7_000))):
+            builds = []
+            build = model.sampling_law
+            monkeypatch.setattr(model, "sampling_law",
+                                lambda c, build=build: builds.append(c) or build(c))
+            counts = run_counts(cfg)
+            assert len(counts.segments) > 1
+            assert builds == [cfg]
+            simulate_run(cfg)
+            assert builds == [cfg, cfg]
 
     def test_herald_rate_matches_exact_law(self):
         cfg = photon_config(eta_h=0.26, seed=8001)
