@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import pcsft, report, runner, svgplot
-from .coincidence import (accumulate, read_counts_json, write_counts_json,
-                          write_segment_csv)
+from .coincidence import (CoincidenceCounts, read_counts_json, segment_table,
+                          write_counts_json, write_segment_csv)
 from .core import (ConfigError, ExperimentConfig, config_from_dict,
                    config_to_dict, load_config)
-from .streams import write_sparse_csv, write_streams
+from .streams import StreamWriter, write_sparse_csv
 
 __all__ = ["main"]
 
@@ -90,6 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -113,11 +116,18 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    streams = runner.simulate_run(cfg, threads=args.threads)
-    counts = accumulate(streams, segment_bins=cfg.segment_bins)
+    # Each segment is written and counted as it arrives, so memory does not
+    # grow with the run length.
+    bin_width = cfg.detectors.bin_width
+    rows = []
+    with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
+            closing(runner.segment_streams(cfg, threads=args.threads)) as parts:
+        for index, part in enumerate(parts):
+            writer.append(part)
+            rows.append(runner.segment_row(part, index))
+    counts = CoincidenceCounts(bin_width=bin_width, segments=segment_table(rows))
 
-    write_streams(streams, out / "streams.pstm")
-    write_sparse_csv(streams, out / "clicks.csv")
+    write_sparse_csv(out / "streams.pstm", out / "clicks.csv")
     write_segment_csv(counts, out / "counts.csv")
     write_counts_json(counts, out / "counts.json",
                       config=config_to_dict(cfg))

@@ -134,12 +134,13 @@ def accumulate(streams: ClickStreams, segment_bins: int | None = None,
     if segment_bins < 1:
         raise ValueError(f"segment_bins must be >= 1, got {segment_bins}")
 
-    if segment_bins % 8 == 0:
-        # Byte-aligned segments: slice the packed arrays directly.
+    if segment_bins % 8 == 0 or segment_bins >= streams.n_bins:
+        # Byte-aligned segments, or one segment: slice the packed arrays
+        # directly (the final byte's pad bits are zero).
         packed = (streams.herald, streams.signal_1, streams.signal_2)
 
         def part(lo: int) -> list[np.ndarray]:
-            return [c[lo // 8:(lo + segment_bins) // 8] for c in packed]
+            return [c[lo // 8:(lo + segment_bins + 7) // 8] for c in packed]
     else:
         bools = streams.bools()
 

@@ -9,7 +9,8 @@ time, never bytes.
 Two production routes per theory:
 
 * click route — per-bin click streams (needed when stream files are part
-  of the deliverable), counted segment by segment;
+  of the deliverable), yielded and counted segment by segment
+  (:func:`segment_streams`);
 * census route — per-segment pattern counts drawn directly from the joint
   per-bin law, far faster for count-only studies and equal in
   distribution to counting the click route.
@@ -30,7 +31,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import pcsft, qm
 from .coincidence import CoincidenceCounts, accumulate, counts_from_cells, segment_table
@@ -42,6 +43,8 @@ __all__ = [
     "SweepPlan",
     "SweepPoint",
     "segment_sizes",
+    "segment_streams",
+    "segment_row",
     "simulate_run",
     "run_counts",
     "parse_sweep_plan",
@@ -91,9 +94,15 @@ def _map_segments(fn: Callable[[int], object], n_segments: int,
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
-                 threads: int = 1) -> ClickStreams:
-    """Produce the full per-bin click record for a configured run."""
+def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
+                    threads: int = 1) -> Iterator[ClickStreams]:
+    """Yield each segment's packed click streams, in index order.
+
+    At most ``2 * threads`` segments are in flight, so a consumer that
+    writes or counts each part as it arrives runs in memory that does not
+    grow with ``cfg.n_bins``.  The model's sampling law is computed once,
+    before the first segment.
+    """
     model = _MODELS[cfg.theory]
     law = model.sampling_law(cfg)
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
@@ -104,7 +113,22 @@ def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
         return ClickStreams.from_bools(*clicks,
                                        bin_width=cfg.detectors.bin_width)
 
-    parts = list(_map_segments(one, len(sizes), threads))
+    return _map_segments(one, len(sizes), threads)
+
+
+def segment_row(part: ClickStreams, index: int) -> tuple[int, ...]:
+    """Segment ``index``'s row of the segment table, counted from its streams."""
+    return accumulate(part, first_segment_index=index).segments.item(0)
+
+
+def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
+                 threads: int = 1) -> ClickStreams:
+    """The full per-bin click record of a configured run, in memory.
+
+    The segments of :func:`segment_streams`, joined; the CLI streams them
+    to disk instead.
+    """
+    parts = list(segment_streams(cfg, point_index, threads))
     return parts[0].concat(*parts[1:])
 
 
@@ -122,27 +146,26 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     independent of batching and thread count.  The model's sampling law is
     computed once and shared by every segment.
     """
-    model = _MODELS[cfg.theory]
-    law = model.sampling_law(cfg)
     # The census has no per-bin envelope equivalent.
-    census = not (cfg.theory is Theory.PCSFT and cfg.pcsft is not None
-                  and cfg.pcsft.envelope_modes is not None)
-    sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
+    if cfg.theory is Theory.PCSFT and cfg.pcsft is not None \
+            and cfg.pcsft.envelope_modes is not None:
+        rows = (segment_row(part, index) for index, part in
+                enumerate(segment_streams(cfg, point_index, threads)))
+    else:
+        model = _MODELS[cfg.theory]
+        law = model.sampling_law(cfg)
+        sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
 
-    def one(index: int):
-        if census:
+        def one(index: int) -> tuple[int, ...]:
             cells = model.segment_cells(cfg, index, n_bins=sizes[index],
                                         point_index=point_index, law=law)
             return counts_from_cells(cells, segment_index=index)
-        clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
-                                      point_index=point_index, law=law)
-        streams = ClickStreams.from_bools(*clicks,
-                                          bin_width=cfg.detectors.bin_width)
-        return accumulate(streams, first_segment_index=index).segments.item(0)
+
+        rows = _map_segments(one, len(sizes), threads)
 
     kept = []
     triples = 0
-    for row in _map_segments(one, len(sizes), threads):
+    for row in rows:
         kept.append(row)
         triples += row[-1]  # N_H12, the last column
         if target_triples is not None and triples >= target_triples:

@@ -7,14 +7,18 @@ keeps 10^8-bin runs affordable (3 bits/bin) and makes coincidence counting a
 matter of bytewise AND + popcount.
 
 On disk the same bitmaps live in a small binary container (magic ``PSTM``,
-version 1); see :func:`write_streams` for the exact layout.  A sparse CSV
-export (one row per bin with at least one click) is provided for eyeballing
-and for interoperability with spreadsheet tooling.
+version 1); see :func:`write_streams` for the exact layout.
+:class:`StreamWriter` writes a container segment by segment, splicing
+segments that end inside a byte onto the next one bitwise, so a run never
+needs its whole record in memory; :func:`write_streams` and
+:meth:`ClickStreams.concat` use the same splice.  A sparse CSV export (one
+row per click) is built from a container in fixed-size chunks, for
+eyeballing and for interoperability with spreadsheet tooling.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "ClickStreams",
+    "StreamWriter",
     "write_streams",
     "read_streams",
     "write_sparse_csv",
@@ -32,6 +37,12 @@ __all__ = [
 MAGIC = b"PSTM"
 FORMAT_VERSION = 1
 _CHANNELS = 3  # herald, signal 1, signal 2
+_NAMES = ("herald", "signal_1", "signal_2")
+# write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
+# formats the clicks of at most _HOT_BYTES nonzero bytes (<= 8 rows each) per
+# write, so its memory is bounded however densely the detectors click.
+_CHUNK_BYTES = 1 << 15
+_HOT_BYTES = 1 << 12
 
 _HEADER = struct.Struct("<4sHQdB")  # magic, version, n_bins, bin_width, channels
 
@@ -45,6 +56,22 @@ def _pack(bits: np.ndarray, n_bins: int) -> np.ndarray:
     if bits.shape != (n_bins,):
         raise ValueError(f"channel must have shape ({n_bins},), got {bits.shape}")
     return np.packbits(bits.astype(bool), bitorder="little")
+
+
+def _splice(tail, tail_bits: int, packed: np.ndarray, n_bins: int) -> np.ndarray:
+    """The bytes of ``tail_bits`` low bits of ``tail``, then ``n_bins`` bits.
+
+    ``packed`` holds the ``n_bins`` bits; the result starts with the byte
+    that holds the tail.  Its pad bits are zero when those of ``tail`` and
+    ``packed`` are.
+    """
+    if not tail_bits:
+        return packed
+    out = np.zeros(packed.size + 1, dtype=np.uint8)
+    out[:-1] = packed << tail_bits
+    out[1:] |= packed >> (8 - tail_bits)
+    out[0] |= tail
+    return out[:(tail_bits + n_bins + 7) // 8]
 
 
 @dataclass(frozen=True)
@@ -64,7 +91,7 @@ class ClickStreams:
 
     def __post_init__(self) -> None:
         nbytes = (self.n_bins + 7) // 8
-        for name in ("herald", "signal_1", "signal_2"):
+        for name in _NAMES:
             arr = getattr(self, name)
             if arr.dtype != np.uint8 or arr.shape != (nbytes,):
                 raise ValueError(
@@ -100,26 +127,29 @@ class ClickStreams:
         return self.n_bins * self.bin_width
 
     def concat(self, *others: "ClickStreams") -> "ClickStreams":
-        """Append ``others`` after this stream, in order (equal bin widths)."""
+        """Append ``others`` after this stream, in order (equal bin widths).
+
+        Each part is spliced in bitwise at its byte offset, as
+        :class:`StreamWriter` does on disk.
+        """
         parts = (self,) + others
         if any(part.bin_width != self.bin_width for part in others):
             raise ValueError("cannot concatenate streams with different bin widths")
-        if all(part.n_bins % 8 == 0 for part in parts[:-1]):
-            # Byte-aligned: concatenation is a straight bytes append.
-            return ClickStreams(
-                n_bins=sum(part.n_bins for part in parts),
-                bin_width=self.bin_width,
-                herald=np.concatenate([p.herald for p in parts]),
-                signal_1=np.concatenate([p.signal_1 for p in parts]),
-                signal_2=np.concatenate([p.signal_2 for p in parts]),
-            )
-        channels = zip(*(part.bools() for part in parts))
-        return ClickStreams.from_bools(*(np.concatenate(c) for c in channels),
-                                       bin_width=self.bin_width)
+        n_bins = sum(part.n_bins for part in parts)
+        channels = {name: np.zeros((n_bins + 7) // 8, dtype=np.uint8)
+                    for name in _NAMES}
+        lo = 0
+        for part in parts:
+            for name, out in channels.items():
+                data = _splice(out[lo // 8] if lo % 8 else 0, lo % 8,
+                               getattr(part, name), part.n_bins)
+                out[lo // 8:lo // 8 + data.size] = data
+            lo += part.n_bins
+        return ClickStreams(n_bins=n_bins, bin_width=self.bin_width, **channels)
 
 
 def write_streams(streams: ClickStreams, path: str | Path) -> None:
-    """Write the binary stream container.
+    """Write the binary stream container: a :class:`StreamWriter` fed one part.
 
     Layout (all little-endian):
       - 4 bytes  magic ``PSTM``
@@ -130,21 +160,95 @@ def write_streams(streams: ClickStreams, path: str | Path) -> None:
       - 3 x ceil(n_bins/8) bytes: packed bitmaps in channel order,
         little-endian bit order (bit i of byte j is bin 8*j + i).
     """
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(MAGIC, FORMAT_VERSION, streams.n_bins,
-                           streams.bin_width, _CHANNELS))
-    buf.write(streams.herald.tobytes())
-    buf.write(streams.signal_1.tobytes())
-    buf.write(streams.signal_2.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    with StreamWriter(path, streams.n_bins, streams.bin_width) as writer:
+        writer.append(streams)
 
 
-def read_streams(path: str | Path) -> ClickStreams:
-    """Read a binary stream container written by :func:`write_streams`."""
-    raw = Path(path).read_bytes()
+class StreamWriter:
+    """Write a stream container part by part, in bin order.
+
+    The container is written under a temporary name in the directory of
+    ``path`` and sized to its final length up front.  Each appended part's
+    bytes go straight to their offsets in the three channel bitmaps; a part
+    that ends inside a byte leaves that byte as the tail the next part is
+    spliced onto, so parts of any length append without unpacking.  Leaving
+    the ``with`` block after all ``n_bins`` bins renames the file to
+    ``path``; an exception, or a missing bin, deletes it instead, so an
+    interrupted run never leaves a well-formed container behind.
+    """
+
+    def __init__(self, path: str | Path, n_bins: int, bin_width: float) -> None:
+        self.path = Path(path)
+        self.n_bins = n_bins
+        self.bin_width = float(bin_width)
+        self._written = 0
+        self._nbytes = (n_bins + 7) // 8
+        self._tails = [0] * _CHANNELS
+        self._tmp = self.path.with_name(
+            f"{self.path.name}.{os.urandom(4).hex()}.tmp")
+        self._fh = open(self._tmp, "xb")
+        try:
+            self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_bins,
+                                        self.bin_width, _CHANNELS))
+            self._fh.truncate(_HEADER.size + _CHANNELS * self._nbytes)
+        except BaseException:
+            self._discard()
+            raise
+
+    def append(self, part: ClickStreams) -> None:
+        """Write the next ``part.n_bins`` bins."""
+        if part.bin_width != self.bin_width:
+            raise ValueError("cannot append streams with a different bin width")
+        lo = self._written
+        if lo + part.n_bins > self.n_bins:
+            raise ValueError(f"{self.path}: {lo + part.n_bins} bins exceed "
+                             f"the declared {self.n_bins}")
+        end_bits = (lo + part.n_bins) % 8
+        for k, name in enumerate(_NAMES):
+            data = _splice(self._tails[k], lo % 8, getattr(part, name),
+                           part.n_bins)
+            self._fh.seek(_HEADER.size + k * self._nbytes + lo // 8)
+            self._fh.write(np.ascontiguousarray(data))
+            self._tails[k] = int(data[-1]) if end_bits else 0
+        self._written += part.n_bins
+
+    def close(self) -> None:
+        """Put the finished container at ``path`` (all bins must be written)."""
+        if self._written != self.n_bins:
+            self._discard()
+            raise ValueError(f"{self.path}: {self._written} of {self.n_bins} "
+                             "bins written")
+        try:
+            self._fh.close()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        self._fh.close()
+        self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self) -> "StreamWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
+
+
+def _read_header(fh, path) -> tuple[int, float, int]:
+    """Check a container's header, size and pad bits.
+
+    Returns (n_bins, bin_width, bytes per channel) with ``fh`` positioned
+    at the first channel.
+    """
+    raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise StreamFormatError(f"{path}: truncated header")
-    magic, version, n_bins, bin_width, channels = _HEADER.unpack_from(raw, 0)
+    magic, version, n_bins, bin_width, channels = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise StreamFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
@@ -153,33 +257,54 @@ def read_streams(path: str | Path) -> ClickStreams:
         raise StreamFormatError(f"{path}: expected {_CHANNELS} channels, got {channels}")
     nbytes = (n_bins + 7) // 8
     expected = _HEADER.size + _CHANNELS * nbytes
-    if len(raw) != expected:
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
         raise StreamFormatError(
-            f"{path}: size mismatch (expected {expected} bytes, got {len(raw)})"
+            f"{path}: size mismatch (expected {expected} bytes, got {size})"
         )
-    body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
-    if n_bins % 8 and np.any(body[nbytes - 1 :: nbytes] >> (n_bins % 8)):
-        raise StreamFormatError(f"{path}: nonzero pad bits after bin {n_bins}")
-    return ClickStreams(
-        n_bins=n_bins,
-        bin_width=bin_width,
-        herald=body[:nbytes].copy(),
-        signal_1=body[nbytes : 2 * nbytes].copy(),
-        signal_2=body[2 * nbytes : 3 * nbytes].copy(),
-    )
+    if n_bins % 8:
+        for k in range(1, _CHANNELS + 1):
+            fh.seek(_HEADER.size + k * nbytes - 1)
+            if fh.read(1)[0] >> (n_bins % 8):
+                raise StreamFormatError(
+                    f"{path}: nonzero pad bits after bin {n_bins}")
+        fh.seek(_HEADER.size)
+    return n_bins, bin_width, nbytes
 
 
-def write_sparse_csv(streams: ClickStreams, path: str | Path) -> int:
-    """Write one ``channel,bin_index`` row per click, for eyeballing streams.
+def read_streams(path: str | Path) -> ClickStreams:
+    """Read a binary stream container written by :func:`write_streams`."""
+    with open(path, "rb") as fh:
+        n_bins, bin_width, nbytes = _read_header(fh, path)
+        channels = [np.fromfile(fh, dtype=np.uint8, count=nbytes)
+                    for _ in range(_CHANNELS)]
+    return ClickStreams(n_bins, bin_width, *channels)
+
+
+def write_sparse_csv(source: str | Path, path: str | Path) -> int:
+    """Write one ``channel,bin_index`` row per click of the container ``source``.
 
     Channels are named H, 1, 2; rows are grouped by channel and ordered by
-    bin within each.  Returns the number of click rows written.
+    bin within each.  Each channel is read in fixed-size chunks and only
+    its nonzero bytes are unpacked, so memory stays fixed whatever the run
+    length and click rate.  Returns the number of click rows written.
     """
     rows = 0
-    with open(path, "w", newline="") as fh:
-        fh.write("channel,bin_index\n")
-        for name, bits in zip(("H", "1", "2"), streams.bools()):
-            for idx in np.flatnonzero(bits):
-                fh.write(f"{name},{idx}\n")
-                rows += 1
+    with open(source, "rb") as fh, open(path, "w", newline="") as out:
+        _, _, nbytes = _read_header(fh, source)
+        out.write("channel,bin_index\n")
+        for name in ("H", "1", "2"):
+            for start in range(0, nbytes, _CHUNK_BYTES):
+                chunk = np.fromfile(fh, dtype=np.uint8,
+                                    count=min(_CHUNK_BYTES, nbytes - start))
+                hot = np.flatnonzero(chunk)
+                for lo in range(0, hot.size, _HOT_BYTES):
+                    part = hot[lo:lo + _HOT_BYTES]
+                    set_bits = np.flatnonzero(np.unpackbits(chunk[part],
+                                                            bitorder="little"))
+                    bins = ((start + part[set_bits >> 3]) * 8
+                            + (set_bits & 7)).tolist()
+                    out.write(f"{name}," + f"\n{name},".join(map(str, bins))
+                              + "\n")
+                    rows += len(bins)
     return rows

@@ -1,16 +1,19 @@
 """End-to-end command line flows and exit codes."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import pcsft
+from heraldsim import pcsft, qm
 from heraldsim.cli import main
-from heraldsim.coincidence import (read_counts_json, read_segment_csv,
-                                   write_counts_json)
-from heraldsim.core import config_from_dict, load_config
-from heraldsim.runner import run_counts
+from heraldsim.coincidence import (accumulate, read_counts_json,
+                                   read_segment_csv, write_counts_json,
+                                   write_segment_csv)
+from heraldsim.core import config_from_dict, config_to_dict, load_config
+from heraldsim.runner import run_counts, simulate_run
+from heraldsim.streams import write_streams
 
 RUN_INI = """\
 [source]
@@ -142,6 +145,119 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "attenuation" in err
+
+
+PCSFT_BLOCK = """
+[pcsft]
+threshold_energy = 1.0
+pulse_duration = 20.83e-9
+incident_power = 7.3e7
+"""
+
+STREAMED_MODELS = {
+    "qm": RUN_INI,
+    "pcsft": RUN_INI.replace("theory = qm", "theory = pcsft") + PCSFT_BLOCK
+    + "coupling = 0.5\n",
+    "pcsft-envelope": RUN_INI.replace("theory = qm", "theory = pcsft")
+    + PCSFT_BLOCK + "coupling = 0.0\nenvelope_modes = 4\n",
+}
+
+
+def in_memory_artifacts(cfg_path, out, threads):
+    """The four simulate artifacts from the whole run held in memory.
+
+    clicks.csv comes from a per-bin scan of the unpacked streams.
+    """
+    cfg = load_config(cfg_path)
+    streams = simulate_run(cfg, threads=threads)
+    counts = accumulate(streams, segment_bins=cfg.segment_bins)
+    out.mkdir()
+    write_streams(streams, out / "streams.pstm")
+    write_segment_csv(counts, out / "counts.csv")
+    write_counts_json(counts, out / "counts.json", config=config_to_dict(cfg))
+    rows = [f"{name},{i}" for name, bits in zip(("H", "1", "2"),
+                                                  streams.bools())
+            for i in range(cfg.n_bins) if bits[i]]
+    (out / "clicks.csv").write_text("\n".join(["channel,bin_index"] + rows)
+                                    + "\n")
+
+
+class TestStreamedSimulate:
+    """simulate writes and counts segment by segment."""
+
+    @pytest.mark.parametrize("model", sorted(STREAMED_MODELS))
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_bins, segment_bins",
+                             [(1, 1), (7, 3), (1000, 8), (1001, 48),
+                              (10_007, 999)])
+    def test_artifacts_match_in_memory_run(self, tmp_path, model, threads,
+                                           n_bins, segment_bins):
+        ini = STREAMED_MODELS[model].replace(
+            "n_bins = 20000", f"n_bins = {n_bins}").replace(
+            "segment_bins = 5000", f"segment_bins = {segment_bins}")
+        cfg, _ = write_inputs(tmp_path, ini)
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "streamed"), "--threads",
+                     str(threads)]) == 0
+        in_memory_artifacts(cfg, tmp_path / "memory", threads)
+        for name in ("streams.pstm", "clicks.csv", "counts.csv",
+                     "counts.json"):
+            assert ((tmp_path / "streamed" / name).read_bytes()
+                    == (tmp_path / "memory" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_segment_leaves_no_stream_file(self, tmp_path,
+                                                  monkeypatch, threads):
+        sample = qm.segment_clicks
+
+        def fail_on_segment_2(cfg, index, **kwargs):
+            if index == 2:
+                raise RuntimeError("sampler failed on segment 2")
+            return sample(cfg, index, **kwargs)
+
+        monkeypatch.setattr(qm, "segment_clicks", fail_on_segment_2)
+        cfg, _ = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="segment 2"):
+            main(["simulate", "--config", str(cfg), "--out", str(out),
+                  "--threads", str(threads)])
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_bins(self, tmp_path):
+        cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
+            "pair_mean_per_bin = 0.2", "pair_mean_per_bin = 0.01").replace(
+            "n_bins = 20000", "n_bins = 4000000").replace(
+            "segment_bins = 5000", "segment_bins = 48000"))
+
+        def peak_bytes(bins: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg), "--out",
+                             str(tmp_path / "out"), "--bins", str(bins)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(400_000)  # warm-up: imports, caches, first allocations
+        small = peak_bytes(400_000)
+        large = peak_bytes(4_000_000)
+        assert large - small < 1 << 20, (small, large)
+
+
+class TestThreadsOption:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys,
+                                              command, threads):
+        cfg, plan = write_inputs(tmp_path)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--threads", threads]
+        if command == "sweep":
+            argv += ["--sweep", str(plan)]
+        assert main(argv) == 2
+        assert (f"error: --threads must be >= 1, got {threads}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:

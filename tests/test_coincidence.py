@@ -89,6 +89,27 @@ class TestAgainstBruteForce:
         for segment_bins in (100_003, 4096, 977):
             assert accumulate(streams, segment_bins=segment_bins).totals() == slow
 
+    @pytest.mark.parametrize("n_bins", [1, 7, 13, 1001])
+    @pytest.mark.parametrize("segment_bins", [None, 0, 5, 8],
+                             ids=["none", "n_bins", "more", "aligned"])
+    def test_packed_count_never_unpacks(self, monkeypatch, n_bins,
+                                        segment_bins):
+        # One segment (None, or at least n_bins bins) or byte-aligned
+        # segments count the packed bytes, the zero-padded final byte too.
+        streams = random_streams(n_bins, seed=n_bins)
+        slow = brute_force_counts(streams)
+        if segment_bins in (0, 5):
+            segment_bins += n_bins
+
+        def refuse(self):
+            raise AssertionError("packed count unpacked its streams")
+
+        monkeypatch.setattr(ClickStreams, "bools", refuse)
+        counts = accumulate(streams, segment_bins=segment_bins)
+        assert counts.totals() == slow.totals()
+        if segment_bins is None or segment_bins >= n_bins:
+            assert counts == slow
+
 
 class TestMerge:
     def test_split_and_merge_is_exact(self):

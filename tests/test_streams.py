@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heraldsim.streams import (ClickStreams, StreamFormatError, read_streams,
-                               write_sparse_csv, write_streams)
+from heraldsim import streams as streams_module
+from heraldsim.streams import (ClickStreams, StreamFormatError, StreamWriter,
+                               read_streams, write_sparse_csv, write_streams)
 
 
 def random_streams(n_bins: int, seed: int = 0,
@@ -25,6 +26,18 @@ def random_streams(n_bins: int, seed: int = 0,
 bool_arrays = st.integers(min_value=1, max_value=500).flatmap(
     lambda n: st.tuples(*(st.lists(st.booleans(), min_size=n, max_size=n)
                           for _ in range(3))))
+
+part_sizes = st.lists(st.integers(min_value=0, max_value=70), min_size=1,
+                      max_size=8)
+
+
+def random_parts(sizes) -> list[ClickStreams]:
+    return [random_streams(n, seed=i + 1) for i, n in enumerate(sizes)]
+
+
+def joined_bools(parts) -> list[np.ndarray]:
+    return [np.concatenate(channel) for channel in
+            zip(*(part.bools() for part in parts))]
 
 
 class TestPacking:
@@ -73,6 +86,18 @@ class TestConcat:
         for channel, joined in zip(zip(*(p.bools() for p in parts)),
                                    merged.bools()):
             np.testing.assert_array_equal(np.concatenate(channel), joined)
+
+    @given(part_sizes)
+    @settings(max_examples=80, deadline=None)
+    def test_bit_splice_matches_bool_concatenation(self, sizes):
+        parts = random_parts(sizes)
+        merged = parts[0].concat(*parts[1:])
+        assert merged.n_bins == sum(sizes)
+        for expected, joined in zip(joined_bools(parts), merged.bools()):
+            np.testing.assert_array_equal(expected, joined)
+        # Pad bits stay zero: repacking the bools gives the same bytes.
+        repacked = ClickStreams.from_bools(*merged.bools(), bin_width=1e-9)
+        np.testing.assert_array_equal(repacked.herald, merged.herald)
 
     def test_concat_requires_matching_bin_width(self):
         a = random_streams(8, bin_width=1e-9)
@@ -145,18 +170,96 @@ class TestBinaryFormat:
             read_streams(path)
 
 
+class TestStreamWriter:
+    @given(part_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_parts_write_the_container_of_their_concatenation(self, tmp_path_factory,
+                                                              sizes):
+        tmp_path = tmp_path_factory.mktemp("writer")
+        parts = random_parts(sizes)
+        with StreamWriter(tmp_path / "parts.pstm", sum(sizes),
+                          parts[0].bin_width) as writer:
+            for part in parts:
+                writer.append(part)
+        write_streams(parts[0].concat(*parts[1:]), tmp_path / "whole.pstm")
+        assert ((tmp_path / "parts.pstm").read_bytes()
+                == (tmp_path / "whole.pstm").read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.pstm",
+                                                               "whole.pstm"]
+
+    def test_missing_bins_leave_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="8 of 9 bins"):
+            with StreamWriter(tmp_path / "run.pstm", 9, 1e-9) as writer:
+                writer.append(random_streams(8, bin_width=1e-9))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_extra_bins_rejected(self, tmp_path):
+        with StreamWriter(tmp_path / "run.pstm", 9, 1e-9) as writer:
+            writer.append(random_streams(5, bin_width=1e-9))
+            with pytest.raises(ValueError, match="exceed"):
+                writer.append(random_streams(5, bin_width=1e-9))
+            writer.append(random_streams(4, bin_width=1e-9))
+        assert read_streams(tmp_path / "run.pstm").n_bins == 9
+
+    def test_bin_width_mismatch_rejected(self, tmp_path):
+        with StreamWriter(tmp_path / "run.pstm", 8, 1e-9) as writer:
+            with pytest.raises(ValueError, match="bin width"):
+                writer.append(random_streams(8, bin_width=2e-9))
+            writer.append(random_streams(8, bin_width=1e-9))
+
+    def test_exception_leaves_previous_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "run.pstm"
+        write_streams(random_streams(16, seed=1), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with StreamWriter(path, 16, 20.83e-9) as writer:
+                writer.append(random_streams(8, seed=2))
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.pstm"]
+
+
 class TestSparseCsv:
     def test_rows_match_clicks(self, tmp_path):
         streams = ClickStreams.from_bools([1, 0, 1], [0, 1, 0], [0, 0, 0],
                                           bin_width=1e-9)
+        write_streams(streams, tmp_path / "run.pstm")
         path = tmp_path / "clicks.csv"
-        assert write_sparse_csv(streams, path) == 3
+        assert write_sparse_csv(tmp_path / "run.pstm", path) == 3
         lines = path.read_text().splitlines()
         assert lines == ["channel,bin_index", "H,0", "H,2", "1,1"]
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         streams = ClickStreams.from_bools([0, 0], [0, 0], [0, 0],
                                           bin_width=1e-9)
+        write_streams(streams, tmp_path / "run.pstm")
         path = tmp_path / "clicks.csv"
-        assert write_sparse_csv(streams, path) == 0
+        assert write_sparse_csv(tmp_path / "run.pstm", path) == 0
         assert path.read_text() == "channel,bin_index\n"
+
+    @pytest.mark.parametrize("n_bins", [1, 8, 63, 64, 65, 1001])
+    def test_chunked_rows_match_per_bin_rows(self, tmp_path, monkeypatch,
+                                             n_bins):
+        # Chunks of 3 bytes, formatted 2 nonzero bytes at a time, cross many
+        # boundaries; the rows must be those of a per-bin scan, grouped by
+        # channel, bins ascending.
+        monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 3)
+        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
+        streams = random_streams(n_bins, seed=n_bins)
+        write_streams(streams, tmp_path / "run.pstm")
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        expected = ["channel,bin_index"] + [
+            f"{name},{i}" for name, bits in zip(("H", "1", "2"),
+                                                 streams.bools())
+            for i in range(n_bins) if bits[i]]
+        assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
+        assert rows == len(expected) - 1
+
+    def test_malformed_container_rejected(self, tmp_path):
+        path = tmp_path / "bad.pstm"
+        write_streams(random_streams(10), path)
+        raw = bytearray(path.read_bytes())
+        raw[struct.calcsize("<4sHQdB") + 1] |= 0b1000_0000
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError, match="pad bits"):
+            write_sparse_csv(path, tmp_path / "clicks.csv")
