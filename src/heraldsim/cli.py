@@ -23,9 +23,10 @@ import sys
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import pcsft, report, runner, svgplot
+from .analysis import InsufficientStatistics
 from .coincidence import (CoincidenceCounts, read_counts_json, segment_table,
                           write_counts_json, write_segment_csv)
 from .core import (ConfigError, ExperimentConfig, config_from_dict,
@@ -93,39 +94,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> ExperimentConfig:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    if args.bins is not None and args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "bins", None) is not None:
-        if args.bins < 1:
-            raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-        cfg = replace(cfg, n_bins=args.bins,
-                      segment_bins=min(cfg.segment_bins, args.bins))
     return cfg
 
 
 def _read_background(path: Optional[str]):
-    if path is None:
-        return None
-    counts, _ = read_counts_json(path)
-    return counts
+    return None if path is None else read_counts_json(path)[0]
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
+    if args.bins is not None:
+        cfg = replace(cfg, n_bins=args.bins,
+                      segment_bins=min(cfg.segment_bins, args.bins))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # Each segment is written and counted as it arrives, so memory does not
     # grow with the run length.
     bin_width = cfg.detectors.bin_width
-    rows = []
     with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
             closing(runner.segment_streams(cfg, threads=args.threads)) as parts:
-        for index, part in enumerate(parts):
-            writer.append(part)
-            rows.append(runner.segment_row(part, index))
-    counts = CoincidenceCounts(bin_width=bin_width, segments=segment_table(rows))
+        def rows():
+            for index, part in enumerate(parts):
+                writer.append(part)
+                yield runner.segment_row(part, index)
+        counts = CoincidenceCounts(bin_width, segment_table(rows()))
 
     write_sparse_csv(out / "streams.pstm", out / "clicks.csv")
     write_segment_csv(counts, out / "counts.csv")
@@ -143,35 +141,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    plan = runner.load_sweep_plan(args.sweep)
-    if getattr(args, "bins", None) is not None:
-        plan = replace(plan, max_bins=args.bins)
-    background = _read_background(args.background)
-    out = Path(args.out)
+def _write_report(points: Iterable[tuple], background, out: Path) -> int:
+    """Write and summarise the report of (label, config, counts) points.
+
+    A point without a g2 estimate is named on stderr and left out (exit 1).
+    """
     out.mkdir(parents=True, exist_ok=True)
-
-    points = runner.run_sweep(cfg, plan, threads=args.threads)
-
     records = []
     failures = 0
-    from .analysis import InsufficientStatistics
-    for point in points:
-        stem = out / f"point_{point.point_index:03d}"
-        write_segment_csv(point.counts, stem.with_suffix(".csv"))
-        write_counts_json(point.counts, stem.with_suffix(".json"),
-                          config=config_to_dict(point.config))
+    first = None
+    for label, cfg, counts in points:
+        first = first or cfg
         try:
-            records.append(report.point_record(point.config, point.counts,
+            records.append(report.point_record(cfg, counts,
                                                background=background))
         except InsufficientStatistics as exc:
             failures += 1
-            print(f"point {point.point_index} "
-                  f"(attenuation {point.attenuation}): {exc}",
-                  file=sys.stderr)
+            print(f"{label}: {exc}", file=sys.stderr)
 
-    rep = report.build_report(cfg, records)
+    rep = report.build_report(first, records, background=background)
     report.write_report_json(rep, out / "report.json")
     report.write_report_csv(rep, out / "report.csv")
 
@@ -192,52 +180,52 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_sweep(args) -> int:
+    cfg = _load_cfg(args)
+    plan = runner.load_sweep_plan(args.sweep)
+    if args.bins is not None:
+        plan = replace(plan, max_bins=args.bins)
     background = _read_background(args.background)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    from .analysis import InsufficientStatistics
-    records = []
-    base_cfg = None
-    failures = 0
-    for path in args.counts:
-        counts, cfg_dict = read_counts_json(path)
-        if cfg_dict is None:
-            raise ConfigError(
-                f"{path}: counts file carries no configuration echo; "
-                "reanalysis needs the generating parameters")
-        cfg = config_from_dict(cfg_dict)
-        if base_cfg is None:
-            base_cfg = cfg
-        try:
-            records.append(report.point_record(cfg, counts,
-                                               background=background))
-        except InsufficientStatistics as exc:
-            failures += 1
-            print(f"{path}: {exc}", file=sys.stderr)
+    def written():
+        for point in runner.run_sweep(cfg, plan, threads=args.threads):
+            stem = out / f"point_{point.point_index:03d}"
+            write_segment_csv(point.counts, stem.with_suffix(".csv"))
+            write_counts_json(point.counts, stem.with_suffix(".json"),
+                              config=config_to_dict(point.config))
+            yield (f"point {point.point_index} "
+                   f"(attenuation {point.attenuation})",
+                   point.config, point.counts)
 
-    if base_cfg is None:
-        print("no usable points", file=sys.stderr)
-        return 1
-    rep = report.build_report(base_cfg, records)
-    if background is None:
-        rep["note"] = "raw-only: no background run supplied"
-    report.write_report_json(rep, out / "report.json")
-    report.write_report_csv(rep, out / "report.csv")
-    print(f"wrote {out / 'report.json'}, {out / 'report.csv'}")
-    if rep["fit_note"]:
-        print(rep["fit_note"])
-    return 1 if failures else 0
+    return _write_report(written(), background, out)
+
+
+def cmd_analyze(args) -> int:
+    background = _read_background(args.background)
+
+    def stored():
+        for path in args.counts:
+            counts, cfg_dict = read_counts_json(path)
+            if cfg_dict is None:
+                raise ConfigError(
+                    f"{path}: counts file carries no configuration echo; "
+                    "reanalysis needs the generating parameters")
+            yield path, config_from_dict(cfg_dict), counts
+
+    return _write_report(stored(), background, Path(args.out))
 
 
 def cmd_plot(args) -> int:
     import json
     with open(args.report, "r", encoding="utf-8") as fh:
         rep = json.load(fh)
-    if rep.get("format") != report.REPORT_FORMAT:
+    if not isinstance(rep, dict) or rep.get("format") != report.REPORT_FORMAT:
         raise ValueError(f"{args.report}: not a {report.REPORT_FORMAT} file")
-    svgplot.write_report_svg(rep, args.out)
+    try:
+        svgplot.write_report_svg(rep, args.out)
+    except KeyError as exc:
+        raise ValueError(f"{args.report}: missing key {exc}") from None
     print(f"wrote {args.out}")
     return 0
 

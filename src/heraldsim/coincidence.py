@@ -57,10 +57,11 @@ def segment_table(rows: Iterable = (), count_type=np.int64) -> np.recarray:
     N_H2, N_12, N_H12) or rows of another table.  Observed counts are
     integers; ``count_type=float`` holds expectations (background
     subtraction), with ``segment_index`` and ``n_bins`` still integers.
-    Columns read as ``table.N_H12`` and rows as ``table[i].N_H12``.  The
-    table is read-only, so counts that share it cannot change each other.
+    Rows are stored as they arrive, never held as a Python list.  Columns
+    read as ``table.N_H12`` and rows as ``table[i].N_H12``.  The table is
+    read-only, so counts that share it cannot change each other.
     """
-    table = np.array(list(rows), dtype=_segment_dtype(count_type)).view(np.recarray)
+    table = np.fromiter(rows, dtype=_segment_dtype(count_type)).view(np.recarray)
     table.flags.writeable = False
     return table
 
@@ -181,6 +182,7 @@ def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, .
 # ---------------------------------------------------------------------------
 
 _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
+_CSV_CHUNK = 4096  # segment rows made Python tuples per write
 
 
 def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
@@ -188,7 +190,8 @@ def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SEGMENT_HEADER)
-        writer.writerows(counts.segments.tolist())
+        for lo in range(0, len(counts.segments), _CSV_CHUNK):
+            writer.writerows(counts.segments[lo:lo + _CSV_CHUNK].tolist())
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from . import pcsft, qm
@@ -88,8 +89,10 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
     return record
 
 
-def build_report(cfg: ExperimentConfig, records: Sequence[dict]) -> dict:
-    """Combine per-point records with the fit, prediction band, and notes."""
+def build_report(cfg: ExperimentConfig, records: Sequence[dict],
+                 background: Optional[CoincidenceCounts] = None) -> dict:
+    """Combine per-point records with the fit, prediction band, and notes
+    (raw-only when no ``background`` was given to :func:`point_record`)."""
     records = list(records)
     report: dict = {
         "format": REPORT_FORMAT,
@@ -100,6 +103,8 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict]) -> dict:
         "fit_note": None,
         "qm_band": [],
     }
+    if background is None:
+        report["note"] = "raw-only: no background run supplied"
 
     fit_points = [(r["x_rate"], r["g2"], r["sigma"]) for r in records]
     try:
@@ -155,12 +160,11 @@ def _fmt(value) -> str:
 
 def write_report_csv(report: dict, path) -> None:
     """Per-point table mirroring the plotted quantities."""
-    band = {id(r): b for r, b in zip(report["points"], report["qm_band"])}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for record in report["points"]:
-            b = band.get(id(record))
+        # qm_band is empty or holds one entry per point.
+        for record, b in zip_longest(report["points"], report["qm_band"]):
             writer.writerow([
                 _fmt(record["attenuation"]),
                 _fmt(record["x_rate"]),

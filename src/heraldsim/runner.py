@@ -17,7 +17,8 @@ Two production routes per theory:
 
 :func:`run_counts` takes the census, except for a pcsft config with an
 intensity envelope, which the census cannot represent; that one is counted
-on the click route.
+on the click route.  Threads parallelise the click route only: a census
+segment costs a few microseconds, mostly under the GIL, so it runs inline.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -143,8 +144,9 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     ``target_triples`` set, segments are retained in index order until the
     cumulative N_H12 reaches the target (the full cfg.n_bins budget
     otherwise); the stop decision never splits a segment, so the result is
-    independent of batching and thread count.  The model's sampling law is
-    computed once and shared by every segment.
+    independent of batching and thread count.  ``threads`` is used by the
+    click route only; the census runs on the calling thread.  The model's
+    sampling law is computed once and shared by every segment.
     """
     # The census has no per-bin envelope equivalent.
     if cfg.theory is Theory.PCSFT and cfg.pcsft is not None \
@@ -161,17 +163,17 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
                                         point_index=point_index, law=law)
             return counts_from_cells(cells, segment_index=index)
 
-        rows = _map_segments(one, len(sizes), threads)
+        rows = map(one, range(len(sizes)))
 
-    kept = []
-    triples = 0
-    for row in rows:
-        kept.append(row)
-        triples += row[-1]  # N_H12, the last column
-        if target_triples is not None and triples >= target_triples:
-            break
+    def kept() -> Iterator[tuple[int, ...]]:
+        triples = 0
+        for row in rows:
+            yield row
+            triples += row[-1]  # N_H12, the last column
+            if target_triples is not None and triples >= target_triples:
+                return
     return CoincidenceCounts(bin_width=cfg.detectors.bin_width,
-                             segments=segment_table(kept))
+                             segments=segment_table(kept()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,8 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan,
 
     Each point gets its own stream namespace (point_index = position + 1),
     so sweeping never replays the randomness of a plain run or of another
-    point, whatever order the points execute in.
+    point, whatever order the points execute in.  ``threads`` goes to
+    :func:`run_counts`, so it speeds up envelope sweeps only.
     """
     points = []
     for i, attenuation in enumerate(plan.attenuations):

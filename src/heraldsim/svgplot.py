@@ -17,6 +17,7 @@ Structure consumed by tests and downstream tooling:
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 __all__ = ["render_report", "write_report_svg"]
 
@@ -183,5 +184,5 @@ def render_report(report: dict) -> str:
 
 
 def write_report_svg(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
+    # Rendered before the file is opened: a malformed report leaves none.
+    Path(path).write_text(render_report(report), encoding="utf-8")

@@ -298,6 +298,24 @@ class TestSweep:
             assert point["background_subtracted"]
             assert "counts_corrected" in point
 
+    def test_failed_points_are_named_and_the_report_still_written(
+            self, tmp_path, capsys):
+        quiet = BACKGROUND_INI
+        for channel in ("h", "1", "2"):
+            quiet = quiet.replace(f"dark_rate_{channel} = 150",
+                                  f"dark_rate_{channel} = 0")
+        cfg, plan = write_inputs(tmp_path, quiet)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            "point 1 (attenuation 1.0)", "point 2 (attenuation 0.6)",
+            "point 3 (attenuation 0.3)"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["points"] == []
+        assert (out / "point_003.json").exists()
+
     def test_bins_override_caps_points(self, tmp_path, capsys):
         cfg, plan = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -324,7 +342,35 @@ class TestSweep:
             assert rerun.totals() == counts.totals()
 
 
+def summary(captured: str) -> list[str]:
+    """The printed summary lines, without the paths of the written files."""
+    return [line for line in captured.splitlines()
+            if not line.startswith("wrote ")]
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("model", ["qm", "pcsft"])
+    @pytest.mark.parametrize("with_background", [False, True])
+    def test_report_is_byte_identical_to_the_sweep(self, tmp_path, capsys,
+                                                   background_json, model,
+                                                   with_background):
+        cfg, plan = write_inputs(tmp_path, STREAMED_MODELS[model])
+        extra = (["--background", str(background_json)] if with_background
+                 else [])
+        swept = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(swept), *extra]) == 0
+        printed = capsys.readouterr().out
+        points = [str(swept / f"point_{i:03d}.json") for i in (1, 2, 3)]
+        again = tmp_path / "analyze"
+        assert main(["analyze", "--counts", *points, "--out", str(again),
+                     *extra]) == 0
+        assert summary(capsys.readouterr().out) == summary(printed)
+        for name in ("report.json", "report.csv"):
+            assert (again / name).read_bytes() == (swept / name).read_bytes()
+        report = json.loads((swept / "report.json").read_text())
+        assert ("note" in report) is not with_background
+
     def test_reanalysis_reproduces_sweep_records(self, sweep_out, tmp_path,
                                                  capsys):
         point_files = [str(sweep_out / f"point_{i:03d}.json")
@@ -412,6 +458,25 @@ class TestPlot:
         assert main(["plot", "--report", str(bogus),
                      "--out", str(tmp_path / "fig.svg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_top_level_list_is_an_error(self, tmp_path, capsys):
+        bogus = tmp_path / "report.json"
+        bogus.write_text("[]", encoding="utf-8")
+        assert main(["plot", "--report", str(bogus),
+                     "--out", str(tmp_path / "fig.svg")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bogus}: ")
+
+    def test_point_without_raw_g2_is_an_error(self, sweep_out, tmp_path,
+                                              capsys):
+        payload = json.loads((sweep_out / "report.json").read_text())
+        del payload["points"][1]["g2_raw"]
+        bogus = tmp_path / "report.json"
+        bogus.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["plot", "--report", str(bogus),
+                     "--out", str(tmp_path / "fig.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bogus}: missing key 'g2_raw'\n")
+        assert not (tmp_path / "fig.svg").exists()
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["plot", "--report", str(tmp_path / "nope.json"),

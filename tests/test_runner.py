@@ -1,12 +1,13 @@
 """Run drivers: segmentation, threading, early stop, sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heraldsim import pcsft, qm
+from heraldsim import pcsft, qm, runner
 from heraldsim.analysis import heralded_g2
 from heraldsim.coincidence import accumulate, counts_from_cells
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
@@ -146,6 +147,34 @@ class TestRunCounts:
         cfg = coupled_noisy_config(n_bins=60_000, segment_bins=7_000)
         plan = SweepPlan(attenuations=(1.0, 0.5, 0.2), target_triples=10**9)
         assert run_sweep(cfg, plan, threads=1) == run_sweep(cfg, plan, threads=2)
+
+    def test_census_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        cfg = coupled_noisy_config(n_bins=60_000, segment_bins=7_000)
+        plan = SweepPlan(attenuations=(1.0, 0.5), target_triples=10**9)
+        counts, points = run_counts(cfg), run_sweep(cfg, plan)
+        envelope = envelope_config()
+        assert run_counts(envelope, threads=2) == run_counts(envelope)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+        assert run_counts(cfg, threads=4) == counts
+        assert run_sweep(cfg, plan, threads=4) == points
+        with pytest.raises(AssertionError, match="thread pool started"):
+            run_counts(envelope, threads=2)  # the click route keeps its pool
+
+    def test_census_table_memory_per_segment(self):
+        cfg = photon_config(n_bins=2_000_000, segment_bins=100, seed=8007)
+        run_counts(replace(cfg, n_bins=20_000))  # warm-up
+        tracemalloc.start()
+        try:
+            counts = run_counts(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts.segments) == 20_000
+        # The table itself takes 72 bytes per row.
+        assert peak / len(counts.segments) < 120, peak
 
     def test_photon_runs_take_the_census(self):
         assert_takes_the_census(photon_config(n_bins=2 * 10**6,
