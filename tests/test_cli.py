@@ -478,6 +478,27 @@ class TestPlot:
             f"error: {bogus}: missing key 'g2_raw'\n")
         assert not (tmp_path / "fig.svg").exists()
 
+    @pytest.mark.parametrize("case,message", [
+        ("point-not-an-object", "point 1 is not an object: 1"),
+        ("string-sigma-raw", "point 3: sigma_raw is not a number: 'wide'"),
+        ("no-points", "report has no points to plot"),
+    ], ids=["point-not-an-object", "string-sigma-raw", "no-points"])
+    def test_malformed_points_are_errors_naming_the_file(
+            self, sweep_out, tmp_path, capsys, case, message):
+        payload = json.loads((sweep_out / "report.json").read_text())
+        if case == "point-not-an-object":
+            payload["points"] = [1]
+        elif case == "string-sigma-raw":
+            payload["points"][2]["sigma_raw"] = "wide"
+        else:
+            payload["points"] = []
+        bogus = tmp_path / "report.json"
+        bogus.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["plot", "--report", str(bogus),
+                     "--out", str(tmp_path / "fig.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {bogus}: {message}\n"
+        assert not (tmp_path / "fig.svg").exists()
+
     def test_missing_report(self, tmp_path, capsys):
         assert main(["plot", "--report", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "fig.svg")]) == 2

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from heraldsim import pcsft
+from heraldsim import core, pcsft
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
                             noise_probabilities, parse_config, rng_stream,
-                            stream_id, validate_config)
+                            stream_id, validate_config, with_attenuation)
 from heraldsim.runner import simulate_run
 
-from helpers import euler_exit_steps
+from helpers import euler_exit_steps, reference_pcsft_cells
 
 BIN = 20.83e-9
 
@@ -430,6 +430,89 @@ class TestSplitterCoupling:
         sigma = g2 * math.sqrt(1.0 / n_12 + 1.0 / n_1 + 1.0 / n_2)
         assert g2 == pytest.approx(pcsft.coupled_g2_target(cfg),
                                    abs=3.0 * sigma)
+
+
+class TestCensusOracle:
+    """``segment_cells`` against the census that keys every stream.
+
+    The coupling stream is keyed only where a pair can convert; each
+    stream has its own Philox key, so leaving one undrawn moves no other
+    and the cells stay equal to the reference's.
+    """
+
+    @staticmethod
+    def conversions(monkeypatch):
+        """What every ``_conversion_count`` call returns from here on."""
+        seen, original = [], pcsft._conversion_count
+
+        def recorded(*args):
+            seen.append(original(*args))
+            return seen[-1]
+        monkeypatch.setattr(pcsft, "_conversion_count", recorded)
+        return seen
+
+    @staticmethod
+    def keyed_roles(monkeypatch):
+        """The role of every stream the samplers key from here on."""
+        roles, original = [], core.rng_stream
+
+        def recorded(seed, stream, pooled=False):
+            roles.append(stream & (Role.COUNT - 1))
+            return original(seed, stream, pooled)
+        monkeypatch.setattr(core, "rng_stream", recorded)
+        return roles
+
+    def assert_matches(self, cfg, point_index, n_segments=40):
+        law = pcsft.sampling_law(cfg)
+        for index in range(n_segments):
+            np.testing.assert_array_equal(
+                pcsft.segment_cells(cfg, index, point_index=point_index, law=law),
+                reference_pcsft_cells(cfg, index, point_index=point_index))
+
+    def test_benchmark_sweep_points_never_key_the_coupling_stream(self, monkeypatch):
+        # The sweep-pcsft points: README defaults at attenuations 1.0 to
+        # 0.1, sweep point i drawing as point_index i.
+        roles = self.keyed_roles(monkeypatch)
+        cfg = parse_config(README_INI)
+        for point, attenuation in enumerate((1.0, 0.5, 0.2, 0.1), start=1):
+            self.assert_matches(with_attenuation(cfg, attenuation), point)
+        assert roles and Role.COUPLING not in roles
+
+    @pytest.mark.parametrize("attenuation,sign", [(0.5, 1), (1.0, -1)])
+    def test_converting_census(self, monkeypatch, attenuation, sign):
+        # coupling 1 at 1e9 incident power: at attenuation 1.0 the target
+        # coincidence rate lies above f1 * f2 (moves < 0), at 0.5 below it.
+        conversions = self.conversions(monkeypatch)
+        cfg = with_attenuation(parse_config(README_INI.replace(
+            "incident_power = 7.3e7", "incident_power = 1e9").replace(
+            "coupling = 0.5", "coupling = 1.0")), attenuation)
+        self.assert_matches(cfg, point_index=3)
+        assert len(conversions) == 40
+        assert all(moves * sign > 0 for moves, _ in conversions)
+
+    def test_uncoupled_census(self, monkeypatch):
+        conversions = self.conversions(monkeypatch)
+        cfg = field_config(coupling=0.0, dark=(3e5, 2e5, 1e5), n_bins=48_000)
+        self.assert_matches(cfg, point_index=0)
+        assert conversions == [(0, None)] * 40
+
+    def test_click_route_skips_the_stream_where_no_pair_converts(self, monkeypatch):
+        # Segment 0 of the README defaults has no bin where both signal
+        # detectors click; at coupling 0.7 and theta 0.5 pairs convert.
+        roles = self.keyed_roles(monkeypatch)
+        for cfg, keyed in ((parse_config(README_INI), False),
+                           (field_config(coupling=0.7), True)):
+            roles.clear()
+            _, s1, s2 = pcsft.segment_clicks(cfg, 0)
+            assert (Role.COUPLING in roles) is keyed
+            assert bool(np.any(s1 & s2)) is keyed
+
+    def test_out_of_range_indices_still_rejected(self):
+        cfg = parse_config(README_INI)
+        for segment_index, point_index in ((0, 1 << 24), (-1, 0), (1 << 37, 0)):
+            for sample in (pcsft.segment_cells, pcsft.segment_clicks):
+                with pytest.raises(ValueError, match="out of range"):
+                    sample(cfg, segment_index, 100, point_index=point_index)
 
 
 class TestEnvelope:
