@@ -13,8 +13,7 @@ seed), independent of segmentation and thread count.
 
 from .analysis import (FitResult, G2Estimate, InsufficientStatistics,
                        background_subtract, corrected_rate, herald_efficiency,
-                       heralded_g2, klyshko_efficiency, segmented_g2,
-                       weighted_linear_fit)
+                       heralded_g2, klyshko_efficiency, weighted_linear_fit)
 from .coincidence import (CoincidenceCounts, accumulate, counts_from_cells,
                           read_counts_json, read_segment_csv, segment_table,
                           write_counts_json, write_segment_csv)
@@ -31,7 +30,7 @@ from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -53,6 +52,6 @@ __all__ = [
     "load_sweep_plan",
     # estimation
     "G2Estimate", "FitResult", "InsufficientStatistics", "heralded_g2",
-    "segmented_g2", "klyshko_efficiency", "herald_efficiency",
+    "klyshko_efficiency", "herald_efficiency",
     "background_subtract", "weighted_linear_fit", "corrected_rate",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "G2Estimate",
     "FitResult",
     "heralded_g2",
-    "segmented_g2",
     "klyshko_efficiency",
     "herald_efficiency",
     "background_subtract",
@@ -103,44 +102,6 @@ def heralded_g2(counts: CoincidenceCounts) -> G2Estimate:
     InsufficientStatistics when a denominator count is zero.
     """
     return _g2_from_totals(counts.N_H, counts.N_H1, counts.N_H2, counts.N_H12)
-
-
-def segmented_g2(counts: CoincidenceCounts, block_size: int = 100) -> G2Estimate:
-    """Heralded autocorrelation from per-block estimates, pooled.
-
-    Segments are grouped into consecutive blocks of ``block_size``; each
-    block yields its own estimate, and blocks combine by inverse-variance
-    weighting.  Slow drifts of the rates bias the whole-run estimator
-    (which mixes epochs in numerator and denominator differently);
-    per-block estimation confines each epoch to its own ratio.  For
-    stationary input the pooled value agrees with :func:`heralded_g2`
-    within statistics.  Blocks with empty denominators are skipped.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    segments = counts.segments
-    if not len(segments):
-        raise InsufficientStatistics("no segments to pool")
-
-    starts = np.arange(0, len(segments), block_size)
-    blocks = zip(*(np.add.reduceat(segments[f], starts).tolist()
-                   for f in ("N_H", "N_H1", "N_H2", "N_H12")))
-    values = []
-    weights = []
-    any_triples = False
-    for n_h, n_h1, n_h2, n_h12 in blocks:
-        if n_h <= 0 or n_h1 <= 0 or n_h2 <= 0:
-            continue
-        est = _g2_from_totals(n_h, n_h1, n_h2, n_h12)
-        any_triples = any_triples or not est.upper_limit
-        values.append(est.value)
-        weights.append(1.0 / est.sigma ** 2)
-    if not weights:
-        raise InsufficientStatistics("no block had usable denominator counts")
-    total_weight = sum(weights)
-    pooled = sum(w * v for w, v in zip(weights, values)) / total_weight
-    return G2Estimate(value=pooled, sigma=math.sqrt(1.0 / total_weight),
-                      upper_limit=not any_triples)
 
 
 def klyshko_efficiency(counts: CoincidenceCounts,

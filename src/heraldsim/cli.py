@@ -226,7 +226,7 @@ def cmd_plot(args) -> int:
         svgplot.write_report_svg(rep, args.out)
     except KeyError as exc:
         raise ValueError(f"{args.report}: missing key {exc}") from None
-    except ValueError as exc:  # a malformed point, or none
+    except ValueError as exc:  # a malformed point, band entry or fit
         raise ValueError(f"{args.report}: {exc}") from None
     print(f"wrote {args.out}")
     return 0

@@ -43,7 +43,7 @@ __all__ = [
     "with_attenuation",
     "arm_efficiencies",
     "noise_probabilities",
-    "noise_masks",
+    "clicks_from_cells",
     "BIN_WIDTH_DEFAULT",
     "DARK_RATE_DEFAULT",
     "SEGMENT_BINS_DEFAULT",
@@ -145,7 +145,7 @@ class PCSFTConfig:
 
     coupling: strength (0..1) of the splitter energy-budget coupling that
         correlates the two signal detectors; 0 means fully independent
-        channels.  See pcsft.segment_clicks for the exact construction.
+        channels.  See the pcsft module for the exact construction.
     envelope_modes: if set, each bin's powers are multiplied by a common
         Gamma(shape=envelope_modes, mean=1) factor modelling slow source
         intensity fluctuations.  None disables the envelope.
@@ -269,14 +269,17 @@ class Role:
     still reproduce bit for bit.
     """
 
-    SOURCE = 0       # pair numbers (quantum) / intensity envelope (field model)
-    HERALD = 1       # herald arm: thinning or diffusion
-    SIGNAL_1 = 2     # signal detector 1 path (field model diffusion)
-    SIGNAL_2 = 3     # signal detector 2 path (field model diffusion)
+    SOURCE = 0       # the census multinomial / envelope gains (field model)
+    HERALD = 1       # per-bin herald clicks of the envelope click route
+    SIGNAL_1 = 2     # per-bin signal 1 clicks of the envelope click route
+    SIGNAL_2 = 3     # per-bin signal 2 clicks of the envelope click route
     NOISE_H = 4      # herald dark + background draws
     NOISE_1 = 5
     NOISE_2 = 6
-    COUPLING = 7     # splitter energy-budget rewiring draws
+    COUPLING = 7     # splitter energy-budget conversion draws
+    # Where every other click route places its census (clicks_from_cells).
+    # It shares HERALD's id: no segment keys both, and no census keys it.
+    PLACEMENT = HERALD
 
     COUNT = 8
 
@@ -565,15 +568,45 @@ def noise_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def noise_masks(cfg: ExperimentConfig, n_bins: int, segment_index: int,
-                point_index: int = 0, probs=None) -> list[Optional[np.ndarray]]:
+def _noise_masks(cfg: ExperimentConfig, n_bins: int, segment_index: int,
+                 point_index: int = 0, probs=None) -> list[Optional[np.ndarray]]:
     """Per-channel noise click masks for one segment (None where rate is 0).
 
-    Channels draw from their own noise-role streams, so enabling noise on
-    one channel never shifts another channel's draws.  ``probs`` is
-    :func:`noise_probabilities` of ``cfg``, computed here when omitted.
+    The envelope click route's noise.  Channels draw from their own
+    noise-role streams, so enabling noise on one channel never shifts
+    another channel's draws.  ``probs`` is :func:`noise_probabilities` of
+    ``cfg``, computed here when omitted.
     """
     probs = noise_probabilities(cfg) if probs is None else probs
     rngs = _segment_rngs(cfg, segment_index, point_index)
     return [None if p == 0.0 else rngs(role).random(n_bins) < p
             for p, role in zip(probs, (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2))]
+
+
+def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-bin clicks (herald, signal_1, signal_2) showing a given census.
+
+    ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
+    that joint click pattern; the cells sum to ``n_bins``.  The most
+    frequent pattern fills the segment.  ``rng.choice`` draws the positions
+    of the other bins as a uniformly random subset in uniformly random
+    order, and consecutive blocks of those positions take the remaining
+    patterns in index order.  Every arrangement of the census is therefore
+    equally likely: the law of any exchangeable bin sequence given its
+    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as bins drawn
+    independently, rewritten at uniformly chosen bins, or OR-ed with
+    independent per-bin noise.
+    """
+    cells = np.asarray(cells)
+    if cells.shape != (8,) or cells.sum() != n_bins:
+        raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
+                         f"got {cells.tolist()}")
+    fill = int(cells.argmax())
+    patterns = np.full(n_bins, fill, dtype=np.uint8)
+    others = np.flatnonzero(np.arange(8) != fill).astype(np.uint8)
+    placed = n_bins - int(cells[fill])
+    if placed:
+        patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
+            others, cells[others])
+    return tuple((patterns & bit).astype(bool) for bit in (4, 2, 1))

@@ -16,10 +16,16 @@ mean exit time ``threshold_energy / power``.
 
 Sampling
 --------
-Both routes draw from :func:`crossing_probability`: :func:`segment_clicks`
-as one uniform per bin and channel, :func:`segment_cells` as a multinomial
-census of the eight click patterns, so counting the click route is equal
-in distribution to the census.  :func:`first_passage_times` samples exit
+:func:`segment_cells` draws a segment's census of the eight click
+patterns: a multinomial over the continuum click probabilities of
+:func:`crossing_probability`, then the splitter coupling and the noise,
+each acting on the census.  :func:`segment_clicks` places that census in a
+uniformly random order (:func:`heraldsim.core.clicks_from_cells`).  That is
+the law of the per-bin mechanism: independent bins, conversions at
+uniformly chosen bins and independent per-bin noise leave the bin sequence
+exchangeable.  An intensity envelope has no census; with one,
+:func:`segment_clicks` draws each bin's gain and each channel's click
+itself.  :func:`first_passage_times` samples exit
 times themselves on an Euler grid with :func:`discrete_exit_steps`, which
 is identical in law to stepping every Euler point but strides over quiet
 stretches in adaptive blocks (one Gaussian draw per block) and
@@ -59,9 +65,10 @@ import numpy as np
 from .core import (
     ExperimentConfig,
     Role,
+    _noise_masks,
     _segment_rngs,
     arm_efficiencies,
-    noise_masks,
+    clicks_from_cells,
     noise_probabilities,
 )
 
@@ -411,74 +418,52 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin click sampler for one segment under the field model.
 
-    Each channel clicks in a bin with its continuum crossing probability:
-    :func:`field_click_probabilities`, or with an intensity envelope the
-    :func:`crossing_probability` of that bin's power.  The splitter
-    coupling then rewrites matched bin pairs (preserving every per-channel
-    count), and noise is OR-ed in last.  Streams follow the same (point,
-    segment, role) discipline as the photon model, drawn from the pooled
-    generators of :func:`heraldsim.core.rng_stream`.  ``law`` is
-    :func:`sampling_law` of ``cfg``, computed here when omitted.
+    Without an intensity envelope, the census :func:`segment_cells` draws
+    for the same arguments, placed in a uniformly random order from the
+    segment's placement stream, which the census never keys.  With one,
+    each bin draws a gain, each channel clicks with the
+    :func:`crossing_probability` of that bin's power, and noise is OR-ed
+    in last.  Streams follow the same (point, segment, role) discipline as
+    the photon model, drawn from the pooled generators of
+    :func:`heraldsim.core.rng_stream`.  ``law`` is :func:`sampling_law` of
+    ``cfg``, computed when omitted.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
     pc = cfg.pcsft
     if pc is None:
         raise ValueError("configuration has no pcsft block")
-    f, q, _, noise = sampling_law(cfg) if law is None else law
-    _, f1, f2 = f
     rngs = _segment_rngs(cfg, segment_index, point_index)
-
     if pc.envelope_modes is None:
-        probs = f
-    else:
-        envelope = rngs(Role.SOURCE).gamma(shape=pc.envelope_modes,
-                                           scale=1.0 / pc.envelope_modes,
-                                           size=n_bins)
-        probs = [crossing_probability(pc.threshold_energy,
-                                      pc.incident_power * share * envelope,
-                                      pc.pulse_duration)
-                 for share in arm_efficiencies(cfg)]
+        cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
+        return clicks_from_cells(cells, n_bins, rngs(Role.PLACEMENT))
 
-    click_h, click_1, click_2 = (
-        rngs(role).random(n_bins) < p
-        for p, role in zip(probs, (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2)))
-
-    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:  # else no pair converts
-        both = np.flatnonzero(click_1 & click_2)
-        neither = np.flatnonzero(~click_1 & ~click_2)
-        only_1 = np.flatnonzero(click_1 & ~click_2)
-        only_2 = np.flatnonzero(~click_1 & click_2)
-        moves, rng_c = _conversion_count(rngs, both.size, neither.size,
-                                         only_1.size, only_2.size, f1, f2, q)
-        if moves:
-            # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
-            src, dst = (both, neither) if moves > 0 else (only_1, only_2)
-            src = rng_c.choice(src, size=abs(moves), replace=False)
-            dst = rng_c.choice(dst, size=abs(moves), replace=False)
-            click_2[src] = moves < 0
-            click_2[dst] = moves > 0
-
-    masks = noise_masks(cfg, n_bins, segment_index, point_index, probs=noise)
-    for arr, mask in zip((click_h, click_1, click_2), masks):
+    envelope = rngs(Role.SOURCE).gamma(shape=pc.envelope_modes,
+                                       scale=1.0 / pc.envelope_modes,
+                                       size=n_bins)
+    clicks = [rngs(role).random(n_bins) < crossing_probability(
+                  pc.threshold_energy, pc.incident_power * share * envelope,
+                  pc.pulse_duration)
+              for share, role in zip(arm_efficiencies(cfg),
+                                     (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2))]
+    masks = _noise_masks(cfg, n_bins, segment_index, point_index,
+                         probs=None if law is None else law[3])
+    for arr, mask in zip(clicks, masks):
         if mask is not None:
             arr |= mask
-
-    return click_h, click_1, click_2
+    return tuple(clicks)
 
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    The per-bin clicks are replaced by their census (multinomial) over the
-    same continuum click probabilities, so counting :func:`segment_clicks`
-    output is equal in distribution to this.  The coupling conversion and
-    noise OR act on the census with the same
-    (hypergeometric / binomial) laws the per-bin route induces.  Not
+    A multinomial over the continuum click probabilities; the coupling
+    conversion and the noise OR then act on the census with the
+    (hypergeometric / binomial) laws they induce on per-bin clicks.  Not
     available with an intensity envelope, whose per-bin powers break the
     common-census shortcut.  Streams and ``law`` as in
-    :func:`segment_clicks`.
+    :func:`segment_clicks`, which places this census bin by bin.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins

@@ -11,16 +11,19 @@ devices: a bin clicks when at least one photon is detected or a noise count
 fires (probability ``rate * bin_width`` per bin, dark and background
 independently).
 
-Two equivalent-in-law samplers are provided:
+Both samplers draw from the exact per-bin law of
+:func:`joint_pattern_probabilities`, not from the chain above:
 
-- :func:`segment_clicks` walks the mechanistic chain above bin by bin and
-  returns per-bin click patterns (needed when the actual streams matter).
 - :func:`segment_cells` draws, per segment, one multinomial over the eight
-  joint click patterns using the exact per-bin law from
-  :func:`joint_pattern_probabilities`.  Counting statistics are identical in
-  distribution to the mechanistic chain at a tiny fraction of the cost,
-  which makes 10^9-bin count-level runs practical on one core.  The
-  equivalence is asserted by tests, not assumed.
+  joint click patterns, which makes 10^9-bin count-level runs practical
+  on one core;
+- :func:`segment_clicks` places that census in a uniformly random order
+  (:func:`heraldsim.core.clicks_from_cells`).  The chain's bins are
+  independent, so its sequence is exchangeable and has exactly this law.
+
+Counting a segment's clicks therefore gives its census, draw for draw.
+The chain itself lives in the test suite as an oracle; the tests check
+both samplers against it and against the law.
 
 All closed forms below follow from the probability generating function of
 the pair number, E[z^n] = (1 + m(1-z))^(-M) with m = mu/M: a detector set S
@@ -40,14 +43,13 @@ from .core import (
     Role,
     _segment_rngs,
     arm_efficiencies,
-    noise_masks,
+    clicks_from_cells,
     noise_probabilities,
 )
 
 __all__ = [
     "g_factor",
     "pair_prob",
-    "sample_pair_counts",
     "no_click_prob",
     "joint_pattern_probabilities",
     "sampling_law",
@@ -96,15 +98,6 @@ def pair_prob(n, pair_mean: float, mode_count: int = 1):
         log_binom = math.lgamma(k + M) - math.lgamma(k + 1) - math.lgamma(M)
         out.ravel()[i] = math.exp(log_binom + k * log_ratio + log_norm)
     return out[0] if np.isscalar(n) or np.ndim(n) == 0 else out
-
-
-def sample_pair_counts(rng: np.random.Generator, size: int,
-                       pair_mean: float, mode_count: int = 1) -> np.ndarray:
-    """Draw per-bin pair numbers for ``size`` bins."""
-    if pair_mean == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    m = pair_mean / mode_count
-    return rng.negative_binomial(mode_count, 1.0 / (1.0 + m), size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -243,69 +236,37 @@ def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
 # Samplers
 # ---------------------------------------------------------------------------
 
-def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int | None = None, point_index: int = 0, law=None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mechanistic per-bin sampler for one segment.
-
-    Returns boolean click arrays (herald, signal_1, signal_2) of length
-    ``n_bins`` (default: the configured segment size).  Each (point,
-    segment, role) triple draws from its own counter-based stream, so
-    segments reproduce independently of evaluation order; the generators
-    are the pooled ones of :func:`heraldsim.core.rng_stream`.  ``law`` is
-    :func:`sampling_law` of ``cfg`` (only its noise part is used here).
-    """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
-    src = cfg.source
-    opt = cfg.optics
-
-    rngs = _segment_rngs(cfg, segment_index, point_index)
-    pairs = sample_pair_counts(rngs(Role.SOURCE), n_bins, src.pair_mean_per_bin,
-                               src.mode_count)
-
-    occupied = np.flatnonzero(pairs != 0)  # the bool view indexes ~3x faster
-    n_occ = pairs[occupied]
-
-    click_h = np.zeros(n_bins, dtype=bool)
-    click_1 = np.zeros(n_bins, dtype=bool)
-    click_2 = np.zeros(n_bins, dtype=bool)
-
-    if occupied.size:
-        rng_h = rngs(Role.HERALD)
-        detected_h = rng_h.binomial(n_occ, opt.eta_h)
-        click_h[occupied] = detected_h > 0
-
-        rng_s = rngs(Role.SIGNAL_1)
-        passed = rng_s.binomial(n_occ, opt.attenuation)
-        to_1 = rng_s.binomial(passed, opt.splitter_ratio)
-        to_2 = passed - to_1
-        click_1[occupied] = rng_s.binomial(to_1, opt.eta_1) > 0
-        click_2[occupied] = rng_s.binomial(to_2, opt.eta_2) > 0
-
-    masks = noise_masks(cfg, n_bins, segment_index, point_index,
-                        probs=None if law is None else law[1])
-    for clicks, noise in zip((click_h, click_1, click_2), masks):
-        if noise is not None:
-            clicks |= noise
-
-    return click_h, click_1, click_2
-
-
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     Returns an int64 array of length 8, element (h << 2)|(s1 << 1)|s2 being
-    the number of bins showing exactly that click pattern.  Drawn as a
-    single multinomial over the exact per-bin law, so all counting
-    statistics match :func:`segment_clicks` in distribution while the cost
-    is independent of the pair rate.  Uses the segment's (pooled) source
-    stream; realisations differ from the mechanistic sampler for the same
-    seed.  ``law`` is :func:`sampling_law` of ``cfg``, computed if omitted.
+    the number of bins showing exactly that click pattern: one multinomial
+    over the exact per-bin law, drawn from the segment's (pooled) source
+    stream, at a cost independent of the pair rate.  ``law`` is
+    :func:`sampling_law` of ``cfg``, computed if omitted.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
     probs = (sampling_law(cfg) if law is None else law)[0]
     rng = _segment_rngs(cfg, segment_index, point_index)(Role.SOURCE)
-    return rng.multinomial(n_bins, probs).astype(np.int64)
+    return rng.multinomial(n_bins, probs)
+
+
+def segment_clicks(cfg: ExperimentConfig, segment_index: int,
+                   n_bins: int | None = None, point_index: int = 0, law=None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-bin sampler for one segment: its census in a random order.
+
+    Returns boolean click arrays (herald, signal_1, signal_2) of length
+    ``n_bins`` (default: the configured segment size) whose pattern counts
+    are :func:`segment_cells` of the same arguments; the placement draws
+    from the segment's placement stream, which the census never keys.
+    Each (point, segment, role) triple has its own counter-based stream, so
+    segments reproduce independently of evaluation order.
+    """
+    if n_bins is None:
+        n_bins = cfg.segment_bins
+    cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
+    rng = _segment_rngs(cfg, segment_index, point_index)(Role.PLACEMENT)
+    return clicks_from_cells(cells, n_bins, rng)

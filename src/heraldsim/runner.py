@@ -8,17 +8,19 @@ time, never bytes.
 
 Two production routes per theory:
 
+* census route — per-segment pattern counts drawn directly from the joint
+  per-bin law (the models' ``segment_cells``), for count-only studies;
 * click route — per-bin click streams (needed when stream files are part
   of the deliverable), yielded and counted segment by segment
-  (:func:`segment_streams`);
-* census route — per-segment pattern counts drawn directly from the joint
-  per-bin law, far faster for count-only studies and equal in
-  distribution to counting the click route.
+  (:func:`segment_streams`).  Outside envelope configs each segment is
+  its census placed in a uniformly random order, so counting it gives the
+  census route's row for the same configuration and seed, byte for byte.
 
 :func:`run_counts` takes the census, except for a pcsft config with an
 intensity envelope, which the census cannot represent; that one is counted
-on the click route.  Threads parallelise the click route only: a census
-segment costs a few microseconds, mostly under the GIL, so it runs inline.
+on its own per-bin click route.  Threads parallelise the click route only:
+a census segment costs a few microseconds, mostly under the GIL, so it
+runs inline.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the

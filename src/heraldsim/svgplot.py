@@ -56,37 +56,56 @@ class _Scale:
         return [self.lo + (self.hi - self.lo) * i / (n - 1) for i in range(n)]
 
 
-# The fields every point must carry as a number.
+# The fields every point, band entry and fit must carry as numbers.
 _POINT_NUMBERS = ("x_rate", "g2_raw", "sigma_raw", "g2", "sigma")
+_BAND_NUMBERS = ("x", "lower", "upper")
+_FIT_NUMBERS = ("slope", "intercept")
 
 
-def _plotted_points(report: dict) -> list[dict]:
-    """The report's points, checked for the fields the figure reads.
+def _check_numbers(record, names: tuple[str, ...], where: str) -> None:
+    """Raise ValueError unless ``record`` is an object whose ``names`` are numbers.
 
-    A missing field raises KeyError; an empty or non-list ``points``, a
-    point that is not an object and a field that is not a number raise
-    ValueError, naming the point by its 1-based position.
+    A missing field raises KeyError; ``where`` names the record in the
+    message.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not an object: {record!r}")
+    for name in names:
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where}: {name} is not a number: {value!r}")
+
+
+def _plotted_parts(report: dict) -> tuple[list[dict], list[dict], dict | None]:
+    """The report's points, ``qm_band`` entries and ``fit``, checked.
+
+    These are the fields the figure reads.  A missing field raises
+    KeyError; an empty or non-list ``points``, a non-list ``qm_band``, a
+    point, band entry or fit that is not an object, and a field that is not
+    a number raise ValueError, naming points and band entries by their
+    1-based position.
     """
     points = report.get("points", [])
     if not isinstance(points, list) or not points:
         raise ValueError("report has no points to plot")
     for number, point in enumerate(points, start=1):
-        if not isinstance(point, dict):
-            raise ValueError(f"point {number} is not an object: {point!r}")
-        for name in _POINT_NUMBERS:
-            value = point[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"point {number}: {name} is not a number: {value!r}")
-    return points
+        _check_numbers(point, _POINT_NUMBERS, f"point {number}")
+    band = report.get("qm_band") or []
+    if not isinstance(band, list):
+        raise ValueError(f"qm_band is not a list: {band!r}")
+    for number, entry in enumerate(band, start=1):
+        _check_numbers(entry, _BAND_NUMBERS, f"qm_band entry {number}")
+    fit = report.get("fit")
+    if fit is not None:
+        _check_numbers(fit, _FIT_NUMBERS, "fit")
+    return points, band, fit
 
 
 def render_report(report: dict) -> str:
     """Render a report dict (see heraldsim.report) to an SVG string."""
-    points = _plotted_points(report)
+    points, band, fit = _plotted_parts(report)
 
     corrected = any(p.get("background_subtracted") for p in points)
-    band = report.get("qm_band") or []
-    fit = report.get("fit")
 
     xs = [p["x_rate"] for p in points]
     y_candidates = [p["g2_raw"] + p["sigma_raw"] for p in points]

@@ -5,10 +5,13 @@ pair-number probabilities come from scipy, click probabilities from
 explicit series summation, first-passage laws from a literal per-step
 Euler walk, and coincidence counts from a per-bin loop.  Agreement between these and the production code
 is then a genuine cross-check, not a tautology.  ``merge`` joins two
-segment tables, for the split-and-rejoin checks of counting.
+segment tables, for the split-and-rejoin checks of counting, and
+``pattern_counts`` takes the pattern census of click arrays.
 ``reference_pcsft_cells`` is the pcsft census as it drew before it skipped
 the coupling stream where no pair can convert: every stream keyed, every
-draw made.
+draw made.  ``mechanistic_qm_clicks`` walks the photon model's physical
+chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
+thinning, per-bin noise), the oracle of the law both qm samplers draw from.
 """
 
 from __future__ import annotations
@@ -113,6 +116,17 @@ def euler_exit_steps(rng: np.random.Generator, barrier: float, step_std,
         out[crossed] = step
         alive[crossed] = False
     return out
+
+
+def bin_patterns(herald, sig1, sig2) -> np.ndarray:
+    """Each bin's joint click pattern, (h << 2) | (s1 << 1) | s2."""
+    return ((herald.astype(np.int64) << 2) | (sig1.astype(np.int64) << 1)
+            | sig2.astype(np.int64))
+
+
+def pattern_counts(herald, sig1, sig2) -> np.ndarray:
+    """Bins per joint click pattern, indexed as :func:`bin_patterns`."""
+    return np.bincount(bin_patterns(herald, sig1, sig2), minlength=8)
 
 
 def brute_force_counts(streams: ClickStreams) -> CoincidenceCounts:
@@ -220,3 +234,49 @@ def reference_pcsft_cells(cfg: ExperimentConfig, segment_index: int,
                 cells[cell | bit] += flipped
 
     return np.array(cells, dtype=np.int64)
+
+
+def sample_pair_counts(rng: np.random.Generator, size: int,
+                       pair_mean: float, mode_count: int = 1) -> np.ndarray:
+    """Draw per-bin pair numbers for ``size`` bins (negative binomial)."""
+    if pair_mean == 0.0:
+        return np.zeros(size, dtype=np.int64)
+    m = pair_mean / mode_count
+    return rng.negative_binomial(mode_count, 1.0 / (1.0 + m), size=size)
+
+
+def mechanistic_qm_clicks(cfg: ExperimentConfig, segment_index: int,
+                          n_bins: int | None = None, point_index: int = 0,
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The photon model's chain, bin by bin: the oracle of its click law.
+
+    Per bin: a pair number, each idler photon reaching the herald with
+    eta_h, each signal photon surviving the attenuator, picking a splitter
+    output and being detected, then independent noise OR-ed into each
+    channel from its own stream.  Returns boolean (herald, signal_1,
+    signal_2) arrays; a fresh generator per (point, segment, role).
+    """
+    if n_bins is None:
+        n_bins = cfg.segment_bins
+    src, opt = cfg.source, cfg.optics
+
+    def rng(role):
+        return rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
+
+    pairs = sample_pair_counts(rng(Role.SOURCE), n_bins, src.pair_mean_per_bin,
+                               src.mode_count)
+    occupied = np.flatnonzero(pairs)
+    n_occ = pairs[occupied]
+    clicks = [np.zeros(n_bins, dtype=bool) for _ in range(3)]
+    if occupied.size:
+        clicks[0][occupied] = rng(Role.HERALD).binomial(n_occ, opt.eta_h) > 0
+        rng_s = rng(Role.SIGNAL_1)
+        passed = rng_s.binomial(n_occ, opt.attenuation)
+        to_1 = rng_s.binomial(passed, opt.splitter_ratio)
+        clicks[1][occupied] = rng_s.binomial(to_1, opt.eta_1) > 0
+        clicks[2][occupied] = rng_s.binomial(passed - to_1, opt.eta_2) > 0
+    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
+    for arr, p, role in zip(clicks, noise_probabilities(cfg), roles):
+        if p:
+            arr |= rng(role).random(n_bins) < p
+    return tuple(clicks)

@@ -21,7 +21,7 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             validate_config, with_attenuation)
 from heraldsim.runner import SweepPlan, run_counts, run_sweep
 
-from helpers import brute_force_counts, merge
+from helpers import brute_force_counts, merge, sample_pair_counts
 
 BIN = 20.83e-9
 
@@ -96,8 +96,8 @@ def test_c01_first_passage_law(capsys):
 # ---------------------------------------------------------------------------
 
 def _pair_gof_p(stream: int, mode_count: int) -> float:
-    draws = qm.sample_pair_counts(rng_stream(9102, stream), 10_000_000, 0.5,
-                                  mode_count)
+    draws = sample_pair_counts(rng_stream(9102, stream), 10_000_000, 0.5,
+                               mode_count)
     observed = np.bincount(draws)
     expected = qm.pair_prob(np.arange(observed.size + 40), 0.5,
                             mode_count) * draws.size
@@ -113,8 +113,8 @@ def _doubles_ratio(stream: int, mode_count: int) -> float:
     """Empirical P(2) / P(1)^2 at pair_mean 0.02 over 5e7 draws."""
     cells = np.zeros(4, dtype=np.int64)
     for chunk in range(5):
-        draws = qm.sample_pair_counts(rng_stream(9103, (stream << 8) | chunk),
-                                      10_000_000, 0.02, mode_count)
+        draws = sample_pair_counts(rng_stream(9103, (stream << 8) | chunk),
+                                   10_000_000, 0.02, mode_count)
         cells += np.bincount(np.minimum(draws, 3), minlength=4)
     total = 5e7
     return (cells[2] / total) / (cells[1] / total) ** 2

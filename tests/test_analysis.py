@@ -13,8 +13,7 @@ import heraldsim
 from heraldsim.analysis import (FitResult, G2Estimate, InsufficientStatistics,
                                 background_subtract, corrected_rate,
                                 herald_efficiency, heralded_g2,
-                                klyshko_efficiency, segmented_g2,
-                                weighted_linear_fit)
+                                klyshko_efficiency, weighted_linear_fit)
 from heraldsim.coincidence import (CoincidenceCounts, counts_from_cells,
                                    segment_table)
 from heraldsim.core import OpticsConfig
@@ -67,61 +66,6 @@ class TestHeraldedG2:
             heralded_g2(make_counts(N_H=10**6, N_H1=0, N_H2=1000, N_H12=1))
         with pytest.raises(InsufficientStatistics):
             heralded_g2(make_counts())
-
-
-class TestSegmentedG2:
-    def test_single_segment_matches_whole_run(self):
-        counts = make_counts(N_H=10**6, N_H1=1000, N_H2=1000, N_H12=2)
-        whole = heralded_g2(counts)
-        pooled = segmented_g2(counts, block_size=1)
-        assert pooled.value == whole.value
-        assert pooled.sigma == pytest.approx(whole.sigma, rel=1e-12)
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError, match="block_size"):
-            segmented_g2(make_counts(N_H=10, N_H1=1, N_H2=1), block_size=0)
-
-    def test_no_segments(self):
-        with pytest.raises(InsufficientStatistics):
-            segmented_g2(CoincidenceCounts(bin_width=BIN,
-                                           segments=segment_table()))
-
-    def test_empty_blocks_are_skipped(self):
-        good = (0, 10**6, 10**6, 0, 0, 1000, 1000, 0, 2)
-        dead = (1, 10**6, 0, 0, 0, 0, 0, 0, 0)
-        counts = CoincidenceCounts(bin_width=BIN,
-                                   segments=segment_table([good, dead]))
-        assert segmented_g2(counts, block_size=1).value == 2.0
-
-    def test_all_blocks_empty(self):
-        with pytest.raises(InsufficientStatistics, match="block"):
-            segmented_g2(make_counts(n_bins=10**6))
-
-    def test_drift_immunity(self):
-        # Second epoch has double the arm efficiency; each epoch alone
-        # measures exactly 1, but the whole-run ratio mixes them into 10/9.
-        epoch_a = (0, 10**8, 10**6, 0, 0, 1000, 1000, 0, 1)
-        epoch_b = (1, 10**8, 10**6, 0, 0, 2000, 2000, 0, 4)
-        counts = CoincidenceCounts(bin_width=BIN,
-                                   segments=segment_table([epoch_a, epoch_b]))
-        whole = heralded_g2(counts)
-        pooled = segmented_g2(counts, block_size=1)
-        assert whole.value == pytest.approx(10.0 / 9.0, rel=1e-12)
-        assert pooled.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_stationary_input_agrees_with_whole_run(self):
-        rng = np.random.default_rng(7001)
-        segments = segment_table(
-            (i, 100_000, int(rng.poisson(5000)), 300, 300,
-             int(rng.poisson(250)), int(rng.poisson(250)), 20,
-             int(rng.poisson(12.5)))
-            for i in range(200))
-        counts = CoincidenceCounts(bin_width=BIN, segments=segments)
-        whole = heralded_g2(counts)
-        pooled = segmented_g2(counts, block_size=10)
-        assert abs(pooled.value - whole.value) < 0.05
-        assert pooled.sigma == pytest.approx(whole.sigma, rel=0.1)
-        assert abs(pooled.value - 1.0) < 3.0 * pooled.sigma
 
 
 class TestEfficiencyEstimators:

@@ -205,6 +205,38 @@ class TestStreamedSimulate:
             assert ((tmp_path / "streamed" / name).read_bytes()
                     == (tmp_path / "memory" / name).read_bytes()), name
 
+    @pytest.mark.parametrize("model,attenuation,sign", [
+        ("qm", 1.0, 0), ("pcsft", 1.0, -1), ("pcsft", 0.5, 1)],
+        ids=["qm", "pcsft-adds-coincidences", "pcsft-removes-coincidences"])
+    def test_counts_are_the_census_table(self, tmp_path, monkeypatch, model,
+                                         attenuation, sign):
+        # Each segment's clicks are its census placed, so simulate's
+        # counts.csv is the census route's table byte for byte: here with
+        # noise on every channel, uneven segments, and pcsft coupling
+        # converting bin pairs in the direction ``sign`` gives.
+        moves, convert = [], pcsft._conversion_count
+
+        def recorded(*args):
+            result = convert(*args)
+            moves.append(result[0])
+            return result
+        monkeypatch.setattr(pcsft, "_conversion_count", recorded)
+        ini = STREAMED_MODELS[model].replace(
+            "coupling = 0.5", "coupling = 1.0").replace(
+            "splitter_ratio = 0.5", f"splitter_ratio = 0.5\nattenuation = {attenuation}")
+        for channel, rate in (("h", "1e5"), ("1", "2e5"), ("2", "3e5")):
+            ini = ini.replace(f"dark_rate_{channel} = 150", f"dark_rate_{channel} = {rate}")
+        ini = ini.replace("segment_bins = 5000", "segment_bins = 4999")
+        cfg, _ = write_inputs(tmp_path, ini)
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        write_segment_csv(run_counts(load_config(cfg)), tmp_path / "census.csv")
+        assert ((tmp_path / "out" / "counts.csv").read_bytes()
+                == (tmp_path / "census.csv").read_bytes())
+        if sign:  # four full segments per route convert; the 4-bin one may not
+            assert all(m * sign >= 0 for m in moves)
+            assert sum(m != 0 for m in moves) >= 8
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
@@ -478,20 +510,39 @@ class TestPlot:
             f"error: {bogus}: missing key 'g2_raw'\n")
         assert not (tmp_path / "fig.svg").exists()
 
-    @pytest.mark.parametrize("case,message", [
-        ("point-not-an-object", "point 1 is not an object: 1"),
-        ("string-sigma-raw", "point 3: sigma_raw is not a number: 'wide'"),
-        ("no-points", "report has no points to plot"),
-    ], ids=["point-not-an-object", "string-sigma-raw", "no-points"])
+    # Each case edits one field of a good report, then names the error.
+    MALFORMED = {
+        "point-not-an-object": (lambda r: r.update(points=[1]),
+                                "point 1 is not an object: 1"),
+        "string-sigma-raw": (lambda r: r["points"][2].update(sigma_raw="wide"),
+                             "point 3: sigma_raw is not a number: 'wide'"),
+        "no-points": (lambda r: r.update(points=[]),
+                      "report has no points to plot"),
+        "string-fit-slope": (lambda r: r["fit"].update(slope="steep"),
+                             "fit: slope is not a number: 'steep'"),
+        "string-fit-intercept": (lambda r: r["fit"].update(intercept="0.1"),
+                                 "fit: intercept is not a number: '0.1'"),
+        "null-band-x": (lambda r: r["qm_band"][0].update(x=None),
+                        "qm_band entry 1: x is not a number: None"),
+        "null-band-lower": (lambda r: r["qm_band"][1].update(lower=None),
+                            "qm_band entry 2: lower is not a number: None"),
+        "null-band-upper": (lambda r: r["qm_band"][2].update(upper=None),
+                            "qm_band entry 3: upper is not a number: None"),
+        "string-band-upper": (lambda r: r["qm_band"][0].update(upper="high"),
+                              "qm_band entry 1: upper is not a number: 'high'"),
+        "band-entry-not-an-object": (lambda r: r["qm_band"].append("wide"),
+                                     "qm_band entry 4 is not an object: 'wide'"),
+        "band-not-a-list": (lambda r: r.update(qm_band={"x": 1.0}),
+                            "qm_band is not a list: {'x': 1.0}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_points_are_errors_naming_the_file(
-            self, sweep_out, tmp_path, capsys, case, message):
+            self, sweep_out, tmp_path, capsys, case):
+        edit, message = self.MALFORMED[case]
         payload = json.loads((sweep_out / "report.json").read_text())
-        if case == "point-not-an-object":
-            payload["points"] = [1]
-        elif case == "string-sigma-raw":
-            payload["points"][2]["sigma_raw"] = "wide"
-        else:
-            payload["points"] = []
+        assert payload["fit"] is not None and len(payload["qm_band"]) == 3
+        edit(payload)
         bogus = tmp_path / "report.json"
         bogus.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["plot", "--report", str(bogus),

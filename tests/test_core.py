@@ -11,13 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from heraldsim.coincidence import accumulate
 from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
-                            arm_efficiencies, config_from_dict, config_to_dict,
+                            arm_efficiencies, clicks_from_cells,
+                            config_from_dict, config_to_dict,
                             noise_probabilities, parse_config, rng_stream,
                             stream_id, validate_config, with_attenuation)
+from heraldsim.streams import ClickStreams
+
+from helpers import bin_patterns, pattern_counts
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -496,3 +503,108 @@ class TestRandomStreams:
         cfg = make_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.seed = 1
+
+
+class _SortedChoice:
+    """A generator whose ``choice`` returns its positions sorted.
+
+    Block assignment of sorted positions puts every pattern in its own
+    stretch of the segment: the placement a uniformity test must reject.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def choice(self, *args, **kwargs):
+        return np.sort(self.rng.choice(*args, **kwargs))
+
+
+class TestClicksFromCells:
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.integers(0, 300), min_size=8, max_size=8)
+           .filter(lambda c: sum(c) > 0),
+           seed=st.integers(0, 2**32))
+    @example(cells=[0, 0, 0, 0, 0, 0, 0, 13], seed=1)        # one pattern, k = 0
+    @example(cells=[2, 3, 0, 5, 40, 0, 1, 9], seed=2)       # fill pattern 4
+    @example(cells=[0, 0, 0, 0, 0, 7, 0, 0], seed=3)        # single bin kind
+    @example(cells=[1, 0, 0, 0, 0, 0, 0, 0], seed=4)        # a one-bin segment
+    def test_recount_is_the_census(self, cells, seed):
+        n_bins = sum(cells)
+        clicks = clicks_from_cells(np.array(cells), n_bins, rng_stream(seed, 1))
+        assert all(c.dtype == bool and c.shape == (n_bins,) for c in clicks)
+        np.testing.assert_array_equal(pattern_counts(*clicks), cells)
+        packed = ClickStreams.from_bools(*clicks, bin_width=BIN_WIDTH_DEFAULT)
+        row = accumulate(packed).segments.item(0)
+        assert row[1:3] == (n_bins, sum(cells[4:]))
+        if n_bins % 8:  # .pstm pad bits
+            for channel in (packed.herald, packed.signal_1, packed.signal_2):
+                assert channel[-1] >> (n_bins % 8) == 0
+
+    def test_single_pattern_draws_nothing(self):
+        class NoDraws:
+            def choice(self, *args, **kwargs):
+                raise AssertionError("placement drawn for a one-pattern census")
+
+        clicks = clicks_from_cells([0, 0, 0, 0, 0, 0, 500, 0], 500, NoDraws())
+        assert [c.all() for c in clicks] == [True, True, False]
+
+    def test_rejects_a_census_of_another_length(self):
+        with pytest.raises(ValueError, match="summing to 100"):
+            clicks_from_cells([90, 1, 1, 1, 1, 1, 1, 1], 100, rng_stream(0, 1))
+        with pytest.raises(ValueError, match="8 pattern cells"):
+            clicks_from_cells([100], 100, rng_stream(0, 1))
+
+    @staticmethod
+    def placement_statistics(make_rng, n_segments=2000, n_bins=1000, m=100):
+        """Pull of two placement statistics over ``n_segments`` segments.
+
+        The census fills ``n_bins - 2m`` bins with pattern 0 and places m
+        bins each of patterns 3 and 5.  Returns (mean-position pull,
+        adjacency pull), each a z-score under uniform placement:
+
+        - the mean position of pattern 3's bins minus pattern 5's, summed
+          over segments.  Under uniform placement it has mean 0 and, per
+          segment, variance 2 s^2 (n - m) / (m (n - 1)) + 2 s^2 / (n - 1)
+          with s^2 = (n^2 - 1) / 12 (sampling without replacement, and the
+          covariance of two disjoint samples);
+        - the sum over adjacent bin pairs of y_i y_(i+1), with y = +1 on
+          pattern 3, -1 on pattern 5 and 0 on the fill.  Under uniform
+          placement its mean is -2m/n per segment, and its variance about
+          the number of adjacent placed pairs, k (k - 1) / n with k = 2m.
+
+        Sorted-block placement puts pattern 3 on the lowest placed
+        positions: the mean-position gap is about -n/3 per segment and
+        nearly every adjacent placed pair matches, which at these sizes
+        reads about -500 and +280 standard deviations, so a 5 sigma gate
+        rejects it with certainty; uniform placement passes it with
+        probability 1 - 6e-7 per statistic.
+        """
+        cells = [n_bins - 2 * m, 0, 0, m, 0, m, 0, 0]
+        gap = adjacency = 0.0
+        for segment in range(n_segments):
+            patterns = bin_patterns(
+                *clicks_from_cells(cells, n_bins, make_rng(segment)))
+            where = np.arange(n_bins)
+            gap += where[patterns == 3].mean() - where[patterns == 5].mean()
+            y = (patterns == 3).astype(np.int64) - (patterns == 5)
+            adjacency += int(y[:-1] @ y[1:])
+        s2 = (n_bins ** 2 - 1) / 12.0
+        gap_var = (2 * s2 * (n_bins - m) / (m * (n_bins - 1))
+                   + 2 * s2 / (n_bins - 1))
+        k = 2 * m
+        gap_pull = gap / np.sqrt(n_segments * gap_var)
+        adjacency_pull = ((adjacency + n_segments * 2 * m / n_bins)
+                          / np.sqrt(n_segments * k * (k - 1) / n_bins))
+        return gap_pull, adjacency_pull
+
+    def test_placement_is_uniform(self):
+        pulls = self.placement_statistics(
+            lambda segment: rng_stream(2024, stream_id(segment, Role.PLACEMENT)))
+        assert all(abs(z) < 5.0 for z in pulls), pulls
+
+    def test_sorted_block_placement_fails_the_uniformity_test(self):
+        pulls = self.placement_statistics(
+            lambda segment: _SortedChoice(
+                rng_stream(2024, stream_id(segment, Role.PLACEMENT))),
+            n_segments=200)
+        assert all(abs(z) > 5.0 for z in pulls), pulls

@@ -14,7 +14,7 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.runner import simulate_run
 
-from helpers import euler_exit_steps, reference_pcsft_cells
+from helpers import euler_exit_steps, pattern_counts, reference_pcsft_cells
 
 BIN = 20.83e-9
 
@@ -74,12 +74,6 @@ incident_power = 7.3e7
 diffusion_step = 2.08e-11
 coupling = 0.5
 """
-
-
-def pattern_counts(herald, sig1, sig2) -> np.ndarray:
-    """Bins per joint click pattern, indexed (h << 2) | (s1 << 1) | s2."""
-    index = (herald.astype(np.int64) << 2) | (sig1.astype(np.int64) << 1) | sig2
-    return np.bincount(index, minlength=8)
 
 
 class TestMeanFirstPassage:

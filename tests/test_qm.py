@@ -8,7 +8,8 @@ from heraldsim import qm
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             SourceConfig, rng_stream)
 
-from helpers import nb_pmf, series_no_click, series_pattern_probs
+from helpers import (mechanistic_qm_clicks, nb_pmf, pattern_counts,
+                     sample_pair_counts, series_no_click, series_pattern_probs)
 
 
 def make_config(mu, mode_count=1, eta_h=0.26, eta_1=0.075, eta_2=0.055,
@@ -107,11 +108,11 @@ def _pair_sampler_gof_p(seed: int, mu: float, mode_count: int,
 
 class TestSamplePairCounts:
     def test_zero_mean_always_zero(self):
-        draws = qm.sample_pair_counts(rng_stream(0, 0), 1000, 0.0, 3)
+        draws = sample_pair_counts(rng_stream(0, 0), 1000, 0.0, 3)
         assert not draws.any()
 
     def test_empirical_mean(self):
-        draws = qm.sample_pair_counts(rng_stream(7, 0), 10**6, 0.1, 3)
+        draws = sample_pair_counts(rng_stream(7, 0), 10**6, 0.1, 3)
         # sigma of the mean is 3.2e-4; allow 5 sigma.
         assert draws.mean() == pytest.approx(0.1, abs=1.6e-3)
 
@@ -248,13 +249,25 @@ class TestSamplers:
         assert not np.array_equal(a, b)
 
     def test_noise_streams_do_not_disturb_other_channels(self):
+        # The mechanistic chain draws each channel's noise from its own
+        # stream, so noise on detector 2 leaves the other channels' bins
+        # as they were.  The samplers draw one census from the joint law,
+        # so for them the statement is one of law: the (herald, signal 1)
+        # census of the noisy config follows the quiet config's marginal.
         quiet = make_config(0.05, seed=9)
         noisy = make_config(0.05, dark=(0.0, 0.0, 1e5), seed=9)
-        h_a, s1_a, _ = qm.segment_clicks(quiet, 0, 20_000)
-        h_b, s1_b, s2_b = qm.segment_clicks(noisy, 0, 20_000)
+        h_a, s1_a, _ = mechanistic_qm_clicks(quiet, 0, 20_000)
+        h_b, s1_b, s2_b = mechanistic_qm_clicks(noisy, 0, 20_000)
         np.testing.assert_array_equal(h_a, h_b)
         np.testing.assert_array_equal(s1_a, s1_b)
         assert s2_b.sum() > 0
+
+        n_bins = 10**6
+        h, s1, s2 = qm.segment_clicks(noisy, 0, n_bins)
+        pairs = np.bincount((h.astype(np.int64) << 1) | s1, minlength=4)
+        marginal = qm.joint_pattern_probabilities(quiet).reshape(4, 2).sum(axis=1)
+        assert stats.chisquare(pairs, marginal * n_bins).pvalue > 0.001
+        assert s2.sum() > n_bins * qm.joint_pattern_probabilities(quiet)[1::2].sum()
 
     def test_cells_sum_to_bin_count(self):
         cells = qm.segment_cells(make_config(0.05), 5, 33_333)
@@ -268,22 +281,36 @@ class TestSamplers:
 
 
 class TestDualRouteEquivalence:
-    """Both samplers must realise the same exact per-bin law."""
+    """Both samplers and the mechanistic chain realise one per-bin law."""
+
+    CONFIG = make_config(0.05, mode_count=2, eta_h=0.4, eta_1=0.5, eta_2=0.45,
+                         attenuation=0.8, splitter_ratio=0.6,
+                         dark=(150.0, 150.0, 150.0), seed=3101)
 
     def test_pattern_frequencies_match_law(self):
-        cfg = make_config(0.05, mode_count=2, eta_h=0.4, eta_1=0.5,
-                          eta_2=0.45, attenuation=0.8, splitter_ratio=0.6,
-                          dark=(150.0, 150.0, 150.0), seed=3101)
+        # One chi-square test per route at 200 000 bins: the chain (the
+        # oracle), the click route and the census, each against the law.
+        cfg = self.CONFIG
         n_bins = 200_000
-        law = qm.joint_pattern_probabilities(cfg)
-        expected = law * n_bins
+        expected = qm.joint_pattern_probabilities(cfg) * n_bins
         assert expected.min() > 5.0
 
-        herald, sig1, sig2 = qm.segment_clicks(cfg, 0, n_bins)
-        patterns = ((herald.astype(np.int64) << 2)
-                    | (sig1.astype(np.int64) << 1) | sig2.astype(np.int64))
-        from_clicks = np.bincount(patterns, minlength=8)
-        from_cells = qm.segment_cells(cfg, 1, n_bins)
+        from_chain = pattern_counts(*mechanistic_qm_clicks(cfg, 0, n_bins))
+        from_clicks = pattern_counts(*qm.segment_clicks(cfg, 1, n_bins))
+        from_cells = qm.segment_cells(cfg, 2, n_bins)
 
-        assert stats.chisquare(from_clicks, expected).pvalue > 0.001
-        assert stats.chisquare(from_cells, expected).pvalue > 0.001
+        for census in (from_chain, from_clicks, from_cells):
+            assert census.sum() == n_bins
+            assert stats.chisquare(census, expected).pvalue > 0.001
+
+    def test_clicks_recount_to_their_census(self):
+        # The click route is its census placed: the same draw, not just
+        # the same law, for every segment and point.
+        law = qm.sampling_law(self.CONFIG)
+        for segment, point, n_bins in ((0, 0, 48_000), (7, 3, 12_345), (2, 1, 1)):
+            clicks = qm.segment_clicks(self.CONFIG, segment, n_bins,
+                                       point_index=point, law=law)
+            np.testing.assert_array_equal(
+                pattern_counts(*clicks),
+                qm.segment_cells(self.CONFIG, segment, n_bins,
+                                 point_index=point, law=law))
