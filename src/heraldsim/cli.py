@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--bins", type=int, default=None,
                      help="override the per-point bin budget")
-    swp.add_argument("--threads", type=int, default=1)
+    swp.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect (the "
+                     "census runs on one thread)")
     swp.add_argument("--background", default=None,
                      help="counts JSON from a source-off run")
 
@@ -114,15 +116,15 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Each segment is written and counted as it arrives, so memory does not
-    # grow with the run length.
+    # Each segment is written as it arrives, so memory does not grow with
+    # the run length; its row is the census the segment placed.
     bin_width = cfg.detectors.bin_width
     with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
             closing(runner.segment_streams(cfg, threads=args.threads)) as parts:
         def rows():
-            for index, part in enumerate(parts):
+            for row, part in parts:
                 writer.append(part)
-                yield runner.segment_row(part, index)
+                yield row
         counts = CoincidenceCounts(bin_width, segment_table(rows()))
 
     write_sparse_csv(out / "streams.pstm", out / "clicks.csv")
@@ -189,7 +191,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
 
     def written():
-        for point in runner.run_sweep(cfg, plan, threads=args.threads):
+        for point in runner.run_sweep(cfg, plan):
             stem = out / f"point_{point.point_index:03d}"
             write_segment_csv(point.counts, stem.with_suffix(".csv"))
             write_counts_json(point.counts, stem.with_suffix(".json"),

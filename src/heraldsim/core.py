@@ -269,16 +269,18 @@ class Role:
     still reproduce bit for bit.
     """
 
-    SOURCE = 0       # the census multinomial / envelope gains (field model)
-    HERALD = 1       # per-bin herald clicks of the envelope click route
-    SIGNAL_1 = 2     # per-bin signal 1 clicks of the envelope click route
-    SIGNAL_2 = 3     # per-bin signal 2 clicks of the envelope click route
+    SOURCE = 0       # the census multinomial
+    # Ids 1-3 are kept.  Only the per-bin oracles of the test suite draw
+    # HERALD, SIGNAL_1 and SIGNAL_2; id 1 is also PLACEMENT.
+    HERALD = 1
+    SIGNAL_1 = 2
+    SIGNAL_2 = 3
     NOISE_H = 4      # herald dark + background draws
     NOISE_1 = 5
     NOISE_2 = 6
     COUPLING = 7     # splitter energy-budget conversion draws
-    # Where every other click route places its census (clicks_from_cells).
-    # It shares HERALD's id: no segment keys both, and no census keys it.
+    # Where the click route places its census (clicks_from_cells).  It
+    # shares HERALD's id, which no census keys.
     PLACEMENT = HERALD
 
     COUNT = 8
@@ -566,21 +568,6 @@ def noise_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
         # when only one process is active.
         out.append(p_d + p_b - p_d * p_b)
     return tuple(out)
-
-
-def _noise_masks(cfg: ExperimentConfig, n_bins: int, segment_index: int,
-                 point_index: int = 0, probs=None) -> list[Optional[np.ndarray]]:
-    """Per-channel noise click masks for one segment (None where rate is 0).
-
-    The envelope click route's noise.  Channels draw from their own
-    noise-role streams, so enabling noise on one channel never shifts
-    another channel's draws.  ``probs`` is :func:`noise_probabilities` of
-    ``cfg``, computed here when omitted.
-    """
-    probs = noise_probabilities(cfg) if probs is None else probs
-    rngs = _segment_rngs(cfg, segment_index, point_index)
-    return [None if p == 0.0 else rngs(role).random(n_bins) < p
-            for p, role in zip(probs, (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2))]
 
 
 def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,

@@ -11,21 +11,31 @@ the beginning of the bin's pulse window, leaves the band
 Closed forms
 ------------
 :func:`crossing_probability` gives the click probability per bin (scalar
-or per-bin power arrays), :func:`mean_first_passage` the unconstrained
+or per-node power arrays), :func:`mean_first_passage` the unconstrained
 mean exit time ``threshold_energy / power``.
+
+Intensity envelope
+------------------
+With ``envelope_modes`` = k, a bin's powers carry one common gain
+theta ~ Gamma(k, 1/k), so its field pattern law is the mixture
+E_theta[prod_c f_c(theta)^{s_c} (1 - f_c(theta))^{1 - s_c}], computed by
+the trapezoid rule in u = ln(theta) (Trefethen & Weideman, SIAM Rev. 56,
+2014): 128 nodes a step h apart on |u| <= 12 / sqrt(k), weights
+h k^k / Gamma(k) exp(k u - k e^u).  The mass off the grid (5.6e-6 at
+k = 1, all at theta < e^-12, where no channel can click) goes to the
+silent pattern; the other cells agree with adaptive quadrature to 2e-11
+relative for k = 1 to 1000.  No envelope is the one node theta = 1.
 
 Sampling
 --------
 :func:`segment_cells` draws a segment's census of the eight click
-patterns: a multinomial over the continuum click probabilities of
-:func:`crossing_probability`, then the splitter coupling and the noise,
-each acting on the census.  :func:`segment_clicks` places that census in a
+patterns: a multinomial over the field pattern law of
+:func:`sampling_law`, then the splitter coupling and the noise, each
+acting on the census.  :func:`segment_clicks` places that census in a
 uniformly random order (:func:`heraldsim.core.clicks_from_cells`).  That is
-the law of the per-bin mechanism: independent bins, conversions at
-uniformly chosen bins and independent per-bin noise leave the bin sequence
-exchangeable.  An intensity envelope has no census; with one,
-:func:`segment_clicks` draws each bin's gain and each channel's click
-itself.  :func:`first_passage_times` samples exit
+the law of the per-bin mechanism: independent bins (each with its own
+gain), conversions at uniformly chosen bins and independent per-bin noise
+leave the bin sequence exchangeable.  :func:`first_passage_times` samples exit
 times themselves on an Euler grid with :func:`discrete_exit_steps`, which
 is identical in law to stepping every Euler point but strides over quiet
 stretches in adaptive blocks (one Gaussian draw per block) and
@@ -65,7 +75,6 @@ import numpy as np
 from .core import (
     ExperimentConfig,
     Role,
-    _noise_masks,
     _segment_rngs,
     arm_efficiencies,
     clicks_from_cells,
@@ -110,7 +119,9 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     """``math`` function ``fn`` on each element of the 1-d array ``x``.
 
     Keeps the values bit-identical to scalar calls: numpy's vectorised
-    ``exp`` can differ from ``math.exp`` in the last place.
+    ``exp`` can differ from ``math.exp`` in the last place.  The longest
+    arrays the package passes are the envelope's 128 gain nodes per
+    channel, evaluated once per run by :func:`sampling_law`.
     """
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
@@ -180,7 +191,8 @@ def crossing_probability(threshold_energy: float, power: float | np.ndarray,
 
     This is the per-bin click probability of a detector receiving ``power``
     with pulse window ``horizon``.  ``power`` is a scalar (float result) or
-    an array of per-bin powers (array result); power <= 0 never clicks.
+    an array of powers, such as the envelope's quadrature nodes (array
+    result, bit-identical to scalar calls); power <= 0 never clicks.
     """
     if threshold_energy <= 0.0:
         raise ValueError("threshold_energy must be > 0")
@@ -294,21 +306,41 @@ def first_passage_times(rng: np.random.Generator, threshold_energy: float,
 # Per-bin click law
 # ---------------------------------------------------------------------------
 
-def field_click_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
-    """Continuum field click probability per bin for (herald, det 1, det 2).
+def _node_clicks(cfg: ExperimentConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gain-node weights and each channel's click probability at every node.
 
-    Noise is not included; arm transmissions scale the power reaching each
-    detector.
+    The nodes and weights of the envelope's trapezoid rule (module
+    docstring), in ``math`` functions so that numpy's vectorised ``exp``
+    cannot move them; without an envelope, theta = 1 with weight 1.
     """
     pc = cfg.pcsft
     if pc is None:
         raise ValueError("configuration has no pcsft block")
-    shares = arm_efficiencies(cfg)
-    return tuple(
-        crossing_probability(pc.threshold_energy, pc.incident_power * a,
-                             pc.pulse_duration)
-        for a in shares
-    )
+    k = pc.envelope_modes
+    if k is None:
+        theta = weight = np.ones(1)
+    else:
+        u = np.linspace(-12.0 / math.sqrt(k), 12.0 / math.sqrt(k), 128).tolist()
+        log_norm = k * math.log(k) - math.lgamma(k)
+        theta = np.array([math.exp(x) for x in u])
+        weight = (u[1] - u[0]) * np.array(
+            [math.exp(log_norm + k * (x - t)) for x, t in zip(u, theta.tolist())])
+    return weight, [crossing_probability(pc.threshold_energy,
+                                         pc.incident_power * a * theta,
+                                         pc.pulse_duration)
+                    for a in arm_efficiencies(cfg)]
+
+
+def field_click_probabilities(cfg: ExperimentConfig, nodes=None,
+                              ) -> tuple[float, float, float]:
+    """Continuum field click probability per bin for (herald, det 1, det 2).
+
+    Noise is not included; arm transmissions scale the power reaching each
+    detector, and an envelope's gain is averaged over.  ``nodes`` is
+    ``_node_clicks(cfg)``, computed when omitted.
+    """
+    weight, clicks = _node_clicks(cfg) if nodes is None else nodes
+    return tuple(math.fsum(weight * f) for f in clicks)
 
 
 def coupled_g2_target(cfg: ExperimentConfig, f=None) -> float:
@@ -327,8 +359,10 @@ def coupled_g2_target(cfg: ExperimentConfig, f=None) -> float:
 def coincidence_probability(cfg: ExperimentConfig, f=None) -> float:
     """Per-bin probability that both signal detectors field-click.
 
-    Independent product f1*f2 when coupling is off; otherwise the coupled
-    target g2 * f1 * f2, clipped to the range any joint law with the fixed
+    Independent product f1*f2 when coupling is off (under an envelope, the
+    census's no-conversion target; the mixture's own coincidences are in
+    :func:`pattern_probabilities`); otherwise the coupled target
+    g2 * f1 * f2, clipped to the range any joint law with the fixed
     marginals can realise.  ``f`` as in :func:`coupled_g2_target`.
     """
     f = field_click_probabilities(cfg) if f is None else f
@@ -345,23 +379,31 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Expected per-bin law over the 8 joint click patterns, noise included.
 
     Indexed (h << 2) | (s1 << 1) | s2, matching qm.joint_pattern_probabilities.
-    The envelope, if configured, is not reflected here (sampling only).
+    The coupling, which is never combined with an envelope, leaves the
+    herald independent of the signals and moves their coincidences to
+    :func:`coincidence_probability`.
     """
-    (f_h, f1, f2), q, _, noise = sampling_law(cfg)
-    field_law = np.outer([1.0 - f_h, f_h], [1.0 - f1 - f2 + q, f2 - q, f1 - q, q])
-    return _or_channels(field_law.ravel(), noise)
+    (f_h, f1, f2), q, field_law, noise = sampling_law(cfg)
+    if cfg.pcsft.coupling:
+        field_law = np.outer([1.0 - f_h, f_h],
+                             [1.0 - f1 - f2 + q, f2 - q, f1 - q, q]).ravel()
+    return _or_channels(field_law, noise)
 
 
 def sampling_law(cfg: ExperimentConfig) -> tuple:
     """What the samplers draw from, computed once per run by the runner.
 
     ``(f, q, field_law, noise)``: the :func:`field_click_probabilities`,
-    the :func:`coincidence_probability`, the pattern law of the independent
-    field clicks alone and the noise probabilities.
+    the :func:`coincidence_probability`, the pattern law of the field
+    clicks before coupling (independent clicks at each gain node, weighted,
+    the mass off the grid silent) and the noise probabilities.
     """
-    f = field_click_probabilities(cfg)
-    return (f, coincidence_probability(cfg, f), _or_channels((1.0,) + (0.0,) * 7, f),
-            noise_probabilities(cfg))
+    nodes = weight, clicks = _node_clicks(cfg)
+    f = field_click_probabilities(cfg, nodes)
+    field_law = sum(w * _or_channels((1.0,) + (0.0,) * 7, node)
+                    for w, node in zip(weight.tolist(), zip(*clicks)))
+    field_law[0] += 1.0 - math.fsum(weight)
+    return f, coincidence_probability(cfg, f), field_law, noise_probabilities(cfg)
 
 
 def _or_channels(law, probs) -> np.ndarray:
@@ -416,63 +458,34 @@ def _conversion_count(rngs: Callable[[int], np.random.Generator], n_11: int,
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
                    n_bins: int | None = None, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bin click sampler for one segment under the field model.
+    """Per-bin click sampler for one segment: its census in a random order.
 
-    Without an intensity envelope, the census :func:`segment_cells` draws
-    for the same arguments, placed in a uniformly random order from the
-    segment's placement stream, which the census never keys.  With one,
-    each bin draws a gain, each channel clicks with the
-    :func:`crossing_probability` of that bin's power, and noise is OR-ed
-    in last.  Streams follow the same (point, segment, role) discipline as
-    the photon model, drawn from the pooled generators of
+    The census :func:`segment_cells` draws for the same arguments, placed
+    in a uniformly random order from the segment's placement stream, which
+    the census never keys.  Streams follow the same (point, segment, role)
+    discipline as the photon model, drawn from the pooled generators of
     :func:`heraldsim.core.rng_stream`.  ``law`` is :func:`sampling_law` of
     ``cfg``, computed when omitted.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
-    pc = cfg.pcsft
-    if pc is None:
-        raise ValueError("configuration has no pcsft block")
-    rngs = _segment_rngs(cfg, segment_index, point_index)
-    if pc.envelope_modes is None:
-        cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
-        return clicks_from_cells(cells, n_bins, rngs(Role.PLACEMENT))
-
-    envelope = rngs(Role.SOURCE).gamma(shape=pc.envelope_modes,
-                                       scale=1.0 / pc.envelope_modes,
-                                       size=n_bins)
-    clicks = [rngs(role).random(n_bins) < crossing_probability(
-                  pc.threshold_energy, pc.incident_power * share * envelope,
-                  pc.pulse_duration)
-              for share, role in zip(arm_efficiencies(cfg),
-                                     (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2))]
-    masks = _noise_masks(cfg, n_bins, segment_index, point_index,
-                         probs=None if law is None else law[3])
-    for arr, mask in zip(clicks, masks):
-        if mask is not None:
-            arr |= mask
-    return tuple(clicks)
+    cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
+    rng = _segment_rngs(cfg, segment_index, point_index)(Role.PLACEMENT)
+    return clicks_from_cells(cells, n_bins, rng)
 
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    A multinomial over the continuum click probabilities; the coupling
-    conversion and the noise OR then act on the census with the
-    (hypergeometric / binomial) laws they induce on per-bin clicks.  Not
-    available with an intensity envelope, whose per-bin powers break the
-    common-census shortcut.  Streams and ``law`` as in
-    :func:`segment_clicks`, which places this census bin by bin.
+    A multinomial over the field pattern law (an envelope's mixture
+    included); the coupling conversion and the noise OR then act on the
+    census with the (hypergeometric / binomial) laws they induce on
+    per-bin clicks.  Streams and ``law`` as in :func:`segment_clicks`,
+    which places this census bin by bin.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
-    pc = cfg.pcsft
-    if pc is None:
-        raise ValueError("configuration has no pcsft block")
-    if pc.envelope_modes is not None:
-        raise ValueError("count-level sampling does not support envelope_modes")
-
     (_, f1, f2), q, field_law, p_noise = sampling_law(cfg) if law is None else law
     rngs = _segment_rngs(cfg, segment_index, point_index)
     # Python ints: the cell arithmetic below is scalar.

@@ -6,26 +6,18 @@ so segments can be produced in any order, on any number of workers, and
 the result is identical — ordering and thread count only affect wall
 time, never bytes.
 
-Two production routes per theory:
-
-* census route — per-segment pattern counts drawn directly from the joint
-  per-bin law (the models' ``segment_cells``), for count-only studies;
-* click route — per-bin click streams (needed when stream files are part
-  of the deliverable), yielded and counted segment by segment
-  (:func:`segment_streams`).  Outside envelope configs each segment is
-  its census placed in a uniformly random order, so counting it gives the
-  census route's row for the same configuration and seed, byte for byte.
-
-:func:`run_counts` takes the census, except for a pcsft config with an
-intensity envelope, which the census cannot represent; that one is counted
-on its own per-bin click route.  Threads parallelise the click route only:
-a census segment costs a few microseconds, mostly under the GIL, so it
-runs inline.
+Every segment is one draw of its model's census (``segment_cells``, the
+bins per joint click pattern).  :func:`run_counts` keeps only the census,
+one segment-table row each.  :func:`segment_streams` also places each
+census in a uniformly random order (:func:`heraldsim.core.clicks_from_cells`)
+and packs the clicks, for runs whose stream files are part of the
+deliverable; the row it yields with each segment is the census route's row
+for the same configuration and seed.  Threads parallelise the placing and
+packing only: a census costs a few microseconds, mostly under the GIL.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
-configuration — speculative segments computed by idle workers are simply
-discarded.
+configuration.
 """
 
 from __future__ import annotations
@@ -37,9 +29,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import pcsft, qm
-from .coincidence import CoincidenceCounts, accumulate, counts_from_cells, segment_table
-from .core import (ConfigError, ExperimentConfig, Theory, _field_types,
-                   _read_ini, _read_section, with_attenuation)
+from .coincidence import CoincidenceCounts, counts_from_cells, segment_table
+from .core import (ConfigError, ExperimentConfig, Role, Theory, _field_types,
+                   _read_ini, _read_section, _segment_rngs, clicks_from_cells,
+                   with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [
@@ -47,7 +40,6 @@ __all__ = [
     "SweepPoint",
     "segment_sizes",
     "segment_streams",
-    "segment_row",
     "simulate_run",
     "run_counts",
     "parse_sweep_plan",
@@ -64,8 +56,25 @@ def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
     return [segment_bins] * full + ([rest] if rest else [])
 
 
-# Each theory's module: its sampling_law, segment_clicks and segment_cells.
+# Each theory's module: its sampling_law and segment_cells.
 _MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
+
+
+def _census(cfg: ExperimentConfig, point_index: int,
+            ) -> tuple[list[int], Callable[[int], object]]:
+    """The run's segment sizes and segment index -> census of that segment.
+
+    The model's sampling law is computed once, here, and shared by every
+    segment.
+    """
+    model = _MODELS[cfg.theory]
+    law = model.sampling_law(cfg)
+    sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
+
+    def cells(index: int):
+        return model.segment_cells(cfg, index, n_bins=sizes[index],
+                                   point_index=point_index, law=law)
+    return sizes, cells
 
 
 def _map_segments(fn: Callable[[int], object], n_segments: int,
@@ -98,30 +107,28 @@ def _map_segments(fn: Callable[[int], object], n_segments: int,
 
 
 def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
-                    threads: int = 1) -> Iterator[ClickStreams]:
-    """Yield each segment's packed click streams, in index order.
+                    threads: int = 1,
+                    ) -> Iterator[tuple[tuple[int, ...], ClickStreams]]:
+    """Yield each segment's row and packed click streams, in index order.
 
-    At most ``2 * threads`` segments are in flight, so a consumer that
-    writes or counts each part as it arrives runs in memory that does not
-    grow with ``cfg.n_bins``.  The model's sampling law is computed once,
-    before the first segment.
+    The streams are the segment's census placed from its placement
+    stream, which the census never keys; the row is ``counts_from_cells``
+    of that census, so it is what counting the streams gives, and the
+    segment's row of :func:`run_counts`.  At most ``2 * threads`` segments
+    are in flight, so a consumer that writes each part as it arrives runs
+    in memory that does not grow with ``cfg.n_bins``.
     """
-    model = _MODELS[cfg.theory]
-    law = model.sampling_law(cfg)
-    sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
+    sizes, census = _census(cfg, point_index)
+    bin_width = cfg.detectors.bin_width
 
-    def one(index: int) -> ClickStreams:
-        clicks = model.segment_clicks(cfg, index, n_bins=sizes[index],
-                                      point_index=point_index, law=law)
-        return ClickStreams.from_bools(*clicks,
-                                       bin_width=cfg.detectors.bin_width)
+    def one(index: int) -> tuple[tuple[int, ...], ClickStreams]:
+        cells = census(index)
+        rng = _segment_rngs(cfg, index, point_index)(Role.PLACEMENT)
+        clicks = clicks_from_cells(cells, sizes[index], rng)
+        return (counts_from_cells(cells, segment_index=index),
+                ClickStreams.from_bools(*clicks, bin_width=bin_width))
 
     return _map_segments(one, len(sizes), threads)
-
-
-def segment_row(part: ClickStreams, index: int) -> tuple[int, ...]:
-    """Segment ``index``'s row of the segment table, counted from its streams."""
-    return accumulate(part, first_segment_index=index).segments.item(0)
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
@@ -131,45 +138,27 @@ def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
     The segments of :func:`segment_streams`, joined; the CLI streams them
     to disk instead.
     """
-    parts = list(segment_streams(cfg, point_index, threads))
+    parts = [part for _, part in segment_streams(cfg, point_index, threads)]
     return parts[0].concat(*parts[1:])
 
 
 def run_counts(cfg: ExperimentConfig, point_index: int = 0,
-               target_triples: Optional[int] = None,
-               threads: int = 1) -> CoincidenceCounts:
+               target_triples: Optional[int] = None) -> CoincidenceCounts:
     """Accumulate coincidence counts for a run, stopping early on a target.
 
     Each segment gives one row of the returned segment table
-    (``counts.segments``): ``counts_from_cells`` of its census, or the
-    count of its click streams on the click route.  With
+    (``counts.segments``): ``counts_from_cells`` of its census.  With
     ``target_triples`` set, segments are retained in index order until the
     cumulative N_H12 reaches the target (the full cfg.n_bins budget
-    otherwise); the stop decision never splits a segment, so the result is
-    independent of batching and thread count.  ``threads`` is used by the
-    click route only; the census runs on the calling thread.  The model's
-    sampling law is computed once and shared by every segment.
+    otherwise); the stop decision never splits a segment.  The census runs
+    on the calling thread.
     """
-    # The census has no per-bin envelope equivalent.
-    if cfg.theory is Theory.PCSFT and cfg.pcsft is not None \
-            and cfg.pcsft.envelope_modes is not None:
-        rows = (segment_row(part, index) for index, part in
-                enumerate(segment_streams(cfg, point_index, threads)))
-    else:
-        model = _MODELS[cfg.theory]
-        law = model.sampling_law(cfg)
-        sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
-
-        def one(index: int) -> tuple[int, ...]:
-            cells = model.segment_cells(cfg, index, n_bins=sizes[index],
-                                        point_index=point_index, law=law)
-            return counts_from_cells(cells, segment_index=index)
-
-        rows = map(one, range(len(sizes)))
+    sizes, census = _census(cfg, point_index)
 
     def kept() -> Iterator[tuple[int, ...]]:
         triples = 0
-        for row in rows:
+        for index in range(len(sizes)):
+            row = counts_from_cells(census(index), segment_index=index)
             yield row
             triples += row[-1]  # N_H12, the last column
             if target_triples is not None and triples >= target_triples:
@@ -255,14 +244,12 @@ def load_sweep_plan(path) -> SweepPlan:
         return parse_sweep_plan(fh.read(), origin=str(path))
 
 
-def run_sweep(cfg: ExperimentConfig, plan: SweepPlan,
-              threads: int = 1) -> list[SweepPoint]:
+def run_sweep(cfg: ExperimentConfig, plan: SweepPlan) -> list[SweepPoint]:
     """Collect counts at every attenuation of the plan.
 
     Each point gets its own stream namespace (point_index = position + 1),
     so sweeping never replays the randomness of a plain run or of another
-    point, whatever order the points execute in.  ``threads`` goes to
-    :func:`run_counts`, so it speeds up envelope sweeps only.
+    point, whatever order the points execute in.
     """
     points = []
     for i, attenuation in enumerate(plan.attenuations):
@@ -272,8 +259,7 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan,
                                 segment_bins=min(point_cfg.segment_bins,
                                                  plan.max_bins))
         counts = run_counts(point_cfg, point_index=i + 1,
-                            target_triples=plan.target_triples,
-                            threads=threads)
+                            target_triples=plan.target_triples)
         points.append(SweepPoint(config=point_cfg, point_index=i + 1,
                                  counts=counts))
     return points

@@ -12,6 +12,9 @@ the coupling stream where no pair can convert: every stream keyed, every
 draw made.  ``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
 thinning, per-bin noise), the oracle of the law both qm samplers draw from.
+``per_bin_envelope_clicks`` is the pcsft envelope's chain (a gain per bin,
+each channel clicking at that bin's power, per-bin noise), the oracle of
+the mixture law the pcsft samplers draw from.
 """
 
 from __future__ import annotations
@@ -275,6 +278,39 @@ def mechanistic_qm_clicks(cfg: ExperimentConfig, segment_index: int,
         to_1 = rng_s.binomial(passed, opt.splitter_ratio)
         clicks[1][occupied] = rng_s.binomial(to_1, opt.eta_1) > 0
         clicks[2][occupied] = rng_s.binomial(passed - to_1, opt.eta_2) > 0
+    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
+    for arr, p, role in zip(clicks, noise_probabilities(cfg), roles):
+        if p:
+            arr |= rng(role).random(n_bins) < p
+    return tuple(clicks)
+
+
+def per_bin_envelope_clicks(cfg: ExperimentConfig, segment_index: int,
+                            n_bins: int | None = None, point_index: int = 0,
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field model's envelope chain, bin by bin: the oracle of its law.
+
+    Each bin draws a Gamma(k, 1/k) gain, each channel clicks with the
+    ``crossing_probability`` of that bin's power, and noise is OR-ed in
+    last from each channel's own stream.  Returns boolean (herald,
+    signal_1, signal_2) arrays; a fresh generator per (point, segment,
+    role).
+    """
+    if n_bins is None:
+        n_bins = cfg.segment_bins
+    pc = cfg.pcsft
+
+    def rng(role):
+        return rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
+
+    envelope = rng(Role.SOURCE).gamma(shape=pc.envelope_modes,
+                                      scale=1.0 / pc.envelope_modes,
+                                      size=n_bins)
+    clicks = [rng(role).random(n_bins) < pcsft.crossing_probability(
+                  pc.threshold_energy, pc.incident_power * share * envelope,
+                  pc.pulse_duration)
+              for share, role in zip(arm_efficiencies(cfg),
+                                     (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2))]
     roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
     for arr, p, role in zip(clicks, noise_probabilities(cfg), roles):
         if p:

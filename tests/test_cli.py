@@ -206,8 +206,10 @@ class TestStreamedSimulate:
                     == (tmp_path / "memory" / name).read_bytes()), name
 
     @pytest.mark.parametrize("model,attenuation,sign", [
-        ("qm", 1.0, 0), ("pcsft", 1.0, -1), ("pcsft", 0.5, 1)],
-        ids=["qm", "pcsft-adds-coincidences", "pcsft-removes-coincidences"])
+        ("qm", 1.0, 0), ("pcsft", 1.0, -1), ("pcsft", 0.5, 1),
+        ("pcsft-envelope", 1.0, 0)],
+        ids=["qm", "pcsft-adds-coincidences", "pcsft-removes-coincidences",
+             "pcsft-envelope"])
     def test_counts_are_the_census_table(self, tmp_path, monkeypatch, model,
                                          attenuation, sign):
         # Each segment's clicks are its census placed, so simulate's
@@ -240,14 +242,14 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
-        sample = qm.segment_clicks
+        sample = qm.segment_cells
 
         def fail_on_segment_2(cfg, index, **kwargs):
             if index == 2:
                 raise RuntimeError("sampler failed on segment 2")
             return sample(cfg, index, **kwargs)
 
-        monkeypatch.setattr(qm, "segment_clicks", fail_on_segment_2)
+        monkeypatch.setattr(qm, "segment_cells", fail_on_segment_2)
         cfg, _ = write_inputs(tmp_path)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="segment 2"):

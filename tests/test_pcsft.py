@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from heraldsim import core, pcsft
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
@@ -14,7 +14,8 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.runner import simulate_run
 
-from helpers import euler_exit_steps, pattern_counts, reference_pcsft_cells
+from helpers import (euler_exit_steps, pattern_counts, per_bin_envelope_clicks,
+                     reference_pcsft_cells)
 
 BIN = 20.83e-9
 
@@ -135,8 +136,8 @@ class TestCrossingProbability:
                 pytest.approx(base, rel=1e-12)
 
     def test_array_matches_scalar_calls(self):
-        # Per-bin power arrays (the envelope) and scalar calls (the census)
-        # share one click law, including either side of the series switch.
+        # Power arrays (the envelope's gain nodes) and scalar calls share
+        # one click law, including either side of the series switch.
         theta = np.concatenate([np.geomspace(1e-4, 50.0, 2000),
                                 [0.2499, 0.24999999, 0.25, 0.25000001, 0.2501]])
         array = pcsft.crossing_probability(1.0, theta, 1.0)
@@ -305,11 +306,6 @@ class TestSegmentSamplers:
         with pytest.raises(ValueError, match="pcsft"):
             pcsft.segment_cells(cfg, 0, 100)
 
-    def test_cells_reject_envelope(self):
-        cfg = field_config(coupling=0.0, envelope_modes=4)
-        with pytest.raises(ValueError, match="envelope"):
-            pcsft.segment_cells(cfg, 0, 100)
-
     def test_clicks_match_literal_grid_oracle(self):
         # Production per-bin route vs the literal per-step walk on a
         # 1000-point grid with the continuity-corrected band.
@@ -353,6 +349,19 @@ class TestSegmentSamplers:
                 assert cells.sum() == 150_000
                 assert stats.chisquare(cells, expected).pvalue > 0.001
 
+    def test_cells_accept_envelope(self):
+        # An envelope config takes the census too: both routes draw the
+        # gain-mixture law, noise on every channel.
+        cfg = field_config(n_bins=150_000, seed=5006, coupling=0.0,
+                           envelope_modes=4, dark=(2e5, 1e5, 3e5))
+        expected = pcsft.pattern_probabilities(cfg) * 150_000
+        assert expected.min() > 5.0
+        for sample in (pcsft.segment_cells,
+                       lambda *args: pattern_counts(*pcsft.segment_clicks(*args))):
+            cells = sample(cfg, 0, 150_000)
+            assert cells.sum() == 150_000
+            assert stats.chisquare(cells, expected).pvalue > 0.001
+
     def test_click_route_singles_match_law_at_readme_defaults(self):
         # The click route draws the continuum law the census and the
         # closed forms use; an Euler-grid route clicks measurably less.
@@ -387,9 +396,11 @@ class TestSplitterCoupling:
         coupled = field_config(coupling=0.7, seed=31, n_bins=50_000)
         free = dataclasses.replace(
             coupled, pcsft=dataclasses.replace(coupled.pcsft, coupling=0.0))
+        # Totals only: two censuses are placed independently, and equal
+        # herald arrays would rest on how Generator.choice draws.
         h_c, s1_c, s2_c = pcsft.segment_clicks(coupled, 0, 50_000)
         h_f, s1_f, s2_f = pcsft.segment_clicks(free, 0, 50_000)
-        np.testing.assert_array_equal(h_c, h_f)
+        assert h_c.sum() == h_f.sum()
         assert s1_c.sum() == s1_f.sum()
         assert s2_c.sum() == s2_f.sum()
         assert np.sum(s1_c & s2_c) != np.sum(s1_f & s2_f)
@@ -510,11 +521,77 @@ class TestCensusOracle:
 
 
 class TestEnvelope:
+    """The envelope's mixture law, its per-bin oracle and the census."""
+
+    @staticmethod
+    def quadrature_law(cfg, scale):
+        """pattern_probabilities by adaptive quadrature over the gain.
+
+        Each field pattern with a click integrates the gain's Gamma density
+        times the channels' independent click probabilities at that gain,
+        between quantiles of the gain, divided by the integral of the
+        density alone; ``scale`` (roughly the cells) makes the error
+        criterion relative per cell.  The noise ORs then move the field
+        law to the observed patterns, enumerated literally.
+        """
+        pc = cfg.pcsft
+        gain = stats.gamma(pc.envelope_modes, scale=1.0 / pc.envelope_modes)
+        powers = pc.incident_power * np.array(core.arm_efficiencies(cfg))
+        clicked = np.array([[pattern & bit for bit in (4, 2, 1)]
+                            for pattern in range(1, 8)], dtype=bool)
+
+        def field(theta):
+            f = pcsft.crossing_probability(pc.threshold_energy, powers * theta,
+                                           pc.pulse_duration)
+            cells = np.where(clicked, f, 1.0 - f).prod(axis=1)
+            return gain.pdf(theta) * np.append(cells / scale, 1.0)
+
+        cuts = gain.ppf([1e-30, 1e-20, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5,
+                         0.7, 0.95]).tolist() + gain.isf(
+                             [1e-3, 1e-6, 1e-12, 1e-20, 1e-30]).tolist()
+        total = integrate.quad_vec(field, cuts[0], cuts[-1], points=cuts[1:-1],
+                                   epsabs=0.0, epsrel=1e-11, norm="max")[0]
+        field_law = np.empty(8)
+        field_law[1:] = total[:-1] / total[-1] * scale
+        field_law[0] = 1.0 - field_law[1:].sum()
+        law = np.zeros(8)
+        noise = noise_probabilities(cfg)
+        for source in range(8):
+            for target in range(8):
+                if source & ~target:
+                    continue  # noise only adds clicks
+                p = field_law[source]
+                for bit, pn in zip((4, 2, 1), noise):
+                    if not source & bit:
+                        p *= pn if target & bit else 1.0 - pn
+                law[target] += p
+        return law
+
+    @pytest.mark.parametrize("modes", [1, 4, 64, 1000])
+    def test_law_matches_quadrature(self, modes):
+        # The sweep workload's shares, at its full-power point.
+        cfg = parse_config(README_INI.replace(
+            "coupling = 0.5", f"coupling = 0.0\nenvelope_modes = {modes}"))
+        law = pcsft.pattern_probabilities(cfg)
+        assert law.sum() == pytest.approx(1.0, abs=1e-15)
+        assert (law >= 0.0).all()
+        np.testing.assert_allclose(law[1:], self.quadrature_law(cfg, law[1:])[1:],
+                                   rtol=1e-10, atol=0.0)
+
+    def test_one_node_without_an_envelope(self):
+        cfg = field_config(coupling=0.0)
+        f = pcsft.field_click_probabilities(cfg)
+        _, _, field_law, _ = pcsft.sampling_law(cfg)
+        assert f[0] == pcsft.crossing_probability(
+            1.0, cfg.pcsft.incident_power * 0.5, cfg.pcsft.pulse_duration)
+        np.testing.assert_array_equal(field_law, pcsft._or_channels(
+            (1.0,) + (0.0,) * 7, f))
+
     def test_envelope_route_matches_literal_oracle(self):
         cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
                            n_bins=30_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
-        # Reconstruct the segment's envelope draw, then walk the same
+        herald, _, _ = per_bin_envelope_clicks(cfg, 0, 30_000)
+        # Reconstruct the oracle's envelope draw, then walk the same
         # per-bin rates literally with the continuity-corrected band,
         # rescaled to a unit barrier.
         rng_env = rng_stream(5002, stream_id(0, Role.SOURCE, 0))
@@ -546,18 +623,23 @@ class TestEnvelope:
         assert abs(herald.mean() - mixture) < 3.0 * sigma
 
     def test_envelope_route_matches_per_bin_law(self):
-        cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
-                           n_bins=30_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
-        # Rebuild the segment's envelope draw; each bin clicks with the
-        # crossing probability of its own power.
-        rng_env = rng_stream(5002, stream_id(0, Role.SOURCE, 0))
-        gain = rng_env.gamma(shape=4, scale=0.25, size=30_000)
-        f = np.array([pcsft.crossing_probability(
-            1.0, cfg.pcsft.incident_power * 0.5 * g, cfg.pcsft.pulse_duration)
-            for g in gain])
-        sigma = math.sqrt(np.sum(f * (1 - f)))
-        assert abs(int(herald.sum()) - f.sum()) < 3.0 * sigma
+        # The per-bin oracle, the census and the census placed all draw
+        # the mixture law, on all eight patterns; none of them draws the
+        # law of the same powers without the envelope.
+        n = 60_000
+        for modes in (1, 4):
+            cfg = field_config(coupling=0.0, envelope_modes=modes, seed=5007,
+                               dark=(2e5, 1e5, 3e5), n_bins=n)
+            law = pcsft.pattern_probabilities(cfg) * n
+            flat = pcsft.pattern_probabilities(dataclasses.replace(
+                cfg, pcsft=dataclasses.replace(cfg.pcsft, envelope_modes=None))) * n
+            assert min(law.min(), flat.min()) > 5.0
+            for cells in (pattern_counts(*per_bin_envelope_clicks(cfg, 0)),
+                          pcsft.segment_cells(cfg, 0),
+                          pattern_counts(*pcsft.segment_clicks(cfg, 0))):
+                assert cells.sum() == n
+                assert stats.chisquare(cells, law).pvalue > 0.001
+                assert stats.chisquare(cells, flat).pvalue < 1e-9
 
 
 class TestBounds:

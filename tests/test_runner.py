@@ -9,7 +9,7 @@ import pytest
 
 from heraldsim import pcsft, qm, runner
 from heraldsim.analysis import heralded_g2
-from heraldsim.coincidence import accumulate, counts_from_cells
+from heraldsim.coincidence import accumulate, counts_from_cells, segment_table
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                             validate_config, with_attenuation)
@@ -64,13 +64,13 @@ def coupled_noisy_config(n_bins=200_000, segment_bins=9_973,
         seed=seed))
 
 
-def assert_takes_the_census(cfg: ExperimentConfig) -> None:
-    """Each segment of run_counts is the census of that segment."""
+def assert_takes_the_census(model, cfg: ExperimentConfig) -> None:
+    """Each segment of run_counts is the ``model`` census of that segment."""
     counts = run_counts(cfg)
     sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
     assert len(counts.segments) == len(sizes)
     for index, (seg, n_bins) in enumerate(zip(counts.segments, sizes)):
-        cells = qm.segment_cells(cfg, index, n_bins=n_bins)
+        cells = model.segment_cells(cfg, index, n_bins=n_bins)
         assert seg.item() == counts_from_cells(cells, segment_index=index)
 
 
@@ -140,28 +140,28 @@ class TestRunCounts:
                                     segment_bins=cfg.segment_bins)
 
     def test_thread_count_never_changes_counts(self):
-        for cfg in (photon_config(n_bins=5 * 10**6, segment_bins=10**6,
+        # The rows simulate writes come off the pool with their streams;
+        # run_counts draws the same census on the calling thread.
+        for cfg in (photon_config(n_bins=300_000, segment_bins=70_000,
                                   seed=8006),
-                    coupled_noisy_config()):
-            assert run_counts(cfg, threads=1) == run_counts(cfg, threads=4)
-        cfg = coupled_noisy_config(n_bins=60_000, segment_bins=7_000)
-        plan = SweepPlan(attenuations=(1.0, 0.5, 0.2), target_triples=10**9)
-        assert run_sweep(cfg, plan, threads=1) == run_sweep(cfg, plan, threads=2)
+                    coupled_noisy_config(), envelope_config()):
+            counts = run_counts(cfg)
+            for threads in (1, 4):
+                rows = [row for row, _ in runner.segment_streams(cfg, threads=threads)]
+                assert np.array_equal(segment_table(rows), counts.segments)
 
     def test_census_runs_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started")
 
-        cfg = coupled_noisy_config(n_bins=60_000, segment_bins=7_000)
         plan = SweepPlan(attenuations=(1.0, 0.5), target_triples=10**9)
-        counts, points = run_counts(cfg), run_sweep(cfg, plan)
-        envelope = envelope_config()
-        assert run_counts(envelope, threads=2) == run_counts(envelope)
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
-        assert run_counts(cfg, threads=4) == counts
-        assert run_sweep(cfg, plan, threads=4) == points
-        with pytest.raises(AssertionError, match="thread pool started"):
-            run_counts(envelope, threads=2)  # the click route keeps its pool
+        for cfg in (coupled_noisy_config(n_bins=60_000, segment_bins=7_000),
+                    envelope_config()):
+            counts, points = run_counts(cfg), run_sweep(cfg, plan)
+            monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+            assert run_counts(cfg) == counts
+            assert run_sweep(cfg, plan) == points
+            monkeypatch.undo()
 
     def test_census_table_memory_per_segment(self):
         cfg = photon_config(n_bins=2_000_000, segment_bins=100, seed=8007)
@@ -177,21 +177,19 @@ class TestRunCounts:
         assert peak / len(counts.segments) < 120, peak
 
     def test_photon_runs_take_the_census(self):
-        assert_takes_the_census(photon_config(n_bins=2 * 10**6,
-                                              segment_bins=10**6, seed=8007))
+        assert_takes_the_census(qm, photon_config(n_bins=2 * 10**6,
+                                                  segment_bins=10**6, seed=8007))
 
-    def test_auto_sampler_falls_back_to_clicks_for_envelope(self):
-        # An intensity envelope has no census, so it is counted on clicks.
-        cfg = envelope_config()
-        counts = run_counts(cfg)
-        assert counts == accumulate(simulate_run(cfg),
-                                    segment_bins=cfg.segment_bins)
-        assert counts.N_H > 0
+    def test_envelope_runs_take_the_census(self):
+        # An intensity envelope has a census too: the mixture law's.
+        cfg = envelope_config(n_bins=30_000, segment_bins=7_000)
+        assert_takes_the_census(pcsft, cfg)
+        assert run_counts(cfg).N_H > 0
 
     def test_envelope_block_on_photon_config_keeps_the_census(self):
         cfg = replace(photon_config(n_bins=30_000, segment_bins=7_000,
                                     seed=8007), pcsft=ENVELOPE_BLOCK)
-        assert_takes_the_census(validate_config(cfg))
+        assert_takes_the_census(qm, validate_config(cfg))
 
     def test_joint_law_computed_once_per_config(self, monkeypatch):
         # One sampling-law build per run, handed to every segment.
@@ -244,12 +242,6 @@ class TestRunCounts:
         assert np.array_equal(stopped.segments, full.segments[:k])
         assert stopped.N_H12 >= 20
         assert stopped.segments.N_H12[:-1].sum() < 20
-
-    def test_early_stop_is_thread_independent(self):
-        cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
-        a = run_counts(cfg, target_triples=20, threads=1)
-        b = run_counts(cfg, target_triples=20, threads=3)
-        assert a == b
 
     def test_unreachable_target_uses_whole_budget(self):
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
