@@ -8,7 +8,7 @@ and estimation pipeline: same-bin coincidences, the heralded zero-delay
 autocorrelation with uncertainties, efficiency calibration, background
 subtraction, attenuation sweeps, weighted line fits, and report/plot
 artifacts.  Every run is a deterministic function of (configuration,
-seed), independent of segmentation and thread count.
+seed).
 """
 
 from .analysis import (FitResult, G2Estimate, InsufficientStatistics,
@@ -30,7 +30,7 @@ from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -42,28 +41,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Heralded single-photon source simulator and analyser.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one configuration, write "
-                         "click streams and coincidence counts")
-    sim.add_argument("--config", required=True, help="experiment INI file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, default=None,
+    # Options of the two commands that run the sampler.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True, help="experiment INI file")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--seed", type=int, default=None,
                      help="override the configured seed")
-    sim.add_argument("--bins", type=int, default=None,
-                     help="override the configured number of bins")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads (never changes results)")
+    run.add_argument("--bins", type=int, default=None,
+                     help="override the configured number of bins (sweep: "
+                     "the per-point bin budget)")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect (every "
+                     "run makes its segments in order on one thread)")
 
-    swp = sub.add_parser("sweep", help="run an attenuation sweep and "
-                         "write per-point counts plus the analysis report")
-    swp.add_argument("--config", required=True, help="experiment INI file")
+    sub.add_parser("simulate", parents=[run], help="run one configuration, "
+                   "write click streams and coincidence counts")
+
+    swp = sub.add_parser("sweep", parents=[run], help="run an attenuation "
+                         "sweep and write per-point counts plus the analysis "
+                         "report")
     swp.add_argument("--sweep", required=True, help="sweep plan INI file")
-    swp.add_argument("--out", required=True, help="output directory")
-    swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--bins", type=int, default=None,
-                     help="override the per-point bin budget")
-    swp.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; has no effect (the "
-                     "census runs on one thread)")
     swp.add_argument("--background", default=None,
                      help="counts JSON from a source-off run")
 
@@ -119,10 +116,9 @@ def cmd_simulate(args) -> int:
     # Each segment is written as it arrives, so memory does not grow with
     # the run length; its row is the census the segment placed.
     bin_width = cfg.detectors.bin_width
-    with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
-            closing(runner.segment_streams(cfg, threads=args.threads)) as parts:
+    with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer:
         def rows():
-            for row, part in parts:
+            for row, part in runner.segment_streams(cfg):
                 writer.append(part)
                 yield row
         counts = CoincidenceCounts(bin_width, segment_table(rows()))

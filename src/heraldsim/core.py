@@ -7,8 +7,7 @@ energy units.
 
 Random numbers come from counter-based Philox streams keyed by
 ``(seed, stream_id)``, so any segment of any run can be generated
-independently and in any order (or on any number of workers) with
-bit-identical results.  See :func:`rng_stream` and :func:`stream_id`.
+independently and in any order with bit-identical results.  See :func:`rng_stream` and :func:`stream_id`.
 """
 
 from __future__ import annotations

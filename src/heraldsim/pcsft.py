@@ -35,15 +35,16 @@ acting on the census.  :func:`segment_clicks` places that census in a
 uniformly random order (:func:`heraldsim.core.clicks_from_cells`).  That is
 the law of the per-bin mechanism: independent bins (each with its own
 gain), conversions at uniformly chosen bins and independent per-bin noise
-leave the bin sequence exchangeable.  :func:`first_passage_times` samples exit
-times themselves on an Euler grid with :func:`discrete_exit_steps`, which
-is identical in law to stepping every Euler point but strides over quiet
-stretches in adaptive blocks (one Gaussian draw per block) and
-reconstructs a block's interior exactly — via a Gaussian bridge
-conditioned on the block increment — only when the interior could
-plausibly touch a barrier (continuum bridge touch bound above 1e-12, or
-the endpoint lands outside the band).  Single-step blocks are always
-exact, so near-barrier motion is never approximated.
+leave the bin sequence exchangeable.
+
+:func:`discrete_exit_steps` samples exit steps of walks on an Euler grid
+for the test suite's first-passage checks.  It is identical in law to
+stepping every Euler point but strides over quiet stretches in adaptive
+blocks (one Gaussian draw per block) and reconstructs a block's interior
+exactly — via a Gaussian bridge conditioned on the block increment — only
+when the interior could plausibly touch a barrier (continuum bridge touch
+bound above 1e-12, or the endpoint lands outside the band).  Single-step
+blocks are always exact, so near-barrier motion is never approximated.
 
 Splitter coupling
 -----------------
@@ -85,7 +86,6 @@ __all__ = [
     "mean_first_passage",
     "crossing_probability",
     "discrete_exit_steps",
-    "first_passage_times",
     "field_click_probabilities",
     "coupled_g2_target",
     "coincidence_probability",
@@ -286,20 +286,6 @@ def discrete_exit_steps(rng: np.random.Generator, barrier: float,
         active = active[keep]
 
     return exit_step
-
-
-def first_passage_times(rng: np.random.Generator, threshold_energy: float,
-                        power: float, dt: float, n_paths: int,
-                        horizon: float) -> np.ndarray:
-    """Exit times of ``n_paths`` walks; ``inf`` where no exit by ``horizon``."""
-    if power == 0.0:
-        return np.full(n_paths, np.inf)
-    n_steps = int(round(horizon / dt))
-    steps = discrete_exit_steps(rng, math.sqrt(threshold_energy),
-                                math.sqrt(power * dt), n_steps, n_paths=n_paths)
-    times = steps * dt
-    times[steps == 0] = np.inf
-    return times
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Run drivers: segment scheduling, early stop, sweeps, and threading.
+"""Run drivers: segment scheduling, early stop and sweeps.
 
 A run is a sequence of independent segments (at most ``segment_bins`` bins
-each).  Each segment's randomness comes from its own named Philox streams,
-so segments can be produced in any order, on any number of workers, and
-the result is identical — ordering and thread count only affect wall
-time, never bytes.
+each), produced one after another on the calling thread.  Each segment's
+randomness comes from its own named Philox streams, so no segment's draws
+depend on another's.
 
 Every segment is one draw of its model's census (``segment_cells``, the
 bins per joint click pattern).  :func:`run_counts` keeps only the census,
@@ -12,8 +11,7 @@ one segment-table row each.  :func:`segment_streams` also places each
 census in a uniformly random order (:func:`heraldsim.core.clicks_from_cells`)
 and packs the clicks, for runs whose stream files are part of the
 deliverable; the row it yields with each segment is the census route's row
-for the same configuration and seed.  Threads parallelise the placing and
-packing only: a census costs a few microseconds, mostly under the GIL.
+for the same configuration and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -23,10 +21,8 @@ configuration.
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import pcsft, qm
 from .coincidence import CoincidenceCounts, counts_from_cells, segment_table
@@ -77,68 +73,34 @@ def _census(cfg: ExperimentConfig, point_index: int,
     return sizes, cells
 
 
-def _map_segments(fn: Callable[[int], object], n_segments: int,
-                  threads: int) -> Iterable:
-    """Yield fn(0), fn(1), ... in order, optionally computed on a pool.
-
-    Submission uses a rolling window so an early-stopping consumer never
-    waits for (or pays for) the whole schedule; speculative segments past
-    a stop point are cancelled or discarded.
-    """
-    if threads <= 1 or n_segments <= 1:
-        for index in range(n_segments):
-            yield fn(index)
-        return
-    pool = ThreadPoolExecutor(max_workers=threads)
-    pending: deque = deque()
-    try:
-        next_index = 0
-        while next_index < n_segments and len(pending) < 2 * threads:
-            pending.append(pool.submit(fn, next_index))
-            next_index += 1
-        while pending:
-            result = pending.popleft().result()
-            if next_index < n_segments:
-                pending.append(pool.submit(fn, next_index))
-                next_index += 1
-            yield result
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
-                    threads: int = 1,
                     ) -> Iterator[tuple[tuple[int, ...], ClickStreams]]:
     """Yield each segment's row and packed click streams, in index order.
 
     The streams are the segment's census placed from its placement
     stream, which the census never keys; the row is ``counts_from_cells``
     of that census, so it is what counting the streams gives, and the
-    segment's row of :func:`run_counts`.  At most ``2 * threads`` segments
-    are in flight, so a consumer that writes each part as it arrives runs
-    in memory that does not grow with ``cfg.n_bins``.
+    segment's row of :func:`run_counts`.  One segment is made at a time,
+    so a consumer that writes each part as it arrives runs in memory that
+    does not grow with ``cfg.n_bins``.
     """
     sizes, census = _census(cfg, point_index)
     bin_width = cfg.detectors.bin_width
-
-    def one(index: int) -> tuple[tuple[int, ...], ClickStreams]:
+    for index, n_bins in enumerate(sizes):
         cells = census(index)
         rng = _segment_rngs(cfg, index, point_index)(Role.PLACEMENT)
-        clicks = clicks_from_cells(cells, sizes[index], rng)
-        return (counts_from_cells(cells, segment_index=index),
-                ClickStreams.from_bools(*clicks, bin_width=bin_width))
-
-    return _map_segments(one, len(sizes), threads)
+        clicks = clicks_from_cells(cells, n_bins, rng)
+        yield (counts_from_cells(cells, segment_index=index),
+               ClickStreams.from_bools(*clicks, bin_width=bin_width))
 
 
-def simulate_run(cfg: ExperimentConfig, point_index: int = 0,
-                 threads: int = 1) -> ClickStreams:
+def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
     """The full per-bin click record of a configured run, in memory.
 
     The segments of :func:`segment_streams`, joined; the CLI streams them
     to disk instead.
     """
-    parts = [part for _, part in segment_streams(cfg, point_index, threads)]
+    parts = [part for _, part in segment_streams(cfg, point_index)]
     return parts[0].concat(*parts[1:])
 
 
@@ -150,8 +112,7 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     (``counts.segments``): ``counts_from_cells`` of its census.  With
     ``target_triples`` set, segments are retained in index order until the
     cumulative N_H12 reaches the target (the full cfg.n_bins budget
-    otherwise); the stop decision never splits a segment.  The census runs
-    on the calling thread.
+    otherwise); the stop decision never splits a segment.
     """
     sizes, census = _census(cfg, point_index)
 

@@ -63,10 +63,11 @@ _FIT_NUMBERS = ("slope", "intercept")
 
 
 def _check_numbers(record, names: tuple[str, ...], where: str) -> None:
-    """Raise ValueError unless ``record`` is an object whose ``names`` are numbers.
+    """Raise ValueError unless ``record``'s ``names`` are finite numbers.
 
-    A missing field raises KeyError; ``where`` names the record in the
-    message.
+    ``record`` must be an object; a missing field raises KeyError; ``where``
+    names the record in the message.  ``json.load`` reads NaN and
+    ±Infinity, which no report holds.
     """
     if not isinstance(record, dict):
         raise ValueError(f"{where} is not an object: {record!r}")
@@ -74,6 +75,9 @@ def _check_numbers(record, names: tuple[str, ...], where: str) -> None:
         value = record[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where}: {name} is not a number: {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{where}: {name} is not a finite number: {value!r}")
 
 
 def _plotted_parts(report: dict) -> tuple[list[dict], list[dict], dict | None]:
@@ -82,8 +86,8 @@ def _plotted_parts(report: dict) -> tuple[list[dict], list[dict], dict | None]:
     These are the fields the figure reads.  A missing field raises
     KeyError; an empty or non-list ``points``, a non-list ``qm_band``, a
     point, band entry or fit that is not an object, and a field that is not
-    a number raise ValueError, naming points and band entries by their
-    1-based position.
+    a finite number raise ValueError, naming points and band entries by
+    their 1-based position.
     """
     points = report.get("points", [])
     if not isinstance(points, list) or not points:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own closed forms:
 pair-number probabilities come from scipy, click probabilities from
 explicit series summation, first-passage laws from a literal per-step
-Euler walk, and coincidence counts from a per-bin loop.  Agreement between these and the production code
-is then a genuine cross-check, not a tautology.  ``merge`` joins two
+Euler walk, and coincidence counts from a per-bin loop.  Agreement between
+these and the production code is then a genuine cross-check, not a
+tautology.  ``first_passage_times`` turns the package's exit-step kernel
+into exit times, for the first-passage checks.  ``merge`` joins two
 segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
 ``reference_pcsft_cells`` is the pcsft census as it drew before it skipped
@@ -18,6 +20,8 @@ the mixture law the pcsft samplers draw from.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -119,6 +123,25 @@ def euler_exit_steps(rng: np.random.Generator, barrier: float, step_std,
         out[crossed] = step
         alive[crossed] = False
     return out
+
+
+def first_passage_times(rng: np.random.Generator, threshold_energy: float,
+                        power: float, dt: float, n_paths: int,
+                        horizon: float) -> np.ndarray:
+    """Exit times of ``n_paths`` walks; ``inf`` where no exit by ``horizon``.
+
+    Walks of variance rate ``power`` on a grid of step ``dt``, drawn with
+    the package's accelerated kernel ``pcsft.discrete_exit_steps``.
+    """
+    if power == 0.0:
+        return np.full(n_paths, np.inf)
+    n_steps = int(round(horizon / dt))
+    steps = pcsft.discrete_exit_steps(rng, math.sqrt(threshold_energy),
+                                      math.sqrt(power * dt), n_steps,
+                                      n_paths=n_paths)
+    times = steps * dt
+    times[steps == 0] = np.inf
+    return times
 
 
 def bin_patterns(herald, sig1, sig2) -> np.ndarray:

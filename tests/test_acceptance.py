@@ -21,7 +21,8 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             validate_config, with_attenuation)
 from heraldsim.runner import SweepPlan, run_counts, run_sweep
 
-from helpers import brute_force_counts, merge, sample_pair_counts
+from helpers import (brute_force_counts, first_passage_times, merge,
+                     sample_pair_counts)
 
 BIN = 20.83e-9
 
@@ -56,9 +57,9 @@ def _photon_cfg(mu, mode_count, eta_h, eta_1, eta_2, n_bins, segment_bins,
 def _mean_passage(stream: int, threshold: float, power: float,
                   n_paths: int) -> float:
     tau = threshold / power
-    times = pcsft.first_passage_times(rng_stream(9101, stream), threshold,
-                                      power, 1e-4 * tau, n_paths,
-                                      horizon=30.0 * tau)
+    times = first_passage_times(rng_stream(9101, stream), threshold,
+                                power, 1e-4 * tau, n_paths,
+                                horizon=30.0 * tau)
     finite = times[np.isfinite(times)]
     assert finite.size == n_paths
     return float(finite.mean())
@@ -68,8 +69,8 @@ def test_c01_first_passage_law(capsys):
     """Mean hit time = threshold / power, to 2% at the reference point and
     to 5% across a decade in either parameter."""
     started = time.monotonic()
-    times = pcsft.first_passage_times(rng_stream(9101, 0xA101), 1.0, 1.0,
-                                      1e-5, 100_000, horizon=30.0)
+    times = first_passage_times(rng_stream(9101, 0xA101), 1.0, 1.0,
+                                1e-5, 100_000, horizon=30.0)
     finite = times[np.isfinite(times)]
     mean_dev = abs(float(finite.mean()) - 1.0)
 

@@ -1,6 +1,8 @@
 """End-to-end command line flows and exit codes."""
 
 import json
+import math
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -163,13 +165,13 @@ STREAMED_MODELS = {
 }
 
 
-def in_memory_artifacts(cfg_path, out, threads):
+def in_memory_artifacts(cfg_path, out):
     """The four simulate artifacts from the whole run held in memory.
 
     clicks.csv comes from a per-bin scan of the unpacked streams.
     """
     cfg = load_config(cfg_path)
-    streams = simulate_run(cfg, threads=threads)
+    streams = simulate_run(cfg)
     counts = accumulate(streams, segment_bins=cfg.segment_bins)
     out.mkdir()
     write_streams(streams, out / "streams.pstm")
@@ -199,7 +201,7 @@ class TestStreamedSimulate:
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "streamed"), "--threads",
                      str(threads)]) == 0
-        in_memory_artifacts(cfg, tmp_path / "memory", threads)
+        in_memory_artifacts(cfg, tmp_path / "memory")
         for name in ("streams.pstm", "clicks.csv", "counts.csv",
                      "counts.json"):
             assert ((tmp_path / "streamed" / name).read_bytes()
@@ -292,6 +294,31 @@ class TestThreadsOption:
         assert (f"error: --threads must be >= 1, got {threads}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_runs_start_no_thread_whatever_threads_says(self, tmp_path,
+                                                        monkeypatch):
+        # Every run makes its segments in order on the calling thread, so
+        # --threads 3 starts no thread and writes the bytes of --threads 1.
+        def no_thread(self):
+            raise AssertionError(f"thread started: {self!r}")
+
+        for model, ini in sorted(STREAMED_MODELS.items()):
+            cfg, plan = write_inputs(tmp_path, ini)
+            written = {}
+            for threads in ("1", "3"):
+                monkeypatch.setattr(threading.Thread, "start", no_thread)
+                out = tmp_path / f"{model}-{threads}"
+                assert main(["simulate", "--config", str(cfg), "--out",
+                             str(out / "simulate"), "--threads", threads]) == 0
+                assert main(["sweep", "--config", str(cfg), "--sweep",
+                             str(plan), "--out", str(out / "sweep"),
+                             "--threads", threads]) == 0
+                monkeypatch.undo()
+                written[threads] = {path.relative_to(out): path.read_bytes()
+                                    for path in sorted(out.rglob("*"))
+                                    if path.is_file()}
+            assert len(written["1"]) == 4 + 2 * 3 + 2, model
+            assert written["3"] == written["1"], model
 
 
 class TestSweep:
@@ -536,6 +563,15 @@ class TestPlot:
                                      "qm_band entry 4 is not an object: 'wide'"),
         "band-not-a-list": (lambda r: r.update(qm_band={"x": 1.0}),
                             "qm_band is not a list: {'x': 1.0}"),
+        "infinite-x-rate": (lambda r: r["points"][1].update(x_rate=math.inf),
+                            "point 2: x_rate is not a finite number: inf"),
+        "nan-g2": (lambda r: r["points"][0].update(g2=math.nan),
+                   "point 1: g2 is not a finite number: nan"),
+        "nan-fit-slope": (lambda r: r["fit"].update(slope=math.nan),
+                          "fit: slope is not a finite number: nan"),
+        "negative-infinite-band-upper": (
+            lambda r: r["qm_band"][2].update(upper=-math.inf),
+            "qm_band entry 3: upper is not a finite number: -inf"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

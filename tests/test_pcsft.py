@@ -14,8 +14,8 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.runner import simulate_run
 
-from helpers import (euler_exit_steps, pattern_counts, per_bin_envelope_clicks,
-                     reference_pcsft_cells)
+from helpers import (euler_exit_steps, first_passage_times, pattern_counts,
+                     per_bin_envelope_clicks, reference_pcsft_cells)
 
 BIN = 20.83e-9
 
@@ -94,8 +94,8 @@ class TestMeanFirstPassage:
     def test_empirical_mean(self):
         # 1e5 paths at dt = 1e-5 * tau; the Euler grid's O(sqrt(dt)) bias
         # is well inside the 2% window.
-        times = pcsft.first_passage_times(rng_stream(4007, 0), 1.0, 1.0,
-                                          1e-5, 10**5, 30.0)
+        times = first_passage_times(rng_stream(4007, 0), 1.0, 1.0,
+                                    1e-5, 10**5, 30.0)
         finite = times[np.isfinite(times)]
         assert finite.size >= 10**5 - 5
         assert finite.mean() == pytest.approx(1.0, abs=0.02)
@@ -149,16 +149,16 @@ class TestCrossingProbability:
 
 class TestFirstPassageSampling:
     def test_zero_power_never_hits(self):
-        assert not np.isfinite(pcsft.first_passage_times(
+        assert not np.isfinite(first_passage_times(
             rng_stream(1, 0), 1.0, 0.0, 0.1, 100, 10.0)).any()
 
     def test_threshold_scaling_law(self):
         # Mean exit time at E_d = 4 is 4x the E_d = 1 mean (dt scaled with
         # tau so both grids resolve their own time scale equally).
-        t_1 = pcsft.first_passage_times(rng_stream(4008, 0), 1.0, 1.0, 1e-4,
-                                        10**5, 30.0)
-        t_4 = pcsft.first_passage_times(rng_stream(4009, 0), 4.0, 1.0, 4e-4,
-                                        10**5, 120.0)
+        t_1 = first_passage_times(rng_stream(4008, 0), 1.0, 1.0, 1e-4,
+                                  10**5, 30.0)
+        t_4 = first_passage_times(rng_stream(4009, 0), 4.0, 1.0, 4e-4,
+                                  10**5, 120.0)
         ratio = t_4[np.isfinite(t_4)].mean() / t_1[np.isfinite(t_1)].mean()
         assert ratio == pytest.approx(4.0, rel=0.05)
 
@@ -177,10 +177,10 @@ class TestKernelLawEquivalence:
         assert stats.fisher_exact(table).pvalue > 0.001
 
     def test_scale_invariance_in_law(self):
-        a = pcsft.first_passage_times(rng_stream(4005, 0), 1.0, 1.0, 1e-3,
-                                      10**4, 20.0)
-        b = pcsft.first_passage_times(rng_stream(4006, 0), 3.7, 3.7, 1e-3,
-                                      10**4, 20.0)
+        a = first_passage_times(rng_stream(4005, 0), 1.0, 1.0, 1e-3,
+                                10**4, 20.0)
+        b = first_passage_times(rng_stream(4006, 0), 3.7, 3.7, 1e-3,
+                                10**4, 20.0)
         assert stats.ks_2samp(a[np.isfinite(a)],
                               b[np.isfinite(b)]).pvalue > 0.001
 

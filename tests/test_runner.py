@@ -1,4 +1,4 @@
-"""Run drivers: segmentation, threading, early stop, sweeps."""
+"""Run drivers: segmentation, early stop, sweeps."""
 
 import math
 import tracemalloc
@@ -113,16 +113,6 @@ class TestSimulateRun:
         cfg = photon_config(n_bins=30_000, segment_bins=7_000, seed=8005)
         assert_same_streams(simulate_run(cfg), simulate_run(cfg))
 
-    @pytest.mark.parametrize("threads", [2, 5])
-    def test_thread_count_never_changes_bits(self, threads):
-        envelope = envelope_config(n_bins=30_000, segment_bins=7_000, seed=8005)
-        coupled = validate_config(replace(envelope, pcsft=replace(
-            ENVELOPE_BLOCK, coupling=0.5, envelope_modes=None)))
-        for cfg in (photon_config(n_bins=30_000, segment_bins=7_000, seed=8005),
-                    coupled, envelope):
-            assert_same_streams(simulate_run(cfg, threads=1),
-                                simulate_run(cfg, threads=threads))
-
     def test_points_have_independent_randomness(self):
         cfg = photon_config(n_bins=30_000, segment_bins=30_000, seed=8005)
         a = simulate_run(cfg, point_index=0)
@@ -139,29 +129,14 @@ class TestRunCounts:
         assert direct == accumulate(simulate_run(cfg),
                                     segment_bins=cfg.segment_bins)
 
-    def test_thread_count_never_changes_counts(self):
-        # The rows simulate writes come off the pool with their streams;
-        # run_counts draws the same census on the calling thread.
+    def test_segment_streams_rows_are_run_counts(self):
+        # The rows simulate writes come with their streams; run_counts
+        # draws the same census without placing it.
         for cfg in (photon_config(n_bins=300_000, segment_bins=70_000,
                                   seed=8006),
                     coupled_noisy_config(), envelope_config()):
-            counts = run_counts(cfg)
-            for threads in (1, 4):
-                rows = [row for row, _ in runner.segment_streams(cfg, threads=threads)]
-                assert np.array_equal(segment_table(rows), counts.segments)
-
-    def test_census_runs_without_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
-
-        plan = SweepPlan(attenuations=(1.0, 0.5), target_triples=10**9)
-        for cfg in (coupled_noisy_config(n_bins=60_000, segment_bins=7_000),
-                    envelope_config()):
-            counts, points = run_counts(cfg), run_sweep(cfg, plan)
-            monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
-            assert run_counts(cfg) == counts
-            assert run_sweep(cfg, plan) == points
-            monkeypatch.undo()
+            rows = [row for row, _ in runner.segment_streams(cfg)]
+            assert np.array_equal(segment_table(rows), run_counts(cfg).segments)
 
     def test_census_table_memory_per_segment(self):
         cfg = photon_config(n_bins=2_000_000, segment_bins=100, seed=8007)
