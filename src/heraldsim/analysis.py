@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -267,20 +267,19 @@ def weighted_linear_fit(points: Sequence[tuple[float, float, float]]) -> FitResu
                      covariance=covariance, reduced_chi2=chi2 / dof, dof=dof)
 
 
-def corrected_rate(counts: CoincidenceCounts, optics: OpticsConfig,
-                   total_time: Optional[float] = None) -> float:
+def corrected_rate(counts: CoincidenceCounts, optics: OpticsConfig) -> float:
     """Efficiency-corrected heralded signal rate (events/s), the power axis.
 
     Back-propagates the heralded detections through the detector
-    efficiencies: x = (N_H1 / eta_1 + N_H2 / eta_2) / T.  Equivalently the
-    photons-per-herald estimate times the herald rate.  This is the rate
-    of heralded signal photons entering the splitter, so it scales with
-    the attenuator setting being swept.
+    efficiencies: x = (N_H1 / eta_1 + N_H2 / eta_2) / T, T being the
+    duration of ``counts``.  Equivalently the photons-per-herald estimate
+    times the herald rate.  This is the rate of heralded signal photons
+    entering the splitter, so it scales with the attenuator setting being
+    swept.
     """
     if optics.eta_1 <= 0.0 or optics.eta_2 <= 0.0:
         raise ValueError("corrected_rate needs eta_1 > 0 and eta_2 > 0")
-    if total_time is None:
-        total_time = counts.duration
-    if total_time <= 0.0:
-        raise ValueError("total_time must be > 0")
-    return (counts.N_H1 / optics.eta_1 + counts.N_H2 / optics.eta_2) / total_time
+    duration = counts.duration
+    if duration <= 0.0:
+        raise ValueError("corrected_rate needs a duration > 0")
+    return (counts.N_H1 / optics.eta_1 + counts.N_H2 / optics.eta_2) / duration

@@ -108,8 +108,7 @@ def _read_background(path: Optional[str]):
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     if args.bins is not None:
-        cfg = replace(cfg, n_bins=args.bins,
-                      segment_bins=min(cfg.segment_bins, args.bins))
+        cfg = replace(cfg, n_bins=args.bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -209,7 +208,11 @@ def cmd_analyze(args) -> int:
                 raise ConfigError(
                     f"{path}: counts file carries no configuration echo; "
                     "reanalysis needs the generating parameters")
-            yield path, config_from_dict(cfg_dict), counts
+            try:
+                cfg = config_from_dict(cfg_dict)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            yield path, cfg, counts
 
     return _write_report(stored(), background, Path(args.out))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -122,8 +123,8 @@ def _packed_counts(h: np.ndarray, s1: np.ndarray,
                  for arr in (h, s1, s2, h1, h2, s1 & s2, h1 & s2))
 
 
-def accumulate(streams: ClickStreams, segment_bins: int | None = None,
-               first_segment_index: int = 0) -> CoincidenceCounts:
+def accumulate(streams: ClickStreams,
+               segment_bins: int | None = None) -> CoincidenceCounts:
     """Count singles and same-bin coincidences, partitioned into segments.
 
     Bins [i*segment_bins, (i+1)*segment_bins) form segment i; the final
@@ -148,7 +149,7 @@ def accumulate(streams: ClickStreams, segment_bins: int | None = None,
         def part(lo: int) -> list[np.ndarray]:
             return [np.packbits(b[lo:lo + segment_bins]) for b in bools]
 
-    rows = [(first_segment_index + i, min(segment_bins, streams.n_bins - lo),
+    rows = [(i, min(segment_bins, streams.n_bins - lo),
              *_packed_counts(*part(lo)))
             for i, lo in enumerate(range(0, streams.n_bins, segment_bins))]
     return CoincidenceCounts(bin_width=streams.bin_width,
@@ -234,21 +235,56 @@ def write_counts_json(counts: CoincidenceCounts, path: str | Path,
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Each pair or triple total is bounded by these totals (CoincidenceCounts).
+_COUNT_BOUNDS = {"N_H1": ("N_H", "N_1"), "N_H2": ("N_H", "N_2"),
+                 "N_12": ("N_1", "N_2"), "N_H12": ("N_H1", "N_H2", "N_12")}
+
+
+def _stored_total_errors(payload: dict) -> list[str]:
+    """What is wrong with the bin width and totals of a counts payload."""
+    errors = []
+    width = payload.get("bin_width")
+    if "bin_width" not in payload:
+        errors.append("missing key 'bin_width'")
+    elif (isinstance(width, bool) or not isinstance(width, (int, float))
+          or not (math.isfinite(width) and width > 0)):
+        errors.append(f"'bin_width' is not a finite number > 0: {width!r}")
+    for key in SEGMENT_FIELDS[1:]:
+        if key not in payload:
+            errors.append(f"missing key '{key}'")
+        elif type(payload[key]) is not int:
+            errors.append(f"'{key}' is not an integer: {payload[key]!r}")
+    if errors:
+        return errors
+    n_bins = payload["n_bins"]
+    if n_bins < 1:
+        return [f"'n_bins' must be >= 1, got {n_bins}"]
+    errors += [f"'{key}' = {payload[key]} is outside [0, n_bins = {n_bins}]"
+               for key in COUNT_FIELDS if not 0 <= payload[key] <= n_bins]
+    errors += [f"'{key}' = {payload[key]} exceeds '{bound}' = {payload[bound]}"
+               for key, bounds in _COUNT_BOUNDS.items() for bound in bounds
+               if payload[key] > payload[bound]]
+    return errors
+
+
 def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
     """Read totals written by :func:`write_counts_json` (as one segment).
 
     Returns the counts and the configuration echo (None when the file was
-    written without one).  Raises ValueError naming the file and the key
-    when a total is missing or not an integer.
+    written without one).  Raises ValueError naming the file and each key
+    that is missing or malformed: the bin width must be a finite number
+    > 0, the totals integers with n_bins >= 1 that keep the invariants of
+    :class:`CoincidenceCounts`.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "coincidence-counts":
         raise ValueError(f"{path}: not a coincidence-counts file")
-    for key in ("bin_width",) + SEGMENT_FIELDS[1:]:
-        if key not in payload:
-            raise ValueError(f"{path}: missing key '{key}'")
-        if key != "bin_width" and type(payload[key]) is not int:
-            raise ValueError(f"{path}: '{key}' is not an integer: {payload[key]!r}")
+    errors = _stored_total_errors(payload)
+    if errors:
+        raise ValueError("\n".join(f"{path}: {e}" for e in errors))
     row = (0,) + tuple(payload[f] for f in SEGMENT_FIELDS[1:])
     counts = CoincidenceCounts(bin_width=payload["bin_width"],
                                segments=segment_table([row]))

@@ -159,7 +159,14 @@ class PCSFTConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A complete, self-contained simulation run description."""
+    """A complete, self-contained simulation run description.
+
+    ``segment_bins`` is the most bins a segment may hold: a run of
+    ``n_bins`` is cut into full segments and one shorter last segment, so a
+    run of at most ``segment_bins`` bins is one segment.  Each segment
+    draws from streams keyed by its index, so the cut is part of what a
+    seed reproduces.
+    """
 
     source: SourceConfig
     optics: OpticsConfig
@@ -243,11 +250,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
            f"run.n_bins must be an integer >= 1, got {cfg.n_bins!r}")
     _check(errors, isinstance(cfg.segment_bins, (int, np.integer)) and cfg.segment_bins >= 1,
            f"run.segment_bins must be an integer >= 1, got {cfg.segment_bins!r}")
-    if (isinstance(cfg.n_bins, (int, np.integer)) and cfg.n_bins >= 1
-            and isinstance(cfg.segment_bins, (int, np.integer)) and cfg.segment_bins >= 1):
-        _check(errors, cfg.segment_bins <= cfg.n_bins,
-               f"run.segment_bins ({cfg.segment_bins}) must not exceed "
-               f"run.n_bins ({cfg.n_bins})")
     _check(errors, isinstance(cfg.seed, (int, np.integer)),
            f"run.seed must be an integer, got {cfg.seed!r}")
 
@@ -470,9 +472,6 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     run = values.pop("run", {})
     cfg = ExperimentConfig(**{name: _BLOCKS[name](**kwargs)
                               for name, kwargs in values.items()}, **run)
-    if "segment_bins" not in run:
-        # Unspecified segmenting shrinks to fit short runs.
-        cfg = replace(cfg, segment_bins=min(cfg.segment_bins, cfg.n_bins))
     try:
         return validate_config(cfg)
     except ConfigError as exc:
@@ -505,17 +504,29 @@ _ECHO_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict`, with full validation.
 
-    Each stored value must have its field's type; every mismatch is
-    reported at once, naming its section and key.  Retired keys that older
-    echoes carry (``_IGNORED_KEYS``) are ignored.
+    The record and each section must be objects, [run] and the required
+    sections and keys must be present, and each stored value must have its
+    field's type; every violation is reported at once, naming its section
+    and key.  Retired keys that older echoes carry (``_IGNORED_KEYS``) are
+    ignored.
     """
-    errors = []
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad configuration record: not an object: {data!r}")
+    errors = [f"missing section [{name}]" for name in _SECTIONS if name not in data
+              and (name == "run" or name in _REQUIRED_SECTIONS)]
     for name, schema in _SECTIONS.items():
         stored = data.get(name, {})
-        for f, kind in schema if isinstance(stored, dict) else ():
+        if not isinstance(stored, dict):
+            errors.append(f"[{name}]: not an object: {stored!r}")
+            continue
+        for f, kind in schema:
             types, what = _ECHO_TYPES[kind]
             value = stored.get(f.name, MISSING)
-            if value is not MISSING and (isinstance(value, bool) or not isinstance(value, types)):
+            if value is MISSING:
+                # config_to_dict writes every [run] key.
+                if name in data and (name == "run" or not _has_default(f)):
+                    errors.append(f"[{name}] {f.name}: missing")
+            elif isinstance(value, bool) or not isinstance(value, types):
                 errors.append(f"[{name}] {f.name}: not {what}: {value!r}")
     if errors:
         raise ConfigError("bad configuration record:\n" + "\n".join(errors))
@@ -526,7 +537,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         run = {f.name: Theory(data["run"][f.name]) if kind is Theory
                else data["run"][f.name] for f, kind in _SECTIONS["run"]}
         cfg = ExperimentConfig(**blocks, **run)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration record: {exc}") from exc
     validate_config(cfg)
     return cfg

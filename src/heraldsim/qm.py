@@ -164,9 +164,9 @@ def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     return probs
 
 
-def sampling_law(cfg: ExperimentConfig) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """The samplers' law, computed once per run: pattern law and noise probabilities."""
-    return joint_pattern_probabilities(cfg), noise_probabilities(cfg)
+def sampling_law(cfg: ExperimentConfig) -> np.ndarray:
+    """The samplers' law, computed once per run: the joint pattern law."""
+    return joint_pattern_probabilities(cfg)
 
 
 _PATTERN_H = np.array([(p >> 2) & 1 for p in range(N_PATTERNS)], dtype=bool)
@@ -248,7 +248,7 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
-    probs = (sampling_law(cfg) if law is None else law)[0]
+    probs = sampling_law(cfg) if law is None else law
     rng = _segment_rngs(cfg, segment_index, point_index)(Role.SOURCE)
     return rng.multinomial(n_bins, probs)
 

@@ -79,8 +79,7 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
     record["sigma"] = headline.sigma
     record["upper_limit"] = headline.upper_limit
     record["background_subtracted"] = background is not None
-    record["x_rate"] = corrected_rate(basis, cfg.optics,
-                                      total_time=counts.duration)
+    record["x_rate"] = corrected_rate(basis, cfg.optics)
 
     if cfg.pcsft is not None:
         record["pcsft_bound"] = pcsft.bound_counts(

@@ -26,9 +26,9 @@ from typing import Callable, Iterator, Optional
 
 from . import pcsft, qm
 from .coincidence import CoincidenceCounts, counts_from_cells, segment_table
-from .core import (ConfigError, ExperimentConfig, Role, Theory, _field_types,
-                   _read_ini, _read_section, _segment_rngs, clicks_from_cells,
-                   with_attenuation)
+from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
+                   _field_types, _read_ini, _read_section, _segment_rngs,
+                   clicks_from_cells, with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [
@@ -141,18 +141,17 @@ class SweepPlan:
     max_bins: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.attenuations:
-            raise ConfigError("sweep needs at least one attenuation value")
+        errors: list[str] = []
+        _check(errors, bool(self.attenuations),
+               "sweep needs at least one attenuation value")
         for a in self.attenuations:
-            if not 0.0 < a <= 1.0:
-                raise ConfigError(
-                    f"sweep attenuation {a} outside (0, 1]")
-        if self.target_triples < 1:
-            raise ConfigError(
-                f"sweep target_triples must be >= 1, got {self.target_triples}")
-        if self.max_bins is not None and self.max_bins < 1:
-            raise ConfigError(
-                f"sweep max_bins must be >= 1, got {self.max_bins}")
+            _check(errors, 0.0 < a <= 1.0, f"sweep attenuation {a} outside (0, 1]")
+        _check(errors, self.target_triples >= 1,
+               f"sweep target_triples must be >= 1, got {self.target_triples}")
+        _check(errors, self.max_bins is None or self.max_bins >= 1,
+               f"sweep max_bins must be >= 1, got {self.max_bins}")
+        if errors:
+            raise ConfigError("\n".join(errors))
         if list(self.attenuations) != sorted(self.attenuations, reverse=True):
             warnings.warn("sweep attenuations are not strictly decreasing; "
                           "points will be plotted in the order given",
@@ -197,7 +196,8 @@ def parse_sweep_plan(text: str, origin: str = "<string>") -> SweepPlan:
     try:
         return SweepPlan(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
+        raise ConfigError("\n".join(f"{origin}: {e}"
+                                     for e in str(exc).splitlines())) from None
 
 
 def load_sweep_plan(path) -> SweepPlan:
@@ -215,10 +215,8 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan) -> list[SweepPoint]:
     points = []
     for i, attenuation in enumerate(plan.attenuations):
         point_cfg = with_attenuation(cfg, attenuation)
-        if plan.max_bins is not None and plan.max_bins != point_cfg.n_bins:
-            point_cfg = replace(point_cfg, n_bins=plan.max_bins,
-                                segment_bins=min(point_cfg.segment_bins,
-                                                 plan.max_bins))
+        if plan.max_bins is not None:
+            point_cfg = replace(point_cfg, n_bins=plan.max_bins)
         counts = run_counts(point_cfg, point_index=i + 1,
                             target_triples=plan.target_triples)
         points.append(SweepPoint(config=point_cfg, point_index=i + 1,

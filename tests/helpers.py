@@ -48,8 +48,10 @@ def series_no_click(cfg: ExperimentConfig, channels: tuple[int, ...]) -> float:
     """P(no clicks on a channel subset) by direct series summation.
 
     Channels are indexed 0=herald, 1=detector 1, 2=detector 2.  Sums
-    pmf(n) * P(all n photons miss every requested channel) ** n-wise until
-    the pmf tail is negligible, then applies the independent noise
+    pmf(n) * P(one pair misses every requested channel) ** n over every n
+    up to the point whose upper pmf tail is below ``_TAIL`` (scipy's
+    ``isf``; a stop on the running pmf sum never fires, since the rounded
+    sum stays short of 1 - 1e-16), then applies the independent noise
     factors.  Independent of the production generating-function form.
     """
     mu = cfg.source.pair_mean_per_bin
@@ -61,14 +63,9 @@ def series_no_click(cfg: ExperimentConfig, channels: tuple[int, ...]) -> float:
     signal_detect = sum(eff[c] for c in channels if c in (1, 2))
     miss *= 1.0 - signal_detect
 
-    total = 0.0
-    cum = 0.0
-    n = 0
-    while cum < 1.0 - _TAIL and n < 10_000:
-        p = nb_pmf(n, mu, modes)
-        total += p * miss**n
-        cum += p
-        n += 1
+    last = stats.nbinom.isf(_TAIL, modes, 1.0 / (1.0 + mu / modes))
+    n = np.arange(int(last) + 2)
+    total = float(np.sum(nb_pmf(n, mu, modes) * miss**n))
     noise = noise_probabilities(cfg)
     for c in channels:
         total *= 1.0 - noise[c]

@@ -257,9 +257,11 @@ class TestCorrectedRate:
         assert corrected_rate(counts, optics) == 500.0 / counts.duration
 
     def test_unfolds_detector_efficiencies(self):
-        counts = make_counts(n_bins=10**6, N_H1=300, N_H2=200)
+        # Two seconds of 2 us bins.
+        counts = make_counts(n_bins=10**6, N_H1=300, N_H2=200, bin_width=2e-6)
         optics = OpticsConfig(0.5, 0.3, 0.4)
-        assert corrected_rate(counts, optics, total_time=2.0) == \
+        assert counts.duration == pytest.approx(2.0, rel=1e-15)
+        assert corrected_rate(counts, optics) == \
             pytest.approx((300 / 0.3 + 200 / 0.4) / 2.0, rel=1e-12)
 
     def test_linear_in_counts(self):
@@ -276,7 +278,7 @@ class TestCorrectedRate:
             corrected_rate(counts, OpticsConfig(0.5, 0.0, 0.4))
 
     def test_zero_time_rejected(self):
-        counts = make_counts(n_bins=10**6, N_H1=300, N_H2=200)
-        with pytest.raises(ValueError, match="total_time"):
-            corrected_rate(counts, OpticsConfig(0.5, 1.0, 1.0),
-                           total_time=0.0)
+        counts = make_counts(n_bins=10**6, N_H1=300, N_H2=200, bin_width=0.0)
+        assert counts.duration == 0.0
+        with pytest.raises(ValueError, match="duration"):
+            corrected_rate(counts, OpticsConfig(0.5, 1.0, 1.0))

@@ -259,6 +259,26 @@ class TestStreamedSimulate:
                   "--threads", str(threads)])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("model", sorted(STREAMED_MODELS))
+    @pytest.mark.parametrize("segment_bins", [1001, 48_000])
+    def test_segment_longer_than_run_is_one_segment(self, tmp_path, model,
+                                                    segment_bins):
+        # segment_bins is the most bins a segment holds, so a 1000-bin run
+        # is one segment whatever larger value it names.
+        def simulate(size):
+            root = tmp_path / str(size)
+            root.mkdir()
+            cfg, _ = write_inputs(root, STREAMED_MODELS[model].replace(
+                "n_bins = 20000", "n_bins = 1000").replace(
+                "segment_bins = 5000", f"segment_bins = {size}"))
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(root / "out")]) == 0
+            return root / "out"
+        fitted, longer = simulate(1000), simulate(segment_bins)
+        for name in ("streams.pstm", "clicks.csv", "counts.csv"):
+            assert ((fitted / name).read_bytes()
+                    == (longer / name).read_bytes()), name
+
     def test_memory_does_not_grow_with_bins(self, tmp_path):
         cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
             "pair_mean_per_bin = 0.2", "pair_mean_per_bin = 0.01").replace(
@@ -397,7 +417,7 @@ class TestSweep:
         for index in (1, 2, 3):
             counts, echo = read_counts_json(out / f"point_{index:03d}.json")
             assert echo["run"]["n_bins"] == counts.n_bins == max_bins
-            assert echo["run"]["segment_bins"] == min(5000, max_bins)
+            assert echo["run"]["segment_bins"] == 5000
             rerun = run_counts(config_from_dict(echo), point_index=index,
                                target_triples=1_000_000)
             assert rerun.totals() == counts.totals()
@@ -407,6 +427,33 @@ def summary(captured: str) -> list[str]:
     """The printed summary lines, without the paths of the written files."""
     return [line for line in captured.splitlines()
             if not line.startswith("wrote ")]
+
+
+class TestBinsOverride:
+    """--bins and a plan's max_bins run what an INI with that n_bins runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_artifacts_do_not_depend_on_the_ini_n_bins(self, tmp_path,
+                                                       command):
+        outs = []
+        for n_bins in (1000, 1_000_000):
+            root = tmp_path / str(n_bins)
+            root.mkdir()
+            cfg, plan = write_inputs(root, RUN_INI.replace(
+                "n_bins = 20000", f"n_bins = {n_bins}").replace(
+                "segment_bins = 5000\n", ""))
+            plan.write_text(SWEEP_INI + "target_triples = 1000000\n"
+                            "max_bins = 200000\n", encoding="utf-8")
+            argv = [command, "--config", str(cfg), "--out", str(root / "out")]
+            argv += (["--bins", "200000"] if command == "simulate"
+                     else ["--sweep", str(plan)])
+            assert main(argv) == 0
+            outs.append(root / "out")
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
 
 
 class TestAnalyze:
@@ -501,6 +548,52 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{broken}: missing key 'N_H2'" in err
+
+
+    # Each case edits one field of a sweep point file: (edit, exit code,
+    # what the error says after the file's path).
+    MALFORMED_COUNTS = {
+        "string-bin-width": (lambda p: p.update(bin_width="abc"), 1,
+                             "'bin_width' is not a finite number > 0: 'abc'"),
+        "bool-bin-width": (lambda p: p.update(bin_width=True), 1,
+                           "'bin_width' is not a finite number > 0: True"),
+        "zero-bin-width": (lambda p: p.update(bin_width=0), 1,
+                           "'bin_width' is not a finite number > 0: 0"),
+        "infinite-bin-width": (lambda p: p.update(bin_width=math.inf), 1,
+                               "'bin_width' is not a finite number > 0: inf"),
+        "negative-n-bins": (lambda p: p.update(n_bins=-5), 1,
+                            "'n_bins' must be >= 1, got -5"),
+        "triples-above-pairs": (lambda p: p.update(N_H12=10**9), 1,
+                                "'N_H12' = 1000000000 exceeds 'N_H1' = "),
+        "config-not-an-object": (lambda p: p.update(config=[1, 2]), 2,
+                                 "bad configuration record: not an object: "
+                                 "[1, 2]"),
+        "config-without-run": (lambda p: p["config"].pop("run"), 2,
+                               "bad configuration record:\n"
+                               "missing section [run]"),
+        "config-without-seed": (lambda p: p["config"]["run"].pop("seed"), 2,
+                                "bad configuration record:\n"
+                                "[run] seed: missing"),
+        "config-negative-n-bins": (
+            lambda p: p["config"]["run"].update(n_bins=-5), 2,
+            "run.n_bins must be an integer >= 1, got -5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
+    def test_malformed_counts_are_errors_naming_the_file(
+            self, sweep_out, tmp_path, capsys, case):
+        edit, code, message = self.MALFORMED_COUNTS[case]
+        payload = json.loads((sweep_out / "point_001.json").read_text())
+        edit(payload)
+        bad = tmp_path / "point.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", "--counts", str(bad),
+                     "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        prefix = "error: " if code == 1 else "configuration error: "
+        assert err.startswith(f"{prefix}{bad}: ")
+        assert f"{bad}: {message}" in err or f"{bad}:\n{message}" in err
+        assert "Traceback" not in err
 
 
 class TestPlot:

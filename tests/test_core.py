@@ -94,9 +94,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dark_rate_1"):
             validate_config(make_config(detectors=bad))
 
-    def test_segment_larger_than_run_rejected(self):
-        with pytest.raises(ConfigError, match="segment_bins"):
-            validate_config(make_config(n_bins=100, segment_bins=101))
+    def test_segment_larger_than_run_accepted(self):
+        # segment_bins is the most bins a segment may hold; such a run is
+        # one segment.
+        cfg = make_config(n_bins=100, segment_bins=101)
+        assert validate_config(cfg) is cfg
 
     def test_pulse_longer_than_bin_rejected(self):
         block = pcsft_block(pulse_duration=30e-9)
@@ -191,12 +193,11 @@ class TestIniParsing:
         assert cfg.n_bins == 100_000
         assert cfg.seed == 7
 
-    def test_segment_default_capped_by_run_length(self):
-        cfg = parse_config(INI_TEXT)
-        assert cfg.segment_bins == 48_000
-        short = parse_config(INI_TEXT.replace("n_bins = 100000",
-                                              "n_bins = 1000"))
-        assert short.segment_bins == 1000
+    def test_segment_default_ignores_run_length(self):
+        for n_bins in ("100000", "1000"):
+            cfg = parse_config(INI_TEXT.replace("n_bins = 100000",
+                                                f"n_bins = {n_bins}"))
+            assert cfg.segment_bins == 48_000
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="wavelength"):

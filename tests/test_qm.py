@@ -20,7 +20,7 @@ def make_config(mu, mode_count=1, eta_h=0.26, eta_1=0.075, eta_2=0.055,
         optics=OpticsConfig(eta_h, eta_1, eta_2, attenuation, splitter_ratio),
         detectors=DetectorConfig(dark_rate_h=dark[0], dark_rate_1=dark[1],
                                  dark_rate_2=dark[2]),
-        n_bins=n_bins, segment_bins=min(48_000, n_bins), seed=seed)
+        n_bins=n_bins, seed=seed)
 
 
 class TestGFactor:

@@ -66,8 +66,7 @@ class TestPointRecord:
         assert record["sigma"] == record["sigma_raw"] == raw.sigma
         assert not record["upper_limit"]
         assert not record["background_subtracted"]
-        assert record["x_rate"] == corrected_rate(counts, cfg.optics,
-                                                  total_time=counts.duration)
+        assert record["x_rate"] == corrected_rate(counts, cfg.optics)
         assert "pcsft_bound" not in record
         assert "counts_corrected" not in record
 
@@ -107,9 +106,8 @@ class TestPointRecord:
         assert record["sigma"] == record["sigma_raw"]
         assert record["clamped_fields"] == list(clamped)
         assert record["counts_corrected"]["N_H"] == pytest.approx(40.0)
-        assert record["x_rate"] == pytest.approx(
-            corrected_rate(corrected, cfg.optics,
-                           total_time=signal.duration), rel=1e-12)
+        assert corrected.duration == signal.duration
+        assert record["x_rate"] == corrected_rate(corrected, cfg.optics)
 
     def test_emptied_denominator_falls_back_to_raw(self):
         cfg = photon_config()
@@ -119,8 +117,7 @@ class TestPointRecord:
         record = point_record(cfg, noise, background=noise)
         assert "correction_note" in record
         assert record["g2"] == record["g2_raw"]
-        assert record["x_rate"] == corrected_rate(noise, cfg.optics,
-                                                  total_time=noise.duration)
+        assert record["x_rate"] == corrected_rate(noise, cfg.optics)
 
     def test_field_theory_attaches_counts_bound(self):
         cfg = field_config()

@@ -283,6 +283,16 @@ class TestSweepPlan:
             parse_sweep_plan("[sweep]\nattenuations = 1.0\ntarget_triples = 0\n",
                              origin="plan.ini")
 
+    def test_every_plan_check_reported_together(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_plan("[sweep]\nattenuations = 1.5, 0.5\n"
+                             "target_triples = 0\nmax_bins = -3\n",
+                             origin="plan.ini")
+        assert str(info.value).splitlines() == [
+            "plan.ini: sweep attenuation 1.5 outside (0, 1]",
+            "plan.ini: sweep target_triples must be >= 1, got 0",
+            "plan.ini: sweep max_bins must be >= 1, got -3"]
+
     def test_empty_plan_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
             SweepPlan(attenuations=())
