@@ -142,8 +142,8 @@ def _write_report(points: Iterable[tuple], background, out: Path) -> int:
     """Write and summarise the report of (label, config, counts) points.
 
     A point without a g2 estimate is named on stderr and left out (exit 1).
+    ``out`` is created only once every point has been read.
     """
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     failures = 0
     first = None
@@ -157,6 +157,7 @@ def _write_report(points: Iterable[tuple], background, out: Path) -> int:
             print(f"{label}: {exc}", file=sys.stderr)
 
     rep = report.build_report(first, records, background=background)
+    out.mkdir(parents=True, exist_ok=True)
     report.write_report_json(rep, out / "report.json")
     report.write_report_csv(rep, out / "report.csv")
 
@@ -187,6 +188,7 @@ def cmd_sweep(args) -> int:
 
     def written():
         for point in runner.run_sweep(cfg, plan):
+            out.mkdir(parents=True, exist_ok=True)
             stem = out / f"point_{point.point_index:03d}"
             write_segment_csv(point.counts, stem.with_suffix(".csv"))
             write_counts_json(point.counts, stem.with_suffix(".json"),

@@ -271,15 +271,16 @@ class Role:
     """
 
     SOURCE = 0       # the census multinomial
-    # Ids 1-3 are kept.  Only the per-bin oracles of the test suite draw
-    # HERALD, SIGNAL_1 and SIGNAL_2; id 1 is also PLACEMENT.
+    # Ids 1-7 are kept, so that no stream id moves.  Roles 2-7 are drawn
+    # only by the per-bin oracles of the test suite (COUPLING by none of
+    # them), which also draw HERALD, whose id 1 PLACEMENT shares.
     HERALD = 1
     SIGNAL_1 = 2
     SIGNAL_2 = 3
     NOISE_H = 4      # herald dark + background draws
     NOISE_1 = 5
     NOISE_2 = 6
-    COUPLING = 7     # splitter energy-budget conversion draws
+    COUPLING = 7
     # Where the click route places its census (clicks_from_cells).  It
     # shares HERALD's id, which no census keys.
     PLACEMENT = HERALD
@@ -591,9 +592,8 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     order, and consecutive blocks of those positions take the remaining
     patterns in index order.  Every arrangement of the census is therefore
     equally likely: the law of any exchangeable bin sequence given its
-    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as bins drawn
-    independently, rewritten at uniformly chosen bins, or OR-ed with
-    independent per-bin noise.
+    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
+    independent bins whose census each model's ``segment_cells`` draws.
     """
     cells = np.asarray(cells)
     if cells.shape != (8,) or cells.sum() != n_bins:

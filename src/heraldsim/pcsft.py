@@ -28,14 +28,16 @@ relative for k = 1 to 1000.  No envelope is the one node theta = 1.
 
 Sampling
 --------
-:func:`segment_cells` draws a segment's census of the eight click
-patterns: a multinomial over the field pattern law of
-:func:`sampling_law`, then the splitter coupling and the noise, each
-acting on the census.  :func:`segment_clicks` places that census in a
-uniformly random order (:func:`heraldsim.core.clicks_from_cells`).  That is
-the law of the per-bin mechanism: independent bins (each with its own
-gain), conversions at uniformly chosen bins and independent per-bin noise
-leave the bin sequence exchangeable.
+Both samplers draw from the per-bin pattern law of
+:func:`pattern_probabilities`, noise included, as the photon model's do:
+
+- :func:`segment_cells` draws a segment's census of the eight click
+  patterns as one multinomial over that law;
+- :func:`segment_clicks` places that census in a uniformly random order
+  (:func:`heraldsim.core.clicks_from_cells`).  Bins are independent, so
+  the sequence is exchangeable and has exactly this law.
+
+The census therefore follows the stated law at any segment size.
 
 :func:`discrete_exit_steps` samples exit steps of walks on an Euler grid
 for the test suite's first-passage checks.  It is identical in law to
@@ -49,27 +51,21 @@ blocks are always exact, so near-barrier motion is never approximated.
 Splitter coupling
 -----------------
 With ``coupling`` = kappa > 0, the two signal detectors share the pulse
-energy budget: after the per-channel clicks are drawn, matched pairs of bins
-are converted between the patterns {(1,1),(0,0)} and {(1,0),(0,1)} until
-the expected same-bin coincidence probability equals
+energy budget: each bin's signal pair clicks jointly with probability
 
     q = kappa * 2 (pulse_duration / bin_width)^2 (f1 + f2) * f1 * f2
 
-(clipped to the feasible range), where f1, f2 are the field click
-probabilities.  Conversions preserve the per-channel click *counts* of
-every realisation exactly, so all singles statistics remain those of the
-uncoupled model; only the coincidence rate moves.  Dark and background
-clicks are OR-ed in afterwards and take no part in the budget.  A segment
-keys its coupling stream only where a pair can convert: coincidences to
-remove and bins in both (1,1) and (0,0), or to add and bins in both
-(1,0) and (0,1).  Every stream has its own Philox key, so a stream left
-undrawn changes no other draw.
+(clipped to the range any joint law with marginals f1, f2 can realise),
+where f1, f2 are the field click probabilities.  Each detector still
+clicks with its own probability, so the singles keep the uncoupled law in
+distribution; only the coincidence rate moves.  The herald stays
+independent of the signals.  Dark and background clicks are OR-ed in
+afterwards and take no part in the budget.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -346,10 +342,11 @@ def coincidence_probability(cfg: ExperimentConfig, f=None) -> float:
     """Per-bin probability that both signal detectors field-click.
 
     Independent product f1*f2 when coupling is off (under an envelope, the
-    census's no-conversion target; the mixture's own coincidences are in
-    :func:`pattern_probabilities`); otherwise the coupled target
-    g2 * f1 * f2, clipped to the range any joint law with the fixed
-    marginals can realise.  ``f`` as in :func:`coupled_g2_target`.
+    mixture's own coincidences are in :func:`pattern_probabilities`);
+    otherwise the coupled target g2 * f1 * f2, clipped to the range any
+    joint law with the fixed marginals can realise (the Frechet bounds),
+    which keeps every cell of the coupled pattern law nonnegative.  ``f``
+    as in :func:`coupled_g2_target`.
     """
     f = field_click_probabilities(cfg) if f is None else f
     _, f1, f2 = f
@@ -365,31 +362,28 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Expected per-bin law over the 8 joint click patterns, noise included.
 
     Indexed (h << 2) | (s1 << 1) | s2, matching qm.joint_pattern_probabilities.
-    The coupling, which is never combined with an envelope, leaves the
-    herald independent of the signals and moves their coincidences to
-    :func:`coincidence_probability`.
-    """
-    (f_h, f1, f2), q, field_law, noise = sampling_law(cfg)
-    if cfg.pcsft.coupling:
-        field_law = np.outer([1.0 - f_h, f_h],
-                             [1.0 - f1 - f2 + q, f2 - q, f1 - q, q]).ravel()
-    return _or_channels(field_law, noise)
-
-
-def sampling_law(cfg: ExperimentConfig) -> tuple:
-    """What the samplers draw from, computed once per run by the runner.
-
-    ``(f, q, field_law, noise)``: the :func:`field_click_probabilities`,
-    the :func:`coincidence_probability`, the pattern law of the field
-    clicks before coupling (independent clicks at each gain node, weighted,
-    the mass off the grid silent) and the noise probabilities.
+    Without coupling, the channels click independently at each gain node,
+    weighted, the mass off the grid silent.  The coupling, which is never
+    combined with an envelope, leaves the herald independent of the
+    signals and moves their coincidences to :func:`coincidence_probability`.
     """
     nodes = weight, clicks = _node_clicks(cfg)
-    f = field_click_probabilities(cfg, nodes)
-    field_law = sum(w * _or_channels((1.0,) + (0.0,) * 7, node)
-                    for w, node in zip(weight.tolist(), zip(*clicks)))
-    field_law[0] += 1.0 - math.fsum(weight)
-    return f, coincidence_probability(cfg, f), field_law, noise_probabilities(cfg)
+    f_h, f1, f2 = f = field_click_probabilities(cfg, nodes)
+    if cfg.pcsft.coupling:
+        q = coincidence_probability(cfg, f)
+        # At the lower Frechet bound the silent cell is 0 up to rounding.
+        signals = [max(0.0, 1.0 - f1 - f2 + q), f2 - q, f1 - q, q]
+        field_law = np.outer([1.0 - f_h, f_h], signals).ravel()
+    else:
+        field_law = sum(w * _or_channels((1.0,) + (0.0,) * 7, node)
+                        for w, node in zip(weight.tolist(), zip(*clicks)))
+        field_law[0] += 1.0 - math.fsum(weight)
+    return _or_channels(field_law, noise_probabilities(cfg))
+
+
+def sampling_law(cfg: ExperimentConfig) -> np.ndarray:
+    """The samplers' law, computed once per run: the pattern law."""
+    return pattern_probabilities(cfg)
 
 
 def _or_channels(law, probs) -> np.ndarray:
@@ -414,33 +408,6 @@ def _or_channels(law, probs) -> np.ndarray:
 # Segment samplers
 # ---------------------------------------------------------------------------
 
-def _conversion_count(rngs: Callable[[int], np.random.Generator], n_11: int,
-                      n_00: int, n_10: int, n_01: int, f1: float, f2: float,
-                      q: float) -> tuple[int, np.random.Generator | None]:
-    """Number of pattern-pair conversions for one segment; sign = direction.
-
-    Positive: convert that many {(1,1),(0,0)} pairs into {(1,0),(0,1)}
-    (fewer coincidences); negative: the reverse.  Binomial so coincidence
-    counts keep natural shot-to-shot spread.  Whether any pair can convert
-    is decided from the counts first; only then is the segment's coupling
-    stream taken from ``rngs`` (role -> generator) and returned with the
-    count for the conversion's own draws.  Otherwise ``(0, None)``: the
-    stream is never keyed, which moves no other stream.
-    """
-    excess = f1 * f2 - q  # positive when coincidences must be removed
-    if excess > 0.0 and n_11 and n_00:
-        rate = min(1.0, excess / (f1 * f2))
-        rng = rngs(Role.COUPLING)
-        return min(int(rng.binomial(n_11, rate)), n_00), rng
-    if excess < 0.0 and n_10 and n_01:
-        denom = min(f1 * (1.0 - f2), (1.0 - f1) * f2)
-        if denom > 0.0:
-            rate = min(1.0, -excess / denom)
-            rng = rngs(Role.COUPLING)
-            return -int(rng.binomial(min(n_10, n_01), rate)), rng
-    return 0, None
-
-
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
                    n_bins: int | None = None, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,51 +431,15 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    A multinomial over the field pattern law (an envelope's mixture
-    included); the coupling conversion and the noise OR then act on the
-    census with the (hypergeometric / binomial) laws they induce on
-    per-bin clicks.  Streams and ``law`` as in :func:`segment_clicks`,
-    which places this census bin by bin.
+    One multinomial over :func:`sampling_law`, drawn from the segment's
+    (pooled) source stream.  Streams and ``law`` as in
+    :func:`segment_clicks`, which places this census bin by bin.
     """
     if n_bins is None:
         n_bins = cfg.segment_bins
-    (_, f1, f2), q, field_law, p_noise = sampling_law(cfg) if law is None else law
-    rngs = _segment_rngs(cfg, segment_index, point_index)
-    # Python ints: the cell arithmetic below is scalar.
-    cells = rngs(Role.SOURCE).multinomial(n_bins, field_law).tolist()
-
-    # No coupling, or f1 * f2 = 0, leaves q = f1 * f2: no conversion.
-    moves, rng_c = _conversion_count(rngs, cells[3] + cells[7], cells[0] + cells[4],
-                                     cells[2] + cells[6], cells[1] + cells[5],
-                                     f1, f2, q)
-    if moves:
-        # Converted bins carry their herald labels with them.  Each step
-        # moves bins from one (heralded, unheralded) cell pair to another:
-        # (1,1) -> (1,0) and (0,0) -> (0,1), reversed when moves < 0.
-        steps = (((7, 3), (6, 2)), ((4, 0), (5, 1)))
-        if moves < 0:
-            steps = [(dst, src) for src, dst in steps]
-        moved = abs(moves)  # at most the bins of either source pair
-        for (src_h, src), (dst_h, dst) in steps:
-            heralded = int(rng_c.hypergeometric(cells[src_h], cells[src], moved))
-            cells[src_h] -= heralded
-            cells[src] -= moved - heralded
-            cells[dst_h] += heralded
-            cells[dst] += moved - heralded
-
-    # Noise ORs: bins with channel bit 0 move to bit 1 independently.
-    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
-    for p, role, bit in zip(p_noise, roles, (4, 2, 1)):
-        if p == 0.0:
-            continue
-        rng_n = rngs(role)
-        for cell in range(8):
-            if not cell & bit and cells[cell]:
-                flipped = int(rng_n.binomial(cells[cell], p))
-                cells[cell] -= flipped
-                cells[cell | bit] += flipped
-
-    return np.array(cells, dtype=np.int64)
+    probs = sampling_law(cfg) if law is None else law
+    rng = _segment_rngs(cfg, segment_index, point_index)(Role.SOURCE)
+    return rng.multinomial(n_bins, probs)
 
 
 # ---------------------------------------------------------------------------

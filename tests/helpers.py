@@ -9,9 +9,7 @@ tautology.  ``first_passage_times`` turns the package's exit-step kernel
 into exit times, for the first-passage checks.  ``merge`` joins two
 segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
-``reference_pcsft_cells`` is the pcsft census as it drew before it skipped
-the coupling stream where no pair can convert: every stream keyed, every
-draw made.  ``mechanistic_qm_clicks`` walks the photon model's physical
+``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
 thinning, per-bin noise), the oracle of the law both qm samplers draw from.
 ``per_bin_envelope_clicks`` is the pcsft envelope's chain (a gain per bin,
@@ -198,65 +196,6 @@ def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
     table.segment_index = np.arange(len(table))
     table.flags.writeable = False
     return CoincidenceCounts(bin_width=a.bin_width, segments=table)
-
-
-def reference_pcsft_cells(cfg: ExperimentConfig, segment_index: int,
-                          n_bins: int | None = None,
-                          point_index: int = 0) -> np.ndarray:
-    """The pcsft census drawn the long way: the oracle of ``segment_cells``.
-
-    Keys the coupling stream and draws its binomial and both hypergeometric
-    steps whenever coupling is on and f1, f2 > 0, whether or not any pair
-    can convert, and takes a fresh generator per stream.
-    """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
-    pc = cfg.pcsft
-    (_, f1, f2), q, field_law, p_noise = pcsft.sampling_law(cfg)
-
-    def rng(role):
-        return rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
-
-    cells = rng(Role.SOURCE).multinomial(n_bins, field_law).tolist()
-
-    if pc.coupling > 0.0 and f1 > 0.0 and f2 > 0.0:
-        rng_c = rng(Role.COUPLING)
-        n_11, n_00 = cells[3] + cells[7], cells[0] + cells[4]
-        n_10, n_01 = cells[2] + cells[6], cells[1] + cells[5]
-        moves = 0
-        excess = f1 * f2 - q
-        if excess > 0.0:
-            rate = min(1.0, excess / (f1 * f2))
-            moves = min(int(rng_c.binomial(n_11, rate)), n_00)
-        elif excess < 0.0:
-            denom = min(f1 * (1.0 - f2), (1.0 - f1) * f2)
-            if denom > 0.0:
-                rate = min(1.0, -excess / denom)
-                moves = -int(rng_c.binomial(min(n_10, n_01), rate))
-        steps = (((7, 3), (6, 2)), ((4, 0), (5, 1)))
-        if moves < 0:
-            steps = [(dst, src) for src, dst in steps]
-        moved = abs(moves)
-        for (src_h, src), (dst_h, dst) in steps:
-            heralded = (int(rng_c.hypergeometric(cells[src_h], cells[src], moved))
-                        if cells[src_h] + cells[src] else 0)
-            cells[src_h] -= heralded
-            cells[src] -= moved - heralded
-            cells[dst_h] += heralded
-            cells[dst] += moved - heralded
-
-    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
-    for p, role, bit in zip(p_noise, roles, (4, 2, 1)):
-        if p == 0.0:
-            continue
-        rng_n = rng(role)
-        for cell in range(8):
-            if not cell & bit and cells[cell]:
-                flipped = int(rng_n.binomial(cells[cell], p))
-                cells[cell] -= flipped
-                cells[cell | bit] += flipped
-
-    return np.array(cells, dtype=np.int64)
 
 
 def sample_pair_counts(rng: np.random.Generator, size: int,

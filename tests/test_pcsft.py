@@ -11,11 +11,11 @@ from heraldsim import core, pcsft
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
                             noise_probabilities, parse_config, rng_stream,
-                            stream_id, validate_config, with_attenuation)
+                            stream_id, validate_config)
 from heraldsim.runner import simulate_run
 
 from helpers import (euler_exit_steps, first_passage_times, pattern_counts,
-                     per_bin_envelope_clicks, reference_pcsft_cells)
+                     per_bin_envelope_clicks)
 
 BIN = 20.83e-9
 
@@ -237,6 +237,35 @@ class TestClickLaw:
         assert pcsft.coupled_g2_target(cfg) * f1 * f2 < f1 + f2 - 1.0
         assert pcsft.coincidence_probability(cfg) == f1 + f2 - 1.0
 
+    # Configs whose coupled target lies beyond a Frechet bound, so that
+    # coincidence_probability clips q to it: equal and unequal signal
+    # arms, with and without noise.
+    FRECHET_CLIPPED = {
+        "upper": dict(theta=5.0, coupling=1.0),
+        "upper-unequal": dict(theta=5.0, coupling=1.0, eta_2=0.5,
+                              dark=(1e5, 2e5, 3e5)),
+        "lower": dict(theta=5.0, coupling=1e-4),
+        "lower-unequal": dict(theta=5.0, coupling=1e-4, eta_2=0.7,
+                              dark=(0.0, 4e6, 0.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FRECHET_CLIPPED))
+    def test_law_and_census_valid_at_frechet_bounds(self, case):
+        cfg = field_config(**self.FRECHET_CLIPPED[case])
+        _, f1, f2 = pcsft.field_click_probabilities(cfg)
+        target = pcsft.coupled_g2_target(cfg) * f1 * f2
+        bound = (min(f1, f2) if case.startswith("upper")
+                 else f1 + f2 - 1.0)
+        assert (target > bound) is case.startswith("upper")
+        assert pcsft.coincidence_probability(cfg) == bound
+        law = pcsft.pattern_probabilities(cfg)
+        assert (law >= 0.0).all()
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        for index in range(20):
+            cells = pcsft.segment_cells(cfg, index, 10_000)
+            assert (cells >= 0).all()
+            assert cells.sum() == 10_000
+
     def test_pattern_probabilities_normalised(self):
         for cfg in (field_config(), field_config(dark=(2e5, 1e5, 3e5)),
                     field_config(coupling=0.0)):
@@ -305,6 +334,13 @@ class TestSegmentSamplers:
             pcsft.segment_clicks(cfg, 0, 100)
         with pytest.raises(ValueError, match="pcsft"):
             pcsft.segment_cells(cfg, 0, 100)
+
+    def test_out_of_range_indices_rejected(self):
+        cfg = parse_config(README_INI)
+        for segment_index, point_index in ((0, 1 << 24), (-1, 0), (1 << 37, 0)):
+            for sample in (pcsft.segment_cells, pcsft.segment_clicks):
+                with pytest.raises(ValueError, match="out of range"):
+                    sample(cfg, segment_index, 100, point_index=point_index)
 
     def test_clicks_match_literal_grid_oracle(self):
         # Production per-bin route vs the literal per-step walk on a
@@ -392,31 +428,29 @@ class TestSegmentSamplers:
 
 
 class TestSplitterCoupling:
-    def test_marginals_preserved_exactly(self):
-        coupled = field_config(coupling=0.7, seed=31, n_bins=50_000)
+    def test_channel_totals_keep_the_uncoupled_marginals(self):
+        # Coupling moves only the coincidences: over many segments, each
+        # channel's total per segment spreads as the same binomial with or
+        # without it, noise included.  Per coupling and channel, the sum
+        # of squared standard scores of 400 segments is chi2(400).
+        n_bins, n_segments = 20_000, 400
+        coupled = field_config(coupling=0.7, seed=31, dark=(2e5, 1e5, 3e5))
         free = dataclasses.replace(
             coupled, pcsft=dataclasses.replace(coupled.pcsft, coupling=0.0))
-        # Totals only: two censuses are placed independently, and equal
-        # herald arrays would rest on how Generator.choice draws.
-        h_c, s1_c, s2_c = pcsft.segment_clicks(coupled, 0, 50_000)
-        h_f, s1_f, s2_f = pcsft.segment_clicks(free, 0, 50_000)
-        assert h_c.sum() == h_f.sum()
-        assert s1_c.sum() == s1_f.sum()
-        assert s2_c.sum() == s2_f.sum()
-        assert np.sum(s1_c & s2_c) != np.sum(s1_f & s2_f)
-
-    def test_cells_marginals_preserved_exactly(self):
-        coupled = field_config(coupling=0.7, seed=32, n_bins=50_000)
-        free = dataclasses.replace(
-            coupled, pcsft=dataclasses.replace(coupled.pcsft, coupling=0.0))
-        c = pcsft.segment_cells(coupled, 0, 50_000)
-        f = pcsft.segment_cells(free, 0, 50_000)
-
-        def channel_total(cells, bit):
-            return sum(int(cells[i]) for i in range(8) if i & bit)
-
-        for bit in (4, 2, 1):
-            assert channel_total(c, bit) == channel_total(f, bit)
+        law = pcsft.pattern_probabilities(free)
+        for cfg in (coupled, free):
+            cells = np.array([pcsft.segment_cells(cfg, index, n_bins)
+                              for index in range(n_segments)])
+            for bit in (4, 2, 1):
+                clicks = [i for i in range(8) if i & bit]
+                p = law[clicks].sum()
+                assert pcsft.pattern_probabilities(cfg)[clicks].sum() == \
+                    pytest.approx(p, rel=1e-12)
+                totals = cells[:, clicks].sum(axis=1)
+                chi2 = np.sum((totals - n_bins * p) ** 2
+                              / (n_bins * p * (1.0 - p)))
+                tail = stats.chi2.sf(chi2, n_segments)
+                assert 0.0005 < tail < 0.9995, (cfg.pcsft.coupling, bit, chi2)
 
     @pytest.mark.parametrize("route,seed,n_bins", [("clicks", 5001, 150_000),
                                                    ("cells", 5005, 400_000)])
@@ -435,89 +469,6 @@ class TestSplitterCoupling:
         sigma = g2 * math.sqrt(1.0 / n_12 + 1.0 / n_1 + 1.0 / n_2)
         assert g2 == pytest.approx(pcsft.coupled_g2_target(cfg),
                                    abs=3.0 * sigma)
-
-
-class TestCensusOracle:
-    """``segment_cells`` against the census that keys every stream.
-
-    The coupling stream is keyed only where a pair can convert; each
-    stream has its own Philox key, so leaving one undrawn moves no other
-    and the cells stay equal to the reference's.
-    """
-
-    @staticmethod
-    def conversions(monkeypatch):
-        """What every ``_conversion_count`` call returns from here on."""
-        seen, original = [], pcsft._conversion_count
-
-        def recorded(*args):
-            seen.append(original(*args))
-            return seen[-1]
-        monkeypatch.setattr(pcsft, "_conversion_count", recorded)
-        return seen
-
-    @staticmethod
-    def keyed_roles(monkeypatch):
-        """The role of every stream the samplers key from here on."""
-        roles, original = [], core.rng_stream
-
-        def recorded(seed, stream, pooled=False):
-            roles.append(stream & (Role.COUNT - 1))
-            return original(seed, stream, pooled)
-        monkeypatch.setattr(core, "rng_stream", recorded)
-        return roles
-
-    def assert_matches(self, cfg, point_index, n_segments=40):
-        law = pcsft.sampling_law(cfg)
-        for index in range(n_segments):
-            np.testing.assert_array_equal(
-                pcsft.segment_cells(cfg, index, point_index=point_index, law=law),
-                reference_pcsft_cells(cfg, index, point_index=point_index))
-
-    def test_benchmark_sweep_points_never_key_the_coupling_stream(self, monkeypatch):
-        # The sweep-pcsft points: README defaults at attenuations 1.0 to
-        # 0.1, sweep point i drawing as point_index i.
-        roles = self.keyed_roles(monkeypatch)
-        cfg = parse_config(README_INI)
-        for point, attenuation in enumerate((1.0, 0.5, 0.2, 0.1), start=1):
-            self.assert_matches(with_attenuation(cfg, attenuation), point)
-        assert roles and Role.COUPLING not in roles
-
-    @pytest.mark.parametrize("attenuation,sign", [(0.5, 1), (1.0, -1)])
-    def test_converting_census(self, monkeypatch, attenuation, sign):
-        # coupling 1 at 1e9 incident power: at attenuation 1.0 the target
-        # coincidence rate lies above f1 * f2 (moves < 0), at 0.5 below it.
-        conversions = self.conversions(monkeypatch)
-        cfg = with_attenuation(parse_config(README_INI.replace(
-            "incident_power = 7.3e7", "incident_power = 1e9").replace(
-            "coupling = 0.5", "coupling = 1.0")), attenuation)
-        self.assert_matches(cfg, point_index=3)
-        assert len(conversions) == 40
-        assert all(moves * sign > 0 for moves, _ in conversions)
-
-    def test_uncoupled_census(self, monkeypatch):
-        conversions = self.conversions(monkeypatch)
-        cfg = field_config(coupling=0.0, dark=(3e5, 2e5, 1e5), n_bins=48_000)
-        self.assert_matches(cfg, point_index=0)
-        assert conversions == [(0, None)] * 40
-
-    def test_click_route_skips_the_stream_where_no_pair_converts(self, monkeypatch):
-        # Segment 0 of the README defaults has no bin where both signal
-        # detectors click; at coupling 0.7 and theta 0.5 pairs convert.
-        roles = self.keyed_roles(monkeypatch)
-        for cfg, keyed in ((parse_config(README_INI), False),
-                           (field_config(coupling=0.7), True)):
-            roles.clear()
-            _, s1, s2 = pcsft.segment_clicks(cfg, 0)
-            assert (Role.COUPLING in roles) is keyed
-            assert bool(np.any(s1 & s2)) is keyed
-
-    def test_out_of_range_indices_still_rejected(self):
-        cfg = parse_config(README_INI)
-        for segment_index, point_index in ((0, 1 << 24), (-1, 0), (1 << 37, 0)):
-            for sample in (pcsft.segment_cells, pcsft.segment_clicks):
-                with pytest.raises(ValueError, match="out of range"):
-                    sample(cfg, segment_index, 100, point_index=point_index)
 
 
 class TestEnvelope:
@@ -579,13 +530,14 @@ class TestEnvelope:
                                    rtol=1e-10, atol=0.0)
 
     def test_one_node_without_an_envelope(self):
-        cfg = field_config(coupling=0.0)
+        cfg = field_config(coupling=0.0, dark=(2e5, 1e5, 3e5))
         f = pcsft.field_click_probabilities(cfg)
-        _, _, field_law, _ = pcsft.sampling_law(cfg)
         assert f[0] == pcsft.crossing_probability(
             1.0, cfg.pcsft.incident_power * 0.5, cfg.pcsft.pulse_duration)
-        np.testing.assert_array_equal(field_law, pcsft._or_channels(
-            (1.0,) + (0.0,) * 7, f))
+        field_law = pcsft._or_channels((1.0,) + (0.0,) * 7, f)
+        np.testing.assert_array_equal(
+            pcsft.sampling_law(cfg),
+            pcsft._or_channels(field_law, noise_probabilities(cfg)))
 
     def test_envelope_route_matches_literal_oracle(self):
         cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,

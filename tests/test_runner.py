@@ -6,13 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from heraldsim import pcsft, qm, runner
 from heraldsim.analysis import heralded_g2
 from heraldsim.coincidence import accumulate, counts_from_cells, segment_table
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
-                            validate_config, with_attenuation)
+                            parse_config, validate_config, with_attenuation)
 from heraldsim.runner import (SweepPlan, load_sweep_plan, parse_sweep_plan,
                               run_counts, run_sweep, segment_sizes,
                               simulate_run)
@@ -50,10 +51,7 @@ def envelope_config(n_bins=20_000, segment_bins=10_000,
 
 def coupled_noisy_config(n_bins=200_000, segment_bins=9_973,
                          seed=8012) -> ExperimentConfig:
-    """A coupled pcsft census with noise on all three channels.
-
-    Each segment draws from the SOURCE, COUPLING and three NOISE streams.
-    """
+    """A coupled pcsft config with noise on all three channels."""
     return validate_config(ExperimentConfig(
         source=SourceConfig(0.0),
         optics=OpticsConfig(0.5, 1.0, 1.0, 1.0, 0.5),
@@ -62,6 +60,44 @@ def coupled_noisy_config(n_bins=200_000, segment_bins=9_973,
         pcsft=replace(ENVELOPE_BLOCK, coupling=0.5, envelope_modes=None),
         theory=Theory.PCSFT, n_bins=n_bins, segment_bins=segment_bins,
         seed=seed))
+
+
+# The README's field-model example at 1e9 incident power, coupling 1 and
+# equal signal arms: f1 = f2 = 0.448 and a coupled coincidence target of
+# 0.359 per bin, above f1 * f2.
+COUPLED_INI = """
+[source]
+pair_mean_per_bin = 0.05
+
+[optics]
+eta_h = 0.26
+eta_1 = 0.065
+eta_2 = 0.065
+
+[run]
+theory = pcsft
+n_bins = 960000
+seed = 8023
+
+[pcsft]
+threshold_energy = 1.0
+pulse_duration = 20.83e-9
+incident_power = 1e9
+coupling = 1.0
+"""
+
+
+def census_from_totals(counts) -> np.ndarray:
+    """A run's bins per joint click pattern, from its totals.
+
+    By inclusion-exclusion over the channels that click together:
+    ``clicked[mask]`` bins click on every channel of ``mask`` at least.
+    """
+    clicked = {0: counts.n_bins, 4: counts.N_H, 2: counts.N_1, 1: counts.N_2,
+               6: counts.N_H1, 5: counts.N_H2, 3: counts.N_12, 7: counts.N_H12}
+    return np.array([sum((-1) ** bin(mask & ~pattern).count("1") * clicked[mask]
+                         for mask in range(8) if mask & pattern == pattern)
+                     for pattern in range(8)])
 
 
 def assert_takes_the_census(model, cfg: ExperimentConfig) -> None:
@@ -182,6 +218,27 @@ class TestRunCounts:
             assert builds == [cfg]
             simulate_run(cfg)
             assert builds == [cfg, cfg]
+
+    LAWS = {
+        "qm": (qm.joint_pattern_probabilities,
+               lambda: photon_config(n_bins=960_000, seed=8021)),
+        "pcsft-coupled": (pcsft.pattern_probabilities,
+                          lambda: parse_config(COUPLED_INI)),
+        "pcsft-envelope": (pcsft.pattern_probabilities,
+                           lambda: envelope_config(n_bins=960_000, seed=8022)),
+    }
+
+    @pytest.mark.parametrize("segment_bins", [48_000, 480])
+    @pytest.mark.parametrize("case", sorted(LAWS))
+    def test_totals_follow_the_law_at_any_segment_size(self, case,
+                                                       segment_bins):
+        law, make = self.LAWS[case]
+        cfg = replace(make(), segment_bins=segment_bins)
+        expected = law(cfg) * cfg.n_bins
+        assert expected.min() > 5.0
+        cells = census_from_totals(run_counts(cfg))
+        assert cells.sum() == cfg.n_bins
+        assert stats.chisquare(cells, expected).pvalue > 0.001
 
     def test_herald_rate_matches_exact_law(self):
         cfg = photon_config(eta_h=0.26, seed=8001)
