@@ -12,8 +12,10 @@ version 1); see :func:`write_streams` for the exact layout.
 segments that end inside a byte onto the next one bitwise, so a run never
 needs its whole record in memory; :func:`write_streams` and
 :meth:`ClickStreams.concat` use the same splice.  A sparse CSV export (one
-row per click) is built from a container in fixed-size chunks, for
-eyeballing and for interoperability with spreadsheet tooling.
+row per click), for eyeballing and for interoperability with spreadsheet
+tooling, is built from a container in fixed-size chunks: each run of rows
+with equally many digits is formatted as one numpy byte array.  Both files
+are written under a temporary name and renamed into place when complete.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ _CHANNELS = 3  # herald, signal 1, signal 2
 _NAMES = ("herald", "signal_1", "signal_2")
 # write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
 # formats the clicks of at most _HOT_BYTES nonzero bytes (<= 8 rows each) per
-# write, so its memory is bounded however densely the detectors click.
-_CHUNK_BYTES = 1 << 15
+# step, so its memory is bounded however densely the detectors click: 8 bytes
+# per chunk byte for the int64 index of its nonzero bytes, and some tens of
+# bytes per row of a step.
+_CHUNK_BYTES = 1 << 17
 _HOT_BYTES = 1 << 12
+# 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
+# indices have at most 19.
+_DECADES = [10**digits for digits in range(1, 19)]
 
 _HEADER = struct.Struct("<4sHQdB")  # magic, version, n_bins, bin_width, channels
 
@@ -51,11 +58,16 @@ class StreamFormatError(ValueError):
     """Raised when a stream file is malformed or has an unsupported version."""
 
 
+def _temporary(path: Path) -> Path:
+    """A fresh name in the directory of ``path`` to write it under."""
+    return path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+
+
 def _pack(bits: np.ndarray, n_bins: int) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.shape != (n_bins,):
         raise ValueError(f"channel must have shape ({n_bins},), got {bits.shape}")
-    return np.packbits(bits.astype(bool), bitorder="little")
+    return np.packbits(bits.astype(bool, copy=False), bitorder="little")
 
 
 def _splice(tail, tail_bits: int, packed: np.ndarray, n_bins: int) -> np.ndarray:
@@ -184,8 +196,7 @@ class StreamWriter:
         self._written = 0
         self._nbytes = (n_bins + 7) // 8
         self._tails = [0] * _CHANNELS
-        self._tmp = self.path.with_name(
-            f"{self.path.name}.{os.urandom(4).hex()}.tmp")
+        self._tmp = _temporary(self.path)
         self._fh = open(self._tmp, "xb")
         try:
             self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_bins,
@@ -286,25 +297,63 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
 
     Channels are named H, 1, 2; rows are grouped by channel and ordered by
     bin within each.  Each channel is read in fixed-size chunks and only
-    its nonzero bytes are unpacked, so memory stays fixed whatever the run
-    length and click rate.  Returns the number of click rows written.
+    its nonzero bytes are unpacked; their rows are formatted a bounded
+    number at a time into numpy byte arrays (see :func:`_write_rows`), so
+    memory stays fixed whatever the run length and click rate.  The file
+    is written under a temporary name and renamed to ``path`` when
+    complete; an exception deletes it instead.  Returns the number of
+    click rows written.
     """
+    path = Path(path)
+    tmp = _temporary(path)
     rows = 0
-    with open(source, "rb") as fh, open(path, "w", newline="") as out:
-        _, _, nbytes = _read_header(fh, source)
-        out.write("channel,bin_index\n")
-        for name in ("H", "1", "2"):
-            for start in range(0, nbytes, _CHUNK_BYTES):
-                chunk = np.fromfile(fh, dtype=np.uint8,
-                                    count=min(_CHUNK_BYTES, nbytes - start))
-                hot = np.flatnonzero(chunk)
-                for lo in range(0, hot.size, _HOT_BYTES):
-                    part = hot[lo:lo + _HOT_BYTES]
-                    set_bits = np.flatnonzero(np.unpackbits(chunk[part],
-                                                            bitorder="little"))
-                    bins = ((start + part[set_bits >> 3]) * 8
-                            + (set_bits & 7)).tolist()
-                    out.write(f"{name}," + f"\n{name},".join(map(str, bins))
-                              + "\n")
-                    rows += len(bins)
+    try:
+        with open(source, "rb") as fh, open(tmp, "xb") as out:
+            _, _, nbytes = _read_header(fh, source)
+            out.write(b"channel,bin_index\n")
+            for prefix in (b"H,", b"1,", b"2,"):
+                for start in range(0, nbytes, _CHUNK_BYTES):
+                    chunk = np.fromfile(fh, dtype=np.uint8,
+                                        count=min(_CHUNK_BYTES, nbytes - start))
+                    # numpy finds the nonzero entries of a bool array
+                    # several times faster than those of a uint8 one.
+                    hot = np.flatnonzero(chunk != 0)
+                    for lo in range(0, hot.size, _HOT_BYTES):
+                        part = hot[lo:lo + _HOT_BYTES]
+                        set_bits = np.flatnonzero(np.unpackbits(
+                            chunk[part], bitorder="little").view(bool))
+                        byte = start + part[set_bits >> 3].astype(np.int64,
+                                                                   copy=False)
+                        bins = byte * 8 + (set_bits & 7)
+                        _write_rows(out, prefix, bins)
+                        rows += bins.size
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return rows
+
+
+def _write_rows(out, prefix: bytes, bins: np.ndarray) -> None:
+    """Write ``prefix``, the decimal index and a newline for each of ``bins``.
+
+    ``bins`` is ascending int64, so rows with the same number of digits are
+    contiguous.  Each such run is one ``(rows, len(prefix) + digits + 1)``
+    uint8 array, filled a digit column at a time, lowest digit first.
+    """
+    lo = 0
+    for digits, hi in enumerate(np.searchsorted(bins, _DECADES).tolist()
+                                + [bins.size], start=1):
+        if hi == lo:
+            continue
+        block = np.empty((hi - lo, len(prefix) + digits + 1), dtype=np.uint8)
+        for col, char in enumerate(prefix):  # faster than a broadcast row
+            block[:, col] = char
+        block[:, -1] = ord("\n")
+        x = bins[lo:hi]
+        for col in range(len(prefix) + digits - 1, len(prefix) - 1, -1):
+            q = x // 10
+            block[:, col] = x - 10 * q + ord("0")
+            x = q
+        out.write(block.tobytes())
+        lo = hi

@@ -1,6 +1,9 @@
 """Bit-packed click streams: packing, concatenation, and file formats."""
 
+import io
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +32,13 @@ bool_arrays = st.integers(min_value=1, max_value=500).flatmap(
 
 part_sizes = st.lists(st.integers(min_value=0, max_value=70), min_size=1,
                       max_size=8)
+
+
+def oracle_rows(streams: ClickStreams) -> str:
+    """The sparse CSV of ``streams``, one f-string per click."""
+    return "channel,bin_index\n" + "".join(
+        f"{name},{i}\n" for name, bits in zip(("H", "1", "2"), streams.bools())
+        for i in np.flatnonzero(bits).tolist())
 
 
 def random_parts(sizes) -> list[ClickStreams]:
@@ -255,6 +265,53 @@ class TestSparseCsv:
         assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
         assert rows == len(expected) - 1
 
+    @pytest.mark.parametrize("n_bins", [1, 7, 13, 1001])
+    def test_every_byte_hot_and_every_step_split(self, tmp_path, monkeypatch,
+                                                 n_bins):
+        # All clicks, a partial last byte: each 3-byte chunk is hot
+        # throughout and formatted in two steps of at most 2 bytes.
+        monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 3)
+        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
+        ones = [1] * n_bins
+        streams = ClickStreams.from_bools(ones, ones, ones, bin_width=1e-9)
+        write_streams(streams, tmp_path / "run.pstm")
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        assert rows == 3 * n_bins
+        assert (tmp_path / "clicks.csv").read_text() == oracle_rows(streams)
+
+    @given(bool_arrays, st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=9))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_f_string_rows(self, tmp_path_factory, channels,
+                                      chunk_bytes, hot_bytes):
+        tmp_path = tmp_path_factory.mktemp("csv")
+        streams = ClickStreams.from_bools(*channels, bin_width=1e-9)
+        write_streams(streams, tmp_path / "run.pstm")
+        with mock.patch.multiple(streams_module, _CHUNK_BYTES=chunk_bytes,
+                                 _HOT_BYTES=hot_bytes):
+            rows = write_sparse_csv(tmp_path / "run.pstm",
+                                    tmp_path / "clicks.csv")
+        expected = oracle_rows(streams)
+        assert (tmp_path / "clicks.csv").read_text() == expected
+        assert rows == expected.count("\n") - 1
+
+    def test_bin_indices_beyond_31_bits(self, tmp_path):
+        # A sparse container of 2**31 + 9 bins whose only clicks are herald
+        # bins 2**31, 2**31 + 7 and 2**31 + 8 (the last bin).
+        n_bins = 2**31 + 9
+        nbytes = (n_bins + 7) // 8
+        header = struct.pack("<4sHQdB", b"PSTM", 1, n_bins, 1e-9, 3)
+        path = tmp_path / "run.pstm"
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 3 * nbytes)
+            fh.seek(len(header) + nbytes - 2)
+            fh.write(bytes([0b1000_0001, 0b0000_0001]))
+        assert write_sparse_csv(path, tmp_path / "clicks.csv") == 3
+        assert (tmp_path / "clicks.csv").read_text().splitlines() == [
+            "channel,bin_index", "H,2147483648", "H,2147483655",
+            "H,2147483656"]
+
     def test_malformed_container_rejected(self, tmp_path):
         path = tmp_path / "bad.pstm"
         write_streams(random_streams(10), path)
@@ -263,3 +320,66 @@ class TestSparseCsv:
         path.write_bytes(bytes(raw))
         with pytest.raises(StreamFormatError, match="pad bits"):
             write_sparse_csv(path, tmp_path / "clicks.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.pstm"]
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        write_streams(random_streams(1001, seed=5), tmp_path / "run.pstm")
+        write_rows = streams_module._write_rows
+        calls = []
+
+        def interrupted(out, prefix, bins):
+            if calls:
+                raise RuntimeError("interrupted")
+            calls.append(prefix)
+            write_rows(out, prefix, bins)
+
+        monkeypatch.setattr(streams_module, "_write_rows", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        assert calls
+        assert [p.name for p in tmp_path.iterdir()] == ["run.pstm"]
+
+    def test_memory_does_not_grow_with_length(self, tmp_path):
+        # Every bin clicks on every channel, the densest container: the
+        # peak of numpy and Python allocations must not follow its length.
+        peaks = []
+        for n_bins in (1 << 20, 1 << 22):
+            ones = np.full(n_bins // 8, 0xFF, dtype=np.uint8)
+            write_streams(ClickStreams(n_bins, 1e-9, ones, ones, ones),
+                          tmp_path / "run.pstm")
+            del ones
+            tracemalloc.start()
+            try:
+                rows = write_sparse_csv(tmp_path / "run.pstm",
+                                        tmp_path / "clicks.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rows == 3 * n_bins
+            (tmp_path / "clicks.csv").unlink()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+
+class TestRowFormatter:
+    @staticmethod
+    def formatted(prefix: bytes, bins) -> bytes:
+        out = io.BytesIO()
+        streams_module._write_rows(out, prefix, np.array(bins, dtype=np.int64))
+        return out.getvalue()
+
+    @staticmethod
+    def oracle(prefix: bytes, bins) -> bytes:
+        return "".join(f"{prefix.decode()}{i}\n" for i in bins).encode()
+
+    @pytest.mark.parametrize("bins", [[], [0], [7], [123456789]],
+                             ids=["empty", "zero", "one-digit", "single-row"])
+    def test_short_inputs(self, bins):
+        assert self.formatted(b"H,", bins) == self.oracle(b"H,", bins)
+
+    def test_every_decade_boundary(self):
+        bins = [0] + [i for k in range(1, 13) for i in (10**k - 1, 10**k)]
+        assert self.formatted(b"1,", bins) == self.oracle(b"1,", bins)
+
+    def test_indices_beyond_32_bits(self):
+        bins = [2**31 - 1, 2**31, 2**32 + 5, 10**18, 2**63 - 1]
+        assert self.formatted(b"2,", bins) == self.oracle(b"2,", bins)
