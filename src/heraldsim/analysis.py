@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
+from .coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
+                          CoincidenceCounts, alternating_sum, law_counts,
+                          segment_table)
 from .core import OpticsConfig
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "G2Estimate",
     "FitResult",
     "heralded_g2",
+    "law_g2",
     "klyshko_efficiency",
     "herald_efficiency",
     "background_subtract",
@@ -104,6 +107,18 @@ def heralded_g2(counts: CoincidenceCounts) -> G2Estimate:
     return _g2_from_totals(counts.N_H, counts.N_H1, counts.N_H2, counts.N_H12)
 
 
+def law_g2(law) -> float:
+    """The value :func:`heralded_g2` converges to under a per-bin pattern law.
+
+    The same ratio, of the law's pattern probabilities; NaN when P(H,1) or
+    P(H,2) is 0.
+    """
+    p = law_counts(law, 1)
+    if p["N_H1"] == 0.0 or p["N_H2"] == 0.0:
+        return math.nan
+    return p["N_H"] * p["N_H12"] / (p["N_H1"] * p["N_H2"])
+
+
 def klyshko_efficiency(counts: CoincidenceCounts,
                        ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Correlated-photon detector efficiency estimates for the signal arms.
@@ -143,23 +158,15 @@ def herald_efficiency(counts: CoincidenceCounts) -> tuple[float, float]:
 # Background subtraction
 # ---------------------------------------------------------------------------
 
-def _quiet_counts(c: CoincidenceCounts) -> dict[str, float]:
-    """Bins with no clicks on each channel subset, by inclusion-exclusion.
+def _quiet_counts(c: CoincidenceCounts) -> dict[int, float]:
+    """Bins with no clicks on each channel set, by inclusion-exclusion.
 
-    Subsets are spelled with their channels in H, 1, 2 order.
+    Keyed by the set's mask of ``CHANNEL_BITS``, 0 (all bins) first.
     """
-    n = c.n_bins
-    return {
-        "": float(n),
-        "H": n - c.N_H,
-        "1": n - c.N_1,
-        "2": n - c.N_2,
-        "H1": n - c.N_H - c.N_1 + c.N_H1,
-        "H2": n - c.N_H - c.N_2 + c.N_H2,
-        "12": n - c.N_1 - c.N_2 + c.N_12,
-        "H12": (n - c.N_H - c.N_1 - c.N_2
-                + c.N_H1 + c.N_H2 + c.N_12 - c.N_H12),
-    }
+    totals = c.totals()
+    clicked = {0: totals["n_bins"]} | {mask: totals[f] for f, mask
+                                       in zip(COUNT_FIELDS, FIELD_MASKS)}
+    return {mask: alternating_sum(mask, clicked.__getitem__) for mask in clicked}
 
 
 def background_subtract(signal: CoincidenceCounts, background: CoincidenceCounts,
@@ -187,39 +194,25 @@ def background_subtract(signal: CoincidenceCounts, background: CoincidenceCounts
     n_bg = background.n_bins
     if n_bg <= 0:
         raise ValueError("background run is empty")
-    n = signal.n_bins
 
     # Per-channel noise click probabilities from the background run.
-    p_noise = {
-        "H": background.N_H / n_bg,
-        "1": background.N_1 / n_bg,
-        "2": background.N_2 / n_bg,
-    }
-    for name, p in p_noise.items():
+    p_noise = [background.N_H / n_bg, background.N_1 / n_bg, background.N_2 / n_bg]
+    for name, p in zip(("H", "1", "2"), p_noise):
         if p >= 1.0:
             raise ValueError(f"background channel {name} clicks in every bin")
 
-    # The factors multiply in the subset's spelled order, so the result
-    # does not depend on string hashing.
+    # The factors multiply herald first, so the result does not depend on
+    # the order of a set's channels.
     light_quiet = {
-        subset: q / math.prod((1.0 - p_noise[c]) for c in subset)
-        for subset, q in _quiet_counts(signal).items()
+        mask: q / math.prod(1.0 - p for p, bit in zip(p_noise, CHANNEL_BITS)
+                            if mask & bit)
+        for mask, q in _quiet_counts(signal).items()
     }
-    q = light_quiet.__getitem__
-
-    corrected = {
-        "N_H": n - q("H"),
-        "N_1": n - q("1"),
-        "N_2": n - q("2"),
-        "N_H1": n - q("H") - q("1") + q("H1"),
-        "N_H2": n - q("H") - q("2") + q("H2"),
-        "N_12": n - q("1") - q("2") + q("12"),
-        "N_H12": (n - q("H") - q("1") - q("2")
-                  + q("H1") + q("H2") + q("12") - q("H12")),
-    }
+    corrected = {f: alternating_sum(mask, light_quiet.__getitem__)
+                 for f, mask in zip(COUNT_FIELDS, FIELD_MASKS)}
 
     clamped = tuple(sorted(k for k, v in corrected.items() if v < 0.0))
-    row = (0, n) + tuple(max(corrected[f], 0.0) for f in COUNT_FIELDS)
+    row = (0, signal.n_bins) + tuple(max(corrected[f], 0.0) for f in COUNT_FIELDS)
     table = segment_table([row], count_type=float)
     return CoincidenceCounts(bin_width=signal.bin_width, segments=table), clamped
 

@@ -1,4 +1,4 @@
-"""Singles and coincidence counting over click streams.
+"""Singles and coincidence counting over click streams and pattern laws.
 
 Counting is defined per bin: a coincidence is two (or three) channels
 clicking in the *same* bin.  With packed bitmaps this reduces to bytewise
@@ -12,6 +12,14 @@ final segment is kept, never dropped — its smaller ``n_bins`` marks it.
 The table is what ``counts.csv`` holds (``n_bins`` is its ``bins``
 column), and the totals are what ``counts.json`` holds, so analysis never
 needs the raw streams.
+
+The click-pattern encoding lives here alone.  A bin's joint click pattern
+is ``(h << 2) | (s1 << 1) | s2``, the channel bits ``CHANNEL_BITS``; a
+channel set is a mask of them, and ``FIELD_MASKS`` holds each count
+field's set.  Each model's per-bin law and each segment's census are 8
+cells in that index, which :func:`counts_from_cells` turns into counts,
+:func:`clicks_from_cells` into clicks; :func:`alternating_sum` is their
+inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +40,9 @@ __all__ = [
     "segment_table",
     "accumulate",
     "counts_from_cells",
+    "law_counts",
+    "clicks_from_cells",
+    "alternating_sum",
     "write_segment_csv",
     "read_segment_csv",
     "write_counts_json",
@@ -40,6 +51,12 @@ __all__ = [
 
 COUNT_FIELDS = ("N_H", "N_1", "N_2", "N_H1", "N_H2", "N_12", "N_H12")
 SEGMENT_FIELDS = ("segment_index", "n_bins") + COUNT_FIELDS
+# Pattern bit of each channel: herald, signal detector 1, signal detector 2.
+CHANNEL_BITS = (4, 2, 1)
+# The channel set, a mask of CHANNEL_BITS, of each COUNT_FIELDS entry.
+FIELD_MASKS = (4, 2, 1, 6, 5, 3, 7)
+# Every channel set, by size and herald first: alternating_sum's order.
+_SUBSETS = (0,) + FIELD_MASKS
 
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
@@ -136,18 +153,19 @@ def accumulate(streams: ClickStreams,
     if segment_bins < 1:
         raise ValueError(f"segment_bins must be >= 1, got {segment_bins}")
 
+    packed = (streams.herald, streams.signal_1, streams.signal_2)
     if segment_bins % 8 == 0 or segment_bins >= streams.n_bins:
         # Byte-aligned segments, or one segment: slice the packed arrays
         # directly (the final byte's pad bits are zero).
-        packed = (streams.herald, streams.signal_1, streams.signal_2)
-
         def part(lo: int) -> list[np.ndarray]:
             return [c[lo // 8:(lo + segment_bins + 7) // 8] for c in packed]
     else:
-        bools = streams.bools()
-
+        # Re-pack each segment from its own bytes, in memory flat in n_bins.
         def part(lo: int) -> list[np.ndarray]:
-            return [np.packbits(b[lo:lo + segment_bins]) for b in bools]
+            shift, n = lo % 8, min(segment_bins, streams.n_bins - lo)
+            bits = [np.unpackbits(c[lo // 8:(lo + n + 7) // 8], bitorder="little")
+                    for c in packed]
+            return [np.packbits(b[shift:shift + n]) for b in bits]
 
     rows = [(i, min(segment_bins, streams.n_bins - lo),
              *_packed_counts(*part(lo)))
@@ -160,9 +178,10 @@ def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, .
     """Convert an 8-pattern bin census into one segment row.
 
     ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
-    that joint click pattern (see the segment_cells samplers), an integer
-    array.  The row is a tuple of Python ints in ``SEGMENT_FIELDS`` order,
-    as :func:`segment_table` takes it.
+    that joint click pattern: a census (see the segment_cells samplers),
+    an integer array, or ``n * law`` for a per-bin pattern law, the
+    expected census of ``n`` bins.  The row is a tuple of Python numbers in
+    ``SEGMENT_FIELDS`` order, as :func:`segment_table` takes it.
     """
     cells = np.asarray(cells)
     if cells.shape != (8,):
@@ -176,6 +195,53 @@ def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, .
             c[5] + c[7],                 # N_H2
             c[3] + c[7],                 # N_12
             c[7])                        # N_H12
+
+
+def law_counts(law: np.ndarray, n_bins: int) -> dict[str, float]:
+    """Expected ``COUNT_FIELDS`` over ``n_bins`` bins of a per-bin pattern law."""
+    return dict(zip(COUNT_FIELDS, counts_from_cells(n_bins * np.asarray(law))[2:]))
+
+
+def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-bin clicks (herald, signal_1, signal_2) showing a given census.
+
+    ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
+    that joint click pattern; the cells sum to ``n_bins``.  The most
+    frequent pattern fills the segment.  ``rng.choice`` draws the positions
+    of the other bins as a uniformly random subset in uniformly random
+    order, and consecutive blocks of those positions take the remaining
+    patterns in index order.  Every arrangement of the census is therefore
+    equally likely: the law of any exchangeable bin sequence given its
+    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
+    independent bins whose census each model's ``segment_cells`` draws.
+    """
+    cells = np.asarray(cells)
+    if cells.shape != (8,) or cells.sum() != n_bins:
+        raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
+                         f"got {cells.tolist()}")
+    fill = int(cells.argmax())
+    patterns = np.full(n_bins, fill, dtype=np.uint8)
+    others = np.flatnonzero(np.arange(8) != fill).astype(np.uint8)
+    placed = n_bins - int(cells[fill])
+    if placed:
+        patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
+            others, cells[others])
+    return tuple((patterns & bit).astype(bool) for bit in CHANNEL_BITS)
+
+
+def alternating_sum(mask: int, value: Callable[[int], float]):
+    """Sum of (-1)^|T| * value(T) over the channel sets T within ``mask``.
+
+    With ``value(T)`` the bins where all of T clicks (all bins for T = 0)
+    it counts the bins where none of ``mask`` clicks, and vice versa.  Sets
+    are visited in ``_SUBSETS`` order, so equal terms round the same way.
+    """
+    total = 0
+    for t in _SUBSETS:
+        if t & mask == t:
+            total += -value(t) if bin(t).count("1") % 2 else value(t)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "with_attenuation",
     "arm_efficiencies",
     "noise_probabilities",
-    "clicks_from_cells",
     "BIN_WIDTH_DEFAULT",
     "DARK_RATE_DEFAULT",
     "SEGMENT_BINS_DEFAULT",
@@ -267,24 +266,12 @@ class Role:
 
     Each (sweep point, segment, role) triple owns an independent Philox
     stream, so segments can be simulated in any order or concurrently and
-    still reproduce bit for bit.
+    still reproduce bit for bit.  The package draws two roles; the test
+    suite's per-bin oracles draw ids 1-7, which therefore stay reserved.
     """
 
     SOURCE = 0       # the census multinomial
-    # Ids 1-7 are kept, so that no stream id moves.  Roles 2-7 are drawn
-    # only by the per-bin oracles of the test suite (COUPLING by none of
-    # them), which also draw HERALD, whose id 1 PLACEMENT shares.
-    HERALD = 1
-    SIGNAL_1 = 2
-    SIGNAL_2 = 3
-    NOISE_H = 4      # herald dark + background draws
-    NOISE_1 = 5
-    NOISE_2 = 6
-    COUPLING = 7
-    # Where the click route places its census (clicks_from_cells).  It
-    # shares HERALD's id, which no census keys.
-    PLACEMENT = HERALD
-
+    PLACEMENT = 1    # where the click route places its census
     COUNT = 8
 
 
@@ -579,31 +566,3 @@ def noise_probabilities(cfg: ExperimentConfig) -> tuple[float, float, float]:
         # when only one process is active.
         out.append(p_d + p_b - p_d * p_b)
     return tuple(out)
-
-
-def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bin clicks (herald, signal_1, signal_2) showing a given census.
-
-    ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
-    that joint click pattern; the cells sum to ``n_bins``.  The most
-    frequent pattern fills the segment.  ``rng.choice`` draws the positions
-    of the other bins as a uniformly random subset in uniformly random
-    order, and consecutive blocks of those positions take the remaining
-    patterns in index order.  Every arrangement of the census is therefore
-    equally likely: the law of any exchangeable bin sequence given its
-    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
-    independent bins whose census each model's ``segment_cells`` draws.
-    """
-    cells = np.asarray(cells)
-    if cells.shape != (8,) or cells.sum() != n_bins:
-        raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
-                         f"got {cells.tolist()}")
-    fill = int(cells.argmax())
-    patterns = np.full(n_bins, fill, dtype=np.uint8)
-    others = np.flatnonzero(np.arange(8) != fill).astype(np.uint8)
-    placed = n_bins - int(cells[fill])
-    if placed:
-        patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
-            others, cells[others])
-    return tuple((patterns & bit).astype(bool) for bit in (4, 2, 1))

@@ -34,8 +34,8 @@ Both samplers draw from the per-bin pattern law of
 - :func:`segment_cells` draws a segment's census of the eight click
   patterns as one multinomial over that law;
 - :func:`segment_clicks` places that census in a uniformly random order
-  (:func:`heraldsim.core.clicks_from_cells`).  Bins are independent, so
-  the sequence is exchangeable and has exactly this law.
+  (:func:`heraldsim.coincidence.clicks_from_cells`).  Bins are
+  independent, so the sequence is exchangeable and has exactly this law.
 
 The census therefore follows the stated law at any segment size.
 
@@ -69,12 +69,12 @@ import math
 
 import numpy as np
 
+from .coincidence import CHANNEL_BITS, clicks_from_cells
 from .core import (
     ExperimentConfig,
     Role,
     _segment_rngs,
     arm_efficiencies,
-    clicks_from_cells,
     noise_probabilities,
 )
 
@@ -361,7 +361,7 @@ def coincidence_probability(cfg: ExperimentConfig, f=None) -> float:
 def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Expected per-bin law over the 8 joint click patterns, noise included.
 
-    Indexed (h << 2) | (s1 << 1) | s2, matching qm.joint_pattern_probabilities.
+    Indexed as :mod:`heraldsim.coincidence` lays out click patterns.
     Without coupling, the channels click independently at each gain node,
     weighted, the mass off the grid silent.  The coupling, which is never
     combined with an envelope, leaves the herald independent of the
@@ -395,7 +395,7 @@ def _or_channels(law, probs) -> np.ndarray:
     to its bit-set partner with that channel's probability.
     """
     law = [float(x) for x in law]
-    for p, bit in zip(probs, (4, 2, 1)):
+    for p, bit in zip(probs, CHANNEL_BITS):
         for cell in range(8):
             if not cell & bit:
                 moved = law[cell] * p

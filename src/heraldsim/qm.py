@@ -18,7 +18,7 @@ Both samplers draw from the exact per-bin law of
   joint click patterns, which makes 10^9-bin count-level runs practical
   on one core;
 - :func:`segment_clicks` places that census in a uniformly random order
-  (:func:`heraldsim.core.clicks_from_cells`).  The chain's bins are
+  (:func:`heraldsim.coincidence.clicks_from_cells`).  The chain's bins are
   independent, so its sequence is exchangeable and has exactly this law.
 
 Counting a segment's clicks therefore gives its census, draw for draw.
@@ -38,12 +38,13 @@ from typing import Iterable
 
 import numpy as np
 
+from .analysis import law_g2
+from .coincidence import CHANNEL_BITS, alternating_sum, clicks_from_cells, law_counts
 from .core import (
     ExperimentConfig,
     Role,
     _segment_rngs,
     arm_efficiencies,
-    clicks_from_cells,
     noise_probabilities,
 )
 
@@ -60,9 +61,6 @@ __all__ = [
     "segment_clicks",
     "segment_cells",
 ]
-
-# Joint click patterns are indexed (herald << 2) | (signal_1 << 1) | signal_2.
-N_PATTERNS = 8
 
 
 def g_factor(mode_count: int) -> float:
@@ -136,28 +134,15 @@ def no_click_prob(cfg: ExperimentConfig, channels: Iterable[int]) -> float:
 def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     """Exact per-bin law over the 8 joint click patterns.
 
-    Element (h << 2) | (s1 << 1) | s2 is the probability that exactly that
-    click pattern occurs in one bin.  Obtained from the no-click subset
-    probabilities by inclusion-exclusion; sums to 1.
+    Element p is the probability that exactly click pattern p (indexed as
+    in :mod:`heraldsim.coincidence`) occurs in one bin.  Obtained from the
+    no-click subset probabilities by inclusion-exclusion; sums to 1.
     """
-    # quiet[mask] = P(no clicks on the channels in mask), mask bit 2 = herald,
-    # bit 1 = detector 1, bit 0 = detector 2 (same packing as the patterns).
-    quiet = np.empty(N_PATTERNS)
-    for mask in range(N_PATTERNS):
-        chans = [c for c, bit in ((0, 4), (1, 2), (2, 1)) if mask & bit]
-        quiet[mask] = no_click_prob(cfg, chans)
-
-    probs = np.zeros(N_PATTERNS)
-    for pattern in range(N_PATTERNS):
-        silent = 7 ^ pattern  # channels that must NOT click
-        # Sum over which of the clicking channels we force silent too.
-        sub = pattern
-        while True:
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            probs[pattern] += sign * quiet[silent | sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & pattern
+    # quiet[mask] = P(no clicks on the channels in mask).
+    quiet = [no_click_prob(cfg, [c for c, bit in enumerate(CHANNEL_BITS) if mask & bit])
+             for mask in range(8)]
+    probs = np.array([alternating_sum(p, lambda t, p=p: quiet[(7 ^ p) | t])
+                      for p in range(8)])
     # Tiny negatives from float cancellation are clipped, then renormalised.
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -169,39 +154,14 @@ def sampling_law(cfg: ExperimentConfig) -> np.ndarray:
     return joint_pattern_probabilities(cfg)
 
 
-_PATTERN_H = np.array([(p >> 2) & 1 for p in range(N_PATTERNS)], dtype=bool)
-_PATTERN_1 = np.array([(p >> 1) & 1 for p in range(N_PATTERNS)], dtype=bool)
-_PATTERN_2 = np.array([p & 1 for p in range(N_PATTERNS)], dtype=bool)
-
-
 def expected_counts(cfg: ExperimentConfig, n_bins: int) -> dict[str, float]:
     """Expected marginal and coincidence counts over ``n_bins`` bins."""
-    p = joint_pattern_probabilities(cfg)
-    return {
-        "N_H": n_bins * p[_PATTERN_H].sum(),
-        "N_1": n_bins * p[_PATTERN_1].sum(),
-        "N_2": n_bins * p[_PATTERN_2].sum(),
-        "N_H1": n_bins * p[_PATTERN_H & _PATTERN_1].sum(),
-        "N_H2": n_bins * p[_PATTERN_H & _PATTERN_2].sum(),
-        "N_12": n_bins * p[_PATTERN_1 & _PATTERN_2].sum(),
-        "N_H12": n_bins * p[_PATTERN_H & _PATTERN_1 & _PATTERN_2].sum(),
-    }
+    return law_counts(joint_pattern_probabilities(cfg), n_bins)
 
 
 def heralded_g2_exact(cfg: ExperimentConfig) -> float:
-    """Population value of the heralded autocorrelation for this setup.
-
-    g2 = P(H) P(H,1,2) / (P(H,1) P(H,2)), the quantity the coincidence
-    estimator converges to, including multi-pair and noise contributions.
-    """
-    p = joint_pattern_probabilities(cfg)
-    p_h = p[_PATTERN_H].sum()
-    p_h1 = p[_PATTERN_H & _PATTERN_1].sum()
-    p_h2 = p[_PATTERN_H & _PATTERN_2].sum()
-    p_h12 = p[_PATTERN_H & _PATTERN_1 & _PATTERN_2].sum()
-    if p_h1 == 0.0 or p_h2 == 0.0:
-        return math.nan
-    return p_h * p_h12 / (p_h1 * p_h2)
+    """Population value of the heralded autocorrelation: the joint law's g2."""
+    return law_g2(joint_pattern_probabilities(cfg))
 
 
 def predicted_heralded_g2(pair_prob_1: float, eta_h: float,
@@ -240,8 +200,8 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
                   n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    Returns an int64 array of length 8, element (h << 2)|(s1 << 1)|s2 being
-    the number of bins showing exactly that click pattern: one multinomial
+    Returns an int64 array of length 8, element p being the number of
+    bins showing exactly click pattern p: one multinomial
     over the exact per-bin law, drawn from the segment's (pooled) source
     stream, at a cost independent of the pair rate.  ``law`` is
     :func:`sampling_law` of ``cfg``, computed if omitted.

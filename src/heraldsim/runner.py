@@ -8,9 +8,9 @@ depend on another's.
 Every segment is one draw of its model's census (``segment_cells``, the
 bins per joint click pattern).  :func:`run_counts` keeps only the census,
 one segment-table row each.  :func:`segment_streams` also places each
-census in a uniformly random order (:func:`heraldsim.core.clicks_from_cells`)
-and packs the clicks, for runs whose stream files are part of the
-deliverable; the row it yields with each segment is the census route's row
+census in a uniformly random order
+(:func:`heraldsim.coincidence.clicks_from_cells`) and packs the clicks,
+for runs whose stream files are part of the deliverable; the row it yields with each segment is the census route's row
 for the same configuration and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 from . import pcsft, qm
-from .coincidence import CoincidenceCounts, counts_from_cells, segment_table
+from .coincidence import (CoincidenceCounts, clicks_from_cells,
+                          counts_from_cells, segment_table)
 from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
                    _field_types, _read_ini, _read_section, _segment_rngs,
-                   clicks_from_cells, with_attenuation)
+                   with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [

@@ -11,7 +11,8 @@ segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
 ``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
-thinning, per-bin noise), the oracle of the law both qm samplers draw from.
+thinning, per-bin noise), the oracle of the law both qm samplers draw from;
+it draws the ``OracleRole`` streams, which the package never keys.
 ``per_bin_envelope_clicks`` is the pcsft envelope's chain (a gain per bin,
 each channel clicking at that bin's power, per-bin noise), the oracle of
 the mixture law the pcsft samplers draw from.
@@ -32,6 +33,22 @@ from heraldsim.streams import ClickStreams
 
 _TAIL = 1e-16
 BIN = 20.83e-9
+
+
+class OracleRole(Role):
+    """The package's stream roles plus those the per-bin oracles draw.
+
+    The ids are the ones these roles had in the package, so no stream
+    moves; HERALD shares id 1 with PLACEMENT, which no census keys.
+    """
+
+    HERALD = 1
+    SIGNAL_1 = 2
+    SIGNAL_2 = 3
+    NOISE_H = 4      # herald dark + background draws
+    NOISE_1 = 5
+    NOISE_2 = 6
+    COUPLING = 7     # drawn by no oracle; the id is kept so none moves
 
 
 def nb_pmf(n, mu: float, modes: int):
@@ -225,19 +242,19 @@ def mechanistic_qm_clicks(cfg: ExperimentConfig, segment_index: int,
     def rng(role):
         return rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
 
-    pairs = sample_pair_counts(rng(Role.SOURCE), n_bins, src.pair_mean_per_bin,
-                               src.mode_count)
+    pairs = sample_pair_counts(rng(OracleRole.SOURCE), n_bins,
+                               src.pair_mean_per_bin, src.mode_count)
     occupied = np.flatnonzero(pairs)
     n_occ = pairs[occupied]
     clicks = [np.zeros(n_bins, dtype=bool) for _ in range(3)]
     if occupied.size:
-        clicks[0][occupied] = rng(Role.HERALD).binomial(n_occ, opt.eta_h) > 0
-        rng_s = rng(Role.SIGNAL_1)
+        clicks[0][occupied] = rng(OracleRole.HERALD).binomial(n_occ, opt.eta_h) > 0
+        rng_s = rng(OracleRole.SIGNAL_1)
         passed = rng_s.binomial(n_occ, opt.attenuation)
         to_1 = rng_s.binomial(passed, opt.splitter_ratio)
         clicks[1][occupied] = rng_s.binomial(to_1, opt.eta_1) > 0
         clicks[2][occupied] = rng_s.binomial(passed - to_1, opt.eta_2) > 0
-    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
+    roles = (OracleRole.NOISE_H, OracleRole.NOISE_1, OracleRole.NOISE_2)
     for arr, p, role in zip(clicks, noise_probabilities(cfg), roles):
         if p:
             arr |= rng(role).random(n_bins) < p
@@ -262,15 +279,16 @@ def per_bin_envelope_clicks(cfg: ExperimentConfig, segment_index: int,
     def rng(role):
         return rng_stream(cfg.seed, stream_id(segment_index, role, point_index))
 
-    envelope = rng(Role.SOURCE).gamma(shape=pc.envelope_modes,
+    envelope = rng(OracleRole.SOURCE).gamma(shape=pc.envelope_modes,
                                       scale=1.0 / pc.envelope_modes,
                                       size=n_bins)
     clicks = [rng(role).random(n_bins) < pcsft.crossing_probability(
                   pc.threshold_energy, pc.incident_power * share * envelope,
                   pc.pulse_duration)
               for share, role in zip(arm_efficiencies(cfg),
-                                     (Role.HERALD, Role.SIGNAL_1, Role.SIGNAL_2))]
-    roles = (Role.NOISE_H, Role.NOISE_1, Role.NOISE_2)
+                                     (OracleRole.HERALD, OracleRole.SIGNAL_1,
+                                      OracleRole.SIGNAL_2))]
+    roles = (OracleRole.NOISE_H, OracleRole.NOISE_1, OracleRole.NOISE_2)
     for arr, p, role in zip(clicks, noise_probabilities(cfg), roles):
         if p:
             arr |= rng(role).random(n_bins) < p

@@ -4,20 +4,23 @@ import csv
 import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heraldsim.coincidence import (COUNT_FIELDS, CoincidenceCounts,
-                                   accumulate, counts_from_cells,
-                                   read_counts_json, read_segment_csv,
-                                   segment_table, write_counts_json,
-                                   write_segment_csv)
+from heraldsim.analysis import _quiet_counts
+from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
+                                   CoincidenceCounts, accumulate,
+                                   alternating_sum, counts_from_cells,
+                                   law_counts, read_counts_json,
+                                   read_segment_csv, segment_table,
+                                   write_counts_json, write_segment_csv)
 from heraldsim.streams import ClickStreams
 
-from helpers import brute_force_counts, merge
+from helpers import brute_force_counts, merge, pattern_counts
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:
@@ -110,6 +113,26 @@ class TestAgainstBruteForce:
         if segment_bins is None or segment_bins >= n_bins:
             assert counts == slow
 
+    @staticmethod
+    def accumulate_peak(n_bins: int, segment_bins: int) -> int:
+        """tracemalloc peak, in bytes, of counting random packed streams."""
+        rng = np.random.default_rng(n_bins)
+        streams = ClickStreams(n_bins, 20.83e-9, *(
+            rng.integers(0, 256, n_bins // 8, dtype=np.uint8) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            accumulate(streams, segment_bins=segment_bins)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_unaligned_segments_count_in_bounded_memory(self):
+        # Unaligned segments are re-packed one at a time; unpacking the
+        # whole stream took 38 MiB at 1e7 bins.
+        small = self.accumulate_peak(10**6, 47_999)
+        large = self.accumulate_peak(10**7, 47_999)
+        assert large - small < 10**6, (small, large)
+
 
 class TestMerge:
     def test_split_and_merge_is_exact(self):
@@ -169,6 +192,34 @@ class TestCellCensus:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="8"):
             counts_from_cells(np.zeros(7, dtype=np.int64))
+
+
+class TestPatternLattice:
+    """The pattern index, its channel sets and inclusion-exclusion."""
+
+    def test_alternating_sum_visits_subsets_by_size_herald_first(self):
+        for mask, order in ((7, [0, 4, 2, 1, 6, 5, 3, 7]), (5, [0, 4, 1, 5]),
+                            (3, [0, 2, 1, 3]), (0, [0])):
+            seen = []
+            total = alternating_sum(mask, lambda t: seen.append(t) or 1)
+            assert seen == order
+            assert total == (1 if mask == 0 else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bins=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                         min_size=1, max_size=200))
+    def test_quiet_and_coincident_bins_match_a_per_bin_count(self, bins):
+        clicks = np.array(bins, dtype=bool).T
+        counts = accumulate(ClickStreams.from_bools(*clicks, bin_width=1e-9))
+        quiet = _quiet_counts(counts)
+        coincident = law_counts(pattern_counts(*clicks), 1)
+
+        def chosen(mask):
+            return clicks[[c for c, bit in enumerate(CHANNEL_BITS) if mask & bit]]
+        for mask in (0,) + FIELD_MASKS:
+            assert quiet[mask] == np.sum(~chosen(mask).any(axis=0))
+        for field, mask in zip(COUNT_FIELDS, FIELD_MASKS):
+            assert coincident[field] == np.sum(chosen(mask).all(axis=0))
 
 
 class TestSerialisation:

@@ -14,17 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heraldsim.coincidence import accumulate
+from heraldsim.coincidence import accumulate, clicks_from_cells
 from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
-                            arm_efficiencies, clicks_from_cells,
-                            config_from_dict, config_to_dict,
+                            arm_efficiencies, config_from_dict, config_to_dict,
                             noise_probabilities, parse_config, rng_stream,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.streams import ClickStreams
 
-from helpers import bin_patterns, pattern_counts
+from helpers import OracleRole, bin_patterns, pattern_counts
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -433,7 +432,7 @@ class TestPooledStreams:
     @pytest.mark.parametrize("name", list(DRAWS))
     def test_rekeying_a_stream_twice_restarts_it(self, name):
         draw = DRAWS[name]
-        stream = stream_id(4, Role.NOISE_1, 1)
+        stream = stream_id(4, OracleRole.NOISE_1, 1)
         expected = draw(rng_stream(11, stream))
         for _ in range(2):
             generator = rng_stream(11, stream, pooled=True)

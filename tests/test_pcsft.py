@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from heraldsim import core, pcsft
+from heraldsim.analysis import law_g2
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
                             noise_probabilities, parse_config, rng_stream,
@@ -469,6 +470,22 @@ class TestSplitterCoupling:
         sigma = g2 * math.sqrt(1.0 / n_12 + 1.0 / n_1 + 1.0 / n_2)
         assert g2 == pytest.approx(pcsft.coupled_g2_target(cfg),
                                    abs=3.0 * sigma)
+
+
+    def test_law_g2_is_one_without_coupling_noise_or_envelope(self):
+        law = pcsft.pattern_probabilities(field_config(coupling=0.0))
+        assert law_g2(law) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("coupling", [0.5, 1.0])
+    def test_law_g2_is_the_unclipped_coupled_target(self, coupling):
+        # Without noise the herald is independent of the signals, so the
+        # law's g2 is q / (f1 f2): the target, where no Frechet bound clips q.
+        cfg = field_config(coupling=coupling)
+        _, f1, f2 = pcsft.field_click_probabilities(cfg)
+        target = pcsft.coupled_g2_target(cfg)
+        assert f1 + f2 - 1.0 < target * f1 * f2 < min(f1, f2)
+        assert law_g2(pcsft.pattern_probabilities(cfg)) == pytest.approx(
+            target, rel=1e-12)
 
 
 class TestEnvelope:

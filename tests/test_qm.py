@@ -1,10 +1,13 @@
 """Quantum detection model: pair statistics, exact click law, predictions."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from heraldsim import qm
+from heraldsim.analysis import law_g2
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             SourceConfig, rng_stream)
 
@@ -181,6 +184,18 @@ class TestClickLaw:
         # Joint H&1 by inclusion-exclusion over the no-click probabilities.
         p_h1 = 1.0 - quiet([0]) - quiet([1]) + quiet([0, 1])
         assert expected["N_H1"] == pytest.approx(10**6 * p_h1, rel=1e-9)
+
+
+    @pytest.mark.parametrize("cfg", LAW_CONFIGS)
+    def test_law_g2_is_the_masked_pattern_ratio(self, cfg):
+        # P(H) P(H,1,2) / (P(H,1) P(H,2)) from boolean masks of the patterns.
+        law = qm.joint_pattern_probabilities(cfg)
+        h, s1, s2 = ((np.arange(8) & bit) > 0 for bit in (4, 2, 1))
+        p_h1, p_h2 = law[h & s1].sum(), law[h & s2].sum()
+        expected = (math.nan if p_h1 == 0.0 or p_h2 == 0.0
+                    else law[h].sum() * law[h & s1 & s2].sum() / (p_h1 * p_h2))
+        np.testing.assert_allclose(law_g2(law), expected, rtol=1e-14)
+        np.testing.assert_equal(qm.heralded_g2_exact(cfg), law_g2(law))
 
 
 class TestPredictions:

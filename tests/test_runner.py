@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from heraldsim import pcsft, qm, runner
-from heraldsim.analysis import heralded_g2
+from heraldsim.analysis import heralded_g2, law_g2
 from heraldsim.coincidence import accumulate, counts_from_cells, segment_table
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
@@ -253,6 +253,12 @@ class TestRunCounts:
         est = heralded_g2(run_counts(cfg))
         assert est.value == pytest.approx(qm.heralded_g2_exact(cfg),
                                           abs=3.0 * est.sigma)
+
+    def test_coupled_pcsft_g2_matches_population_value(self):
+        cfg = coupled_noisy_config(n_bins=400_000, segment_bins=48_000)
+        est = heralded_g2(run_counts(cfg))
+        assert est.value == pytest.approx(
+            law_g2(pcsft.pattern_probabilities(cfg)), abs=3.0 * est.sigma)
 
     @pytest.mark.parametrize("attenuation,point_index", [(1.0, 1), (0.1, 2)])
     def test_attenuation_leaves_g2_at_its_population_value(self, attenuation,
