@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .streams import ClickStreams
+from .streams import ClickStreams, _replacing
 
 __all__ = [
     "CoincidenceCounts",
@@ -75,11 +75,18 @@ def segment_table(rows: Iterable = (), count_type=np.int64) -> np.recarray:
     N_H2, N_12, N_H12) or rows of another table.  Observed counts are
     integers; ``count_type=float`` holds expectations (background
     subtraction), with ``segment_index`` and ``n_bins`` still integers.
-    Rows are stored as they arrive, never held as a Python list.  Columns
-    read as ``table.N_H12`` and rows as ``table[i].N_H12``.  The table is
+    Rows are stored as they arrive, never held as a Python list.  An
+    int64 array of shape (segments, 9), columns in that order, becomes an
+    integer table without a copy: a view of that array.  Columns read as
+    ``table.N_H12`` and rows as ``table[i].N_H12``.  The table is
     read-only, so counts that share it cannot change each other.
     """
-    table = np.fromiter(rows, dtype=_segment_dtype(count_type)).view(np.recarray)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        if rows.dtype != np.int64:
+            raise ValueError(f"expected int64 rows, got {rows.dtype}")
+        table = rows.view(_segment_dtype(np.int64))[:, 0].view(np.recarray)
+    else:
+        table = np.fromiter(rows, dtype=_segment_dtype(count_type)).view(np.recarray)
     table.flags.writeable = False
     return table
 
@@ -249,16 +256,32 @@ def alternating_sum(mask: int, value: Callable[[int], float]):
 # ---------------------------------------------------------------------------
 
 _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
-_CSV_CHUNK = 4096  # segment rows made Python tuples per write
+# csv.writer's dialect: comma-separated, no quoting needed, \r\n line ends.
+_CSV_HEADER = (",".join(_SEGMENT_HEADER) + "\r\n").encode()
+_CSV_ROW = ",".join(["%d"] * len(_SEGMENT_HEADER)) + "\r\n"
+# Segment rows formatted per write.  Small enough that each chunk's
+# strings reuse heap memory rather than raise the peak.
+_CSV_CHUNK = 256
 
 
 def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
-    """The segment table as CSV, one row per segment, in order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SEGMENT_HEADER)
-        for lo in range(0, len(counts.segments), _CSV_CHUNK):
-            writer.writerows(counts.segments[lo:lo + _CSV_CHUNK].tolist())
+    """The segment table as CSV, one row per segment, in order.
+
+    The bytes are those of ``csv.writer``.  Each chunk of rows is
+    formatted through one ``%d`` template and written in one call, so the
+    table must be an integer one (ValueError otherwise).  The file is
+    written under a temporary name and renamed to ``path`` when complete;
+    an exception deletes it instead.
+    """
+    table = counts.segments.view(np.ndarray)
+    if table.dtype != _segment_dtype(np.int64):
+        raise ValueError(f"{path}: only integer segment tables are written")
+    with _replacing(path) as fh:
+        fh.write(_CSV_HEADER)
+        for lo in range(0, len(table), _CSV_CHUNK):
+            rows = np.ascontiguousarray(table[lo:lo + _CSV_CHUNK])
+            fh.write(((_CSV_ROW * len(rows))
+                      % tuple(rows.view(np.int64).tolist())).encode())
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
@@ -287,7 +310,11 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
 
 def write_counts_json(counts: CoincidenceCounts, path: str | Path,
                       config: dict | None = None) -> None:
-    """Run totals as JSON, optionally echoing the generating configuration."""
+    """Run totals as JSON, optionally echoing the generating configuration.
+
+    Written under a temporary name and renamed to ``path`` when complete,
+    as :func:`write_segment_csv` is.
+    """
     payload: dict = {
         "format": "coincidence-counts",
         "version": 1,
@@ -298,7 +325,8 @@ def write_counts_json(counts: CoincidenceCounts, path: str | Path,
     payload.update(counts.totals())
     if config is not None:
         payload["config"] = config
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _replacing(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 # Each pair or triple total is bounded by these totals (CoincidenceCounts).

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -61,6 +63,25 @@ class StreamFormatError(ValueError):
 def _temporary(path: Path) -> Path:
     """A fresh name in the directory of ``path`` to write it under."""
     return path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+
+
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A new binary file that becomes ``path`` when the block completes.
+
+    It is written under a :func:`_temporary` name and renamed over
+    ``path`` at the end of the block; an exception deletes it instead, so
+    ``path`` never holds a partial file.
+    """
+    path = Path(path)
+    tmp = _temporary(path)
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _pack(bits: np.ndarray, n_bins: int) -> np.ndarray:
@@ -304,33 +325,26 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
     complete; an exception deletes it instead.  Returns the number of
     click rows written.
     """
-    path = Path(path)
-    tmp = _temporary(path)
     rows = 0
-    try:
-        with open(source, "rb") as fh, open(tmp, "xb") as out:
-            _, _, nbytes = _read_header(fh, source)
-            out.write(b"channel,bin_index\n")
-            for prefix in (b"H,", b"1,", b"2,"):
-                for start in range(0, nbytes, _CHUNK_BYTES):
-                    chunk = np.fromfile(fh, dtype=np.uint8,
-                                        count=min(_CHUNK_BYTES, nbytes - start))
-                    # numpy finds the nonzero entries of a bool array
-                    # several times faster than those of a uint8 one.
-                    hot = np.flatnonzero(chunk != 0)
-                    for lo in range(0, hot.size, _HOT_BYTES):
-                        part = hot[lo:lo + _HOT_BYTES]
-                        set_bits = np.flatnonzero(np.unpackbits(
-                            chunk[part], bitorder="little").view(bool))
-                        byte = start + part[set_bits >> 3].astype(np.int64,
-                                                                   copy=False)
-                        bins = byte * 8 + (set_bits & 7)
-                        _write_rows(out, prefix, bins)
-                        rows += bins.size
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with open(source, "rb") as fh, _replacing(path) as out:
+        _, _, nbytes = _read_header(fh, source)
+        out.write(b"channel,bin_index\n")
+        for prefix in (b"H,", b"1,", b"2,"):
+            for start in range(0, nbytes, _CHUNK_BYTES):
+                chunk = np.fromfile(fh, dtype=np.uint8,
+                                    count=min(_CHUNK_BYTES, nbytes - start))
+                # numpy finds the nonzero entries of a bool array several
+                # times faster than those of a uint8 one.
+                hot = np.flatnonzero(chunk != 0)
+                for lo in range(0, hot.size, _HOT_BYTES):
+                    part = hot[lo:lo + _HOT_BYTES]
+                    set_bits = np.flatnonzero(np.unpackbits(
+                        chunk[part], bitorder="little").view(bool))
+                    byte = start + part[set_bits >> 3].astype(np.int64,
+                                                               copy=False)
+                    bins = byte * 8 + (set_bits & 7)
+                    _write_rows(out, prefix, bins)
+                    rows += bins.size
     return rows
 
 

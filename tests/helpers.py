@@ -9,6 +9,8 @@ tautology.  ``first_passage_times`` turns the package's exit-step kernel
 into exit times, for the first-passage checks.  ``merge`` joins two
 segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
+``segment_csv_bytes`` writes a segment table through ``csv.writer``, the
+oracle of ``write_segment_csv``'s row template.
 ``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
 thinning, per-bin noise), the oracle of the law both qm samplers draw from;
@@ -20,12 +22,14 @@ the mixture law the pcsft samplers draw from.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy import stats
 
-from heraldsim.coincidence import CoincidenceCounts, segment_table
+from heraldsim.coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
 from heraldsim import pcsft
 from heraldsim.core import (ExperimentConfig, Role, arm_efficiencies,
                             noise_probabilities, rng_stream, stream_id)
@@ -213,6 +217,14 @@ def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:
     table.segment_index = np.arange(len(table))
     table.flags.writeable = False
     return CoincidenceCounts(bin_width=a.bin_width, segments=table)
+
+
+def segment_csv_bytes(counts: CoincidenceCounts) -> bytes:
+    """The segment table's CSV as ``csv.writer`` writes it, CRLF included."""
+    text = io.StringIO()
+    csv.writer(text).writerows([("segment_index", "bins") + COUNT_FIELDS]
+                               + counts.segments.tolist())
+    return text.getvalue().encode()
 
 
 def sample_pair_counts(rng: np.random.Generator, size: int,

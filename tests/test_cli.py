@@ -8,12 +8,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import pcsft, qm
+from heraldsim import pcsft, runner
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
                                    write_segment_csv)
-from heraldsim.core import config_from_dict, config_to_dict, load_config
+from heraldsim.core import (Role, config_from_dict, config_to_dict,
+                            load_config, stream_id)
 from heraldsim.runner import run_counts, simulate_run
 from heraldsim.streams import write_streams
 
@@ -232,14 +233,16 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
-        sample = qm.segment_cells
+        # The census loop keys segment i's source stream with
+        # stream_id(i, Role.SOURCE); fail where it draws segment 2.
+        draw = runner.rng_stream
 
-        def fail_on_segment_2(cfg, index, **kwargs):
-            if index == 2:
+        def fail_on_segment_2(seed, stream, **kwargs):
+            if stream == stream_id(2, Role.SOURCE):
                 raise RuntimeError("sampler failed on segment 2")
-            return sample(cfg, index, **kwargs)
+            return draw(seed, stream, **kwargs)
 
-        monkeypatch.setattr(qm, "segment_cells", fail_on_segment_2)
+        monkeypatch.setattr(runner, "rng_stream", fail_on_segment_2)
         cfg, _ = write_inputs(tmp_path)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="segment 2"):

@@ -1,15 +1,17 @@
 """Coincidence counting: exactness, segmentation, merging, serialisation."""
 
-import csv
-import io
 import json
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from heraldsim import coincidence, streams
 
 from heraldsim.analysis import _quiet_counts
 from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
@@ -20,7 +22,7 @@ from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
                                    write_counts_json, write_segment_csv)
 from heraldsim.streams import ClickStreams
 
-from helpers import brute_force_counts, merge, pattern_counts
+from helpers import brute_force_counts, merge, pattern_counts, segment_csv_bytes
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:
@@ -271,17 +273,23 @@ class TestSegmentTable:
         counts = CoincidenceCounts(bin_width=1e-9, segments=segment_table(rows))
         path = tmp_path / "counts.csv"
         write_segment_csv(counts, path)
-        # The bytes csv.writer gives, CRLF line endings included.
-        expected = io.StringIO()
-        csv.writer(expected).writerows(
-            [("segment_index", "bins") + COUNT_FIELDS] + rows)
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == segment_csv_bytes(counts)
         loaded = read_segment_csv(path, bin_width=1e-9)
         assert loaded == counts
         assert loaded.segments.shape == (len(rows),)
         assert loaded.segments.dtype == counts.segments.dtype
         assert loaded.segments.segment_index.tolist() == [r[0] for r in rows]
         assert loaded.totals() == counts.totals()
+
+    def test_int64_array_becomes_a_table_without_a_copy(self):
+        rows = [(0, 10, 4, 3, 2, 2, 1, 1, 1), (1, 5, 1, 1, 1, 1, 1, 1, 0)]
+        array = np.array(rows, dtype=np.int64)
+        table = segment_table(array)
+        assert np.array_equal(table, segment_table(rows))
+        assert np.shares_memory(table, array)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="int64"):
+            segment_table(array.astype(float))
 
     def test_totals_are_python_ints(self):
         counts = accumulate(random_streams(1000, seed=16), segment_bins=96)
@@ -332,6 +340,103 @@ class TestSegmentTable:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="'N_1' is not an integer"):
             read_counts_json(path)
+
+
+class _WriteThenFail:
+    """A file whose first write lands and then raises, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data)
+        self.fh.flush()
+        raise OSError("device full after the first write")
+
+
+def fail_after_first_write(monkeypatch) -> None:
+    """Make every file the package opens for writing fail its first write."""
+    monkeypatch.setattr(streams, "open", lambda *args, **kwargs:
+                        _WriteThenFail(open(*args, **kwargs)), raising=False)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [write_segment_csv, write_counts_json])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        counts = accumulate(random_streams(10_000, seed=21), segment_bins=1024)
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="first write"):
+            write(counts, tmp_path / "counts")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [write_segment_csv, write_counts_json])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                  write):
+        counts = accumulate(random_streams(10_000, seed=22), segment_bins=1024)
+        path = tmp_path / "counts"
+        write(counts, path)
+        before = path.read_bytes()
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="first write"):
+            write(accumulate(random_streams(10_000, seed=23)), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+
+# Both ends of int64's non-negative range and every change in digit count.
+_DIGIT_EDGES = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+_COUNT = st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, 2**63 - 1))
+
+
+class TestSegmentCsvBytes:
+    """write_segment_csv's template gives csv.writer's bytes, and reads back."""
+
+    @staticmethod
+    def assert_written_as_csv_writer(rows) -> None:
+        counts = CoincidenceCounts(bin_width=1e-9, segments=segment_table(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.csv"
+            write_segment_csv(counts, path)
+            assert path.read_bytes() == segment_csv_bytes(counts)
+            assert read_segment_csv(path, bin_width=1e-9) == counts
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[_COUNT] * 9), max_size=12))
+    @example(rows=[])
+    @example(rows=[(0,) * 9])
+    @example(rows=[(3, 48_000, 4, 3, 2, 2, 1, 1, 1)])
+    # 38 rows that put every edge in every column (38 and 9 are coprime).
+    @example(rows=[tuple((_DIGIT_EDGES * 9)[i:i + 9])
+                   for i in range(0, 9 * len(_DIGIT_EDGES), 9)])
+    def test_bytes_are_csv_writers(self, rows):
+        self.assert_written_as_csv_writer(rows)
+
+    def test_rows_across_chunk_boundaries(self):
+        rng = np.random.default_rng(24)
+        n = 2 * coincidence._CSV_CHUNK + 1
+        values = rng.integers(0, 2**63 - 1, size=(n, 9), dtype=np.int64)
+        values[:, 0] = np.arange(n)
+        self.assert_written_as_csv_writer([tuple(r) for r in values.tolist()])
+
+    def test_a_table_view_of_strided_rows(self, tmp_path):
+        counts = accumulate(random_streams(10_000, seed=25), segment_bins=100)
+        every_other = CoincidenceCounts(counts.bin_width, counts.segments[::2])
+        write_segment_csv(every_other, tmp_path / "counts.csv")
+        assert ((tmp_path / "counts.csv").read_bytes()
+                == segment_csv_bytes(every_other))
+
+    def test_float_tables_are_refused(self, tmp_path):
+        table = segment_table([(0, 10, 1.5, 0, 0, 0, 0, 0, 0)], count_type=float)
+        with pytest.raises(ValueError, match="integer"):
+            write_segment_csv(CoincidenceCounts(1e-9, table),
+                              tmp_path / "counts.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThroughput:

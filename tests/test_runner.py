@@ -117,6 +117,23 @@ def assert_same_streams(a, b) -> None:
     np.testing.assert_array_equal(a.signal_2, b.signal_2)
 
 
+def census_rows(model, cfg: ExperimentConfig,
+                target_triples=None) -> np.recarray:
+    """The segment table of ``model.segment_cells`` drawn segment by segment.
+
+    Rows are ``counts_from_cells`` of each census, cut after the first
+    segment at which the cumulative N_H12 reaches ``target_triples``.
+    """
+    rows, triples = [], 0
+    for index, n_bins in enumerate(segment_sizes(cfg.n_bins, cfg.segment_bins)):
+        rows.append(counts_from_cells(model.segment_cells(cfg, index, n_bins),
+                                      segment_index=index))
+        triples += rows[-1][-1]
+        if target_triples is not None and triples >= target_triples:
+            break
+    return segment_table(rows)
+
+
 class TestSegmentSizes:
     def test_remainder_kept(self):
         assert segment_sizes(10, 4) == [4, 4, 2]
@@ -286,6 +303,59 @@ class TestRunCounts:
         counts = run_counts(cfg, target_triples=10**9)
         assert counts.n_bins == 200_000
         assert len(counts.segments) == len(segment_sizes(200_000, 9_973))
+
+
+
+# Configs whose segments of a few hundred bins hold triples, per model.
+CENSUS_CONFIGS = {
+    "qm": (qm, lambda n_bins, segment_bins: photon_config(
+        mu=0.2, eta_h=0.9, eta_1=0.9, eta_2=0.9, n_bins=n_bins,
+        segment_bins=segment_bins, seed=8031)),
+    "pcsft-coupled": (pcsft, lambda n_bins, segment_bins: coupled_noisy_config(
+        n_bins=n_bins, segment_bins=segment_bins, seed=8032)),
+    "pcsft-envelope": (pcsft, lambda n_bins, segment_bins: envelope_config(
+        n_bins=n_bins, segment_bins=segment_bins, seed=8033)),
+}
+
+
+class TestCensusLoop:
+    """run_counts's blocks of censuses give the per-segment census rows.
+
+    The block holds 4 segments here, so stops land on and next to its end.
+    """
+
+    # case -> (n_bins, segment_bins, target as a function of the running
+    # N_H12 per segment, retained segments as a function of their count).
+    CASES = {
+        "met-in-segment-0": (12 * 400, 400, lambda t: t[0], lambda n: 1),
+        "met-at-block-end": (12 * 400, 400, lambda t: t[3], lambda n: 4),
+        "met-past-block-end": (12 * 400, 400, lambda t: t[4], lambda n: 5),
+        "never-met": (12 * 400, 400, lambda t: t[-1] + 1, lambda n: n),
+        "met-in-short-final-segment": (9 * 400 + 123, 400, lambda t: t[-1],
+                                       lambda n: n),
+        "one-bin-segments": (400, 1, lambda t: 2, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("model_name", sorted(CENSUS_CONFIGS))
+    def test_rows_are_the_per_segment_census_up_to_the_stop(
+            self, monkeypatch, model_name, case):
+        monkeypatch.setattr(runner, "_BLOCK_SEGMENTS", 4)
+        model, make = CENSUS_CONFIGS[model_name]
+        n_bins, segment_bins, target_of, kept_of = self.CASES[case]
+        cfg = make(n_bins, segment_bins)
+        full = census_rows(model, cfg)
+        target = int(target_of(np.cumsum(full.N_H12)))
+        expected = census_rows(model, cfg, target)
+        if kept_of is None:
+            assert 1 < len(expected) < len(full)
+        else:
+            assert len(expected) == kept_of(len(full))
+        assert target > 0
+        assert np.array_equal(run_counts(cfg, target_triples=target).segments,
+                              expected)
+        assert np.array_equal(run_counts(cfg).segments, full)
+        assert full.n_bins[-1] == n_bins - segment_bins * (len(full) - 1)
 
 
 SWEEP_INI = """\
