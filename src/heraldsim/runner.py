@@ -5,16 +5,15 @@ each), produced one after another on the calling thread.  Each segment's
 randomness comes from its own named Philox streams, so no segment's draws
 depend on another's.
 
-Every segment is one draw of its model's census, the bins per joint click
-pattern: one multinomial over the model's sampling law, built once per
-run, from the segment's source stream.  One loop draws them, a block of
-segments at a time, for both entry points.  :func:`run_counts` keeps only
-the census, one segment-table row each, counted for a whole block by one
-integer matrix product.  :func:`segment_streams` also places each census
-in a uniformly random order
-(:func:`heraldsim.coincidence.clicks_from_cells`) and packs the clicks,
-for runs whose stream files are part of the deliverable; the row it
-yields with each segment is the census route's row for the same
+Every segment is one draw of its model's census (``segment_cells``, the
+bins per joint click pattern), with the model's sampling law built once
+per run.  One loop draws the censuses and counts each into its segment
+row (``counts_from_cells``), for both entry points.  :func:`run_counts`
+keeps only the rows, written into its table a block of segments at a
+time.  :func:`segment_streams` also places each census in a uniformly
+random order (:func:`heraldsim.coincidence.clicks_from_cells`) and packs
+the clicks, for runs whose stream files are part of the deliverable; the
+row it yields with each segment is the census route's row for the same
 configuration and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
@@ -26,13 +25,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import pcsft, qm
-from .coincidence import (FIELD_MASKS, SEGMENT_FIELDS, CoincidenceCounts,
-                          clicks_from_cells, segment_table)
+from .coincidence import (SEGMENT_FIELDS, CoincidenceCounts, clicks_from_cells,
+                          counts_from_cells, segment_table)
 from .core import (_ROLE_BITS, ConfigError, ExperimentConfig, Role, Theory,
                    _check, _field_types, _read_ini, _read_section,
                    rng_stream, stream_id, with_attenuation)
@@ -59,55 +59,40 @@ def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
     return [segment_bins] * full + ([rest] if rest else [])
 
 
-# Each theory's module, for its sampling_law.
+# Each theory's module: its sampling_law and segment_cells.
 _MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
 
-# Censuses drawn per block of the census loop: its working set, whatever
-# the run length.
+# Rows run_counts writes into its table at once: the loop's working set,
+# whatever the run length.
 _BLOCK_SEGMENTS = 256
 
-# _ROW_OF_CELLS[p, f] is 1 when pattern p clicks on every channel of field
-# f of SEGMENT_FIELDS[1:] (n_bins, whose channel set is empty, then
-# COUNT_FIELDS), so a block of censuses times it is the block's rows.
-_ROW_OF_CELLS = np.array([[p & mask == mask for mask in (0,) + FIELD_MASKS]
-                          for p in range(8)], dtype=np.int64)
 
+def _census_rows(cfg: ExperimentConfig, point_index: int,
+                 target_triples: Optional[int] = None,
+                 ) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
+    """Yield each segment's census and row, in index order.
 
-def _census_blocks(cfg: ExperimentConfig, point_index: int,
-                   target_triples: Optional[int] = None,
-                   ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (index of its first segment, censuses) per block, in order.
-
-    Segment i's census is ``multinomial(n, law)`` drawn from its pooled
-    source stream, where ``law`` is the model's sampling law, built once
-    here, and ``n`` the segment's bins.  Each block holds up to
-    ``_BLOCK_SEGMENTS`` censuses, one row each, and is a view of one buffer
-    that the next block overwrites.  With ``target_triples`` set, the loop
-    ends with the first segment at which the cumulative N_H12 reaches it,
-    and draws nothing past that segment.
+    Segment i's census is the model's ``segment_cells`` of its bins, with
+    the sampling law built once here; its row is ``counts_from_cells`` of
+    that census.  With ``target_triples`` set, the loop ends with the
+    first segment at which the cumulative N_H12 reaches it, and draws
+    nothing past that segment.
     """
-    law = _MODELS[cfg.theory].sampling_law(cfg)
+    model = _MODELS[cfg.theory]
+    law = model.sampling_law(cfg)
     size = cfg.segment_bins
     full, rest = divmod(cfg.n_bins, size)
-    n_segments = full + (rest > 0)
-    # Keys grow with the index, so checking the last one checks them all.
-    stream_id(n_segments - 1, Role.SOURCE, point_index)
-    seed, base = cfg.seed, stream_id(0, Role.SOURCE, point_index)
     target = float("inf") if target_triples is None else target_triples
-    block = np.empty((_BLOCK_SEGMENTS, 8), dtype=np.int64)
-    triple, triples = FIELD_MASKS[-1], 0  # N_H12 is the census's triple cell
-    for lo in range(0, n_segments, _BLOCK_SEGMENTS):
-        hi = min(lo + _BLOCK_SEGMENTS, n_segments)
-        for index in range(lo, hi):
-            cells = rng_stream(seed, base | index << _ROLE_BITS,
-                               pooled=True).multinomial(
-                                   size if index < full else rest, law)
-            block[index - lo] = cells
-            triples += cells.item(triple)
-            if triples >= target:
-                yield lo, block[:index + 1 - lo]
-                return
-        yield lo, block[:hi - lo]
+    triples = 0
+    for index in range(full + (rest > 0)):
+        cells = model.segment_cells(cfg, index,
+                                    n_bins=size if index < full else rest,
+                                    point_index=point_index, law=law)
+        row = counts_from_cells(cells, segment_index=index)
+        yield cells, row
+        triples += row[-1]  # N_H12, the last column
+        if triples >= target:
+            return
 
 
 def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
@@ -117,20 +102,16 @@ def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
     The streams are the segment's census placed from its placement
     stream, which the census never keys; the row counts that census, so
     it is what counting the streams gives, and the segment's row of
-    :func:`run_counts`.  One block of censuses is held at a time and each
-    segment's streams are made as they are asked for, so a consumer that
-    writes each part as it arrives runs in memory that does not grow with
-    ``cfg.n_bins``.
+    :func:`run_counts`.  One segment is made at a time, so a consumer
+    that writes each part as it arrives runs in memory that does not grow
+    with ``cfg.n_bins``.
     """
     seed, base = cfg.seed, stream_id(0, Role.PLACEMENT, point_index)
     bin_width = cfg.detectors.bin_width
-    for lo, block in _census_blocks(cfg, point_index):
-        for index, (cells, row) in enumerate(
-                zip(block, (block @ _ROW_OF_CELLS).tolist()), start=lo):
-            rng = rng_stream(seed, base | index << _ROLE_BITS, pooled=True)
-            clicks = clicks_from_cells(cells, row[0], rng)
-            yield ((index, *row),
-                   ClickStreams.from_bools(*clicks, bin_width=bin_width))
+    for cells, row in _census_rows(cfg, point_index):
+        rng = rng_stream(seed, base | row[0] << _ROLE_BITS, pooled=True)
+        clicks = clicks_from_cells(cells, row[1], rng)
+        yield row, ClickStreams.from_bools(*clicks, bin_width=bin_width)
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
@@ -155,13 +136,13 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     """
     full, rest = divmod(cfg.n_bins, cfg.segment_bins)
     table = np.empty((full + (rest > 0), len(SEGMENT_FIELDS)), dtype=np.int64)
+    rows = (row for _, row in _census_rows(cfg, point_index, target_triples))
     end = 0
-    for lo, block in _census_blocks(cfg, point_index, target_triples):
-        end = lo + len(block)
-        np.matmul(block, _ROW_OF_CELLS, out=table[lo:end, 1:])
+    while block := list(islice(rows, _BLOCK_SEGMENTS)):
+        table[end:end + len(block)] = block
+        end += len(block)
     if end < len(table):  # stopped early: keep only the retained rows
         table = table[:end].copy()
-    table[:, 0] = np.arange(end)
     return CoincidenceCounts(bin_width=cfg.detectors.bin_width,
                              segments=segment_table(table))
 

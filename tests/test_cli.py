@@ -8,13 +8,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import pcsft, runner
+from heraldsim import pcsft, qm
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
                                    write_segment_csv)
-from heraldsim.core import (Role, config_from_dict, config_to_dict,
-                            load_config, stream_id)
+from heraldsim.core import config_from_dict, config_to_dict, load_config
 from heraldsim.runner import run_counts, simulate_run
 from heraldsim.streams import write_streams
 
@@ -233,16 +232,14 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
-        # The census loop keys segment i's source stream with
-        # stream_id(i, Role.SOURCE); fail where it draws segment 2.
-        draw = runner.rng_stream
+        sample = qm.segment_cells
 
-        def fail_on_segment_2(seed, stream, **kwargs):
-            if stream == stream_id(2, Role.SOURCE):
+        def fail_on_segment_2(cfg, index, **kwargs):
+            if index == 2:
                 raise RuntimeError("sampler failed on segment 2")
-            return draw(seed, stream, **kwargs)
+            return sample(cfg, index, **kwargs)
 
-        monkeypatch.setattr(runner, "rng_stream", fail_on_segment_2)
+        monkeypatch.setattr(qm, "segment_cells", fail_on_segment_2)
         cfg, _ = write_inputs(tmp_path)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="segment 2"):
