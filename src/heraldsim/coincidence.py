@@ -75,18 +75,11 @@ def segment_table(rows: Iterable = (), count_type=np.int64) -> np.recarray:
     N_H2, N_12, N_H12) or rows of another table.  Observed counts are
     integers; ``count_type=float`` holds expectations (background
     subtraction), with ``segment_index`` and ``n_bins`` still integers.
-    Rows are stored as they arrive, never held as a Python list.  An
-    int64 array of shape (segments, 9), columns in that order, becomes an
-    integer table without a copy: a view of that array.  Columns read as
-    ``table.N_H12`` and rows as ``table[i].N_H12``.  The table is
+    Rows are stored as they arrive, never held as a Python list.  Columns
+    read as ``table.N_H12`` and rows as ``table[i].N_H12``.  The table is
     read-only, so counts that share it cannot change each other.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        if rows.dtype != np.int64:
-            raise ValueError(f"expected int64 rows, got {rows.dtype}")
-        table = rows.view(_segment_dtype(np.int64))[:, 0].view(np.recarray)
-    else:
-        table = np.fromiter(rows, dtype=_segment_dtype(count_type)).view(np.recarray)
+    table = np.fromiter(rows, dtype=_segment_dtype(count_type)).view(np.recarray)
     table.flags.writeable = False
     return table
 
@@ -259,6 +252,8 @@ _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
 # csv.writer's dialect: comma-separated, no quoting needed, \r\n line ends.
 _CSV_HEADER = (",".join(_SEGMENT_HEADER) + "\r\n").encode()
 _CSV_ROW = ",".join(["%d"] * len(_SEGMENT_HEADER)) + "\r\n"
+# Counts of another type (expectations) as csv.writer writes them: repr.
+_CSV_ANY_ROW = "%d,%d," + ",".join(["%r"] * len(COUNT_FIELDS)) + "\r\n"
 # Segment rows formatted per write.  Small enough that each chunk's
 # strings reuse heap memory rather than raise the peak.
 _CSV_CHUNK = 256
@@ -268,20 +263,22 @@ def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     """The segment table as CSV, one row per segment, in order.
 
     The bytes are those of ``csv.writer``.  Each chunk of rows is
-    formatted through one ``%d`` template and written in one call, so the
-    table must be an integer one (ValueError otherwise).  The file is
+    formatted through one row template and written in one call; an
+    integer table's chunk is read as one flat int64 array.  The file is
     written under a temporary name and renamed to ``path`` when complete;
     an exception deletes it instead.
     """
     table = counts.segments.view(np.ndarray)
-    if table.dtype != _segment_dtype(np.int64):
-        raise ValueError(f"{path}: only integer segment tables are written")
+    integer = table.dtype == _segment_dtype(np.int64)
+    template = _CSV_ROW if integer else _CSV_ANY_ROW
     with _replacing(path) as fh:
         fh.write(_CSV_HEADER)
         for lo in range(0, len(table), _CSV_CHUNK):
-            rows = np.ascontiguousarray(table[lo:lo + _CSV_CHUNK])
-            fh.write(((_CSV_ROW * len(rows))
-                      % tuple(rows.view(np.int64).tolist())).encode())
+            rows = table[lo:lo + _CSV_CHUNK]
+            values = (np.ascontiguousarray(rows).view(np.int64).tolist()
+                      if integer else
+                      [value for row in rows.tolist() for value in row])
+            fh.write(((template * len(rows)) % tuple(values)).encode())
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:

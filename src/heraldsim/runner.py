@@ -9,12 +9,11 @@ Every segment is one draw of its model's census (``segment_cells``, the
 bins per joint click pattern), with the model's sampling law built once
 per run.  One loop draws the censuses and counts each into its segment
 row (``counts_from_cells``), for both entry points.  :func:`run_counts`
-keeps only the rows, written into its table a block of segments at a
-time.  :func:`segment_streams` also places each census in a uniformly
-random order (:func:`heraldsim.coincidence.clicks_from_cells`) and packs
-the clicks, for runs whose stream files are part of the deliverable; the
-row it yields with each segment is the census route's row for the same
-configuration and seed.
+keeps only the rows.  :func:`segment_streams` also places each census in
+a uniformly random order (:func:`heraldsim.coincidence.clicks_from_cells`)
+and packs the clicks, for runs whose stream files are part of the
+deliverable; the row it yields with each segment is the census route's
+row for the same configuration and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -25,17 +24,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import pcsft, qm
-from .coincidence import (SEGMENT_FIELDS, CoincidenceCounts, clicks_from_cells,
+from .coincidence import (CoincidenceCounts, clicks_from_cells,
                           counts_from_cells, segment_table)
-from .core import (_ROLE_BITS, ConfigError, ExperimentConfig, Role, Theory,
-                   _check, _field_types, _read_ini, _read_section,
-                   rng_stream, stream_id, with_attenuation)
+from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
+                   _field_types, _read_ini, _read_section, _segment_rngs,
+                   with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [
@@ -61,10 +59,6 @@ def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
 
 # Each theory's module: its sampling_law and segment_cells.
 _MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
-
-# Rows run_counts writes into its table at once: the loop's working set,
-# whatever the run length.
-_BLOCK_SEGMENTS = 256
 
 
 def _census_rows(cfg: ExperimentConfig, point_index: int,
@@ -106,10 +100,9 @@ def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
     that writes each part as it arrives runs in memory that does not grow
     with ``cfg.n_bins``.
     """
-    seed, base = cfg.seed, stream_id(0, Role.PLACEMENT, point_index)
     bin_width = cfg.detectors.bin_width
     for cells, row in _census_rows(cfg, point_index):
-        rng = rng_stream(seed, base | row[0] << _ROLE_BITS, pooled=True)
+        rng = _segment_rngs(cfg, row[0], point_index)(Role.PLACEMENT)
         clicks = clicks_from_cells(cells, row[1], rng)
         yield row, ClickStreams.from_bools(*clicks, bin_width=bin_width)
 
@@ -134,17 +127,9 @@ def run_counts(cfg: ExperimentConfig, point_index: int = 0,
     cumulative N_H12 reaches the target (the full cfg.n_bins budget
     otherwise); the stop decision never splits a segment.
     """
-    full, rest = divmod(cfg.n_bins, cfg.segment_bins)
-    table = np.empty((full + (rest > 0), len(SEGMENT_FIELDS)), dtype=np.int64)
     rows = (row for _, row in _census_rows(cfg, point_index, target_triples))
-    end = 0
-    while block := list(islice(rows, _BLOCK_SEGMENTS)):
-        table[end:end + len(block)] = block
-        end += len(block)
-    if end < len(table):  # stopped early: keep only the retained rows
-        table = table[:end].copy()
     return CoincidenceCounts(bin_width=cfg.detectors.bin_width,
-                             segments=segment_table(table))
+                             segments=segment_table(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -319,17 +319,15 @@ CENSUS_CONFIGS = {
 
 
 class TestCensusLoop:
-    """run_counts's blocks of censuses give the per-segment census rows.
-
-    The block holds 4 segments here, so stops land on and next to its end.
-    """
+    """run_counts keeps the per-segment census rows up to the stop."""
 
     # case -> (n_bins, segment_bins, target as a function of the running
     # N_H12 per segment, retained segments as a function of their count).
     CASES = {
         "met-in-segment-0": (12 * 400, 400, lambda t: t[0], lambda n: 1),
-        "met-at-block-end": (12 * 400, 400, lambda t: t[3], lambda n: 4),
-        "met-past-block-end": (12 * 400, 400, lambda t: t[4], lambda n: 5),
+        "met-in-segment-4": (12 * 400, 400, lambda t: t[4], lambda n: 5),
+        "met-just-past-segment-4": (12 * 400, 400, lambda t: t[4] + 1,
+                                    lambda n: 6),
         "never-met": (12 * 400, 400, lambda t: t[-1] + 1, lambda n: n),
         "met-in-short-final-segment": (9 * 400 + 123, 400, lambda t: t[-1],
                                        lambda n: n),
@@ -339,8 +337,7 @@ class TestCensusLoop:
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("model_name", sorted(CENSUS_CONFIGS))
     def test_rows_are_the_per_segment_census_up_to_the_stop(
-            self, monkeypatch, model_name, case):
-        monkeypatch.setattr(runner, "_BLOCK_SEGMENTS", 4)
+            self, model_name, case):
         model, make = CENSUS_CONFIGS[model_name]
         n_bins, segment_bins, target_of, kept_of = self.CASES[case]
         cfg = make(n_bins, segment_bins)
@@ -356,6 +353,25 @@ class TestCensusLoop:
                               expected)
         assert np.array_equal(run_counts(cfg).segments, full)
         assert full.n_bins[-1] == n_bins - segment_bins * (len(full) - 1)
+
+    @pytest.mark.parametrize("model_name", sorted(CENSUS_CONFIGS))
+    def test_memory_follows_the_segments_kept_not_the_budget(self, model_name):
+        # A sweep's budget may stand for "until the target": 10**15 bins is
+        # 2e10 segments of 48 000, which no table of the budget would fit.
+        model, make = CENSUS_CONFIGS[model_name]
+        short = make(3 * 48_000, 48_000)
+        target = int(np.cumsum(census_rows(model, short).N_H12)[1])
+        cfg = replace(short, n_bins=10**15)
+        run_counts(short, target_triples=target)  # warm-up
+        tracemalloc.start()
+        try:
+            counts = run_counts(cfg, target_triples=target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.segments.tolist() == census_rows(model, short, target).tolist()
+        assert len(counts.segments) == 2
+        assert peak < 2 * 10**6, peak
 
 
 SWEEP_INI = """\
