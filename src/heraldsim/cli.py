@@ -35,14 +35,9 @@ from .streams import StreamWriter, write_sparse_csv
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heraldsim",
-        description="Heralded single-photon source simulator and analyser.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Options of the two commands that run the sampler.
-    run = argparse.ArgumentParser(add_help=False)
+def _run_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs the sampler, with the options both share."""
+    run = sub.add_parser(name, help=help)
     run.add_argument("--config", required=True, help="experiment INI file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None,
@@ -53,17 +48,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect (every "
                      "run makes its segments in order on one thread)")
+    return run
 
-    sub.add_parser("simulate", parents=[run], help="run one configuration, "
-                   "write click streams and coincidence counts")
 
-    swp = sub.add_parser("sweep", parents=[run], help="run an attenuation "
-                         "sweep and write per-point counts plus the analysis "
-                         "report")
+def _add_simulate(sub) -> None:
+    _run_parser(sub, "simulate", "run one configuration, write click "
+                "streams and coincidence counts")
+
+
+def _add_sweep(sub) -> None:
+    swp = _run_parser(sub, "sweep", "run an attenuation sweep and write "
+                      "per-point counts plus the analysis report")
     swp.add_argument("--sweep", required=True, help="sweep plan INI file")
     swp.add_argument("--background", default=None,
                      help="counts JSON from a source-off run")
 
+
+def _add_analyze(sub) -> None:
     ana = sub.add_parser("analyze", help="build a report from stored "
                          "counts files")
     ana.add_argument("--counts", required=True, nargs="+",
@@ -72,10 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="counts JSON from a source-off run")
     ana.add_argument("--out", required=True, help="output directory")
 
+
+def _add_plot(sub) -> None:
     plo = sub.add_parser("plot", help="render a report to SVG")
     plo.add_argument("--report", required=True, help="report JSON file")
     plo.add_argument("--out", required=True, help="output SVG path")
 
+
+def _add_bounds(sub) -> None:
     bnd = sub.add_parser("bounds", help="print a threshold-field ceiling")
     bnd_sub = bnd.add_subparsers(dest="bound_kind", required=True)
     be = bnd_sub.add_parser("energy", help="ceiling from pulse energy")
@@ -87,6 +92,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("counts_1", int), ("counts_2", int),
                        ("duration", float)):
         bc.add_argument(name, type=kind)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only ``command``.
+
+    A parser built for one command parses that command's arguments, and
+    prints its help and errors, exactly as the full parser does; it only
+    skips building the subcommands that will not run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="heraldsim",
+        description="Heralded single-photon source simulator and analyser.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (add, _) in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
+    if command is not None:
+        # The usage line names every command, as the full parser's does.
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
     return parser
 
 
@@ -247,20 +271,24 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# Each subcommand: how to add its parser, and what runs it.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "analyze": cmd_analyze,
-    "plot": cmd_plot,
-    "bounds": cmd_bounds,
+    "simulate": (_add_simulate, cmd_simulate),
+    "sweep": (_add_sweep, cmd_sweep),
+    "analyze": (_add_analyze, cmd_analyze),
+    "plot": (_add_plot, cmd_plot),
+    "bounds": (_add_bounds, cmd_bounds),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's parser is built; anything else (help, no
+    # command, an unknown one) goes to the full parser and its messages.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -183,18 +183,20 @@ def counts_from_cells(cells: np.ndarray, segment_index: int = 0) -> tuple[int, .
     expected census of ``n`` bins.  The row is a tuple of Python numbers in
     ``SEGMENT_FIELDS`` order, as :func:`segment_table` takes it.
     """
-    cells = np.asarray(cells)
+    if not isinstance(cells, np.ndarray):
+        cells = np.asarray(cells)
     if cells.shape != (8,):
         raise ValueError(f"expected 8 pattern cells, got shape {cells.shape}")
     c = cells.tolist()
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
     return (segment_index, sum(c),
-            c[4] + c[5] + c[6] + c[7],   # N_H
-            c[2] + c[3] + c[6] + c[7],   # N_1
-            c[1] + c[3] + c[5] + c[7],   # N_2
-            c[6] + c[7],                 # N_H1
-            c[5] + c[7],                 # N_H2
-            c[3] + c[7],                 # N_12
-            c[7])                        # N_H12
+            c4 + c5 + c6 + c7,   # N_H
+            c2 + c3 + c6 + c7,   # N_1
+            c1 + c3 + c5 + c7,   # N_2
+            c6 + c7,             # N_H1
+            c5 + c7,             # N_H2
+            c3 + c7,             # N_12
+            c7)                  # N_H12
 
 
 def law_counts(law: np.ndarray, n_bins: int) -> dict[str, float]:
@@ -216,18 +218,42 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
     independent bins whose census each model's ``segment_cells`` draws.
     """
+    return tuple(np.unpackbits(channel, count=n_bins, bitorder="little")
+                 .view(bool) for channel in _placed_channels(cells, n_bins, rng))
+
+
+def _placed_channels(cells, n_bins: int, rng: np.random.Generator,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clicks of :func:`clicks_from_cells`, packed as ClickStreams holds them.
+
+    One bitmap per channel (herald, signal_1, signal_2), little-endian bit
+    order with zero pad bits.  Each channel starts as the fill pattern's
+    bit everywhere; the blocks of positions whose pattern has the other
+    bit are then set to it.
+    """
     cells = np.asarray(cells)
-    if cells.shape != (8,) or cells.sum() != n_bins:
+    counts = cells.tolist()
+    if cells.shape != (8,) or sum(counts) != n_bins or min(counts) < 0:
         raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
-                         f"got {cells.tolist()}")
-    fill = int(cells.argmax())
-    patterns = np.full(n_bins, fill, dtype=np.uint8)
-    others = np.flatnonzero(np.arange(8) != fill).astype(np.uint8)
-    placed = n_bins - int(cells[fill])
-    if placed:
-        patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
-            others, cells[others])
-    return tuple((patterns & bit).astype(bool) for bit in CHANNEL_BITS)
+                         f"got {counts}")
+    fill = counts.index(max(counts))
+    placed = n_bins - counts[fill]
+    positions = rng.choice(n_bins, placed, replace=False) if placed else None
+    # The block of positions each other pattern takes, in index order.
+    blocks, lo = [], 0
+    for pattern, count in enumerate(counts):
+        if pattern != fill and count:
+            blocks.append((pattern, positions[lo:lo + count]))
+            lo += count
+    channels = []
+    for bit in CHANNEL_BITS:
+        background = bool(fill & bit)
+        bits = np.full(n_bins, background)
+        for pattern, block in blocks:
+            if bool(pattern & bit) != background:
+                bits[block] = not background
+        channels.append(np.packbits(bits, bitorder="little"))
+    return tuple(channels)
 
 
 def alternating_sum(mask: int, value: Callable[[int], float]):

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from pathlib import Path
-from typing import Callable, Optional, get_args, get_origin, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -277,7 +277,10 @@ class Role:
 
 _ROLE_BITS = 3          # 8 roles
 _SEGMENT_BITS = 37      # ~1.4e11 segments per point
+_SEGMENT_LIMIT = 1 << _SEGMENT_BITS
+_POINT_LIMIT = 1 << (64 - _SEGMENT_BITS - _ROLE_BITS)
 _MASK64 = (1 << 64) - 1
+_ROLE_MASK = (1 << _ROLE_BITS) - 1
 
 
 def stream_id(segment_index: int, role: int, point_index: int = 0) -> int:
@@ -286,13 +289,15 @@ def stream_id(segment_index: int, role: int, point_index: int = 0) -> int:
     Layout, LSB first: 3 bits role | 37 bits segment | 24 bits point.
     Standalone runs use point_index 0; sweep point i uses i + 1.
     """
+    if (0 <= role < Role.COUNT and 0 <= segment_index < _SEGMENT_LIMIT
+            and 0 <= point_index < _POINT_LIMIT):
+        return ((point_index << (_SEGMENT_BITS + _ROLE_BITS))
+                | (segment_index << _ROLE_BITS) | role)
     if not 0 <= role < Role.COUNT:
         raise ValueError(f"role must be in [0, {Role.COUNT}), got {role}")
-    if not 0 <= segment_index < (1 << _SEGMENT_BITS):
+    if not 0 <= segment_index < _SEGMENT_LIMIT:
         raise ValueError(f"segment_index out of range: {segment_index}")
-    if not 0 <= point_index < (1 << (64 - _SEGMENT_BITS - _ROLE_BITS)):
-        raise ValueError(f"point_index out of range: {point_index}")
-    return (point_index << (_SEGMENT_BITS + _ROLE_BITS)) | (segment_index << _ROLE_BITS) | role
+    raise ValueError(f"point_index out of range: {point_index}")
 
 
 # Per thread, one (generator, bit generator, state) slot per role; see
@@ -317,29 +322,25 @@ def rng_stream(seed: int, stream: int, pooled: bool = False) -> np.random.Genera
     key = [seed & _MASK64, stream & _MASK64]
     if not pooled:
         return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    slots = getattr(_POOL, "slots", None)
-    if slots is None:  # numpy's Philox state at counter 0, empty buffer, in lists
+    try:
+        slots = _POOL.slots
+    except AttributeError:  # numpy's Philox state at counter 0, empty buffer, in lists
         slots = _POOL.slots = [(generator, generator.bit_generator, {
             "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
             for generator in (np.random.Generator(np.random.Philox(0))
                               for _ in range(Role.COUNT))]
-    generator, bit_generator, state = slots[stream & (Role.COUNT - 1)]
+    generator, bit_generator, state = slots[stream & _ROLE_MASK]
     state["state"]["key"] = key
     bit_generator.state = state
     return generator
 
 
-def _segment_rngs(cfg: ExperimentConfig, segment_index: int,
-                  point_index: int) -> Callable[[int], np.random.Generator]:
-    """The samplers' path to one segment's streams: role -> pooled generator.
-
-    The segment's stream-id base is packed, and its segment and point
-    ranges checked, once; each call ORs its role into that base (the
-    layout of :func:`stream_id`) and rekeys through :func:`rng_stream`.
-    """
-    seed, base = cfg.seed, stream_id(segment_index, 0, point_index)
-    return lambda role: rng_stream(seed, base | role, pooled=True)
+def _segment_rng(cfg: ExperimentConfig, segment_index: int, role: int,
+                 point_index: int) -> np.random.Generator:
+    """The pooled generator of one segment's stream for ``role``."""
+    return rng_stream(cfg.seed, stream_id(segment_index, role, point_index),
+                      pooled=True)
 
 
 # ---------------------------------------------------------------------------

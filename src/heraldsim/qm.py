@@ -43,7 +43,7 @@ from .coincidence import CHANNEL_BITS, alternating_sum, clicks_from_cells, law_c
 from .core import (
     ExperimentConfig,
     Role,
-    _segment_rngs,
+    _segment_rng,
     arm_efficiencies,
     noise_probabilities,
 )
@@ -209,7 +209,7 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     if n_bins is None:
         n_bins = cfg.segment_bins
     probs = sampling_law(cfg) if law is None else law
-    rng = _segment_rngs(cfg, segment_index, point_index)(Role.SOURCE)
+    rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
     return rng.multinomial(n_bins, probs)
 
 
@@ -228,5 +228,5 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     if n_bins is None:
         n_bins = cfg.segment_bins
     cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
-    rng = _segment_rngs(cfg, segment_index, point_index)(Role.PLACEMENT)
+    rng = _segment_rng(cfg, segment_index, Role.PLACEMENT, point_index)
     return clicks_from_cells(cells, n_bins, rng)

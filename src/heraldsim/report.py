@@ -19,6 +19,7 @@ from .analysis import (G2Estimate, InsufficientStatistics, background_subtract,
                        corrected_rate, heralded_g2, weighted_linear_fit)
 from .coincidence import CoincidenceCounts
 from .core import ExperimentConfig
+from .streams import _replacing
 
 __all__ = [
     "REPORT_FORMAT",
@@ -142,7 +143,8 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict],
 
 
 def write_report_json(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """The report as JSON, renamed to ``path`` only once complete."""
+    with _replacing(path, encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -158,8 +160,11 @@ def _fmt(value) -> str:
 
 
 def write_report_csv(report: dict, path) -> None:
-    """Per-point table mirroring the plotted quantities."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Per-point table mirroring the plotted quantities.
+
+    Renamed to ``path`` only once complete, as the JSON report is.
+    """
+    with _replacing(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         # qm_band is empty or holds one entry per point.

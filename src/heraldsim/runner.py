@@ -10,10 +10,10 @@ bins per joint click pattern), with the model's sampling law built once
 per run.  One loop draws the censuses and counts each into its segment
 row (``counts_from_cells``), for both entry points.  :func:`run_counts`
 keeps only the rows.  :func:`segment_streams` also places each census in
-a uniformly random order (:func:`heraldsim.coincidence.clicks_from_cells`)
-and packs the clicks, for runs whose stream files are part of the
-deliverable; the row it yields with each segment is the census route's
-row for the same configuration and seed.
+a uniformly random order (:func:`heraldsim.coincidence.clicks_from_cells`),
+straight into packed channel bitmaps, for runs whose stream files are part
+of the deliverable; the row it yields with each segment is the census
+route's row for the same configuration and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -29,10 +29,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import pcsft, qm
-from .coincidence import (CoincidenceCounts, clicks_from_cells,
+from .coincidence import (CoincidenceCounts, _placed_channels,
                           counts_from_cells, segment_table)
 from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
-                   _field_types, _read_ini, _read_section, _segment_rngs,
+                   _field_types, _read_ini, _read_section, _segment_rng,
                    with_attenuation)
 from .streams import ClickStreams
 
@@ -74,15 +74,16 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
     """
     model = _MODELS[cfg.theory]
     law = model.sampling_law(cfg)
+    segment_cells = model.segment_cells
     size = cfg.segment_bins
     full, rest = divmod(cfg.n_bins, size)
     target = float("inf") if target_triples is None else target_triples
     triples = 0
     for index in range(full + (rest > 0)):
-        cells = model.segment_cells(cfg, index,
-                                    n_bins=size if index < full else rest,
-                                    point_index=point_index, law=law)
-        row = counts_from_cells(cells, segment_index=index)
+        cells = segment_cells(cfg, index,
+                              n_bins=size if index < full else rest,
+                              point_index=point_index, law=law)
+        row = counts_from_cells(cells, index)
         yield cells, row
         triples += row[-1]  # N_H12, the last column
         if triples >= target:
@@ -100,11 +101,12 @@ def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
     that writes each part as it arrives runs in memory that does not grow
     with ``cfg.n_bins``.
     """
-    bin_width = cfg.detectors.bin_width
+    bin_width = float(cfg.detectors.bin_width)
     for cells, row in _census_rows(cfg, point_index):
-        rng = _segment_rngs(cfg, row[0], point_index)(Role.PLACEMENT)
-        clicks = clicks_from_cells(cells, row[1], rng)
-        yield row, ClickStreams.from_bools(*clicks, bin_width=bin_width)
+        index, n_bins = row[:2]
+        rng = _segment_rng(cfg, index, Role.PLACEMENT, point_index)
+        yield row, ClickStreams(n_bins, bin_width,
+                                *_placed_channels(cells, n_bins, rng))
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:

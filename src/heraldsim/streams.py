@@ -25,7 +25,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -66,17 +66,20 @@ def _temporary(path: Path) -> Path:
 
 
 @contextmanager
-def _replacing(path: str | Path) -> Iterator[BinaryIO]:
-    """A new binary file that becomes ``path`` when the block completes.
+def _replacing(path: str | Path, encoding: Optional[str] = None,
+               newline: Optional[str] = None) -> Iterator[IO]:
+    """A new file that becomes ``path`` when the block completes.
 
-    It is written under a :func:`_temporary` name and renamed over
-    ``path`` at the end of the block; an exception deletes it instead, so
-    ``path`` never holds a partial file.
+    Binary, or text when an ``encoding`` is given (``newline`` as
+    :func:`open` takes it).  It is written under a :func:`_temporary` name
+    and renamed over ``path`` at the end of the block; an exception deletes
+    it instead, so ``path`` never holds a partial file.
     """
     path = Path(path)
     tmp = _temporary(path)
     try:
-        with open(tmp, "xb") as fh:
+        with open(tmp, "xb" if encoding is None else "x", encoding=encoding,
+                  newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

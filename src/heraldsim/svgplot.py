@@ -17,7 +17,8 @@ Structure consumed by tests and downstream tooling:
 from __future__ import annotations
 
 import math
-from pathlib import Path
+
+from .streams import _replacing
 
 __all__ = ["render_report", "write_report_svg"]
 
@@ -229,5 +230,7 @@ def render_report(report: dict) -> str:
 
 
 def write_report_svg(report: dict, path) -> None:
-    # Rendered before the file is opened: a malformed report leaves none.
-    Path(path).write_text(render_report(report), encoding="utf-8")
+    """The report's figure as SVG, renamed to ``path`` only once complete."""
+    svg = render_report(report)  # before any file: a malformed report leaves none
+    with _replacing(path, encoding="utf-8") as fh:
+        fh.write(svg)

@@ -10,7 +10,10 @@ into exit times, for the first-passage checks.  ``merge`` joins two
 segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
 ``segment_csv_bytes`` writes a segment table through ``csv.writer``, the
-oracle of ``write_segment_csv``'s row template.
+oracle of ``write_segment_csv``'s row template.  ``fail_after_first_write``
+makes the package's file writes fail part way, as a full disk does.
+``placed_clicks`` places a census through a per-bin pattern array, the
+oracle of the packed placement.
 ``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
 thinning, per-bin noise), the oracle of the law both qm samplers draw from;
@@ -30,7 +33,7 @@ import numpy as np
 from scipy import stats
 
 from heraldsim.coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
-from heraldsim import pcsft
+from heraldsim import pcsft, streams
 from heraldsim.core import (ExperimentConfig, Role, arm_efficiencies,
                             noise_probabilities, rng_stream, stream_id)
 from heraldsim.streams import ClickStreams
@@ -305,3 +308,47 @@ def per_bin_envelope_clicks(cfg: ExperimentConfig, segment_index: int,
         if p:
             arr |= rng(role).random(n_bins) < p
     return tuple(clicks)
+
+
+class _WriteThenFail:
+    """A file whose first write lands and then raises, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data)
+        self.fh.flush()
+        raise OSError("device full after the first write")
+
+
+def fail_after_first_write(monkeypatch) -> None:
+    """Make every file the package opens for writing fail its first write."""
+    monkeypatch.setattr(streams, "open", lambda *args, **kwargs:
+                        _WriteThenFail(open(*args, **kwargs)), raising=False)
+
+
+def placed_clicks(cells, n_bins: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clicks (herald, signal_1, signal_2) of a census, placed bin by bin.
+
+    Fills a per-bin pattern array with the most frequent pattern, writes
+    the other patterns, in index order, over consecutive blocks of
+    ``rng.choice(n_bins, placed, replace=False)``, and reads each channel
+    bit off the patterns: the placement the package packs channel by
+    channel.
+    """
+    cells = np.asarray(cells)
+    fill = int(cells.argmax())
+    patterns = np.full(n_bins, fill, dtype=np.uint8)
+    others = np.flatnonzero(np.arange(8) != fill).astype(np.uint8)
+    placed = n_bins - int(cells[fill])
+    if placed:
+        patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
+            others, cells[others])
+    return tuple((patterns & bit).astype(bool) for bit in (4, 2, 1))

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import pcsft, qm
+from heraldsim import cli, pcsft, qm
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
@@ -704,3 +704,61 @@ class TestBounds:
         assert main(["bounds", "energy", "10e-9", "20.83e-9", "0.01",
                      "0.0"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def parser_exit(parse, argv, capsys) -> tuple:
+    """Exit code, standard output and standard error of a parse that exits."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """main builds only the named command's parser, with the full one's text."""
+
+    COMMANDS = [["simulate"], ["sweep"], ["analyze"], ["plot"], ["bounds"],
+                ["bounds", "energy"], ["bounds", "counts"]]
+
+    @pytest.mark.parametrize("tail", [["--help"], []], ids=["help", "missing"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_help_and_missing_arguments_match_the_full_parser(
+            self, capsys, command, tail):
+        argv = command + tail
+        expected = parser_exit(cli._build_parser().parse_args, argv, capsys)
+        assert expected[0] == (0 if tail else 2)
+        assert parser_exit(main, argv, capsys) == expected
+
+    def test_unrecognized_argument_shows_the_full_usage(self, capsys):
+        argv = ["plot", "--report", "r.json", "--out", "f.svg", "extra"]
+        expected = parser_exit(cli._build_parser().parse_args, argv, capsys)
+        assert "{simulate,sweep,analyze,plot,bounds}" in expected[2]
+        assert parser_exit(main, argv, capsys) == expected
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = parser_exit(main, ["-h"], capsys)
+        assert code == 0
+        for name in ("simulate", "sweep", "analyze", "plot", "bounds"):
+            assert f"\n    {name} " in out
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        code, _, err = parser_exit(main, ["simulat"], capsys)
+        assert code == 2
+        assert "invalid choice: 'simulat'" in err
+
+    def test_only_the_named_command_is_built(self, monkeypatch, capsys):
+        built = []
+        build = cli._build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        assert main(["bounds", "energy", "1", "1", "1", "1"]) == 0
+        parser_exit(main, ["--help"], capsys)
+        parser_exit(main, [], capsys)
+        assert built == ["bounds", None, None]
+        code, _, err = parser_exit(build("plot").parse_args, ["bounds"], capsys)
+        assert code == 2
+        assert "invalid choice: 'bounds'" in err

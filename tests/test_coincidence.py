@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heraldsim import coincidence, streams
+from heraldsim import coincidence
 
 from heraldsim.analysis import _quiet_counts
 from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
@@ -23,7 +23,8 @@ from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
                                    write_counts_json, write_segment_csv)
 from heraldsim.streams import ClickStreams
 
-from helpers import brute_force_counts, merge, pattern_counts, segment_csv_bytes
+from helpers import (brute_force_counts, fail_after_first_write, merge,
+                     pattern_counts, segment_csv_bytes)
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:
@@ -196,6 +197,42 @@ class TestCellCensus:
         with pytest.raises(ValueError, match="8"):
             counts_from_cells(np.zeros(7, dtype=np.int64))
 
+    @pytest.mark.parametrize("cells", [np.zeros((8, 1), dtype=np.int64),
+                                       [0] * 7, [[0]] * 8])
+    def test_rejects_a_column_or_a_short_list(self, cells):
+        with pytest.raises(ValueError, match="expected 8 pattern cells"):
+            counts_from_cells(cells)
+
+    @staticmethod
+    def summed_row(cells, segment_index=0) -> tuple:
+        """The row by its definition, each field's cells added in index order."""
+        c = np.asarray(cells).tolist()
+        return (segment_index, sum(c),
+                c[4] + c[5] + c[6] + c[7], c[2] + c[3] + c[6] + c[7],
+                c[1] + c[3] + c[5] + c[7], c[6] + c[7], c[5] + c[7],
+                c[3] + c[7], c[7])
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.integers(0, 2**60), min_size=8, max_size=8),
+           index=st.integers(0, 2**37 - 1), as_array=st.booleans())
+    def test_integer_census_as_list_or_array(self, cells, index, as_array):
+        row = counts_from_cells(np.array(cells) if as_array else cells, index)
+        assert row == self.summed_row(cells, index)
+        assert all(type(v) is int for v in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(1e-12, 1.0), min_size=8, max_size=8),
+           n_bins=st.integers(1, 10**12))
+    @example(weights=[0.9, 1e-3, 2e-3, 3e-7, 0.1, 1e-5, 3e-5, 7e-9],
+             n_bins=60_000_000)
+    def test_float_census_adds_in_the_same_order(self, weights, n_bins):
+        # Float expectations are written with %r, so every bit counts.
+        law = np.array(weights) / sum(weights)
+        row = counts_from_cells(n_bins * law)
+        expected = self.summed_row(n_bins * law)
+        assert [repr(v) for v in row] == [repr(v) for v in expected]
+        assert law_counts(law, n_bins) == dict(zip(COUNT_FIELDS, expected[2:]))
+
 
 class TestPatternLattice:
     """The pattern index, its channel sets and inclusion-exclusion."""
@@ -331,30 +368,6 @@ class TestSegmentTable:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="'N_1' is not an integer"):
             read_counts_json(path)
-
-
-class _WriteThenFail:
-    """A file whose first write lands and then raises, as a full disk does."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data)
-        self.fh.flush()
-        raise OSError("device full after the first write")
-
-
-def fail_after_first_write(monkeypatch) -> None:
-    """Make every file the package opens for writing fail its first write."""
-    monkeypatch.setattr(streams, "open", lambda *args, **kwargs:
-                        _WriteThenFail(open(*args, **kwargs)), raising=False)
 
 
 class TestAtomicWrites:

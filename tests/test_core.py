@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heraldsim.coincidence import accumulate, clicks_from_cells
+from heraldsim.coincidence import _placed_channels, accumulate, clicks_from_cells
 from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
@@ -23,7 +23,7 @@ from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.streams import ClickStreams
 
-from helpers import OracleRole, bin_patterns, pattern_counts
+from helpers import OracleRole, bin_patterns, pattern_counts, placed_clicks
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -505,6 +505,38 @@ class TestRandomStreams:
             cfg.seed = 1
 
 
+class TestStreamId:
+    """stream_id's range checks at each boundary, and its bit layout."""
+
+    @pytest.mark.parametrize("segment, role, point, message", [
+        (2**37, 0, 0, "segment_index out of range: 137438953472"),
+        (-1, 0, 0, "segment_index out of range: -1"),
+        (0, 0, 2**24, "point_index out of range: 16777216"),
+        (0, 0, -1, "point_index out of range: -1"),
+        (0, Role.COUNT, 0, "role must be in [0, 8), got 8"),
+        (0, -1, 0, "role must be in [0, 8), got -1"),
+        # One message per call: the role first, then the segment.
+        (-1, 8, -1, "role must be in [0, 8), got 8"),
+        (2**37, 0, 2**24, "segment_index out of range: 137438953472"),
+    ])
+    def test_out_of_range_raises_its_message(self, segment, role, point,
+                                             message):
+        with pytest.raises(ValueError) as info:
+            stream_id(segment, role, point)
+        assert str(info.value) == message
+
+    @given(segment=st.integers(0, 2**37 - 1), role=st.integers(0, 7),
+           point=st.integers(0, 2**24 - 1))
+    @example(segment=2**37 - 1, role=0, point=0)     # the largest values pass
+    @example(segment=0, role=7, point=0)
+    @example(segment=0, role=0, point=2**24 - 1)
+    @example(segment=2**37 - 1, role=7, point=2**24 - 1)
+    def test_packs_by_the_shift_formula(self, segment, role, point):
+        # Layout, LSB first: 3 bits role | 37 bits segment | 24 bits point.
+        assert stream_id(segment, role, point) == (
+            (point << (37 + 3)) | (segment << 3) | role)
+
+
 class _SortedChoice:
     """A generator whose ``choice`` returns its positions sorted.
 
@@ -553,6 +585,34 @@ class TestClicksFromCells:
             clicks_from_cells([90, 1, 1, 1, 1, 1, 1, 1], 100, rng_stream(0, 1))
         with pytest.raises(ValueError, match="8 pattern cells"):
             clicks_from_cells([100], 100, rng_stream(0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.integers(0, 90), min_size=8, max_size=8),
+           seed=st.integers(0, 2**32))
+    @example(cells=[0] * 8, seed=5)                          # an empty census
+    @example(cells=[3, 1, 0, 2, 60, 0, 5, 2], seed=6)        # fill pattern 4
+    @example(cells=[1, 1, 1, 1, 1, 1, 1, 1], seed=7)         # 8 bins, no pad
+    @example(cells=[0, 2, 0, 0, 0, 0, 9, 0], seed=8)         # 11 bins, 5 pad bits
+    def test_packed_placement_is_the_per_bin_placement(self, cells, seed):
+        n_bins = sum(cells)
+        packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *_placed_channels(
+            cells, n_bins, rng_stream(seed, Role.PLACEMENT)))
+        oracle = placed_clicks(np.array(cells), n_bins,
+                               rng_stream(seed, Role.PLACEMENT))
+        expected = ClickStreams.from_bools(*oracle, bin_width=BIN_WIDTH_DEFAULT)
+        unpacked = clicks_from_cells(cells, n_bins,
+                                     rng_stream(seed, Role.PLACEMENT))
+        for name, bits, want in zip(("herald", "signal_1", "signal_2"),
+                                    unpacked, oracle):
+            assert getattr(packed, name).tobytes() == (
+                getattr(expected, name).tobytes())
+            np.testing.assert_array_equal(bits, want)
+            if n_bins % 8:  # zero pad bits
+                assert getattr(packed, name)[-1] >> (n_bins % 8) == 0
+
+    def test_rejects_a_negative_cell(self):
+        with pytest.raises(ValueError, match="summing to 100"):
+            clicks_from_cells([-1, 96, 1, 1, 1, 1, 1, 0], 100, rng_stream(0, 1))
 
     @staticmethod
     def placement_statistics(make_rng, n_segments=2000, n_bins=1000, m=100):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import pcsft
+from heraldsim import pcsft, svgplot
 from heraldsim.analysis import (InsufficientStatistics, background_subtract,
                                 corrected_rate, heralded_g2)
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
@@ -16,7 +16,7 @@ from heraldsim.report import (REPORT_FORMAT, REPORT_VERSION, build_report,
                               write_report_json)
 from heraldsim.svgplot import render_report, write_report_svg
 
-from helpers import BIN, make_counts
+from helpers import BIN, fail_after_first_write, make_counts
 
 
 def photon_config(eta_h=0.26, attenuation=1.0) -> ExperimentConfig:
@@ -241,6 +241,56 @@ class TestSerialisation:
         write_report_csv(report, path)
         first = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert first[9] == repr(report["points"][0]["pcsft_bound"])
+
+
+class TestAtomicWrites:
+    """Each report file is renamed into place only once it is complete."""
+
+    WRITERS = [write_report_json, write_report_csv, write_report_svg]
+
+    @staticmethod
+    def report() -> dict:
+        cfg = photon_config()
+        return build_report(cfg, sample_points(cfg))
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="first write"):
+            write(self.report(), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                  write):
+        path = tmp_path / "out"
+        write(self.report(), path)
+        before = path.read_bytes()
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="first write"):
+            write(self.report(), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    def test_failing_json_dump_leaves_no_partial_report(self, tmp_path,
+                                                        monkeypatch):
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"format": ')
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(RuntimeError, match="dump failed"):
+            write_report_json(self.report(), tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_renderer_leaves_no_figure(self, tmp_path, monkeypatch):
+        def render_fails(report):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(svgplot, "render_report", render_fails)
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_report_svg(self.report(), tmp_path / "figure.svg")
+        assert list(tmp_path.iterdir()) == []
 
 
 def svg_ids(svg: str) -> set:
