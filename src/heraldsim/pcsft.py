@@ -10,9 +10,18 @@ the beginning of the bin's pulse window, leaves the band
 
 Closed forms
 ------------
-:func:`crossing_probability` gives the click probability per bin (scalar
-or per-node power arrays), :func:`mean_first_passage` the unconstrained
-mean exit time ``threshold_energy / power``.
+:func:`crossing_probability` gives the click probability per bin, one
+minus the walk's survival in the band at the dimensionless time
+theta = power * horizon / threshold_energy (survival 1 at theta <= 0),
+summed in scalar ``math`` calls and clipped to [0, 1].  For theta >= 0.25
+the spectral series (4/pi) sum_j (-1)^j / (2j+1) exp(-(2j+1)^2 pi^2
+theta / 8), j < 64, stops after its first term below 1e-18 in magnitude.
+Below, the reflection series sum_{k=-8..8} (-1)^k [Phi((2k+1)c) -
+Phi((2k-1)c)], c = 1/sqrt(theta), evaluates Phi at m*c for odd |m| <= 17
+outward from m = 1 and stops once Phi(+-m c) reach exactly 1 and 0; the
+terms beyond that m, which it skips, are then exact zeros.  The series
+agree to ~1e-15 at the switch.  :func:`mean_first_passage` gives the
+unconstrained mean exit time ``threshold_energy / power``.
 
 Intensity envelope
 ------------------
@@ -111,74 +120,31 @@ def mean_first_passage(threshold_energy: float, power: float) -> float:
     return threshold_energy / power
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``math`` function ``fn`` on each element of the 1-d array ``x``.
-
-    Keeps the values bit-identical to scalar calls: numpy's vectorised
-    ``exp`` can differ from ``math.exp`` in the last place.  The longest
-    arrays the package passes are the envelope's 128 gain nodes per
-    channel, evaluated once per run by :func:`sampling_law`.
-    """
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-
-
-def _spectral(theta: np.ndarray) -> np.ndarray:
-    """(4/pi) sum_j (-1)^j / (2j+1) exp(-(2j+1)^2 pi^2 theta / 8).
-
-    Each element stops at its first term below 1e-18 in magnitude.
-    """
-    total = np.zeros(theta.size)
-    live = np.arange(theta.size)
-    for j in range(64):
-        if not live.size:
-            break
-        n = 2 * j + 1
-        term = ((-1.0) ** j / n) * _libm(
-            math.exp, -(n * n) * math.pi ** 2 * theta[live] / 8.0)
-        total[live] += term
-        live = live[np.abs(term) >= 1e-18]
-    return np.clip(4.0 / math.pi * total, 0.0, 1.0)
-
-
-def _reflection(theta: np.ndarray) -> np.ndarray:
-    """sum_{k=-8..8} (-1)^k [Phi((2k+1)c) - Phi((2k-1)c)], c = 1/sqrt(theta).
-
-    Phi is evaluated at the odd multiples m*c, |m| <= 17, outward from
-    m = 1; an element stops once Phi(+-m c) reaches exactly 1 and 0, after
-    which every further term is an exact zero, so the result equals the
-    full sum bit for bit.
-    """
-    c = 1.0 / np.sqrt(theta)
-    phi = {m: np.full(theta.size, 1.0 if m > 0 else 0.0)
-           for m in range(-17, 18, 2)}
-    live = np.arange(theta.size)
-    for m in range(1, 18, 2):
-        if not live.size:
-            break
-        for signed in (m, -m):
-            phi[signed][live] = 0.5 * (1.0 + _libm(math.erf,
-                                                   signed * c[live] / _SQRT2))
-        live = live[(phi[m][live] < 1.0) | (phi[-m][live] > 0.0)]
-    total = np.zeros(theta.size)
-    for k in range(-8, 9):
-        total += (-1.0) ** k * (phi[2 * k + 1] - phi[2 * k - 1])
-    return np.clip(total, 0.0, 1.0)
-
-
-def _survival(theta: np.ndarray) -> np.ndarray:
-    """P(no exit) for unit barrier and unit rate after dimensionless time theta.
-
-    theta = power * t / threshold_energy, a 1-d array.  Two complementary
-    expansions: the spectral series converges fast for large theta, the
-    reflection series for small theta; they agree to ~1e-15 near the
-    switch point.
-    """
-    out = np.ones(theta.size)
-    spectral = theta >= 0.25
-    reflection = (theta > 0.0) & ~spectral
-    out[spectral] = _spectral(theta[spectral])
-    out[reflection] = _reflection(theta[reflection])
-    return out
+def _survival(theta: float) -> float:
+    """P(no exit) at dimensionless time theta by the module docstring's series."""
+    if theta >= 0.25:
+        total = 0.0
+        for j in range(64):
+            n = 2 * j + 1
+            term = ((-1.0) ** j / n) * math.exp(-(n * n) * math.pi ** 2 * theta / 8.0)
+            total += term
+            if abs(term) < 1e-18:
+                break
+        total = 4.0 / math.pi * total
+    elif theta > 0.0:
+        c = 1.0 / math.sqrt(theta)
+        phi = {}
+        for m in range(1, 18, 2):
+            phi[m] = 0.5 * (1.0 + math.erf(m * c / _SQRT2))
+            phi[-m] = 0.5 * (1.0 + math.erf(-m * c / _SQRT2))
+            if phi[m] == 1.0 and phi[-m] == 0.0:
+                break
+        total = 0.0
+        for k in range(-(m // 2), m // 2 + 1):
+            total += (-1.0) ** k * (phi[2 * k + 1] - phi[2 * k - 1])
+    else:
+        return 1.0
+    return min(max(total, 0.0), 1.0)
 
 
 def crossing_probability(threshold_energy: float, power: float | np.ndarray,
@@ -186,17 +152,18 @@ def crossing_probability(threshold_energy: float, power: float | np.ndarray,
     """P(the walk exits the band within ``horizon``), continuum limit.
 
     This is the per-bin click probability of a detector receiving ``power``
-    with pulse window ``horizon``.  ``power`` is a scalar (float result) or
-    an array of powers, such as the envelope's quadrature nodes (array
-    result, bit-identical to scalar calls); power <= 0 never clicks.
+    with pulse window ``horizon``; power <= 0 never clicks.  ``power`` is a
+    scalar or 0-d array (float result) or an array of powers, such as the
+    envelope's quadrature nodes (an array of the same shape, each element
+    equal to the scalar call for its power).
     """
     if threshold_energy <= 0.0:
         raise ValueError("threshold_energy must be > 0")
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     theta = np.asarray(power, dtype=float) * horizon / threshold_energy
-    p = 1.0 - _survival(theta.ravel()).reshape(theta.shape)
-    return float(p) if p.ndim == 0 else p
+    p = [1.0 - _survival(t) for t in theta.ravel().tolist()]
+    return p[0] if theta.ndim == 0 else np.array(p).reshape(theta.shape)
 
 
 # ---------------------------------------------------------------------------

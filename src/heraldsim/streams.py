@@ -60,9 +60,17 @@ class StreamFormatError(ValueError):
     """Raised when a stream file is malformed or has an unsupported version."""
 
 
-def _temporary(path: Path) -> Path:
-    """A fresh name in the directory of ``path`` to write it under."""
-    return path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+def _open_temporary(path: Path, mode: str = "xb", **kwargs) -> tuple[Path, IO]:
+    """A new file under a fresh name in the directory of ``path``, and its name.
+
+    ``mode`` and ``kwargs`` as :func:`open` takes them.  An error opening
+    it (a missing directory, say) names ``path``, not the temporary name.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        return tmp, open(tmp, mode, **kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 @contextmanager
@@ -71,15 +79,15 @@ def _replacing(path: str | Path, encoding: Optional[str] = None,
     """A new file that becomes ``path`` when the block completes.
 
     Binary, or text when an ``encoding`` is given (``newline`` as
-    :func:`open` takes it).  It is written under a :func:`_temporary` name
-    and renamed over ``path`` at the end of the block; an exception deletes
-    it instead, so ``path`` never holds a partial file.
+    :func:`open` takes it).  It is written under an :func:`_open_temporary`
+    name and renamed over ``path`` at the end of the block; an exception
+    deletes it instead, so ``path`` never holds a partial file.
     """
     path = Path(path)
-    tmp = _temporary(path)
+    tmp, fh = _open_temporary(path, "xb" if encoding is None else "x",
+                              encoding=encoding, newline=newline)
     try:
-        with open(tmp, "xb" if encoding is None else "x", encoding=encoding,
-                  newline=newline) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -220,8 +228,7 @@ class StreamWriter:
         self._written = 0
         self._nbytes = (n_bins + 7) // 8
         self._tails = [0] * _CHANNELS
-        self._tmp = _temporary(self.path)
-        self._fh = open(self._tmp, "xb")
+        self._tmp, self._fh = _open_temporary(self.path)
         try:
             self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_bins,
                                         self.bin_width, _CHANNELS))

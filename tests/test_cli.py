@@ -685,6 +685,15 @@ class TestPlot:
         assert main(["plot", "--report", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "fig.svg")]) == 2
 
+    def test_missing_output_directory_names_the_figure(self, sweep_out,
+                                                       tmp_path, capsys):
+        fig = tmp_path / "nodir" / "fig.svg"
+        assert main(["plot", "--report", str(sweep_out / "report.json"),
+                     "--out", str(fig)]) == 2
+        assert capsys.readouterr().err == (
+            f"missing file: [Errno 2] No such file or directory: '{fig}'\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBounds:
     def test_energy_bound_prints_full_precision(self, capsys):

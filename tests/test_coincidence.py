@@ -392,6 +392,16 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("write", [write_segment_csv, write_counts_json])
+    def test_missing_directory_names_the_path(self, tmp_path, write):
+        path = tmp_path / "nodir" / "counts.json"
+        with pytest.raises(FileNotFoundError) as raised:
+            write(accumulate(random_streams(100, seed=24)), path)
+        assert raised.value.filename == str(path)
+        assert str(raised.value) == (
+            f"[Errno 2] No such file or directory: '{path}'")
+        assert list(tmp_path.iterdir()) == []
+
 
 # Both ends of int64's non-negative range and every change in digit count.
 _DIGIT_EDGES = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]

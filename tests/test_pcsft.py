@@ -137,15 +137,25 @@ class TestCrossingProbability:
                 pytest.approx(base, rel=1e-12)
 
     def test_array_matches_scalar_calls(self):
-        # Power arrays (the envelope's gain nodes) and scalar calls share
-        # one click law, including either side of the series switch.
+        # Each element of a power array (the envelope's gain nodes) is the
+        # scalar call for its power, bit for bit, including either side of
+        # the series switch, power <= 0 (never clicks) and infinite power.
         theta = np.concatenate([np.geomspace(1e-4, 50.0, 2000),
-                                [0.2499, 0.24999999, 0.25, 0.25000001, 0.2501]])
+                                [0.2499, 0.24999999, 0.25, 0.25000001, 0.2501,
+                                 0.0, -1.0, np.inf]])
         array = pcsft.crossing_probability(1.0, theta, 1.0)
         assert array.shape == theta.shape
-        scalar = np.array([pcsft.crossing_probability(1.0, t, 1.0) for t in theta])
-        np.testing.assert_allclose(array, scalar, rtol=0.0, atol=1e-15)
-        assert (pcsft.crossing_probability(1.0, np.array([0.0, -1.0]), 1.0) == 0.0).all()
+        scalar = [pcsft.crossing_probability(1.0, t, 1.0) for t in theta.tolist()]
+        assert [x.hex() for x in array.tolist()] == [x.hex() for x in scalar]
+        assert scalar[-3:] == [0.0, 0.0, 1.0]
+
+        zero_d = pcsft.crossing_probability(1.0, np.array(0.3), 1.0)
+        assert type(zero_d) is float
+        assert zero_d == pcsft.crossing_probability(1.0, 0.3, 1.0)
+        grid = pcsft.crossing_probability(1.0, theta[-6:].reshape(2, 3), 1.0)
+        assert (grid == array[-6:].reshape(2, 3)).all()
+        empty = pcsft.crossing_probability(1.0, np.array([]), 1.0)
+        assert empty.shape == (0,) and empty.dtype == float
 
 
 class TestFirstPassageSampling:

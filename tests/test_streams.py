@@ -228,6 +228,13 @@ class TestStreamWriter:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run.pstm"]
 
+    def test_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "nodir" / "run.pstm"
+        with pytest.raises(FileNotFoundError) as raised:
+            StreamWriter(path, 16, 20.83e-9)
+        assert raised.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSparseCsv:
     def test_rows_match_clicks(self, tmp_path):
