@@ -13,9 +13,12 @@ segments that end inside a byte onto the next one bitwise, so a run never
 needs its whole record in memory; :func:`write_streams` and
 :meth:`ClickStreams.concat` use the same splice.  A sparse CSV export (one
 row per click), for eyeballing and for interoperability with spreadsheet
-tooling, is built from a container in fixed-size chunks: each run of rows
-with equally many digits is formatted as one numpy byte array.  Both files
-are written under a temporary name and renamed into place when complete.
+tooling, is built from a container in fixed-size chunks.  A chunk that is
+mostly clicks is unpacked whole, any other only at its nonzero bytes; each
+run of rows with equally many digits is formatted as one numpy byte array,
+four digits per lookup in a table of the words ``0000`` ... ``9999``.  Both
+files are written under a temporary name and renamed into place when
+complete.
 """
 
 from __future__ import annotations
@@ -43,15 +46,27 @@ FORMAT_VERSION = 1
 _CHANNELS = 3  # herald, signal 1, signal 2
 _NAMES = ("herald", "signal_1", "signal_2")
 # write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
-# formats the clicks of at most _HOT_BYTES nonzero bytes (<= 8 rows each) per
-# step, so its memory is bounded however densely the detectors click: 8 bytes
-# per chunk byte for the int64 index of its nonzero bytes, and some tens of
+# formats the clicks of at most _HOT_BYTES bytes (<= 8 rows each) per step,
+# so its memory is bounded however densely the detectors click: 8 bytes per
+# chunk byte for the int64 index of its nonzero bytes, and some tens of
 # bytes per row of a step.
 _CHUNK_BYTES = 1 << 17
 _HOT_BYTES = 1 << 12
 # 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
 # indices have at most 19.
 _DECADES = [10**digits for digits in range(1, 19)]
+
+
+def _ascii_words() -> np.ndarray:
+    """The ASCII words ``b"0000"`` ... ``b"9999"`` as native uint32, by value."""
+    words = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):  # digit k of every word varies along axis k
+        words[..., k] = np.arange(48, 58, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - k))
+    return words.view(np.uint32).ravel()
+
+
+_WORDS = _ascii_words()
 
 _HEADER = struct.Struct("<4sHQdB")  # magic, version, n_bins, bin_width, channels
 
@@ -327,13 +342,15 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
     """Write one ``channel,bin_index`` row per click of the container ``source``.
 
     Channels are named H, 1, 2; rows are grouped by channel and ordered by
-    bin within each.  Each channel is read in fixed-size chunks and only
-    its nonzero bytes are unpacked; their rows are formatted a bounded
-    number at a time into numpy byte arrays (see :func:`_write_rows`), so
-    memory stays fixed whatever the run length and click rate.  The file
-    is written under a temporary name and renamed to ``path`` when
-    complete; an exception deletes it instead.  Returns the number of
-    click rows written.
+    bin within each.  Each channel is read in fixed-size chunks.  A chunk
+    whose bytes are more than three quarters nonzero is unpacked in place,
+    a bounded slice at a time; otherwise only its nonzero bytes are
+    gathered and unpacked, a bounded number at a time.  Either way each
+    step's rows are formatted into numpy byte arrays (see
+    :func:`_write_rows`), so memory stays fixed whatever the run length
+    and click rate.  The file is written under a temporary name and renamed
+    to ``path`` when complete; an exception deletes it instead.  Returns
+    the number of click rows written.
     """
     rows = 0
     with open(source, "rb") as fh, _replacing(path) as out:
@@ -343,41 +360,78 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
             for start in range(0, nbytes, _CHUNK_BYTES):
                 chunk = np.fromfile(fh, dtype=np.uint8,
                                     count=min(_CHUNK_BYTES, nbytes - start))
-                # numpy finds the nonzero entries of a bool array several
-                # times faster than those of a uint8 one.
-                hot = np.flatnonzero(chunk != 0)
-                for lo in range(0, hot.size, _HOT_BYTES):
-                    part = hot[lo:lo + _HOT_BYTES]
-                    set_bits = np.flatnonzero(np.unpackbits(
-                        chunk[part], bitorder="little").view(bool))
-                    byte = start + part[set_bits >> 3].astype(np.int64,
-                                                               copy=False)
-                    bins = byte * 8 + (set_bits & 7)
+                for bins in _chunk_bins(chunk, start):
                     _write_rows(out, prefix, bins)
                     rows += bins.size
     return rows
+
+
+def _chunk_bins(chunk: np.ndarray, start: int) -> Iterator[np.ndarray]:
+    """The clicked bins of ``chunk``, packed bytes from byte ``start`` on.
+
+    Yields ascending int64 arrays of the clicks of at most ``_HOT_BYTES``
+    bytes each.  Gathering the nonzero bytes costs an index per byte, which
+    pays only when many bytes are zero.  Finding the bins of a 128 KiB
+    chunk by unpacking every byte took 3.0 ms against 1.5 ms by the index
+    at 49 % nonzero bytes, 1.5 against 1.8 ms at 64 % and 1.2 against
+    2.0 ms at 83 % (one Xeon core, numpy 2.4).
+    """
+    if 4 * np.count_nonzero(chunk) > 3 * chunk.size:
+        for lo in range(0, chunk.size, _HOT_BYTES):
+            set_bits = np.flatnonzero(np.unpackbits(
+                chunk[lo:lo + _HOT_BYTES], bitorder="little").view(bool))
+            yield 8 * (start + lo) + set_bits.astype(np.int64, copy=False)
+        return
+    # numpy finds the nonzero entries of a bool array several times faster
+    # than those of a uint8 one.
+    hot = np.flatnonzero(chunk != 0)
+    for lo in range(0, hot.size, _HOT_BYTES):
+        part = hot[lo:lo + _HOT_BYTES]
+        set_bits = np.flatnonzero(np.unpackbits(
+            chunk[part], bitorder="little").view(bool))
+        byte = start + part[set_bits >> 3].astype(np.int64, copy=False)
+        yield byte * 8 + (set_bits & 7)
 
 
 def _write_rows(out, prefix: bytes, bins: np.ndarray) -> None:
     """Write ``prefix``, the decimal index and a newline for each of ``bins``.
 
     ``bins`` is ascending int64, so rows with the same number of digits are
-    contiguous.  Each such run is one ``(rows, len(prefix) + digits + 1)``
-    uint8 array, filled a digit column at a time, lowest digit first.
+    contiguous, and ``prefix`` has at least two bytes.  Each such run is
+    one ``(rows, len(prefix) + digits + 1)`` uint8 block after one spare
+    byte.  Its digits are filled four at a time, lowest first: one
+    ``np.take`` of ``_WORDS`` into a strided uint32 view of the block per
+    four digits, in uint32 arithmetic while the indices have at most 9
+    digits.  A top word of fewer than four digits starts up to three bytes
+    early: in the prefix, and at most one byte before the row, on the
+    newline of the row before or on the spare byte.  The prefix and
+    newline columns are written after the digits.
     """
     lo = 0
     for digits, hi in enumerate(np.searchsorted(bins, _DECADES).tolist()
                                 + [bins.size], start=1):
         if hi == lo:
             continue
-        block = np.empty((hi - lo, len(prefix) + digits + 1), dtype=np.uint8)
+        width = len(prefix) + digits + 1
+        buf = np.empty(1 + (hi - lo) * width, dtype=np.uint8)
+        x = bins[lo:hi]
+        if digits <= 9:
+            x = x.astype(np.uint32)
+        first = 1 + len(prefix)  # offset in buf of the first row's digits
+        offset = first + digits
+        while True:
+            offset -= 4
+            word = np.ndarray(hi - lo, dtype=np.uint32, buffer=buf,
+                              offset=offset, strides=(width,))
+            if offset <= first:
+                np.take(_WORDS, x, out=word)
+                break
+            q = x // 10000
+            np.take(_WORDS, x - 10000 * q, out=word)
+            x = q
+        block = buf[1:].reshape(hi - lo, width)
         for col, char in enumerate(prefix):  # faster than a broadcast row
             block[:, col] = char
         block[:, -1] = ord("\n")
-        x = bins[lo:hi]
-        for col in range(len(prefix) + digits - 1, len(prefix) - 1, -1):
-            q = x // 10
-            block[:, col] = x - 10 * q + ord("0")
-            x = q
         out.write(block.tobytes())
         lo = hi

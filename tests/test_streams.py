@@ -302,6 +302,63 @@ class TestSparseCsv:
         assert (tmp_path / "clicks.csv").read_text() == expected
         assert rows == expected.count("\n") - 1
 
+    def test_sparse_clicks_match_per_bin_rows(self, tmp_path, monkeypatch):
+        # One click per 200 bins, as in a qm signal arm: every 8-byte chunk
+        # is mostly zero bytes and goes through the index of its nonzero
+        # ones.
+        monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 8)
+        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
+        rng = np.random.default_rng(200)
+        channels = [rng.random(20_011) < 1 / 200 for _ in range(3)]
+        streams = ClickStreams.from_bools(*channels, bin_width=1e-9)
+        for packed in (streams.herald, streams.signal_1, streams.signal_2):
+            assert all(4 * np.count_nonzero(packed[lo:lo + 8]) <= 3 * 8
+                       for lo in range(0, packed.size, 8))
+        write_streams(streams, tmp_path / "run.pstm")
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        expected = ["channel,bin_index"] + [
+            f"{name},{i}" for name, bits in zip(("H", "1", "2"), channels)
+            for i in range(bits.size) if bits[i]]
+        assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
+        assert rows == len(expected) - 1
+
+    def test_chunks_either_side_of_the_three_quarter_switch(self, tmp_path,
+                                                              monkeypatch):
+        # 16-byte chunks with 13, 12 and 11 nonzero bytes in turn (3/4 is
+        # 12), then a partial chunk of 7 nonzero bytes out of 9.  Only a
+        # chunk above three quarters is unpacked whole, in ceil(16 / 3)
+        # steps of 3 bytes; the others take ceil(nonzero / 3) steps.
+        monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 16)
+        monkeypatch.setattr(streams_module, "_HOT_BYTES", 3)
+        rng = np.random.default_rng(12)
+        packed = np.zeros(6 * 16 + 9, dtype=np.uint8)
+        for k, nonzero in enumerate([13, 12, 11, 13, 12, 11, 7]):
+            lo = 16 * k
+            where = lo + rng.choice(min(16, packed.size - lo), nonzero,
+                                    replace=False)
+            packed[where] = rng.integers(1, 256, nonzero)
+        n_bins = 8 * packed.size
+        empty = np.zeros_like(packed)
+        streams = ClickStreams(n_bins, 1e-9, packed, empty, packed)
+        write_streams(streams, tmp_path / "run.pstm")
+        write_rows = streams_module._write_rows
+        steps = []
+
+        def counted(out, prefix, bins):
+            steps.append(prefix)
+            write_rows(out, prefix, bins)
+
+        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        bits = np.unpackbits(packed, bitorder="little")
+        expected = ["channel,bin_index"] + [
+            f"{name},{i}" for name in ("H", "2")
+            for i in range(n_bins) if bits[i]]
+        assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
+        assert rows == len(expected) - 1
+        per_channel = 2 * (6 + 4 + 4) + 3
+        assert steps == [b"H,"] * per_channel + [b"2,"] * per_channel
+
     def test_bin_indices_beyond_31_bits(self, tmp_path):
         # A sparse container of 2**31 + 9 bins whose only clicks are herald
         # bins 2**31, 2**31 + 7 and 2**31 + 8 (the last bin).
@@ -347,24 +404,28 @@ class TestSparseCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["run.pstm"]
 
     def test_memory_does_not_grow_with_length(self, tmp_path):
-        # Every bin clicks on every channel, the densest container: the
-        # peak of numpy and Python allocations must not follow its length.
-        peaks = []
-        for n_bins in (1 << 20, 1 << 22):
-            ones = np.full(n_bins // 8, 0xFF, dtype=np.uint8)
-            write_streams(ClickStreams(n_bins, 1e-9, ones, ones, ones),
-                          tmp_path / "run.pstm")
-            del ones
-            tracemalloc.start()
-            try:
-                rows = write_sparse_csv(tmp_path / "run.pstm",
-                                        tmp_path / "clicks.csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert rows == 3 * n_bins
-            (tmp_path / "clicks.csv").unlink()
-        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+        # Every bin clicks on every channel, the densest container, whose
+        # chunks are unpacked in place; and one bin in 64 clicks, whose
+        # chunks go through the index of their nonzero bytes.  The peak of
+        # numpy and Python allocations must not follow the length.
+        for byte, every in ((0xFF, 1), (0x01, 8)):
+            peaks = []
+            for n_bins in (1 << 20, 1 << 22):
+                packed = np.zeros(n_bins // 8, dtype=np.uint8)
+                packed[::every] = byte
+                write_streams(ClickStreams(n_bins, 1e-9, packed, packed,
+                                           packed), tmp_path / "run.pstm")
+                del packed
+                tracemalloc.start()
+                try:
+                    rows = write_sparse_csv(tmp_path / "run.pstm",
+                                            tmp_path / "clicks.csv")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert rows == 3 * n_bins // (8 * every) * bin(byte).count("1")
+                (tmp_path / "clicks.csv").unlink()
+            assert abs(peaks[1] - peaks[0]) < 1e6, (byte, every, peaks)
 
 
 class TestRowFormatter:
@@ -390,3 +451,14 @@ class TestRowFormatter:
     def test_indices_beyond_32_bits(self):
         bins = [2**31 - 1, 2**31, 2**32 + 5, 10**18, 2**63 - 1]
         assert self.formatted(b"2,", bins) == self.oracle(b"2,", bins)
+
+    @pytest.mark.parametrize("bins", [
+        [10**8 + 1, 123400005678, 10**12 + 9999],
+        [999_999_999, 10**9, 2**32 - 1, 2**32],
+    ], ids=["inner-words-of-zeros-and-nines", "uint32-cast-boundary"])
+    def test_four_digit_words(self, bins):
+        assert self.formatted(b"1,", bins) == self.oracle(b"1,", bins)
+
+    def test_word_table(self):
+        assert streams_module._WORDS.tobytes() == b"".join(
+            b"%04d" % i for i in range(10000))
