@@ -125,8 +125,16 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _read_background(path: Optional[str]):
-    return None if path is None else read_counts_json(path)[0]
+def _read_background(path: Optional[str], points) -> Optional[CoincidenceCounts]:
+    """The run at ``path`` (or None), once the report can analyse ``points``."""
+    background = None if path is None else read_counts_json(path)[0]
+    for label, cfg, bin_width in points:
+        if min(cfg.optics.eta_1, cfg.optics.eta_2) <= 0.0:
+            raise ConfigError(f"{label}: the corrected rate needs eta_1 > 0 "
+                              "and eta_2 > 0")
+        if background is not None and background.bin_width != bin_width:
+            raise ConfigError(f"{label} and {path} have different bin widths")
+    return background
 
 
 def cmd_simulate(args) -> int:
@@ -207,7 +215,8 @@ def cmd_sweep(args) -> int:
     plan = runner.load_sweep_plan(args.sweep)
     if args.bins is not None:
         plan = replace(plan, max_bins=args.bins)
-    background = _read_background(args.background)
+    background = _read_background(
+        args.background, [(args.config, cfg, cfg.detectors.bin_width)])
     out = Path(args.out)
 
     def written():
@@ -225,22 +234,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    background = _read_background(args.background)
-
-    def stored():
-        for path in args.counts:
-            counts, cfg_dict = read_counts_json(path)
-            if cfg_dict is None:
-                raise ConfigError(
-                    f"{path}: counts file carries no configuration echo; "
-                    "reanalysis needs the generating parameters")
-            try:
-                cfg = config_from_dict(cfg_dict)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-            yield path, cfg, counts
-
-    return _write_report(stored(), background, Path(args.out))
+    stored = []
+    for path in args.counts:
+        counts, cfg_dict = read_counts_json(path)
+        if cfg_dict is None:
+            raise ConfigError(
+                f"{path}: counts file carries no configuration echo; "
+                "reanalysis needs the generating parameters")
+        try:
+            cfg = config_from_dict(cfg_dict)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        stored.append((path, cfg, counts))
+    background = _read_background(args.background, [
+        (path, cfg, counts.bin_width) for path, cfg, counts in stored])
+    return _write_report(stored, background, Path(args.out))
 
 
 def cmd_plot(args) -> int:

@@ -7,11 +7,10 @@ second; the test suite checks it against a naive per-bin loop.
 
 Counts are reported the way a segmented counter would: one table with a
 row per segment (:func:`segment_table`), bundled with the bin width in
-:class:`CoincidenceCounts`, whose run totals are column sums.  A short
-final segment is kept, never dropped — its smaller ``n_bins`` marks it.
-The table is what ``counts.csv`` holds (``n_bins`` is its ``bins``
-column), and the totals are what ``counts.json`` holds, so analysis never
-needs the raw streams.
+:class:`CoincidenceCounts`, whose run totals are column sums.  The table
+is what ``counts.csv`` holds (``n_bins`` is its ``bins`` column), and the
+totals are what ``counts.json`` holds, so analysis never needs the raw
+streams.
 
 The click-pattern encoding lives here alone.  A bin's joint click pattern
 is ``(h << 2) | (s1 << 1) | s2``, the channel bits ``CHANNEL_BITS``; a
@@ -144,9 +143,8 @@ def accumulate(streams: ClickStreams,
                segment_bins: int | None = None) -> CoincidenceCounts:
     """Count singles and same-bin coincidences, partitioned into segments.
 
-    Bins [i*segment_bins, (i+1)*segment_bins) form segment i; the final
-    segment may be short.  ``segment_bins=None`` counts the whole stream as
-    one segment.  Totals are exact sums of the segment rows.
+    Segments of ``segment_bins`` are cut as ``ExperimentConfig`` cuts a
+    run; ``segment_bins=None`` counts the whole stream as one segment.
     """
     if segment_bins is None:
         segment_bins = streams.n_bins
@@ -154,22 +152,16 @@ def accumulate(streams: ClickStreams,
         raise ValueError(f"segment_bins must be >= 1, got {segment_bins}")
 
     packed = (streams.herald, streams.signal_1, streams.signal_2)
-    if segment_bins % 8 == 0 or segment_bins >= streams.n_bins:
-        # Byte-aligned segments, or one segment: slice the packed arrays
-        # directly (the final byte's pad bits are zero).
-        def part(lo: int) -> list[np.ndarray]:
-            return [c[lo // 8:(lo + segment_bins + 7) // 8] for c in packed]
-    else:
-        # Re-pack each segment from its own bytes, in memory flat in n_bins.
-        def part(lo: int) -> list[np.ndarray]:
-            shift, n = lo % 8, min(segment_bins, streams.n_bins - lo)
-            bits = [np.unpackbits(c[lo // 8:(lo + n + 7) // 8], bitorder="little")
-                    for c in packed]
-            return [np.packbits(b[shift:shift + n]) for b in bits]
-
-    rows = [(i, min(segment_bins, streams.n_bins - lo),
-             *_packed_counts(*part(lo)))
-            for i, lo in enumerate(range(0, streams.n_bins, segment_bins))]
+    # Aligned segments are slices (pad bits are zero); others are re-packed.
+    aligned = segment_bins % 8 == 0 or segment_bins >= streams.n_bins
+    rows = []
+    for i, lo in enumerate(range(0, streams.n_bins, segment_bins)):
+        n = min(segment_bins, streams.n_bins - lo)
+        part = [c[lo // 8:(lo + n + 7) // 8] for c in packed]
+        if not aligned:
+            part = [np.packbits(np.unpackbits(c, bitorder="little")[lo % 8:][:n])
+                    for c in part]
+        rows.append((i, n, *_packed_counts(*part)))
     return CoincidenceCounts(bin_width=streams.bin_width,
                              segments=segment_table(rows))
 

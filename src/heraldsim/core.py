@@ -160,11 +160,11 @@ class PCSFTConfig:
 class ExperimentConfig:
     """A complete, self-contained simulation run description.
 
-    ``segment_bins`` is the most bins a segment may hold: a run of
-    ``n_bins`` is cut into full segments and one shorter last segment, so a
-    run of at most ``segment_bins`` bins is one segment.  Each segment
-    draws from streams keyed by its index, so the cut is part of what a
-    seed reproduces.
+    ``segment_bins`` is the most bins a segment may hold: a run is cut into
+    ``n_bins // segment_bins`` full segments, then one last segment of the
+    ``n_bins % segment_bins`` bins left, if any.  Segment i starts at bin
+    ``i * segment_bins`` and draws from streams keyed by i, so the cut is
+    part of what a seed reproduces.
     """
 
     source: SourceConfig

@@ -376,7 +376,7 @@ def _or_channels(law, probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int | None = None, point_index: int = 0, law=None,
+                   n_bins: int, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin click sampler for one segment: its census in a random order.
 
@@ -387,23 +387,19 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     :func:`heraldsim.core.rng_stream`.  ``law`` is :func:`sampling_law` of
     ``cfg``, computed when omitted.
     """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
     cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
     rng = _segment_rng(cfg, segment_index, Role.PLACEMENT, point_index)
     return clicks_from_cells(cells, n_bins, rng)
 
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
+                  n_bins: int, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     One multinomial over :func:`sampling_law`, drawn from the segment's
     (pooled) source stream.  Streams and ``law`` as in
     :func:`segment_clicks`, which places this census bin by bin.
     """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
     probs = sampling_law(cfg) if law is None else law
     rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
     return rng.multinomial(n_bins, probs)

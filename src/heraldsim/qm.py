@@ -197,7 +197,7 @@ def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int | None = None, point_index: int = 0, law=None) -> np.ndarray:
+                  n_bins: int, point_index: int = 0, law=None) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     Returns an int64 array of length 8, element p being the number of
@@ -206,27 +206,23 @@ def segment_cells(cfg: ExperimentConfig, segment_index: int,
     stream, at a cost independent of the pair rate.  ``law`` is
     :func:`sampling_law` of ``cfg``, computed if omitted.
     """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
     probs = sampling_law(cfg) if law is None else law
     rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
     return rng.multinomial(n_bins, probs)
 
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int | None = None, point_index: int = 0, law=None,
+                   n_bins: int, point_index: int = 0, law=None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin sampler for one segment: its census in a random order.
 
     Returns boolean click arrays (herald, signal_1, signal_2) of length
-    ``n_bins`` (default: the configured segment size) whose pattern counts
-    are :func:`segment_cells` of the same arguments; the placement draws
-    from the segment's placement stream, which the census never keys.
+    ``n_bins`` whose pattern counts are :func:`segment_cells` of the same
+    arguments; the placement draws from the segment's placement stream,
+    which the census never keys.
     Each (point, segment, role) triple has its own counter-based stream, so
     segments reproduce independently of evaluation order.
     """
-    if n_bins is None:
-        n_bins = cfg.segment_bins
     cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
     rng = _segment_rng(cfg, segment_index, Role.PLACEMENT, point_index)
     return clicks_from_cells(cells, n_bins, rng)

@@ -1,19 +1,19 @@
 """Run drivers: segment scheduling, early stop and sweeps.
 
-A run is a sequence of independent segments (at most ``segment_bins`` bins
-each), produced one after another on the calling thread.  Each segment's
-randomness comes from its own named Philox streams, so no segment's draws
-depend on another's.
+A run is a sequence of independent segments, cut as ``ExperimentConfig``
+states and produced one after another on the calling thread.  Each
+segment's randomness comes from its own named Philox streams, so no
+segment's draws depend on another's.
 
 Every segment is one draw of its model's census (``segment_cells``, the
 bins per joint click pattern), with the model's sampling law built once
 per run.  One loop draws the censuses and counts each into its segment
 row (``counts_from_cells``), for both entry points.  :func:`run_counts`
 keeps only the rows.  :func:`segment_streams` also places each census in
-a uniformly random order (:func:`heraldsim.coincidence.clicks_from_cells`),
-straight into packed channel bitmaps, for runs whose stream files are part
-of the deliverable; the row it yields with each segment is the census
-route's row for the same configuration and seed.
+a uniformly random order, straight into packed channel bitmaps
+(``coincidence._placed_channels``, the draw ``clicks_from_cells`` unpacks),
+for runs whose stream files are part of the deliverable; the row it yields
+with each segment is the census route's row for the same config and seed.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -39,7 +39,6 @@ from .streams import ClickStreams
 __all__ = [
     "SweepPlan",
     "SweepPoint",
-    "segment_sizes",
     "segment_streams",
     "simulate_run",
     "run_counts",
@@ -51,12 +50,6 @@ __all__ = [
 TARGET_TRIPLES_DEFAULT = 10_000
 
 
-def segment_sizes(n_bins: int, segment_bins: int) -> list[int]:
-    """Bin counts per segment: full segments plus a short remainder."""
-    full, rest = divmod(n_bins, segment_bins)
-    return [segment_bins] * full + ([rest] if rest else [])
-
-
 # Each theory's module: its sampling_law and segment_cells.
 _MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
 
@@ -66,11 +59,11 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
                  ) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """Yield each segment's census and row, in index order.
 
-    Segment i's census is the model's ``segment_cells`` of its bins, with
-    the sampling law built once here; its row is ``counts_from_cells`` of
-    that census.  With ``target_triples`` set, the loop ends with the
-    first segment at which the cumulative N_H12 reaches it, and draws
-    nothing past that segment.
+    The one place that cuts a run into segments.  Segment i's census is
+    the model's ``segment_cells`` of its bins, with the law built once
+    here; its row is ``counts_from_cells`` of that census.  With
+    ``target_triples`` set, the loop ends with the first segment at which
+    the cumulative N_H12 reaches it, and draws nothing past it.
     """
     model = _MODELS[cfg.theory]
     law = model.sampling_law(cfg)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import cli, pcsft, qm
+from heraldsim import cli, pcsft, qm, runner
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
@@ -48,6 +48,10 @@ SWEEP_INI = """\
 [sweep]
 attenuations = 1.0, 0.6, 0.3
 """
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a sweep point ran")
 
 
 def write_inputs(root, run_ini=RUN_INI):
@@ -385,6 +389,41 @@ class TestSweep:
         assert report["points"] == []
         assert (out / "point_003.json").exists()
 
+    @pytest.mark.parametrize("eta, value", [("eta_1", "0.7"), ("eta_2", "0.6")],
+                             ids=["eta_1", "eta_2"])
+    def test_dead_signal_arm_is_refused_before_any_point(
+            self, tmp_path, capsys, monkeypatch, eta, value):
+        # The report's corrected rate divides by both signal efficiencies.
+        cfg, plan = write_inputs(tmp_path, RUN_INI.replace(
+            f"{eta} = {value}", f"{eta} = 0.0"))
+        monkeypatch.setattr(runner, "run_counts", refuse_to_run)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: the corrected rate needs "
+            "eta_1 > 0 and eta_2 > 0\n")
+        assert not out.exists()
+
+    def test_background_of_another_bin_width_is_refused_before_any_point(
+            self, tmp_path, capsys, monkeypatch):
+        dark_ini = tmp_path / "dark.ini"
+        dark_ini.write_text(BACKGROUND_INI.replace(
+            "bin_width = 20.83e-9", "bin_width = 10e-9"), encoding="utf-8")
+        assert main(["simulate", "--config", str(dark_ini),
+                     "--out", str(tmp_path / "dark")]) == 0
+        dark = tmp_path / "dark" / "counts.json"
+        cfg, plan = write_inputs(tmp_path)
+        monkeypatch.setattr(runner, "run_counts", refuse_to_run)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--background", str(dark), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg} and {dark} have different bin "
+            "widths\n")
+        assert not out.exists()
+
     def test_bins_override_caps_points(self, tmp_path, capsys):
         cfg, plan = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -503,6 +542,36 @@ class TestAnalyze:
                                                 "counts.json"),
                      "--out", str(tmp_path / "out")]) == 1
         assert "heralded g2 needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["eta_1", "eta_2"])
+    def test_dead_signal_arm_names_the_file(self, sweep_out, tmp_path, capsys,
+                                            eta):
+        payload = json.loads((sweep_out / "point_002.json").read_text())
+        payload["config"]["optics"][eta] = 0.0
+        dead = tmp_path / "dead.json"
+        dead.write_text(json.dumps(payload), encoding="utf-8")
+        points = [str(sweep_out / "point_001.json"), str(dead)]
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", *points, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {dead}: the corrected rate needs "
+            "eta_1 > 0 and eta_2 > 0\n")
+        assert not out.exists()
+
+    def test_background_of_another_bin_width_names_both_files(
+            self, sweep_out, background_json, tmp_path, capsys):
+        payload = json.loads(background_json.read_text())
+        payload["bin_width"] = 10e-9
+        dark = tmp_path / "dark.json"
+        dark.write_text(json.dumps(payload), encoding="utf-8")
+        point = sweep_out / "point_001.json"
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", str(point), "--background",
+                     str(dark), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {point} and {dark} have different bin "
+            "widths\n")
+        assert not out.exists()
 
     def test_missing_counts_file(self, tmp_path, capsys):
         assert main(["analyze", "--counts", str(tmp_path / "nope.json"),

@@ -96,6 +96,19 @@ class TestAgainstBruteForce:
         for segment_bins in (100_003, 4096, 977):
             assert accumulate(streams, segment_bins=segment_bins).totals() == slow
 
+    @pytest.mark.parametrize("segment_bins", [8, 977, 1003, 4096, 10_007])
+    def test_each_row_is_its_segment_counted_bin_by_bin(self, segment_bins):
+        # Aligned (8, 4096), unaligned (977, 1003) and one-segment cuts.
+        streams = random_streams(10_007, seed=8)
+        bits = streams.bools()
+        counts = accumulate(streams, segment_bins=segment_bins)
+        starts = range(0, streams.n_bins, segment_bins)
+        assert len(counts.segments) == len(starts)
+        for row, lo in zip(counts.segments, starts):
+            part = ClickStreams.from_bools(
+                *(b[lo:lo + segment_bins] for b in bits), bin_width=20.83e-9)
+            assert row.item()[1:] == brute_force_counts(part).segments[0].item()[1:]
+
     @pytest.mark.parametrize("n_bins", [1, 7, 13, 1001])
     @pytest.mark.parametrize("segment_bins", [None, 0, 5, 8],
                              ids=["none", "n_bins", "more", "aligned"])

@@ -614,8 +614,9 @@ class TestEnvelope:
                 cfg, pcsft=dataclasses.replace(cfg.pcsft, envelope_modes=None))) * n
             assert min(law.min(), flat.min()) > 5.0
             for cells in (pattern_counts(*per_bin_envelope_clicks(cfg, 0)),
-                          pcsft.segment_cells(cfg, 0),
-                          pattern_counts(*pcsft.segment_clicks(cfg, 0))):
+                          pcsft.segment_cells(cfg, 0, cfg.segment_bins),
+                          pattern_counts(*pcsft.segment_clicks(
+                              cfg, 0, cfg.segment_bins))):
                 assert cells.sum() == n
                 assert stats.chisquare(cells, law).pvalue > 0.001
                 assert stats.chisquare(cells, flat).pvalue < 1e-9

@@ -15,8 +15,7 @@ from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                             parse_config, validate_config, with_attenuation)
 from heraldsim.runner import (SweepPlan, load_sweep_plan, parse_sweep_plan,
-                              run_counts, run_sweep, segment_sizes,
-                              simulate_run)
+                              run_counts, run_sweep, simulate_run)
 
 BIN = 20.83e-9
 
@@ -87,6 +86,12 @@ coupling = 1.0
 """
 
 
+def divmod_sizes(n_bins: int, segment_bins: int) -> list[int]:
+    """Bins per segment by ``divmod``: the oracle of the runner's cut."""
+    full, rest = divmod(n_bins, segment_bins)
+    return [segment_bins] * full + ([rest] if rest else [])
+
+
 def census_from_totals(counts) -> np.ndarray:
     """A run's bins per joint click pattern, from its totals.
 
@@ -103,7 +108,7 @@ def census_from_totals(counts) -> np.ndarray:
 def assert_takes_the_census(model, cfg: ExperimentConfig) -> None:
     """Each segment of run_counts is the ``model`` census of that segment."""
     counts = run_counts(cfg)
-    sizes = segment_sizes(cfg.n_bins, cfg.segment_bins)
+    sizes = divmod_sizes(cfg.n_bins, cfg.segment_bins)
     assert len(counts.segments) == len(sizes)
     for index, (seg, n_bins) in enumerate(zip(counts.segments, sizes)):
         cells = model.segment_cells(cfg, index, n_bins=n_bins)
@@ -125,7 +130,7 @@ def census_rows(model, cfg: ExperimentConfig,
     segment at which the cumulative N_H12 reaches ``target_triples``.
     """
     rows, triples = [], 0
-    for index, n_bins in enumerate(segment_sizes(cfg.n_bins, cfg.segment_bins)):
+    for index, n_bins in enumerate(divmod_sizes(cfg.n_bins, cfg.segment_bins)):
         rows.append(counts_from_cells(model.segment_cells(cfg, index, n_bins),
                                       segment_index=index))
         triples += rows[-1][-1]
@@ -135,19 +140,25 @@ def census_rows(model, cfg: ExperimentConfig,
 
 
 class TestSegmentSizes:
+    # The runner's own cut: the bins of each segment that run_counts keeps.
+    @staticmethod
+    def sizes(n_bins: int, segment_bins: int) -> list[int]:
+        cfg = photon_config(mu=0.0, n_bins=n_bins, segment_bins=segment_bins)
+        return run_counts(cfg).segments.n_bins.tolist()
+
     def test_remainder_kept(self):
-        assert segment_sizes(10, 4) == [4, 4, 2]
+        assert self.sizes(10, 4) == [4, 4, 2]
 
     def test_exact_fit(self):
-        assert segment_sizes(8, 4) == [4, 4]
+        assert self.sizes(8, 4) == [4, 4]
 
     def test_single_short_run(self):
-        assert segment_sizes(3, 10) == [3]
+        assert self.sizes(3, 10) == [3]
 
     @pytest.mark.parametrize("n_bins,segment_bins",
                              [(1, 1), (100_003, 977), (48_000, 48_000)])
     def test_sizes_partition_the_run(self, n_bins, segment_bins):
-        sizes = segment_sizes(n_bins, segment_bins)
+        sizes = self.sizes(n_bins, segment_bins)
         assert sum(sizes) == n_bins
         assert all(s == segment_bins for s in sizes[:-1])
         assert 0 < sizes[-1] <= segment_bins
@@ -178,7 +189,7 @@ class TestRunCounts:
         # Uneven segments: the remainder keeps its own index on this route.
         cfg = envelope_config(n_bins=30_000, segment_bins=7_000, seed=8005)
         direct = run_counts(cfg)
-        assert len(direct.segments) == len(segment_sizes(30_000, 7_000))
+        assert len(direct.segments) == len(divmod_sizes(30_000, 7_000))
         assert direct == accumulate(simulate_run(cfg),
                                     segment_bins=cfg.segment_bins)
 
@@ -302,7 +313,7 @@ class TestRunCounts:
         cfg = photon_config(n_bins=200_000, segment_bins=9_973, seed=8004)
         counts = run_counts(cfg, target_triples=10**9)
         assert counts.n_bins == 200_000
-        assert len(counts.segments) == len(segment_sizes(200_000, 9_973))
+        assert len(counts.segments) == len(divmod_sizes(200_000, 9_973))
 
 
 
