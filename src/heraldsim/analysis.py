@@ -1,4 +1,4 @@
-"""Estimation pipeline: heralded autocorrelation, calibration, fitting.
+"""Estimation pipeline: heralded g2, background subtraction, fitting.
 
 Counts in, numbers out.  Everything here is a pure function of
 :class:`~heraldsim.coincidence.CoincidenceCounts` (plus configuration where
@@ -31,8 +31,6 @@ __all__ = [
     "FitResult",
     "heralded_g2",
     "law_g2",
-    "klyshko_efficiency",
-    "herald_efficiency",
     "background_subtract",
     "weighted_linear_fit",
     "corrected_rate",
@@ -117,41 +115,6 @@ def law_g2(law) -> float:
     if p["N_H1"] == 0.0 or p["N_H2"] == 0.0:
         return math.nan
     return p["N_H"] * p["N_H12"] / (p["N_H1"] * p["N_H2"])
-
-
-def klyshko_efficiency(counts: CoincidenceCounts,
-                       ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Correlated-photon detector efficiency estimates for the signal arms.
-
-    Returns ((eta_1, sigma_1), (eta_2, sigma_2)) with eta_i = N_Hi / N_H
-    and binomial uncertainty sqrt(eta (1 - eta) / N_H).  The estimate is
-    the whole path efficiency seen from the source: detector efficiency
-    times attenuator and splitter shares.  Background-corrected inputs are
-    expected; raw noise inflates N_H and biases the ratios down.
-    """
-    n_h = counts.N_H
-    if n_h <= 0:
-        raise InsufficientStatistics("klyshko efficiency needs N_H > 0")
-    out = []
-    for n_hi in (counts.N_H1, counts.N_H2):
-        eta = n_hi / n_h
-        out.append((eta, math.sqrt(eta * (1.0 - eta) / n_h)))
-    return tuple(out)
-
-
-def herald_efficiency(counts: CoincidenceCounts) -> tuple[float, float]:
-    """Herald-arm efficiency estimate (N_H1 + N_H2) / (N_1 + N_2).
-
-    The correlated-photon method looking the other way: of all signal
-    detections, the fraction accompanied by a herald click estimates the
-    herald path efficiency.  Binomial uncertainty on the signal-singles
-    denominator.
-    """
-    denom = counts.N_1 + counts.N_2
-    if denom <= 0:
-        raise InsufficientStatistics("herald efficiency needs N_1 + N_2 > 0")
-    eta = (counts.N_H1 + counts.N_H2) / denom
-    return eta, math.sqrt(max(eta * (1.0 - eta), 0.0) / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -252,16 +253,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    import json
-    with open(args.report, "r", encoding="utf-8") as fh:
-        rep = json.load(fh)
-    if not isinstance(rep, dict) or rep.get("format") != report.REPORT_FORMAT:
-        raise ValueError(f"{args.report}: not a {report.REPORT_FORMAT} file")
     try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            rep = json.load(fh)
+        if not isinstance(rep, dict) or rep.get("format") != report.REPORT_FORMAT:
+            raise ValueError(f"not a {report.REPORT_FORMAT} file")
         svgplot.write_report_svg(rep, args.out)
     except KeyError as exc:
         raise ValueError(f"{args.report}: missing key {exc}") from None
-    except ValueError as exc:  # a malformed point, band entry or fit
+    except ValueError as exc:  # not UTF-8 JSON, or a malformed report
         raise ValueError(f"{args.report}: {exc}") from None
     print(f"wrote {args.out}")
     return 0

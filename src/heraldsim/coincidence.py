@@ -386,8 +386,8 @@ def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
     :class:`CoincidenceCounts`.
     """
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "coincidence-counts":
         raise ValueError(f"{path}: not a coincidence-counts file")

@@ -20,8 +20,7 @@ Below, the reflection series sum_{k=-8..8} (-1)^k [Phi((2k+1)c) -
 Phi((2k-1)c)], c = 1/sqrt(theta), evaluates Phi at m*c for odd |m| <= 17
 outward from m = 1 and stops once Phi(+-m c) reach exactly 1 and 0; the
 terms beyond that m, which it skips, are then exact zeros.  The series
-agree to ~1e-15 at the switch.  :func:`mean_first_passage` gives the
-unconstrained mean exit time ``threshold_energy / power``.
+agree to ~1e-15 at the switch.
 
 Intensity envelope
 ------------------
@@ -88,7 +87,6 @@ from .core import (
 )
 
 __all__ = [
-    "mean_first_passage",
     "crossing_probability",
     "discrete_exit_steps",
     "field_click_probabilities",
@@ -111,13 +109,6 @@ _BLOCK_FRACTION = 1.0 / 6.0
 _TOUCH_BOUND = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def mean_first_passage(threshold_energy: float, power: float) -> float:
-    """Mean unconstrained exit time of the band: threshold_energy / power."""
-    if threshold_energy <= 0.0 or power <= 0.0:
-        raise ValueError("threshold_energy and power must be > 0")
-    return threshold_energy / power
 
 
 def _survival(theta: float) -> float:

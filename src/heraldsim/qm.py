@@ -49,7 +49,6 @@ from .core import (
 )
 
 __all__ = [
-    "g_factor",
     "pair_prob",
     "no_click_prob",
     "joint_pattern_probabilities",
@@ -61,18 +60,6 @@ __all__ = [
     "segment_clicks",
     "segment_cells",
 ]
-
-
-def g_factor(mode_count: int) -> float:
-    """Zero-delay autocorrelation 1 + 1/M of the unheralded source.
-
-    Single-mode thermal light gives 2; the many-mode limit is Poissonian
-    (1).  This is the pair-bunching factor entering the heralded-g2
-    prediction.
-    """
-    if mode_count < 1:
-        raise ValueError(f"mode_count must be >= 1, got {mode_count}")
-    return 1.0 + 1.0 / mode_count
 
 
 def pair_prob(n, pair_mean: float, mode_count: int = 1):
@@ -169,11 +156,11 @@ def predicted_heralded_g2(pair_prob_1: float, eta_h: float,
     """Leading-order heralded-g2 prediction G * P1 * (2 - eta_h).
 
     ``pair_prob_1`` is the single-pair probability per bin and ``bunching``
-    the source factor G (:func:`g_factor`; 1 = Poissonian, 2 = single-mode
-    thermal).  Double pairs dominate the heralded g2 at P1 << 1: their
-    probability is (G/2) P1^2 and a fraction 1 - (1 - eta_h)^2 of them
-    raises the herald, giving 2 (G/2 P1^2 / P1) (1-(1-eta_h)^2)/eta_h
-    = G P1 (2 - eta_h).
+    the source factor G, 1 + 1/M for M modes (1 = Poissonian, 2 =
+    single-mode thermal).  Double pairs dominate the heralded g2 at
+    P1 << 1: their probability is (G/2) P1^2 and a fraction
+    1 - (1 - eta_h)^2 of them raises the herald, giving
+    2 (G/2 P1^2 / P1) (1-(1-eta_h)^2)/eta_h = G P1 (2 - eta_h).
     """
     if eta_h <= 0.0:
         raise ValueError("eta_h must be > 0 (heralding on a dead detector)")

@@ -180,11 +180,6 @@ class ClickStreams:
             out.append(bits.astype(bool))
         return tuple(out)
 
-    @property
-    def duration(self) -> float:
-        """Total observation time covered, in seconds."""
-        return self.n_bins * self.bin_width
-
     def concat(self, *others: "ClickStreams") -> "ClickStreams":
         """Append ``others`` after this stream, in order (equal bin widths).
 

@@ -84,17 +84,19 @@ def _check_numbers(record, names: tuple[str, ...], where: str) -> None:
 def _plotted_parts(report: dict) -> tuple[list[dict], list[dict], dict | None]:
     """The report's points, ``qm_band`` entries and ``fit``, checked.
 
-    These are the fields the figure reads.  A missing field raises
-    KeyError; an empty or non-list ``points``, a non-list ``qm_band``, a
-    point, band entry or fit that is not an object, and a field that is not
-    a finite number raise ValueError, naming points and band entries by
-    their 1-based position.
+    These are the fields the figure reads, with a point's ``pcsft_bound``
+    when it has one.  A missing field raises KeyError; an empty or
+    non-list ``points``, a non-list ``qm_band``, a point, band entry or fit
+    that is not an object, and a field that is not a finite number raise
+    ValueError, naming points and band entries by their 1-based position.
     """
     points = report.get("points", [])
     if not isinstance(points, list) or not points:
         raise ValueError("report has no points to plot")
     for number, point in enumerate(points, start=1):
         _check_numbers(point, _POINT_NUMBERS, f"point {number}")
+        if "pcsft_bound" in point:
+            _check_numbers(point, ("pcsft_bound",), f"point {number}")
     band = report.get("qm_band") or []
     if not isinstance(band, list):
         raise ValueError(f"qm_band is not a list: {band!r}")
@@ -113,13 +115,13 @@ def render_report(report: dict) -> str:
     corrected = any(p.get("background_subtracted") for p in points)
 
     xs = [p["x_rate"] for p in points]
+    bound_rows = [(p["x_rate"], p["pcsft_bound"]) for p in points
+                  if "pcsft_bound" in p]
     y_candidates = [p["g2_raw"] + p["sigma_raw"] for p in points]
     y_candidates += [p["g2"] + p["sigma"] for p in points]
     y_candidates += [b["upper"] for b in band]
-    y_candidates += [p["pcsft_bound"] for p in points
-                     if isinstance(p.get("pcsft_bound"), float)
-                     and math.isfinite(p["pcsft_bound"])]
-    y_max = max(y_candidates) if y_candidates else 1.0
+    y_candidates += [bound for _, bound in bound_rows]
+    y_max = max(y_candidates)
     if y_max <= 0.0:
         y_max = 1.0
 
@@ -186,9 +188,6 @@ def render_report(report: dict) -> str:
                      'stroke-width="1.5"/>')
 
     # Threshold-field ceiling ticks.
-    bound_rows = [(p["x_rate"], p["pcsft_bound"]) for p in points
-                  if isinstance(p.get("pcsft_bound"), float)
-                  and math.isfinite(p["pcsft_bound"])]
     if bound_rows:
         parts.append('<g id="bounds-pcsft" stroke="#7f7f7f" stroke-width="1.5">')
         for x, bound in bound_rows:

@@ -21,6 +21,10 @@ it draws the ``OracleRole`` streams, which the package never keys.
 ``per_bin_envelope_clicks`` is the pcsft envelope's chain (a gain per bin,
 each channel clicking at that bin's power, per-bin noise), the oracle of
 the mixture law the pcsft samplers draw from.
+``g_factor`` (the source's bunching factor 1 + 1/M) and the
+correlated-photon efficiency estimators ``klyshko_efficiency`` and
+``herald_efficiency`` are checked against the simulators here; the
+package itself calls none of them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import numpy as np
 from scipy import stats
 
+from heraldsim.analysis import InsufficientStatistics
 from heraldsim.coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
 from heraldsim import pcsft, streams
 from heraldsim.core import (ExperimentConfig, Role, arm_efficiencies,
@@ -64,6 +69,18 @@ def nb_pmf(n, mu: float, modes: int):
         return np.where(np.asarray(n) == 0, 1.0, 0.0)[()]
     m = mu / modes
     return stats.nbinom.pmf(n, modes, 1.0 / (1.0 + m))
+
+
+def g_factor(mode_count: int) -> float:
+    """Zero-delay autocorrelation 1 + 1/M of the unheralded source.
+
+    Single-mode thermal light gives 2; the many-mode limit is Poissonian
+    (1).  This is the pair-bunching factor entering the heralded-g2
+    prediction.
+    """
+    if mode_count < 1:
+        raise ValueError(f"mode_count must be >= 1, got {mode_count}")
+    return 1.0 + 1.0 / mode_count
 
 
 def series_no_click(cfg: ExperimentConfig, channels: tuple[int, ...]) -> float:
@@ -205,6 +222,41 @@ def make_counts(n_bins=1_000_000, N_H=0, N_1=0, N_2=0, N_H1=0, N_H2=0,
     """One-segment counts holding the given totals."""
     row = (0, n_bins, N_H, N_1, N_2, N_H1, N_H2, N_12, N_H12)
     return CoincidenceCounts(bin_width=bin_width, segments=segment_table([row]))
+
+
+def klyshko_efficiency(counts: CoincidenceCounts,
+                       ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Correlated-photon detector efficiency estimates for the signal arms.
+
+    Returns ((eta_1, sigma_1), (eta_2, sigma_2)) with eta_i = N_Hi / N_H
+    and binomial uncertainty sqrt(eta (1 - eta) / N_H).  The estimate is
+    the whole path efficiency seen from the source: detector efficiency
+    times attenuator and splitter shares.  Background-corrected inputs are
+    expected; raw noise inflates N_H and biases the ratios down.
+    """
+    n_h = counts.N_H
+    if n_h <= 0:
+        raise InsufficientStatistics("klyshko efficiency needs N_H > 0")
+    out = []
+    for n_hi in (counts.N_H1, counts.N_H2):
+        eta = n_hi / n_h
+        out.append((eta, math.sqrt(eta * (1.0 - eta) / n_h)))
+    return tuple(out)
+
+
+def herald_efficiency(counts: CoincidenceCounts) -> tuple[float, float]:
+    """Herald-arm efficiency estimate (N_H1 + N_H2) / (N_1 + N_2).
+
+    The correlated-photon method looking the other way: of all signal
+    detections, the fraction accompanied by a herald click estimates the
+    herald path efficiency.  Binomial uncertainty on the signal-singles
+    denominator.
+    """
+    denom = counts.N_1 + counts.N_2
+    if denom <= 0:
+        raise InsufficientStatistics("herald efficiency needs N_1 + N_2 > 0")
+    eta = (counts.N_H1 + counts.N_H2) / denom
+    return eta, math.sqrt(max(eta * (1.0 - eta), 0.0) / denom)
 
 
 def merge(a: CoincidenceCounts, b: CoincidenceCounts) -> CoincidenceCounts:

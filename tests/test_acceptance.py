@@ -12,8 +12,7 @@ import numpy as np
 from scipy import stats
 
 from heraldsim import pcsft, qm, report
-from heraldsim.analysis import (heralded_g2, herald_efficiency,
-                                klyshko_efficiency, weighted_linear_fit)
+from heraldsim.analysis import heralded_g2, weighted_linear_fit
 from heraldsim.cli import main
 from heraldsim.coincidence import COUNT_FIELDS, ClickStreams, accumulate
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
@@ -21,7 +20,8 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             validate_config, with_attenuation)
 from heraldsim.runner import SweepPlan, run_counts, run_sweep
 
-from helpers import (brute_force_counts, first_passage_times, merge,
+from helpers import (brute_force_counts, first_passage_times, g_factor,
+                     herald_efficiency, klyshko_efficiency, merge,
                      sample_pair_counts)
 
 BIN = 20.83e-9
@@ -152,7 +152,7 @@ def test_c03_heralded_g2_closure(capsys):
         cfg = _photon_cfg(0.05, mode_count, 0.5, 0.5, 0.5, 10**8, 10**6, seed)
         estimate = heralded_g2(run_counts(cfg))
         predicted = qm.predicted_heralded_g2(
-            qm.pair_prob(1, 0.05, mode_count), 0.5, qm.g_factor(mode_count))
+            qm.pair_prob(1, 0.05, mode_count), 0.5, g_factor(mode_count))
         zs.append((estimate.value - predicted) / estimate.sigma)
     elapsed = time.monotonic() - started
     ok = max(abs(z) for z in zs) <= 3.0 and elapsed < 300.0

@@ -1,4 +1,5 @@
-"""Estimators: heralded autocorrelation, calibration, subtraction, fitting."""
+"""Estimators: heralded autocorrelation, subtraction, fitting, and the
+efficiency estimators the tests keep in ``helpers``."""
 
 import math
 import os
@@ -12,13 +13,13 @@ import pytest
 import heraldsim
 from heraldsim.analysis import (FitResult, G2Estimate, InsufficientStatistics,
                                 background_subtract, corrected_rate,
-                                herald_efficiency, heralded_g2,
-                                klyshko_efficiency, weighted_linear_fit)
+                                heralded_g2, weighted_linear_fit)
 from heraldsim.coincidence import (CoincidenceCounts, counts_from_cells,
                                    segment_table)
 from heraldsim.core import OpticsConfig
 
-from helpers import BIN, make_counts
+from helpers import (BIN, herald_efficiency, klyshko_efficiency,
+                     make_counts)
 
 
 def independent_law(p_h: float, p_1: float, p_2: float) -> np.ndarray:

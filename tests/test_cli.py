@@ -49,6 +49,9 @@ SWEEP_INI = """\
 attenuations = 1.0, 0.6, 0.3
 """
 
+# How a JSON file that starts with the bytes ff fe 00 fails to decode.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
 
 def refuse_to_run(*args, **kwargs):
     raise AssertionError("a sweep point ran")
@@ -424,6 +427,19 @@ class TestSweep:
             "widths\n")
         assert not out.exists()
 
+    def test_background_that_is_not_utf8_names_the_file(self, tmp_path,
+                                                         capsys, monkeypatch):
+        dark = tmp_path / "dark.json"
+        dark.write_bytes(b"\xff\xfe\x00")
+        cfg, plan = write_inputs(tmp_path)
+        monkeypatch.setattr(runner, "run_counts", refuse_to_run)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--background", str(dark), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dark}: not JSON: {NOT_UTF8}\n")
+        assert not out.exists()
+
     def test_bins_override_caps_points(self, tmp_path, capsys):
         cfg, plan = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -576,6 +592,17 @@ class TestAnalyze:
     def test_missing_counts_file(self, tmp_path, capsys):
         assert main(["analyze", "--counts", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_counts_file_that_is_not_utf8_names_the_file(self, tmp_path,
+                                                          capsys):
+        counts = tmp_path / "counts.json"
+        counts.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", str(counts),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {counts}: not JSON: {NOT_UTF8}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "{not json"],
                              ids=["missing", "malformed"])
@@ -734,6 +761,15 @@ class TestPlot:
         "negative-infinite-band-upper": (
             lambda r: r["qm_band"][2].update(upper=-math.inf),
             "qm_band entry 3: upper is not a finite number: -inf"),
+        "string-pcsft-bound": (
+            lambda r: r["points"][1].update(pcsft_bound="high"),
+            "point 2: pcsft_bound is not a number: 'high'"),
+        "null-pcsft-bound": (
+            lambda r: r["points"][0].update(pcsft_bound=None),
+            "point 1: pcsft_bound is not a number: None"),
+        "infinite-pcsft-bound": (
+            lambda r: r["points"][2].update(pcsft_bound=math.inf),
+            "point 3: pcsft_bound is not a finite number: inf"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -745,6 +781,32 @@ class TestPlot:
         edit(payload)
         bogus = tmp_path / "report.json"
         bogus.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["plot", "--report", str(bogus),
+                     "--out", str(tmp_path / "fig.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {bogus}: {message}\n"
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_integer_pcsft_bound_is_plotted(self, sweep_out, tmp_path,
+                                            capsys):
+        payload = json.loads((sweep_out / "report.json").read_text())
+        for point in payload["points"]:
+            point["pcsft_bound"] = 1
+        bounded = tmp_path / "report.json"
+        bounded.write_text(json.dumps(payload), encoding="utf-8")
+        fig = tmp_path / "fig.svg"
+        assert main(["plot", "--report", str(bounded), "--out", str(fig)]) == 0
+        root = ET.fromstring(fig.read_text(encoding="utf-8"))
+        ticks = [g for g in root.iter() if g.get("id") == "bounds-pcsft"]
+        assert len(ticks) == 1 and len(ticks[0]) == 3
+
+    @pytest.mark.parametrize("content,message", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe\x00", NOT_UTF8),
+    ], ids=["not-json", "not-utf8"])
+    def test_report_that_is_not_json_names_the_file(self, tmp_path, capsys,
+                                                    content, message):
+        bogus = tmp_path / "bad.json"
+        bogus.write_bytes(content)
         assert main(["plot", "--report", str(bogus),
                      "--out", str(tmp_path / "fig.svg")]) == 1
         assert capsys.readouterr().err == f"error: {bogus}: {message}\n"

@@ -79,27 +79,17 @@ coupling = 0.5
 
 
 class TestMeanFirstPassage:
-    def test_unit_case(self):
-        assert pcsft.mean_first_passage(1.0, 1.0) == 1.0
-
-    def test_linear_in_threshold(self):
-        assert pcsft.mean_first_passage(2.0, 1.0) == 2.0
-
-    def test_inverse_in_power(self):
-        assert pcsft.mean_first_passage(1.0, 2.0) == 0.5 * pcsft.mean_first_passage(1.0, 1.0)
-
-    def test_zero_power_rejected(self):
-        with pytest.raises(ValueError):
-            pcsft.mean_first_passage(1.0, 0.0)
-
     def test_empirical_mean(self):
-        # 1e5 paths at dt = 1e-5 * tau; the Euler grid's O(sqrt(dt)) bias
-        # is well inside the 2% window.
-        times = first_passage_times(rng_stream(4007, 0), 1.0, 1.0,
-                                    1e-5, 10**5, 30.0)
+        # The band's mean exit time is threshold_energy / power.  1e5 paths
+        # at dt = 1e-5 * tau; the Euler grid's O(sqrt(dt)) bias is well
+        # inside the 2% window.
+        threshold_energy, power = 1.0, 1.0
+        times = first_passage_times(rng_stream(4007, 0), threshold_energy,
+                                    power, 1e-5, 10**5, 30.0)
         finite = times[np.isfinite(times)]
         assert finite.size >= 10**5 - 5
-        assert finite.mean() == pytest.approx(1.0, abs=0.02)
+        assert finite.mean() == pytest.approx(threshold_energy / power,
+                                              abs=0.02)
 
 
 class TestCrossingProbability:

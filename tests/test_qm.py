@@ -11,7 +11,7 @@ from heraldsim.analysis import law_g2
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             SourceConfig, rng_stream)
 
-from helpers import (mechanistic_qm_clicks, nb_pmf, pattern_counts,
+from helpers import (g_factor, mechanistic_qm_clicks, nb_pmf, pattern_counts,
                      sample_pair_counts, series_no_click, series_pattern_probs)
 
 
@@ -24,21 +24,6 @@ def make_config(mu, mode_count=1, eta_h=0.26, eta_1=0.075, eta_2=0.055,
         detectors=DetectorConfig(dark_rate_h=dark[0], dark_rate_1=dark[1],
                                  dark_rate_2=dark[2]),
         n_bins=n_bins, seed=seed)
-
-
-class TestGFactor:
-    def test_single_mode_is_two(self):
-        assert qm.g_factor(1) == 2.0
-
-    def test_two_modes(self):
-        assert qm.g_factor(2) == 1.5
-
-    def test_many_mode_limit(self):
-        assert qm.g_factor(10**6) == pytest.approx(1.000001, rel=1e-12)
-
-    def test_rejects_zero_modes(self):
-        with pytest.raises(ValueError):
-            qm.g_factor(0)
 
 
 class TestPairProb:
@@ -238,7 +223,7 @@ class TestPredictions:
     def test_exact_g2_approaches_leading_order(self, mu, tol):
         cfg = make_config(mu)
         predicted = qm.predicted_heralded_g2(
-            qm.pair_prob(1, mu, 1), 0.26, qm.g_factor(1))
+            qm.pair_prob(1, mu, 1), 0.26, g_factor(1))
         assert qm.heralded_g2_exact(cfg) == pytest.approx(predicted, rel=tol)
 
 

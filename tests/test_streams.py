@@ -80,9 +80,6 @@ class TestPacking:
                          signal_1=np.zeros(2, dtype=np.uint8),
                          signal_2=np.zeros(2, dtype=np.uint8))
 
-    def test_duration(self):
-        assert random_streams(1000).duration == pytest.approx(1000 * 20.83e-9)
-
 
 class TestConcat:
     @pytest.mark.parametrize(
