@@ -270,33 +270,32 @@ _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
 # csv.writer's dialect: comma-separated, no quoting needed, \r\n line ends.
 _CSV_HEADER = (",".join(_SEGMENT_HEADER) + "\r\n").encode()
 _CSV_ROW = ",".join(["%d"] * len(_SEGMENT_HEADER)) + "\r\n"
-# Counts of another type (expectations) as csv.writer writes them: repr.
-_CSV_ANY_ROW = "%d,%d," + ",".join(["%r"] * len(COUNT_FIELDS)) + "\r\n"
 # Segment rows formatted per write.  Small enough that each chunk's
 # strings reuse heap memory rather than raise the peak.
 _CSV_CHUNK = 256
+_INT64_SEGMENT = _segment_dtype(np.int64)
 
 
 def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     """The segment table as CSV, one row per segment, in order.
 
-    The bytes are those of ``csv.writer``.  Each chunk of rows is
-    formatted through one row template and written in one call; an
-    integer table's chunk is read as one flat int64 array.  The file is
-    written under a temporary name and renamed to ``path`` when complete;
-    an exception deletes it instead.
+    The bytes are those of ``csv.writer``: each chunk of rows is read as
+    one flat int64 array and formatted through one row template.  Counts
+    of a type int64 cannot hold exactly (floats, say) are refused with a
+    ValueError naming the file and the type, and nothing is written.  The
+    file is renamed to ``path`` only once complete.
     """
     table = counts.segments.view(np.ndarray)
-    integer = table.dtype == _segment_dtype(np.int64)
-    template = _CSV_ROW if integer else _CSV_ANY_ROW
+    count_type = table.dtype[COUNT_FIELDS[0]]
+    if count_type.kind not in "iu" or not np.can_cast(count_type, np.int64):
+        raise ValueError(f"{path}: cannot write {count_type} counts; "
+                         "the counts of a segment table must be integers")
     with _replacing(path) as fh:
         fh.write(_CSV_HEADER)
         for lo in range(0, len(table), _CSV_CHUNK):
-            rows = table[lo:lo + _CSV_CHUNK]
-            values = (np.ascontiguousarray(rows).view(np.int64).tolist()
-                      if integer else
-                      [value for row in rows.tolist() for value in row])
-            fh.write(((template * len(rows)) % tuple(values)).encode())
+            rows = table[lo:lo + _CSV_CHUNK].astype(_INT64_SEGMENT, order="C")
+            values = rows.view(np.int64).tolist()
+            fh.write(((_CSV_ROW * len(rows)) % tuple(values)).encode())
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
@@ -304,22 +303,25 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
 
     The CSV carries no bin width, so it must be supplied (it lives in the
     JSON summary written alongside).  Raises ValueError naming the file
-    and line of a malformed row.
+    when it is not UTF-8, and the file and line of a malformed row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _SEGMENT_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        rows = []
-        for row in reader:
-            if len(row) != len(_SEGMENT_HEADER):
-                raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
-            try:
-                rows.append(tuple(int(v) for v in row))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != _SEGMENT_HEADER:
+                raise ValueError(f"{path}: unexpected header {header}")
+            rows = []
+            for row in reader:
+                if len(row) != len(_SEGMENT_HEADER):
+                    raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                     f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
+                try:
+                    rows.append(tuple(int(v) for v in row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     return CoincidenceCounts(bin_width=bin_width, segments=segment_table(rows))
 
 

@@ -266,8 +266,9 @@ class Role:
 
     Each (sweep point, segment, role) triple owns an independent Philox
     stream, so segments can be simulated in any order or concurrently and
-    still reproduce bit for bit.  The package draws two roles; the test
-    suite's per-bin oracles draw ids 1-7, which therefore stay reserved.
+    still reproduce bit for bit.  The package draws ids 0 and 1; the test
+    suite's per-bin oracles draw ids 1-7 (their herald shares id 1, as no
+    oracle draws within a package run), so ids 2-7 stay reserved.
     """
 
     SOURCE = 0       # the census multinomial
@@ -399,6 +400,14 @@ def _parse_value(kind, raw: str, where: str):
         raise ValueError(f"{where}: not {what}: {raw!r}") from None
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of an INI file; one that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _read_ini(text: str, origin: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -468,9 +477,8 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate an INI experiment file."""
-    path = Path(path)
-    return parse_config(path.read_text(), origin=str(path))
+    """Read and validate a UTF-8 INI experiment file."""
+    return parse_config(_read_utf8(path), origin=str(path))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

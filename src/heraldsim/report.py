@@ -9,7 +9,6 @@ carries the same per-point table for spreadsheet use.
 
 from __future__ import annotations
 
-import csv
 import json
 from itertools import zip_longest
 from typing import Optional, Sequence
@@ -144,9 +143,9 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict],
 
 def write_report_json(report: dict, path) -> None:
     """The report as JSON, renamed to ``path`` only once complete."""
-    with _replacing(path, encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    with _replacing(path) as fh:
+        fh.write((text + "\n").encode())
 
 
 def _fmt(value) -> str:
@@ -162,22 +161,23 @@ def _fmt(value) -> str:
 def write_report_csv(report: dict, path) -> None:
     """Per-point table mirroring the plotted quantities.
 
+    The bytes are those of ``csv.writer`` (no field needs quoting).
     Renamed to ``path`` only once complete, as the JSON report is.
     """
-    with _replacing(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        # qm_band is empty or holds one entry per point.
-        for record, b in zip_longest(report["points"], report["qm_band"]):
-            writer.writerow([
-                _fmt(record["attenuation"]),
-                _fmt(record["x_rate"]),
-                _fmt(record["g2"]),
-                _fmt(record["sigma"]),
-                _fmt(record["upper_limit"]),
-                _fmt(record["g2_raw"]),
-                _fmt(record["sigma_raw"]),
-                _fmt(b["lower"] if b else None),
-                _fmt(b["upper"] if b else None),
-                _fmt(record.get("pcsft_bound")),
-            ])
+    rows = [_CSV_COLUMNS]
+    # qm_band is empty or holds one entry per point.
+    for record, b in zip_longest(report["points"], report["qm_band"]):
+        rows.append([
+            _fmt(record["attenuation"]),
+            _fmt(record["x_rate"]),
+            _fmt(record["g2"]),
+            _fmt(record["sigma"]),
+            _fmt(record["upper_limit"]),
+            _fmt(record["g2_raw"]),
+            _fmt(record["sigma_raw"]),
+            _fmt(b["lower"] if b else None),
+            _fmt(b["upper"] if b else None),
+            _fmt(record.get("pcsft_bound")),
+        ])
+    with _replacing(path) as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in rows).encode())

@@ -32,8 +32,8 @@ from . import pcsft, qm
 from .coincidence import (CoincidenceCounts, _placed_channels,
                           counts_from_cells, segment_table)
 from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
-                   _field_types, _read_ini, _read_section, _segment_rng,
-                   with_attenuation)
+                   _field_types, _read_ini, _read_section, _read_utf8,
+                   _segment_rng, with_attenuation)
 from .streams import ClickStreams
 
 __all__ = [
@@ -200,8 +200,7 @@ def parse_sweep_plan(text: str, origin: str = "<string>") -> SweepPlan:
 
 
 def load_sweep_plan(path) -> SweepPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sweep_plan(fh.read(), origin=str(path))
+    return parse_sweep_plan(_read_utf8(path), origin=str(path))
 
 
 def run_sweep(cfg: ExperimentConfig, plan: SweepPlan) -> list[SweepPoint]:

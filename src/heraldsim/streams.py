@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -75,32 +75,22 @@ class StreamFormatError(ValueError):
     """Raised when a stream file is malformed or has an unsupported version."""
 
 
-def _open_temporary(path: Path, mode: str = "xb", **kwargs) -> tuple[Path, IO]:
-    """A new file under a fresh name in the directory of ``path``, and its name.
-
-    ``mode`` and ``kwargs`` as :func:`open` takes them.  An error opening
-    it (a missing directory, say) names ``path``, not the temporary name.
-    """
-    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        return tmp, open(tmp, mode, **kwargs)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-
-
 @contextmanager
-def _replacing(path: str | Path, encoding: Optional[str] = None,
-               newline: Optional[str] = None) -> Iterator[IO]:
-    """A new file that becomes ``path`` when the block completes.
+def _replacing(path: str | Path) -> Iterator[IO[bytes]]:
+    """A new binary file that becomes ``path`` when the block completes.
 
-    Binary, or text when an ``encoding`` is given (``newline`` as
-    :func:`open` takes it).  It is written under an :func:`_open_temporary`
-    name and renamed over ``path`` at the end of the block; an exception
-    deletes it instead, so ``path`` never holds a partial file.
+    It is written under a fresh temporary name in the directory of
+    ``path`` and renamed over ``path`` at the end of the block; an
+    exception deletes it instead, so ``path`` never holds a partial file.
+    An error opening it (a missing directory, say) names ``path``, not the
+    temporary name.  Every output file of the package is written here.
     """
     path = Path(path)
-    tmp, fh = _open_temporary(path, "xb" if encoding is None else "x",
-                              encoding=encoding, newline=newline)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
@@ -238,14 +228,12 @@ class StreamWriter:
         self._written = 0
         self._nbytes = (n_bins + 7) // 8
         self._tails = [0] * _CHANNELS
-        self._tmp, self._fh = _open_temporary(self.path)
-        try:
+        with ExitStack() as stack:
+            self._fh = stack.enter_context(_replacing(self.path))
             self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_bins,
                                         self.bin_width, _CHANNELS))
             self._fh.truncate(_HEADER.size + _CHANNELS * self._nbytes)
-        except BaseException:
-            self._discard()
-            raise
+            self._file = stack.pop_all()
 
     def append(self, part: ClickStreams) -> None:
         """Write the next ``part.n_bins`` bins."""
@@ -266,20 +254,10 @@ class StreamWriter:
 
     def close(self) -> None:
         """Put the finished container at ``path`` (all bins must be written)."""
-        if self._written != self.n_bins:
-            self._discard()
-            raise ValueError(f"{self.path}: {self._written} of {self.n_bins} "
-                             "bins written")
-        try:
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        except BaseException:
-            self._discard()
-            raise
-
-    def _discard(self) -> None:
-        self._fh.close()
-        self._tmp.unlink(missing_ok=True)
+        with self._file:
+            if self._written != self.n_bins:
+                raise ValueError(f"{self.path}: {self._written} of {self.n_bins} "
+                                 "bins written")
 
     def __enter__(self) -> "StreamWriter":
         return self
@@ -288,7 +266,7 @@ class StreamWriter:
         if exc_type is None:
             self.close()
         else:
-            self._discard()
+            self._file.__exit__(exc_type, exc, tb)
 
 
 def _read_header(fh, path) -> tuple[int, float, int]:

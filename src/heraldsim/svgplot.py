@@ -230,6 +230,6 @@ def render_report(report: dict) -> str:
 
 def write_report_svg(report: dict, path) -> None:
     """The report's figure as SVG, renamed to ``path`` only once complete."""
-    svg = render_report(report)  # before any file: a malformed report leaves none
-    with _replacing(path, encoding="utf-8") as fh:
+    svg = render_report(report).encode()  # first: a bad report leaves no file
+    with _replacing(path) as fh:
         fh.write(svg)

@@ -146,6 +146,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == 2
         assert "missing file" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"\xff")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: not UTF-8: {NOT_UTF8}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_invalid_config_names_the_field(self, tmp_path, capsys):
         cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
             "splitter_ratio = 0.5", "splitter_ratio = 0.5\nattenuation = 1.5"))
@@ -361,6 +370,15 @@ class TestSweep:
                      "point_003.csv"):
             assert (out / name).read_bytes() == \
                 (sweep_out / name).read_bytes()
+
+    def test_plan_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg, plan = write_inputs(tmp_path)
+        plan.write_bytes(b"\xff")
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {plan}: not UTF-8: {NOT_UTF8}\n")
+        assert sorted(tmp_path.iterdir()) == [plan, cfg]
 
     def test_background_subtraction_applies(self, tmp_path, background_json,
                                             capsys):

@@ -1,7 +1,6 @@
 """Coincidence counting: exactness, segmentation, merging, serialisation."""
 
 import json
-import math
 import tempfile
 import time
 import tracemalloc
@@ -363,6 +362,13 @@ class TestSegmentTable:
         with pytest.raises(ValueError, match=r"counts\.csv, line 3: "):
             read_segment_csv(path, bin_width=1e-9)
 
+    def test_csv_that_is_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ValueError, match=r"counts\.csv: not UTF-8: ") as raised:
+            read_segment_csv(path, bin_width=1e-9)
+        assert not isinstance(raised.value, UnicodeDecodeError)
+
     @pytest.mark.parametrize("key", ["bin_width", "n_bins", "N_H", "N_H12"])
     def test_json_missing_key_named(self, tmp_path, key):
         path = tmp_path / "counts.json"
@@ -458,17 +464,27 @@ class TestSegmentCsvBytes:
         assert ((tmp_path / "counts.csv").read_bytes()
                 == segment_csv_bytes(every_other))
 
-    @pytest.mark.parametrize("count_type", [float, np.int32])
+    @pytest.mark.parametrize("count_type", [np.int32])
     def test_other_count_types_are_written_as_csv_writer(self, tmp_path,
                                                          count_type):
-        values = ([1.5, 0.0, -2.25, 1e-300, 3e20, math.nan, math.inf]
-                  if count_type is float else [1, 0, -2, 7, 2**31 - 1, 5, 9])
+        values = [1, 0, -2, 7, 2**31 - 1, 5, 9]
         rows = [(i, 10 + i, *np.roll(values, i).tolist())
                 for i in range(2 * coincidence._CSV_CHUNK + 1)]
         counts = CoincidenceCounts(1e-9, segment_table(rows, count_type=count_type))
         write_segment_csv(counts, tmp_path / "counts.csv")
         assert ((tmp_path / "counts.csv").read_bytes()
                 == segment_csv_bytes(counts))
+
+    @pytest.mark.parametrize("count_type", [float, np.uint64, bool])
+    def test_other_count_types_are_refused(self, tmp_path, count_type):
+        counts = CoincidenceCounts(1e-9, segment_table(
+            [(0, 10, 1, 1, 1, 1, 1, 1, 1)], count_type=count_type))
+        path = tmp_path / "counts.csv"
+        with pytest.raises(ValueError) as raised:
+            write_segment_csv(counts, path)
+        assert str(raised.value).startswith(
+            f"{path}: cannot write {np.dtype(count_type)} counts")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThroughput:

@@ -274,12 +274,11 @@ class TestAtomicWrites:
 
     def test_failing_json_dump_leaves_no_partial_report(self, tmp_path,
                                                         monkeypatch):
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"format": ')
-            raise RuntimeError("dump failed")
+        def dumps_fails(obj, **kwargs):
+            raise RuntimeError("dumps failed")
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
-        with pytest.raises(RuntimeError, match="dump failed"):
+        monkeypatch.setattr(json, "dumps", dumps_fails)
+        with pytest.raises(RuntimeError, match="dumps failed"):
             write_report_json(self.report(), tmp_path / "report.json")
         assert list(tmp_path.iterdir()) == []
 

@@ -14,6 +14,8 @@ from heraldsim import streams as streams_module
 from heraldsim.streams import (ClickStreams, StreamFormatError, StreamWriter,
                                read_streams, write_sparse_csv, write_streams)
 
+from helpers import fail_after_first_write
+
 
 def random_streams(n_bins: int, seed: int = 0,
                    bin_width: float = 20.83e-9) -> ClickStreams:
@@ -224,6 +226,12 @@ class TestStreamWriter:
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run.pstm"]
+
+    def test_failed_header_write_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_after_first_write(monkeypatch)
+        with pytest.raises(OSError, match="first write"):
+            StreamWriter(tmp_path / "run.pstm", 16, 20.83e-9)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_directory_names_the_path(self, tmp_path):
         path = tmp_path / "nodir" / "run.pstm"
