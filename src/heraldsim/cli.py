@@ -31,7 +31,7 @@ from .coincidence import (CoincidenceCounts, read_counts_json, segment_table,
                           write_counts_json, write_segment_csv)
 from .core import (ConfigError, ExperimentConfig, config_from_dict,
                    config_to_dict, load_config)
-from .streams import StreamWriter, write_sparse_csv
+from .streams import SparseCsvWriter, StreamWriter
 
 __all__ = ["main"]
 
@@ -145,17 +145,21 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Each segment is written as it arrives, so memory does not grow with
-    # the run length; its row is the census the segment placed.
+    # Each segment's bitmaps and click rows are written as it arrives, so
+    # memory does not grow with the run length; its row is the census the
+    # segment placed.
     bin_width = cfg.detectors.bin_width
-    with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer:
+    with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
+            SparseCsvWriter(out / "clicks.csv") as clicks:
         def rows():
-            for row, part in runner.segment_streams(cfg):
+            lo = 0
+            for row, part, clicked in runner._placed_segments(cfg):
                 writer.append(part)
+                clicks.append(lo, clicked)
+                lo += part.n_bins
                 yield row
         counts = CoincidenceCounts(bin_width, segment_table(rows()))
 
-    write_sparse_csv(out / "streams.pstm", out / "clicks.csv")
     write_segment_csv(counts, out / "counts.csv")
     write_counts_json(counts, out / "counts.json",
                       config=config_to_dict(cfg))

@@ -18,7 +18,10 @@ channel set is a mask of them, and ``FIELD_MASKS`` holds each count
 field's set.  Each model's per-bin law and each segment's census are 8
 cells in that index, which :func:`counts_from_cells` turns into counts,
 :func:`clicks_from_cells` into clicks; :func:`alternating_sum` is their
-inclusion-exclusion.
+inclusion-exclusion.  The placement behind :func:`clicks_from_cells`
+also gives each channel's clicked bins in ascending order, the rows of
+``clicks.csv``, so a run's click record is written without scanning its
+bitmaps.
 """
 
 from __future__ import annotations
@@ -57,6 +60,13 @@ FIELD_MASKS = (4, 2, 1, 6, 5, 3, 7)
 # Every channel set, by size and herald first: alternating_sum's order.
 _SUBSETS = (0,) + FIELD_MASKS
 
+# What a channel that no block flips concatenates.
+_NO_BINS = np.empty(0, dtype=np.int64)
+# A channel's clicked bins are its flips sorted while they are fewer than
+# one bin in _SORT_BELOW, and a scan of its bits otherwise.  In a
+# 48 000-bin segment, sorting 500 flips took 3 us against 17 us for the
+# scan, and 10 642 flips 57 us against 36 us (one Xeon core, numpy 2.4).
+_SORT_BELOW = 6
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                           axis=1).sum(axis=1).astype(np.uint8)
@@ -210,18 +220,23 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
     independent bins whose census each model's ``segment_cells`` draws.
     """
+    packed, _ = _placed_channels(cells, n_bins, rng)
     return tuple(np.unpackbits(channel, count=n_bins, bitorder="little")
-                 .view(bool) for channel in _placed_channels(cells, n_bins, rng))
+                 .view(bool) for channel in packed)
 
 
 def _placed_channels(cells, n_bins: int, rng: np.random.Generator,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clicks of :func:`clicks_from_cells`, packed as ClickStreams holds them.
+                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The clicks of :func:`clicks_from_cells`, packed and as bin lists.
 
-    One bitmap per channel (herald, signal_1, signal_2), little-endian bit
-    order with zero pad bits.  Each channel starts as the fill pattern's
-    bit everywhere; the blocks of positions whose pattern has the other
-    bit are then set to it.
+    Returns one bitmap per channel (herald, signal_1, signal_2), packed as
+    ClickStreams holds them (little-endian bit order, zero pad bits), and
+    each channel's clicked bins, ascending int64.  Each channel starts as
+    the fill pattern's bit everywhere; the blocks of positions whose
+    pattern has the other bit are then flipped to it.  The flips of a
+    channel the fill leaves silent are its clicks, and few of them are
+    sorted; a channel the fill clicks, or one of many flips, has its
+    clicks found by a scan of its bits.
     """
     cells = np.asarray(cells)
     counts = cells.tolist()
@@ -237,15 +252,24 @@ def _placed_channels(cells, n_bins: int, rng: np.random.Generator,
         if pattern != fill and count:
             blocks.append((pattern, positions[lo:lo + count]))
             lo += count
-    channels = []
+    packed, clicked = [], []
     for bit in CHANNEL_BITS:
         background = bool(fill & bit)
-        bits = np.full(n_bins, background)
-        for pattern, block in blocks:
-            if bool(pattern & bit) != background:
+        flips = [block for pattern, block in blocks
+                 if bool(pattern & bit) != background]
+        if background or _SORT_BELOW * sum(map(len, flips)) >= n_bins:
+            bits = np.full(n_bins, background)
+            for block in flips:
                 bits[block] = not background
-        channels.append(np.packbits(bits, bitorder="little"))
-    return tuple(channels)
+            clicked.append(np.flatnonzero(bits))
+        else:
+            flips = np.concatenate(flips or [_NO_BINS])
+            flips.sort()
+            bits = np.zeros(n_bins, dtype=bool)  # half np.full's cost
+            bits[flips] = True
+            clicked.append(flips)
+        packed.append(np.packbits(bits, bitorder="little"))
+    return tuple(packed), tuple(clicked)
 
 
 def alternating_sum(mask: int, value: Callable[[int], float]):
@@ -302,8 +326,9 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
     """Read a table written by :func:`write_segment_csv`.
 
     The CSV carries no bin width, so it must be supplied (it lives in the
-    JSON summary written alongside).  Raises ValueError naming the file
-    when it is not UTF-8, and the file and line of a malformed row.
+    JSON summary written alongside).  Rows go into the table as they are
+    read.  Raises ValueError naming the file when it is not UTF-8, and the
+    file and line of a malformed row.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -311,18 +336,23 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
             header = next(reader, None)
             if header is None or tuple(header) != _SEGMENT_HEADER:
                 raise ValueError(f"{path}: unexpected header {header}")
-            rows = []
-            for row in reader:
-                if len(row) != len(_SEGMENT_HEADER):
-                    raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                     f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
-                try:
-                    rows.append(tuple(int(v) for v in row))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            segments = segment_table(_csv_rows(reader, path))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    return CoincidenceCounts(bin_width=bin_width, segments=segment_table(rows))
+    return CoincidenceCounts(bin_width=bin_width, segments=segments)
+
+
+def _csv_rows(reader, path) -> Iterable[tuple[int, ...]]:
+    """The integer rows of a segment CSV ``reader``, checked one by one."""
+    for row in reader:
+        if len(row) != len(_SEGMENT_HEADER):
+            raise ValueError(f"{path}, line {reader.line_num}: expected "
+                             f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
+        try:
+            values = tuple(int(v) for v in row)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        yield values
 
 
 def write_counts_json(counts: CoincidenceCounts, path: str | Path,

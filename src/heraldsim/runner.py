@@ -14,6 +14,10 @@ a uniformly random order, straight into packed channel bitmaps
 (``coincidence._placed_channels``, the draw ``clicks_from_cells`` unpacks),
 for runs whose stream files are part of the deliverable; the row it yields
 with each segment is the census route's row for the same config and seed.
+The placement also lists each channel's clicked bins in ascending order,
+and the CLI writes ``clicks.csv`` from those lists (``_placed_segments``)
+in the loop that writes ``streams.pstm``, without reading the bitmaps
+back.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -94,12 +98,24 @@ def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
     that writes each part as it arrives runs in memory that does not grow
     with ``cfg.n_bins``.
     """
+    for row, part, _ in _placed_segments(cfg, point_index):
+        yield row, part
+
+
+def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
+                     ) -> Iterator[tuple[tuple[int, ...], ClickStreams,
+                                         tuple[np.ndarray, ...]]]:
+    """:func:`segment_streams`, with each channel's clicked bins as well.
+
+    The bins of a segment are ascending int64 counted from its first bin,
+    as the placement drew them (``coincidence._placed_channels``).
+    """
     bin_width = float(cfg.detectors.bin_width)
     for cells, row in _census_rows(cfg, point_index):
         index, n_bins = row[:2]
         rng = _segment_rng(cfg, index, Role.PLACEMENT, point_index)
-        yield row, ClickStreams(n_bins, bin_width,
-                                *_placed_channels(cells, n_bins, rng))
+        packed, clicked = _placed_channels(cells, n_bins, rng)
+        yield row, ClickStreams(n_bins, bin_width, *packed), clicked
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:

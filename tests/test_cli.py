@@ -4,18 +4,19 @@ import json
 import math
 import threading
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import cli, pcsft, qm, runner
+from heraldsim import cli, pcsft, qm, runner, streams
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
                                    write_segment_csv)
 from heraldsim.core import config_from_dict, config_to_dict, load_config
 from heraldsim.runner import run_counts, simulate_run
-from heraldsim.streams import write_streams
+from heraldsim.streams import write_sparse_csv, write_streams
 
 RUN_INI = """\
 [source]
@@ -181,6 +182,17 @@ STREAMED_MODELS = {
 }
 
 
+# The qm source at three pairs per bin: the herald clicks in most bins,
+# and all three detectors at once in more bins than any other pattern.
+DENSE_INI = RUN_INI.replace("pair_mean_per_bin = 0.2",
+                            "pair_mean_per_bin = 3").replace(
+    "eta_h = 0.8", "eta_h = 0.9")
+# At twenty pairs per bin each detector is silent in fewer than one bin in
+# six, so few of its bins are flipped from the all-click fill.
+SATURATED_INI = DENSE_INI.replace("pair_mean_per_bin = 3",
+                                  "pair_mean_per_bin = 20")
+
+
 def in_memory_artifacts(cfg_path, out):
     """The four simulate artifacts from the whole run held in memory.
 
@@ -248,6 +260,9 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
+        # A 16-click buffer has formatted rows of every channel into the
+        # temporary clicks.csv and its spill files by segment 2.
+        monkeypatch.setattr(streams, "_CLICK_BUFFER", 16)
         sample = qm.segment_cells
 
         def fail_on_segment_2(cfg, index, **kwargs):
@@ -282,6 +297,63 @@ class TestStreamedSimulate:
         for name in ("streams.pstm", "clicks.csv", "counts.csv"):
             assert ((fitted / name).read_bytes()
                     == (longer / name).read_bytes()), name
+
+    @pytest.mark.parametrize("model, n_bins, segment_bins", [
+        ("qm", 20_000, 5000),
+        ("qm", 100_003, 4801),
+        ("pcsft", 100_003, 4801),
+        ("pcsft-envelope", 20_000, 5000),
+        ("dense", 1_000_003, 4801),
+        ("saturated", 100_003, 4801),
+    ], ids=["qm", "qm-unaligned-short-last", "pcsft-unaligned-short-last",
+            "pcsft-envelope", "dense", "saturated"])
+    def test_clicks_csv_is_the_rows_of_its_streams(self, tmp_path, model,
+                                                   n_bins, segment_bins):
+        # clicks.csv is written from the placed clicks, without reading
+        # streams.pstm back; it must be write_sparse_csv of that container
+        # byte for byte.  In the dense run the herald clicks in most bins,
+        # and the pattern that fills each segment is all three clicking,
+        # so every channel's rows are the complement of its placed flips.
+        models = {**STREAMED_MODELS, "dense": DENSE_INI,
+                  "saturated": SATURATED_INI}
+        ini = models[model].replace(
+            "n_bins = 20000", f"n_bins = {n_bins}").replace(
+            "segment_bins = 5000", f"segment_bins = {segment_bins}")
+        cfg, _ = write_inputs(tmp_path, ini)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # pair means > 0.2
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        write_sparse_csv(out / "streams.pstm", tmp_path / "scanned.csv")
+        assert ((out / "clicks.csv").read_bytes()
+                == (tmp_path / "scanned.csv").read_bytes())
+        totals = json.loads((out / "counts.json").read_text())
+        if model == "dense":
+            assert totals["N_H"] > n_bins // 2
+        if model == "saturated":
+            assert min(totals[k] for k in ("N_H", "N_1", "N_2")) > 5 * n_bins // 6
+
+    def test_memory_does_not_grow_past_the_click_buffer(self, tmp_path):
+        # Every channel clicks more than the writer buffers in both runs.
+        cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
+            "segment_bins = 5000", "segment_bins = 48000"))
+
+        def peak_bytes(bins: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg), "--out",
+                             str(tmp_path / "out"), "--bins", str(bins)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(400_000)  # warm-up: imports, caches, first allocations
+        small = peak_bytes(400_000)
+        totals = json.loads((tmp_path / "out" / "counts.json").read_text())
+        assert min(totals[k] for k in ("N_H", "N_1", "N_2")) > streams._CLICK_BUFFER
+        large = peak_bytes(3_200_000)
+        assert large - small < 1 << 18, (small, large)
 
     def test_memory_does_not_grow_with_bins(self, tmp_path):
         cfg, _ = write_inputs(tmp_path, RUN_INI.replace(

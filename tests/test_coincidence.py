@@ -362,6 +362,34 @@ class TestSegmentTable:
         with pytest.raises(ValueError, match=r"counts\.csv, line 3: "):
             read_segment_csv(path, bin_width=1e-9)
 
+    @pytest.mark.parametrize("line", [
+        "30000,10,1,1,1,1,1,1",
+        "30000,10,1,1,x,1,1,1,1",
+    ], ids=["too-few-columns", "not-an-integer"])
+    def test_malformed_row_deep_in_a_long_csv_names_its_line(self, tmp_path,
+                                                             line):
+        # The rows stream into the table, so the error comes from inside
+        # it, with 30 000 good rows read before and 20 000 after.
+        path = tmp_path / "counts.csv"
+        header = ",".join(("segment_index", "bins") + COUNT_FIELDS)
+        good = [f"{i},10,1,1,1,1,1,1,1" for i in range(50_000)]
+        good[30_000] = line
+        path.write_text("\n".join([header] + good) + "\n")
+        with pytest.raises(ValueError, match=r"counts\.csv, line 30002: "):
+            read_segment_csv(path, bin_width=1e-9)
+        good[30_000] = "30000,10,1,1,1,1,1,1,1"
+        path.write_text("\n".join([header] + good) + "\n")
+        tracemalloc.start()
+        try:
+            counts = read_segment_csv(path, bin_width=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts.segments) == 50_000 and counts.N_H12 == 50_000
+        # A list of the rows as tuples would take about 2.5 times the
+        # table's 3.6 MB on top of it.
+        assert peak < 2 * counts.segments.nbytes, peak
+
     def test_csv_that_is_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_bytes(b"\xff\xfe\x00")

@@ -595,18 +595,22 @@ class TestClicksFromCells:
     @example(cells=[0, 2, 0, 0, 0, 0, 9, 0], seed=8)         # 11 bins, 5 pad bits
     def test_packed_placement_is_the_per_bin_placement(self, cells, seed):
         n_bins = sum(cells)
-        packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *_placed_channels(
-            cells, n_bins, rng_stream(seed, Role.PLACEMENT)))
+        channels, clicked = _placed_channels(
+            cells, n_bins, rng_stream(seed, Role.PLACEMENT))
+        packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *channels)
         oracle = placed_clicks(np.array(cells), n_bins,
                                rng_stream(seed, Role.PLACEMENT))
         expected = ClickStreams.from_bools(*oracle, bin_width=BIN_WIDTH_DEFAULT)
         unpacked = clicks_from_cells(cells, n_bins,
                                      rng_stream(seed, Role.PLACEMENT))
-        for name, bits, want in zip(("herald", "signal_1", "signal_2"),
-                                    unpacked, oracle):
+        for name, bits, want, bins in zip(("herald", "signal_1", "signal_2"),
+                                          unpacked, oracle, clicked):
             assert getattr(packed, name).tobytes() == (
                 getattr(expected, name).tobytes())
             np.testing.assert_array_equal(bits, want)
+            # The clicked bins, ascending, as the clicks.csv writer takes them.
+            assert bins.dtype == np.int64
+            np.testing.assert_array_equal(bins, np.flatnonzero(want))
             if n_bins % 8:  # zero pad bits
                 assert getattr(packed, name)[-1] >> (n_bins % 8) == 0
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim import streams as streams_module
-from heraldsim.streams import (ClickStreams, StreamFormatError, StreamWriter,
-                               read_streams, write_sparse_csv, write_streams)
+from heraldsim.streams import (ClickStreams, SparseCsvWriter, StreamFormatError,
+                               StreamWriter, read_streams, write_sparse_csv,
+                               write_streams)
 
 from helpers import fail_after_first_write
 
@@ -431,6 +432,113 @@ class TestSparseCsv:
                 assert rows == 3 * n_bins // (8 * every) * bin(byte).count("1")
                 (tmp_path / "clicks.csv").unlink()
             assert abs(peaks[1] - peaks[0]) < 1e6, (byte, every, peaks)
+
+
+def part_clicks(part: ClickStreams) -> list[np.ndarray]:
+    """Each channel's clicked bins of ``part``, ascending int64."""
+    return [np.flatnonzero(bits).astype(np.int64) for bits in part.bools()]
+
+
+class TestSparseCsvWriter:
+    """Rows appended part by part, as simulate writes clicks.csv."""
+
+    @given(part_sizes, st.integers(min_value=1, max_value=9))
+    @settings(max_examples=60, deadline=None)
+    def test_appended_parts_write_the_rows_of_their_container(
+            self, tmp_path_factory, sizes, buffer):
+        # A buffer of a few clicks splits parts across flushes and flushes
+        # across parts; the bytes must be write_sparse_csv's of the
+        # container the parts make, and the rows of an f-string per click.
+        tmp_path = tmp_path_factory.mktemp("writer")
+        parts = random_parts(sizes)
+        whole = parts[0].concat(*parts[1:])
+        write_streams(whole, tmp_path / "run.pstm")
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "scan.csv")
+        with mock.patch.object(streams_module, "_CLICK_BUFFER", buffer):
+            with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+                lo = 0
+                for part in parts:
+                    writer.append(lo, part_clicks(part))
+                    lo += part.n_bins
+        assert writer.rows == rows
+        assert ((tmp_path / "clicks.csv").read_bytes()
+                == (tmp_path / "scan.csv").read_bytes())
+        assert (tmp_path / "clicks.csv").read_text() == oracle_rows(whole)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clicks.csv", "run.pstm", "scan.csv"]
+
+    def test_flushes_hold_at_most_the_buffer(self, tmp_path, monkeypatch):
+        # A 100-click part into a 16-click buffer: every formatting call
+        # takes at most 16 rows, and the rows come out whole and in order.
+        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
+        write_rows = streams_module._write_rows
+        sizes = []
+
+        def counted(out, prefix, bins):
+            sizes.append(bins.size)
+            write_rows(out, prefix, bins)
+
+        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        bins = np.arange(0, 300, 3, dtype=np.int64)
+        with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+            writer.append(1000, [bins, bins[:5], np.empty(0, np.int64)])
+        assert max(sizes) == 16 and sum(sizes) == 105
+        assert (tmp_path / "clicks.csv").read_text() == (
+            "channel,bin_index\n" + "".join(f"H,{1000 + i}\n" for i in bins)
+            + "".join(f"1,{1000 + i}\n" for i in bins[:5]))
+
+    def test_exception_leaves_previous_file_and_no_temporary(self, tmp_path,
+                                                            monkeypatch):
+        # Rows of every channel were formatted before the failure, into
+        # the file and both spill files.
+        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 4)
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(b"before")
+        clicks = [np.arange(10, dtype=np.int64)] * 3
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with SparseCsvWriter(path) as writer:
+                writer.append(0, clicks)
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"before"
+        assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
+
+    def test_failure_at_close_leaves_no_file(self, tmp_path, monkeypatch):
+        write_rows = streams_module._write_rows
+
+        def signal_rows_fail(out, prefix, bins):
+            if prefix != b"H,":
+                raise OSError("disk full")
+            write_rows(out, prefix, bins)
+
+        monkeypatch.setattr(streams_module, "_write_rows", signal_rows_fail)
+        with pytest.raises(OSError, match="disk full"):
+            with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+                writer.append(0, [np.arange(3, dtype=np.int64)] * 3)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "nodir" / "clicks.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            SparseCsvWriter(path)
+        assert raised.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_does_not_grow_with_clicks(self, tmp_path):
+        # 2**17 and 2**19 clicks per channel, both far past the buffer,
+        # appended 4 096 at a time from one reused part.
+        part = np.arange(4096, dtype=np.int64)
+        peaks = []
+        for clicks in (1 << 17, 1 << 19):
+            tracemalloc.start()
+            try:
+                with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+                    for lo in range(0, clicks, part.size):
+                        writer.append(lo, [part, part, part])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert writer.rows == 3 * clicks
+        assert abs(peaks[1] - peaks[0]) < 1 << 17, peaks
 
 
 class TestRowFormatter:
