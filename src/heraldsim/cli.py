@@ -145,19 +145,19 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Each segment's bitmaps and click rows are written as it arrives, so
-    # memory does not grow with the run length; its row is the census the
-    # segment placed.
+    # Each block of segments' bitmaps and click rows is written as it
+    # arrives, so memory does not grow with the run length; its rows are
+    # the censuses the segments placed.
     bin_width = cfg.detectors.bin_width
     with StreamWriter(out / "streams.pstm", cfg.n_bins, bin_width) as writer, \
             SparseCsvWriter(out / "clicks.csv") as clicks:
         def rows():
             lo = 0
-            for row, part, clicked in runner._placed_segments(cfg):
+            for block, part, clicked in runner._placed_segments(cfg):
                 writer.append(part)
                 clicks.append(lo, clicked)
                 lo += part.n_bins
-                yield row
+                yield from block
         counts = CoincidenceCounts(bin_width, segment_table(rows()))
 
     write_segment_csv(counts, out / "counts.csv")

@@ -19,9 +19,10 @@ field's set.  Each model's per-bin law and each segment's census are 8
 cells in that index, which :func:`counts_from_cells` turns into counts,
 :func:`clicks_from_cells` into clicks; :func:`alternating_sum` is their
 inclusion-exclusion.  The placement behind :func:`clicks_from_cells`
-also gives each channel's clicked bins in ascending order, the rows of
-``clicks.csv``, so a run's click record is written without scanning its
-bitmaps.
+places a block of consecutive segments at once, each from its own draw,
+and also gives each channel's clicked bins in ascending order, the rows
+of ``clicks.csv``, so a run's click record is written without scanning
+its bitmaps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,12 +61,18 @@ FIELD_MASKS = (4, 2, 1, 6, 5, 3, 7)
 # Every channel set, by size and herald first: alternating_sum's order.
 _SUBSETS = (0,) + FIELD_MASKS
 
-# What a channel that no block flips concatenates.
+# Whether each pattern has each channel's bit, and the value of each bit
+# of a byte.
+_HAS_BIT = np.array([[bool(pattern & bit) for pattern in range(8)]
+                     for bit in CHANNEL_BITS])
+_BIT_VALUES = np.array([1 << k for k in range(8)], dtype=np.uint8)
+# The placed bins of a block whose censuses each hold one pattern.
 _NO_BINS = np.empty(0, dtype=np.int64)
 # A channel's clicked bins are its flips sorted while they are fewer than
-# one bin in _SORT_BELOW, and a scan of its bits otherwise.  In a
-# 48 000-bin segment, sorting 500 flips took 3 us against 17 us for the
-# scan, and 10 642 flips 57 us against 36 us (one Xeon core, numpy 2.4).
+# one bin in _SORT_BELOW, and a scan of its bits otherwise.  In a block of
+# four 48 000-bin segments, sorting and packing 2 000 flips took 22 us
+# against 105 us for the scan, 24 000 flips 254 us against 305 us, and
+# 32 000 flips 437 us against 330 us (one Xeon core, numpy 2.4).
 _SORT_BELOW = 6
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
@@ -220,55 +227,97 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
     independent bins whose census each model's ``segment_cells`` draws.
     """
-    packed, _ = _placed_channels(cells, n_bins, rng)
+    packed, _ = _placed_channels([cells], [n_bins], lambda _: rng)
     return tuple(np.unpackbits(channel, count=n_bins, bitorder="little")
                  .view(bool) for channel in packed)
 
 
-def _placed_channels(cells, n_bins: int, rng: np.random.Generator,
-                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The clicks of :func:`clicks_from_cells`, packed and as bin lists.
+def _placement_bytes(cells: np.ndarray,
+                     row: tuple[int, ...]) -> tuple[int, bool]:
+    """What placing one census adds to a block of :func:`_placed_channels`.
 
-    Returns one bitmap per channel (herald, signal_1, signal_2), packed as
-    ClickStreams holds them (little-endian bit order, zero pad bits), and
-    each channel's clicked bins, ascending int64.  Each channel starts as
-    the fill pattern's bit everywhere; the blocks of positions whose
-    pattern has the other bit are then flipped to it.  The flips of a
-    channel the fill leaves silent are its clicks, and few of them are
-    sorted; a channel the fill clicks, or one of many flips, has its
-    clicks found by a scan of its bits.
+    ``row`` is the census's segment row.  Returns the bytes of the block's
+    arrays that grow with the segment (int64 placed positions and each
+    channel's bit of their patterns, packed bitmaps, int64 clicked bins),
+    and whether the segment can make a channel of its block scan, which
+    then holds a bool per bin of the block as well.  A segment that its
+    silent pattern fills, with fewer placed bins than one in
+    ``_SORT_BELOW``, cannot.  Joining the segments' draws holds the
+    positions twice for a moment, which this does not count.
     """
-    cells = np.asarray(cells)
+    n_bins, clicks = row[1], row[2] + row[3] + row[4]  # N_H + N_1 + N_2
     counts = cells.tolist()
-    if cells.shape != (8,) or sum(counts) != n_bins or min(counts) < 0:
-        raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
-                         f"got {counts}")
-    fill = counts.index(max(counts))
-    placed = n_bins - counts[fill]
-    positions = rng.choice(n_bins, placed, replace=False) if placed else None
-    # The block of positions each other pattern takes, in index order.
-    blocks, lo = [], 0
-    for pattern, count in enumerate(counts):
-        if pattern != fill and count:
-            blocks.append((pattern, positions[lo:lo + count]))
-            lo += count
+    top = max(counts)
+    placed = n_bins - top
+    scans = counts[0] != top or _SORT_BELOW * placed >= n_bins
+    return 11 * placed + 8 * clicks + 3 * n_bins // 8, scans
+
+
+def _placed_channels(cells: Sequence, sizes: list[int],
+                     rng_of: Callable[[int], np.random.Generator],
+                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The clicks of consecutive segments, placed, packed and as bin lists.
+
+    ``cells[i]`` is the census of a segment of ``sizes[i]`` bins,
+    which is placed as :func:`clicks_from_cells` places it alone: its most
+    frequent pattern fills it, and ``rng_of(i).choice``, asked for just
+    before that segment's draw, positions its other bins.  Returns one
+    bitmap per channel (herald, signal_1, signal_2) of the block's
+    ``sum(sizes)`` bins, packed as ClickStreams holds them (little-endian
+    bit order, zero pad bits), and each channel's clicked bins counted
+    from the block's first bin, ascending int64.
+
+    Whether a placed bin's pattern has a channel's bit comes from the
+    rows' other cells repeated in index order.  A channel that no segment
+    fills clicks on exactly the placed bins whose pattern has its bit;
+    while they are fewer than one bin in ``_SORT_BELOW`` they are sorted
+    and packed straight into its bitmap.  Any other channel is a bool
+    array of the block, each segment's fill bit overwritten by the pattern
+    bit of its placed bins, which is scanned for its clicks.
+    """
+    counts = [np.asarray(census).tolist() for census in cells]
+    for row, n_bins in zip(counts, sizes):
+        if len(row) != 8 or sum(row) != n_bins or min(row) < 0:
+            raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
+                             f"got {row}")
+    fills = [row.index(max(row)) for row in counts]
+    placed = [n_bins - row[fill]
+              for row, n_bins, fill in zip(counts, sizes, fills)]
+    draws, start = [], 0
+    for i, (n_bins, k) in enumerate(zip(sizes, placed)):
+        if k:
+            draw = rng_of(i).choice(n_bins, k, replace=False)
+            draw += start
+            draws.append(draw)
+        start += n_bins
+    # A lone draw is used as it is.  Allocating its copy before or after
+    # the choice, whose scratch array for a draw of many bins is larger
+    # than the mmap threshold, made glibc map 196 KiB afresh at each
+    # simulate-pcsft segment (minor faults).
+    positions = draws[0] if len(draws) == 1 else np.concatenate(
+        draws or [_NO_BINS])
+    others = np.array([row[:fill] + [0] + row[fill + 1:]
+                       for row, fill in zip(counts, fills)]).ravel()
+    on_bits = np.repeat(np.tile(_HAS_BIT, len(sizes)), others, axis=1)
     packed, clicked = [], []
-    for bit in CHANNEL_BITS:
-        background = bool(fill & bit)
-        flips = [block for pattern, block in blocks
-                 if bool(pattern & bit) != background]
-        if background or _SORT_BELOW * sum(map(len, flips)) >= n_bins:
-            bits = np.full(n_bins, background)
-            for block in flips:
-                bits[block] = not background
-            clicked.append(np.flatnonzero(bits))
+    for bit, on in zip(CHANNEL_BITS, on_bits):
+        filled = [bool(fill & bit) for fill in fills]
+        if not any(filled) and _SORT_BELOW * np.count_nonzero(on) < start:
+            bins = positions[on]
+            bins.sort()
+            bitmap = np.zeros((start + 7) // 8, dtype=np.uint8)
+            # Distinct bins set distinct bits, so adding them is or-ing
+            # them, and np.add.at is several times faster than
+            # np.bitwise_or.at (numpy 2.4).
+            np.add.at(bitmap, bins >> 3, _BIT_VALUES[bins & 7])
         else:
-            flips = np.concatenate(flips or [_NO_BINS])
-            flips.sort()
-            bits = np.zeros(n_bins, dtype=bool)  # half np.full's cost
-            bits[flips] = True
-            clicked.append(flips)
-        packed.append(np.packbits(bits, bitorder="little"))
+            bits = (np.repeat(filled, sizes) if any(filled)
+                    else np.zeros(start, dtype=bool))
+            bits[positions] = on
+            bins = np.flatnonzero(bits)
+            bitmap = np.packbits(bits, bitorder="little")
+        packed.append(bitmap)
+        clicked.append(bins)
     return tuple(packed), tuple(clicked)
 
 

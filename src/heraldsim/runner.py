@@ -14,10 +14,13 @@ a uniformly random order, straight into packed channel bitmaps
 (``coincidence._placed_channels``, the draw ``clicks_from_cells`` unpacks),
 for runs whose stream files are part of the deliverable; the row it yields
 with each segment is the census route's row for the same config and seed.
-The placement also lists each channel's clicked bins in ascending order,
-and the CLI writes ``clicks.csv`` from those lists (``_placed_segments``)
-in the loop that writes ``streams.pstm``, without reading the bitmaps
-back.
+The CLI places the segments a block at a time (``_placed_segments``): a
+run of consecutive censuses whose placement arrays fit ``_BLOCK_BYTES``
+is placed, packed and written as one part, each segment keeping its own
+draw, so the bytes are those of placing the segments one by one.  The
+placement also lists each channel's clicked bins in ascending order, and
+the CLI writes ``clicks.csv`` from those lists in the loop that writes
+``streams.pstm``, without reading the bitmaps back.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import pcsft, qm
 from .coincidence import (CoincidenceCounts, _placed_channels,
-                          counts_from_cells, segment_table)
+                          _placement_bytes, counts_from_cells, segment_table)
 from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
                    _field_types, _read_ini, _read_section, _read_utf8,
                    _segment_rng, with_attenuation)
@@ -52,6 +55,8 @@ __all__ = [
 ]
 
 TARGET_TRIPLES_DEFAULT = 10_000
+# The bytes a block of simulate's segments may place at once.
+_BLOCK_BYTES = 1 << 17
 
 
 # Each theory's module: its sampling_law and segment_cells.
@@ -98,24 +103,55 @@ def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
     that writes each part as it arrives runs in memory that does not grow
     with ``cfg.n_bins``.
     """
-    for row, part, _ in _placed_segments(cfg, point_index):
-        yield row, part
+    for rows, part, _ in _placed_segments(cfg, point_index, block_bytes=0):
+        yield rows[0], part
 
 
 def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
-                     ) -> Iterator[tuple[tuple[int, ...], ClickStreams,
+                     block_bytes: Optional[int] = None,
+                     ) -> Iterator[tuple[list[tuple[int, ...]], ClickStreams,
                                          tuple[np.ndarray, ...]]]:
-    """:func:`segment_streams`, with each channel's clicked bins as well.
+    """The segments of :func:`segment_streams`, placed a block at a time.
 
-    The bins of a segment are ascending int64 counted from its first bin,
-    as the placement drew them (``coincidence._placed_channels``).
+    Yields each block's rows, its consecutive segments' streams as one
+    part, and each channel's clicked bins, ascending int64 counted from
+    the block's first bin (``coincidence._placed_channels``).  A block
+    takes segments while the arrays its placement builds stay within
+    ``block_bytes`` (``coincidence._placement_bytes``; ``_BLOCK_BYTES``
+    by default), and at least one.
+    Each segment's placement stream is keyed just before its draw, as
+    the pooled generator is valid only until the next rekey.
     """
+    if block_bytes is None:
+        block_bytes = _BLOCK_BYTES
     bin_width = float(cfg.detectors.bin_width)
-    for cells, row in _census_rows(cfg, point_index):
-        index, n_bins = row[:2]
-        rng = _segment_rng(cfg, index, Role.PLACEMENT, point_index)
-        packed, clicked = _placed_channels(cells, n_bins, rng)
-        yield row, ClickStreams(n_bins, bin_width, *packed), clicked
+    for block in _blocks(_census_rows(cfg, point_index), block_bytes):
+        rows = [row for _, row in block]
+        sizes = [row[1] for row in rows]
+        first = rows[0][0]
+        packed, clicked = _placed_channels(
+            [cells for cells, _ in block], sizes,
+            lambda i: _segment_rng(cfg, first + i, Role.PLACEMENT,
+                                   point_index))
+        yield rows, ClickStreams(sum(sizes), bin_width, *packed), clicked
+
+
+def _blocks(censuses: Iterator[tuple[np.ndarray, tuple[int, ...]]],
+            block_bytes: int) -> Iterator[list]:
+    """Consecutive (cells, row) pairs grouped within ``block_bytes``."""
+    block, fixed, bins, scans = [], 0, 0, False
+    for cells, row in censuses:
+        size, scan = _placement_bytes(cells, row)
+        if block and (fixed + size + (bins + row[1]) * (scans or scan)
+                      > block_bytes):
+            yield block
+            block, fixed, bins, scans = [], 0, 0, False
+        block.append((cells, row))
+        fixed += size
+        bins += row[1]
+        scans = scans or scan
+    if block:
+        yield block
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
@@ -124,7 +160,7 @@ def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
     The segments of :func:`segment_streams`, joined; the CLI streams them
     to disk instead.
     """
-    parts = [part for _, part in segment_streams(cfg, point_index)]
+    parts = [part for _, part, _ in _placed_segments(cfg, point_index)]
     return parts[0].concat(*parts[1:])
 
 

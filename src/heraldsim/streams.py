@@ -8,19 +8,22 @@ matter of bytewise AND + popcount.
 
 On disk the same bitmaps live in a small binary container (magic ``PSTM``,
 version 1); see :func:`write_streams` for the exact layout.
-:class:`StreamWriter` writes a container segment by segment, splicing
-segments that end inside a byte onto the next one bitwise, so a run never
-needs its whole record in memory; :func:`write_streams` and
-:meth:`ClickStreams.concat` use the same splice.  A sparse CSV export (one
-row per click), for eyeballing and for interoperability with spreadsheet
+:class:`StreamWriter` writes a container part by part, splicing parts
+that end inside a byte onto the next one bitwise, so a run never needs
+its whole record in memory; :func:`write_streams` and
+:meth:`ClickStreams.concat` use the same splice.  ``simulate`` appends
+one part per block of segments, so the writer needs no buffer of its own
+to keep its seeks and writes few.  A sparse CSV export (one row per
+click), for eyeballing and for interoperability with spreadsheet
 tooling, is written by :class:`SparseCsvWriter` from each part's clicked
 bins as the parts are made, which is how ``simulate`` writes it, or by
 :func:`write_sparse_csv` from a container in fixed-size chunks (a chunk
 that is mostly clicks unpacked whole, any other only at its nonzero
-bytes).  Either way each run of rows with equally many digits is
-formatted as one numpy byte array, four digits per lookup in a table of
-the words ``0000`` ... ``9999``.  Every file is written under a temporary
-name and renamed into place when complete.
+bytes).  Either way rows are formatted at most ``_CLICK_BUFFER`` at a
+time, each run of rows with equally many digits as one numpy byte array,
+four digits per lookup in a table of the words ``0000`` ... ``9999``.
+Every file is written under a temporary name and renamed into place
+when complete.
 """
 
 from __future__ import annotations
@@ -50,13 +53,6 @@ MAGIC = b"PSTM"
 FORMAT_VERSION = 1
 _CHANNELS = 3  # herald, signal 1, signal 2
 _NAMES = ("herald", "signal_1", "signal_2")
-# write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
-# formats the clicks of at most _HOT_BYTES bytes (<= 8 rows each) per step,
-# so its memory is bounded however densely the detectors click: 8 bytes per
-# chunk byte for the int64 index of its nonzero bytes, and some tens of
-# bytes per row of a step.
-_CHUNK_BYTES = 1 << 17
-_HOT_BYTES = 1 << 12
 # SparseCsvWriter.append formats a channel's clicks once this many are
 # held: enough to spread the cost of a formatting call thin, few enough
 # that a run's peak memory is reached within its first segments and that
@@ -66,6 +62,14 @@ _HOT_BYTES = 1 << 12
 # time (median of 30 interleaved in-process runs, one Xeon core, numpy
 # 2.4).
 _CLICK_BUFFER = 1 << 13
+# write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
+# formats the clicks of at most _HOT_BYTES bytes per step.  A byte holds at
+# most 8 clicks, so a step formats at most _CLICK_BUFFER rows, as a flush of
+# SparseCsvWriter does, and its memory is bounded however densely the
+# detectors click: 8 bytes per chunk byte for the int64 index of its
+# nonzero bytes, and a row block below the mmap threshold.
+_CHUNK_BYTES = 1 << 17
+_HOT_BYTES = _CLICK_BUFFER // 8
 _PREFIXES = (b"H,", b"1,", b"2,")
 # 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
 # indices have at most 19.
@@ -381,10 +385,12 @@ class SparseCsvWriter:
 
         ``channels`` holds each channel's clicked bins of the part,
         ascending int64 from the part's first bin, all past the clicks
-        appended before.
+        appended before.  What a flush leaves of a channel's clicks is
+        held as a copy, so a long part is not kept alive by its tail.
         """
         for k, bins in enumerate(channels):
             pending = self._pending[k]
+            whole = bins
             while self._held[k] + bins.size >= _CLICK_BUFFER:
                 room = _CLICK_BUFFER - self._held[k]
                 pending.append((offset, bins[:room]))
@@ -392,7 +398,8 @@ class SparseCsvWriter:
                 self._flush(k)
                 bins = bins[room:]
             if bins.size:
-                pending.append((offset, bins))
+                held = bins if bins is whole else bins.copy()
+                pending.append((offset, held))
                 self._held[k] += bins.size
 
     def _write(self, channel: int, bins: np.ndarray) -> None:

@@ -13,7 +13,8 @@ segment tables, for the split-and-rejoin checks of counting, and
 oracle of ``write_segment_csv``'s row template.  ``fail_after_first_write``
 makes the package's file writes fail part way, as a full disk does.
 ``placed_clicks`` places a census through a per-bin pattern array, the
-oracle of the packed placement.
+oracle of the packed placement, and ``placed_segment`` packs it one
+segment at a time, channel by channel, the oracle of the block placement.
 ``mechanistic_qm_clicks`` walks the photon model's physical
 chain bin by bin (pair numbers from ``sample_pair_counts``, binomial
 thinning, per-bin noise), the oracle of the law both qm samplers draw from;
@@ -37,7 +38,8 @@ import numpy as np
 from scipy import stats
 
 from heraldsim.analysis import InsufficientStatistics
-from heraldsim.coincidence import COUNT_FIELDS, CoincidenceCounts, segment_table
+from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS,
+                                   CoincidenceCounts, segment_table)
 from heraldsim import pcsft, streams
 from heraldsim.core import (ExperimentConfig, Role, arm_efficiencies,
                             noise_probabilities, rng_stream, stream_id)
@@ -404,3 +406,51 @@ def placed_clicks(cells, n_bins: int, rng) -> tuple[np.ndarray, np.ndarray, np.n
         patterns[rng.choice(n_bins, placed, replace=False)] = np.repeat(
             others, cells[others])
     return tuple((patterns & bit).astype(bool) for bit in (4, 2, 1))
+
+
+def placed_segment(cells, n_bins: int, rng: np.random.Generator,
+                   ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One segment's census placed, packed and as bin lists.
+
+    Returns one bitmap per channel (herald, signal_1, signal_2), packed as
+    ClickStreams holds them (little-endian bit order, zero pad bits), and
+    each channel's clicked bins, ascending int64.  Each channel starts as
+    the fill pattern's bit everywhere; the blocks of positions whose
+    pattern has the other bit are then flipped to it.  The flips of a
+    channel the fill leaves silent are its clicks, and few of them are
+    sorted; a channel the fill clicks, or one of many flips, has its
+    clicks found by a scan of its bits.  The placement the package made
+    segment by segment before it placed blocks of segments at once.
+    """
+    cells = np.asarray(cells)
+    counts = cells.tolist()
+    if cells.shape != (8,) or sum(counts) != n_bins or min(counts) < 0:
+        raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
+                         f"got {counts}")
+    fill = counts.index(max(counts))
+    placed = n_bins - counts[fill]
+    positions = rng.choice(n_bins, placed, replace=False) if placed else None
+    # The block of positions each other pattern takes, in index order.
+    blocks, lo = [], 0
+    for pattern, count in enumerate(counts):
+        if pattern != fill and count:
+            blocks.append((pattern, positions[lo:lo + count]))
+            lo += count
+    packed, clicked = [], []
+    for bit in CHANNEL_BITS:
+        background = bool(fill & bit)
+        flips = [block for pattern, block in blocks
+                 if bool(pattern & bit) != background]
+        if background or 6 * sum(map(len, flips)) >= n_bins:
+            bits = np.full(n_bins, background)
+            for block in flips:
+                bits[block] = not background
+            clicked.append(np.flatnonzero(bits))
+        else:
+            flips = np.concatenate(flips or [np.empty(0, dtype=np.int64)])
+            flips.sort()
+            bits = np.zeros(n_bins, dtype=bool)
+            bits[flips] = True
+            clicked.append(flips)
+        packed.append(np.packbits(bits, bitorder="little"))
+    return tuple(packed), tuple(clicked)

@@ -11,9 +11,9 @@ import pytest
 
 from heraldsim import cli, pcsft, qm, runner, streams
 from heraldsim.cli import main
-from heraldsim.coincidence import (accumulate, read_counts_json,
-                                   read_segment_csv, write_counts_json,
-                                   write_segment_csv)
+from heraldsim.coincidence import (_placement_bytes, accumulate,
+                                   read_counts_json, read_segment_csv,
+                                   write_counts_json, write_segment_csv)
 from heraldsim.core import config_from_dict, config_to_dict, load_config
 from heraldsim.runner import run_counts, simulate_run
 from heraldsim.streams import write_sparse_csv, write_streams
@@ -333,6 +333,35 @@ class TestStreamedSimulate:
             assert totals["N_H"] > n_bins // 2
         if model == "saturated":
             assert min(totals[k] for k in ("N_H", "N_1", "N_2")) > 5 * n_bins // 6
+
+    def test_segments_are_written_in_blocks(self, tmp_path, monkeypatch):
+        # 209 segments of 4 800 bins at the README's rates go to the
+        # writers in blocks of the placement budget, not one by one.
+        appended = []
+        append = streams.StreamWriter.append
+
+        def logged(writer, part):
+            appended.append(part.n_bins)
+            append(writer, part)
+
+        monkeypatch.setattr(streams.StreamWriter, "append", logged)
+        ini = (RUN_INI.replace("pair_mean_per_bin = 0.2",
+                               "pair_mean_per_bin = 0.05")
+               .replace("eta_h = 0.8", "eta_h = 0.26")
+               .replace("eta_1 = 0.7", "eta_1 = 0.075")
+               .replace("eta_2 = 0.6", "eta_2 = 0.055")
+               .replace("n_bins = 20000", "n_bins = 1000000")
+               .replace("segment_bins = 5000", "segment_bins = 4800"))
+        cfg, _ = write_inputs(tmp_path, ini)
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        # Blocks are filled greedily, so two in a row always exceed the
+        # budget: at most twice the bytes over the budget, plus one.
+        placed = sum(_placement_bytes(*census)[0] for census in
+                     runner._census_rows(load_config(cfg), 0))
+        assert sum(appended) == 1_000_000
+        assert 1 < len(appended) <= 2 * placed // runner._BLOCK_BYTES + 1
+        assert len(appended) < math.ceil(1_000_000 / 4800) / 10
 
     def test_memory_does_not_grow_past_the_click_buffer(self, tmp_path):
         # Every channel clicks more than the writer buffers in both runs.

@@ -23,7 +23,8 @@ from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             stream_id, validate_config, with_attenuation)
 from heraldsim.streams import ClickStreams
 
-from helpers import OracleRole, bin_patterns, pattern_counts, placed_clicks
+from helpers import (OracleRole, bin_patterns, pattern_counts, placed_clicks,
+                     placed_segment)
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -596,7 +597,8 @@ class TestClicksFromCells:
     def test_packed_placement_is_the_per_bin_placement(self, cells, seed):
         n_bins = sum(cells)
         channels, clicked = _placed_channels(
-            cells, n_bins, rng_stream(seed, Role.PLACEMENT))
+            np.array([cells]), [n_bins],
+            lambda _: rng_stream(seed, Role.PLACEMENT))
         packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *channels)
         oracle = placed_clicks(np.array(cells), n_bins,
                                rng_stream(seed, Role.PLACEMENT))
@@ -672,3 +674,95 @@ class TestClicksFromCells:
                 rng_stream(2024, stream_id(segment, Role.PLACEMENT))),
             n_segments=200)
         assert all(abs(z) > 5.0 for z in pulls), pulls
+
+
+def _census(fill: int, extra: int, cells: list[int]) -> list[int]:
+    """``cells`` with ``extra`` more bins of pattern ``fill``."""
+    return [count + extra * (pattern == fill)
+            for pattern, count in enumerate(cells)]
+
+
+# A block of 1 to 6 segment censuses of 1 to ~500 bins: most of each is one
+# pattern (any of the eight, so a block mixes fills), and a few bins of
+# every pattern, so the sizes are rarely a multiple of 8.
+block_censuses = st.lists(
+    st.builds(_census, st.integers(0, 7), st.integers(0, 400),
+              st.lists(st.integers(0, 12), min_size=8, max_size=8)),
+    min_size=1, max_size=6).filter(lambda block: all(map(sum, block)))
+
+
+class TestBlockPlacement:
+    """Placing a block of segments is placing each segment on its own."""
+
+    @staticmethod
+    def segment_by_segment(block, seed):
+        """The block's streams and clicked bins from ``placed_segment``."""
+        parts, clicked, start = [], [[], [], []], 0
+        for i, cells in enumerate(block):
+            n_bins = sum(cells)
+            packed, bins = placed_segment(
+                cells, n_bins, rng_stream(seed, stream_id(i, Role.PLACEMENT)))
+            parts.append(ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *packed))
+            for channel, part in zip(clicked, bins):
+                channel.append(part + start)
+            start += n_bins
+        return (parts[0].concat(*parts[1:]),
+                [np.concatenate(channel) for channel in clicked])
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=block_censuses, seed=st.integers(0, 2**32))
+    # Fills 0, 7, 6 and 5 in one block (every channel filled somewhere).
+    @example(block=[_census(0, 300, [0, 1, 2, 0, 9, 1, 0, 1]),
+                    _census(7, 300, [1, 1, 0, 2, 5, 0, 3, 0]),
+                    _census(6, 200, [3, 0, 1, 0, 0, 2, 0, 4]),
+                    _census(5, 100, [2, 2, 2, 2, 2, 2, 2, 2])], seed=1)
+    # Silent fills, few flips: every channel packs its sorted flips;
+    # 401 then 3 bins, an unaligned block with a short last segment.
+    @example(block=[_census(0, 390, [0, 3, 2, 1, 4, 0, 1, 0]),
+                    [1, 0, 1, 0, 1, 0, 0, 0]], seed=2)
+    # Saturated: every segment filled by all three channels clicking.
+    @example(block=[_census(7, 400, [1, 0, 2, 3, 0, 1, 4, 0])] * 3, seed=3)
+    # A silent fill with many flips: the channels scan.
+    @example(block=[_census(0, 20, [0] + [12] * 7)] * 2, seed=4)
+    # One pattern per segment: nothing is drawn.
+    @example(block=[[0, 0, 0, 0, 9, 0, 0, 0], [13, 0, 0, 0, 0, 0, 0, 0]],
+             seed=5)
+    def test_block_is_its_segments_placed_one_by_one(self, block, seed):
+        sizes = list(map(sum, block))
+        packed, clicked = _placed_channels(
+            np.array(block), sizes,
+            lambda i: rng_stream(seed, stream_id(i, Role.PLACEMENT)))
+        expected, expected_bins = self.segment_by_segment(block, seed)
+        for name, bitmap, bins, want in zip(
+                ("herald", "signal_1", "signal_2"), packed, clicked,
+                expected_bins):
+            assert bitmap.tobytes() == getattr(expected, name).tobytes(), name
+            assert bins.dtype == np.int64
+            np.testing.assert_array_equal(bins, want)
+
+    def test_each_segment_keys_its_generator_just_before_its_draw(self):
+        # The pooled generator serves one segment at a time: asking for
+        # segment i + 1's before drawing segment i's would rekey it.
+        asked = []
+
+        class Logged:
+            def __init__(self, i):
+                self.i = i
+
+            def choice(self, *args, **kwargs):
+                assert asked[-1] == self.i
+                return rng_stream(7, stream_id(self.i, Role.PLACEMENT)).choice(
+                    *args, **kwargs)
+
+        def rng_of(i):
+            asked.append(i)
+            return Logged(i)
+
+        block = [_census(0, 50, [0, 1, 2, 3, 4, 5, 6, 7])] * 4
+        _placed_channels(np.array(block), list(map(sum, block)), rng_of)
+        assert asked == [0, 1, 2, 3]
+
+    def test_rejects_a_census_of_another_length(self):
+        with pytest.raises(ValueError, match="summing to 20"):
+            _placed_channels(np.array([[10] + [0] * 7, [9] + [0] * 7]),
+                             [10, 20], lambda _: rng_stream(0, 1))

@@ -10,7 +10,8 @@ from scipy import stats
 
 from heraldsim import pcsft, qm, runner
 from heraldsim.analysis import heralded_g2, law_g2
-from heraldsim.coincidence import accumulate, counts_from_cells, segment_table
+from heraldsim.coincidence import (_placement_bytes, accumulate,
+                                   counts_from_cells, segment_table)
 from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
                             OpticsConfig, PCSFTConfig, SourceConfig, Theory,
                             parse_config, validate_config, with_attenuation)
@@ -182,6 +183,57 @@ class TestSimulateRun:
         a = simulate_run(cfg, point_index=0)
         b = simulate_run(cfg, point_index=1)
         assert (a.herald != b.herald).any()
+
+
+class TestPlacedBlocks:
+    """simulate's blocks are its segments, placed one by one and joined."""
+
+    CONFIGS = {
+        # At two pairs per bin the pattern that fills a 97-bin segment is
+        # the silent one in most segments and a clicking one in the rest,
+        # so blocks mix channels their segments fill and leave silent.
+        "qm-mixed-fill": lambda: photon_config(
+            mu=2.0, eta_h=0.9, eta_1=0.7, eta_2=0.6, n_bins=20_003,
+            segment_bins=97, seed=1),
+        # Unaligned segments, a short last one, every channel silent-filled.
+        "qm-sparse": lambda: photon_config(
+            mu=0.05, eta_h=0.26, eta_1=0.075, eta_2=0.055, n_bins=300_007,
+            segment_bins=4_801, seed=8031),
+        "pcsft": coupled_noisy_config,
+    }
+
+    @pytest.mark.filterwarnings("ignore:source.pair_mean_per_bin")
+    @pytest.mark.parametrize("block_bytes", [0, 1 << 11, 1 << 14,
+                                             runner._BLOCK_BYTES, 1 << 40])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_blocks_are_the_segments_joined(self, config, block_bytes):
+        cfg = self.CONFIGS[config]()
+        segments = list(runner.segment_streams(cfg))
+        blocks = list(runner._placed_segments(cfg, block_bytes=block_bytes))
+        assert ([row for rows, _, _ in blocks for row in rows]
+                == [row for row, _ in segments])
+        assert_same_streams(
+            blocks[0][1].concat(*[part for _, part, _ in blocks[1:]]),
+            segments[0][1].concat(*[part for _, part in segments[1:]]))
+        if block_bytes == 0:
+            assert len(blocks) == len(segments)
+        if block_bytes == 1 << 40:
+            assert len(blocks) == 1
+        censuses = iter(runner._census_rows(cfg, 0))
+        for rows, part, clicked in blocks:
+            for bits, bins in zip(part.bools(), clicked):
+                assert bins.dtype == np.int64
+                np.testing.assert_array_equal(bins, np.flatnonzero(bits))
+            costs = [_placement_bytes(*next(censuses)) for _ in rows]
+            if len(rows) == 1:
+                continue
+            # A block of several segments holds what it counted, and
+            # counts no more than its budget.
+            scans = any(scan for _, scan in costs)
+            counted = sum(size for size, _ in costs) + scans * part.n_bins
+            held = sum(array.nbytes for array in
+                       (part.herald, part.signal_1, part.signal_2, *clicked))
+            assert held <= counted <= block_bytes
 
 
 class TestRunCounts:

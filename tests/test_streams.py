@@ -1,8 +1,10 @@
 """Bit-packed click streams: packing, concatenation, and file formats."""
 
+import gc
 import io
 import struct
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,11 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim import streams as streams_module
+from heraldsim.core import parse_config
+from heraldsim.runner import simulate_run
 from heraldsim.streams import (ClickStreams, SparseCsvWriter, StreamFormatError,
                                StreamWriter, read_streams, write_sparse_csv,
                                write_streams)
 
 from helpers import fail_after_first_write
+
+# The qm source at three pairs per bin in 4 801-bin segments, as the dense
+# simulate config of the CI runs.
+DENSE_INI = """
+[source]
+pair_mean_per_bin = 3
+[optics]
+eta_h = 0.9
+eta_1 = 0.7
+eta_2 = 0.6
+[run]
+theory = qm
+n_bins = 1000003
+segment_bins = 4801
+seed = 1
+"""
 
 
 def random_streams(n_bins: int, seed: int = 0,
@@ -252,6 +272,34 @@ class TestSparseCsv:
         lines = path.read_text().splitlines()
         assert lines == ["channel,bin_index", "H,0", "H,2", "1,1"]
 
+    @pytest.mark.filterwarnings("ignore:source.pair_mean_per_bin")
+    def test_dense_steps_hold_at_most_a_click_buffer(self, tmp_path,
+                                                     monkeypatch):
+        # At three pairs per bin the herald clicks in most bins, so its
+        # chunks are unpacked in place.  Each step formats at most
+        # _CLICK_BUFFER rows, as a SparseCsvWriter flush does (its row
+        # block stays below the mmap threshold), into the bytes that the
+        # former steps of 4 096 bytes wrote.
+        cfg = parse_config(DENSE_INI)
+        write_streams(simulate_run(cfg), tmp_path / "run.pstm")
+        write_rows = streams_module._write_rows
+        steps = []
+
+        def counted(out, prefix, bins):
+            steps.append(bins.size)
+            write_rows(out, prefix, bins)
+
+        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        assert sum(steps) == rows
+        assert max(steps) <= streams_module._CLICK_BUFFER
+        steps.clear()
+        with mock.patch.object(streams_module, "_HOT_BYTES", 1 << 12):
+            write_sparse_csv(tmp_path / "run.pstm", tmp_path / "former.csv")
+        assert max(steps) > streams_module._CLICK_BUFFER
+        assert ((tmp_path / "clicks.csv").read_bytes()
+                == (tmp_path / "former.csv").read_bytes())
+
     def test_empty_stream_writes_header_only(self, tmp_path):
         streams = ClickStreams.from_bools([0, 0], [0, 0], [0, 0],
                                           bin_width=1e-9)
@@ -466,6 +514,25 @@ class TestSparseCsvWriter:
         assert (tmp_path / "clicks.csv").read_text() == oracle_rows(whole)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "clicks.csv", "run.pstm", "scan.csv"]
+
+    def test_held_tail_does_not_keep_its_part_alive(self, tmp_path,
+                                                    monkeypatch):
+        # A 100-click part into a 16-click buffer leaves 4 clicks held.
+        # They are held as a copy, so the part itself, once its caller
+        # drops it, is freed before the rows are written.
+        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
+        parts = [np.arange(0, 200, 2, dtype=np.int64),
+                 np.arange(5, dtype=np.int64)]
+        alive = [weakref.ref(part) for part in parts]
+        with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+            writer.append(0, [parts[0], parts[1], parts[1][:0]])
+            del parts
+            gc.collect()
+            # Held whole: fewer clicks than the buffer, no flush.
+            assert [ref() is None for ref in alive] == [True, False]
+        assert (tmp_path / "clicks.csv").read_text() == "".join(
+            ["channel,bin_index\n"] + [f"H,{i}\n" for i in range(0, 200, 2)]
+            + [f"1,{i}\n" for i in range(5)])
 
     def test_flushes_hold_at_most_the_buffer(self, tmp_path, monkeypatch):
         # A 100-click part into a 16-click buffer: every formatting call
