@@ -9,18 +9,16 @@ Every segment is one draw of its model's census (``segment_cells``, the
 bins per joint click pattern), with the model's sampling law built once
 per run.  One loop draws the censuses and counts each into its segment
 row (``counts_from_cells``), for both entry points.  :func:`run_counts`
-keeps only the rows.  :func:`segment_streams` also places each census in
-a uniformly random order, straight into packed channel bitmaps
-(``coincidence._placed_channels``, the draw ``clicks_from_cells`` unpacks),
-for runs whose stream files are part of the deliverable; the row it yields
-with each segment is the census route's row for the same config and seed.
-The CLI places the segments a block at a time (``_placed_segments``): a
-run of consecutive censuses whose placement arrays fit ``_BLOCK_BYTES``
-is placed, packed and written as one part, each segment keeping its own
-draw, so the bytes are those of placing the segments one by one.  The
-placement also lists each channel's clicked bins in ascending order, and
-the CLI writes ``clicks.csv`` from those lists in the loop that writes
-``streams.pstm``, without reading the bitmaps back.
+keeps only the rows.  ``_placed_segments``, for runs whose stream files
+are part of the deliverable, also places each census in a uniformly
+random order, straight into packed channel bitmaps
+(``coincidence._placed_channels``, the draw ``clicks_from_cells``
+unpacks), a run of consecutive censuses whose placement arrays fit
+``_BLOCK_BYTES`` at a time.  Each segment keeps its own draw, so the
+bytes are those of placing the segments one by one.  The placement also
+lists each channel's clicked bins in ascending order, and the CLI writes
+``clicks.csv`` from those lists in the loop that writes ``streams.pstm``,
+without reading the bitmaps back.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -46,7 +44,6 @@ from .streams import ClickStreams
 __all__ = [
     "SweepPlan",
     "SweepPoint",
-    "segment_streams",
     "simulate_run",
     "run_counts",
     "parse_sweep_plan",
@@ -92,40 +89,22 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
             return
 
 
-def segment_streams(cfg: ExperimentConfig, point_index: int = 0,
-                    ) -> Iterator[tuple[tuple[int, ...], ClickStreams]]:
-    """Yield each segment's row and packed click streams, in index order.
-
-    The streams are the segment's census placed from its placement
-    stream, which the census never keys; the row counts that census, so
-    it is what counting the streams gives, and the segment's row of
-    :func:`run_counts`.  One segment is made at a time, so a consumer
-    that writes each part as it arrives runs in memory that does not grow
-    with ``cfg.n_bins``.
-    """
-    for rows, part, _ in _placed_segments(cfg, point_index, block_bytes=0):
-        yield rows[0], part
-
-
 def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
-                     block_bytes: Optional[int] = None,
                      ) -> Iterator[tuple[list[tuple[int, ...]], ClickStreams,
                                          tuple[np.ndarray, ...]]]:
-    """The segments of :func:`segment_streams`, placed a block at a time.
+    """The run's segments placed a block at a time, in index order.
 
-    Yields each block's rows, its consecutive segments' streams as one
-    part, and each channel's clicked bins, ascending int64 counted from
-    the block's first bin (``coincidence._placed_channels``).  A block
-    takes segments while the arrays its placement builds stay within
-    ``block_bytes`` (``coincidence._placement_bytes``; ``_BLOCK_BYTES``
-    by default), and at least one.
-    Each segment's placement stream is keyed just before its draw, as
-    the pooled generator is valid only until the next rekey.
+    Yields each block's rows (those of :func:`run_counts`), its
+    consecutive segments' streams as one part, and each channel's clicked
+    bins, ascending int64 counted from the block's first bin
+    (``coincidence._placed_channels``).  A block takes segments while the
+    arrays its placement builds stay within ``_BLOCK_BYTES``
+    (``coincidence._placement_bytes``), and at least one.  Each segment's
+    placement stream is keyed just before its draw, as the pooled
+    generator is valid only until the next rekey.
     """
-    if block_bytes is None:
-        block_bytes = _BLOCK_BYTES
     bin_width = float(cfg.detectors.bin_width)
-    for block in _blocks(_census_rows(cfg, point_index), block_bytes):
+    for block in _blocks(_census_rows(cfg, point_index)):
         rows = [row for _, row in block]
         sizes = [row[1] for row in rows]
         first = rows[0][0]
@@ -137,13 +116,13 @@ def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
 
 
 def _blocks(censuses: Iterator[tuple[np.ndarray, tuple[int, ...]]],
-            block_bytes: int) -> Iterator[list]:
-    """Consecutive (cells, row) pairs grouped within ``block_bytes``."""
+            ) -> Iterator[list]:
+    """Consecutive (cells, row) pairs grouped within ``_BLOCK_BYTES``."""
     block, fixed, bins, scans = [], 0, 0, False
     for cells, row in censuses:
         size, scan = _placement_bytes(cells, row)
         if block and (fixed + size + (bins + row[1]) * (scans or scan)
-                      > block_bytes):
+                      > _BLOCK_BYTES):
             yield block
             block, fixed, bins, scans = [], 0, 0, False
         block.append((cells, row))
@@ -157,8 +136,8 @@ def _blocks(censuses: Iterator[tuple[np.ndarray, tuple[int, ...]]],
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
     """The full per-bin click record of a configured run, in memory.
 
-    The segments of :func:`segment_streams`, joined; the CLI streams them
-    to disk instead.
+    The blocks of ``_placed_segments``, joined; the CLI streams them to
+    disk instead.
     """
     parts = [part for _, part, _ in _placed_segments(cfg, point_index)]
     return parts[0].concat(*parts[1:])

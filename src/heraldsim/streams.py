@@ -15,13 +15,14 @@ its whole record in memory; :func:`write_streams` and
 one part per block of segments, so the writer needs no buffer of its own
 to keep its seeks and writes few.  A sparse CSV export (one row per
 click), for eyeballing and for interoperability with spreadsheet
-tooling, is written by :class:`SparseCsvWriter` from each part's clicked
-bins as the parts are made, which is how ``simulate`` writes it, or by
-:func:`write_sparse_csv` from a container in fixed-size chunks (a chunk
-that is mostly clicks unpacked whole, any other only at its nonzero
-bytes).  Either way rows are formatted at most ``_CLICK_BUFFER`` at a
-time, each run of rows with equally many digits as one numpy byte array,
-four digits per lookup in a table of the words ``0000`` ... ``9999``.
+tooling, is written by :class:`SparseCsvWriter`: ``simulate`` appends
+each part's clicked bins as the parts are made, and
+:func:`write_sparse_csv` feeds it a container's clicks in fixed-size
+chunks (a chunk that is mostly clicks unpacked whole, any other only at
+its nonzero bytes).  Its fixed per-channel buffer is the one place rows
+are batched: they are formatted ``_CLICK_BUFFER`` at a time, each run of
+rows with equally many digits as one numpy byte array, four digits per
+lookup in a table of the words ``0000`` ... ``9999``.
 Every file is written under a temporary name and renamed into place
 when complete.
 """
@@ -53,7 +54,7 @@ MAGIC = b"PSTM"
 FORMAT_VERSION = 1
 _CHANNELS = 3  # herald, signal 1, signal 2
 _NAMES = ("herald", "signal_1", "signal_2")
-# SparseCsvWriter.append formats a channel's clicks once this many are
+# SparseCsvWriter formats a channel's clicks once this many are
 # held: enough to spread the cost of a formatting call thin, few enough
 # that a run's peak memory is reached within its first segments and that
 # the row block of 7-digit bins (80 KiB) stays below glibc's 128 KiB mmap
@@ -63,11 +64,10 @@ _NAMES = ("herald", "signal_1", "signal_2")
 # 2.4).
 _CLICK_BUFFER = 1 << 13
 # write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
-# formats the clicks of at most _HOT_BYTES bytes per step.  A byte holds at
-# most 8 clicks, so a step formats at most _CLICK_BUFFER rows, as a flush of
-# SparseCsvWriter does, and its memory is bounded however densely the
-# detectors click: 8 bytes per chunk byte for the int64 index of its
-# nonzero bytes, and a row block below the mmap threshold.
+# finds the clicks of at most _HOT_BYTES bytes per step.  A byte holds at
+# most 8 clicks, so a step's array holds at most _CLICK_BUFFER bins, and its
+# memory is bounded however densely the detectors click: 8 bytes per chunk
+# byte for the int64 index of its nonzero bytes.
 _CHUNK_BYTES = 1 << 17
 _HOT_BYTES = _CLICK_BUFFER // 8
 _PREFIXES = (b"H,", b"1,", b"2,")
@@ -334,11 +334,11 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
     """Write one ``channel,bin_index`` row per click of the container ``source``.
 
     The rows are those :class:`SparseCsvWriter` writes, one channel after
-    another.  Each channel is read in fixed-size chunks.  A chunk whose bytes are more than three
-    quarters nonzero is unpacked in place, a bounded slice at a time;
-    otherwise only its nonzero bytes are gathered and unpacked, a bounded
-    number at a time.  Either way each step's rows are formatted at once,
-    so memory stays fixed whatever the run length and click rate.
+    another, through the same buffer.  Each channel is read in fixed-size
+    chunks.  A chunk whose bytes are more than three quarters nonzero is
+    unpacked in place, a bounded slice at a time; otherwise only its
+    nonzero bytes are gathered and unpacked, a bounded number at a time.
+    So memory stays fixed whatever the run length and click rate.
     Returns the number of click rows written.
     """
     with open(source, "rb") as fh, SparseCsvWriter(path) as writer:
@@ -348,7 +348,7 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
                 chunk = np.fromfile(fh, dtype=np.uint8,
                                     count=min(_CHUNK_BYTES, nbytes - start))
                 for bins in _chunk_bins(chunk, start):
-                    writer._write(channel, bins)
+                    writer._add(channel, 0, bins)
     return writer.rows
 
 
@@ -361,16 +361,16 @@ class SparseCsvWriter:
     straight to the file, which is written under a temporary name; the
     rows of channels 1 and 2 go to unnamed spill files in the same
     directory, copied in after the herald rows when the ``with`` block
-    ends.  :meth:`append` holds at most
-    ``_CLICK_BUFFER`` clicks per channel before formatting them, so
-    memory does not grow with the run.  An exception deletes the
-    temporary file and the spill files instead.
+    ends.  Each channel's clicks are copied into its own buffer of
+    ``_CLICK_BUFFER`` bins and formatted each time it fills, so memory
+    does not grow with the run and no appended array is held.  An
+    exception deletes the temporary file and the spill files instead.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.rows = 0
-        self._pending: list[list] = [[] for _ in range(_CHANNELS)]
+        self._buffers = np.empty((_CHANNELS, _CLICK_BUFFER), dtype=np.int64)
         self._held = [0] * _CHANNELS
         with ExitStack() as stack:
             out = stack.enter_context(_replacing(self.path))
@@ -385,41 +385,32 @@ class SparseCsvWriter:
 
         ``channels`` holds each channel's clicked bins of the part,
         ascending int64 from the part's first bin, all past the clicks
-        appended before.  What a flush leaves of a channel's clicks is
-        held as a copy, so a long part is not kept alive by its tail.
+        appended before.
         """
-        for k, bins in enumerate(channels):
-            pending = self._pending[k]
-            whole = bins
-            while self._held[k] + bins.size >= _CLICK_BUFFER:
-                room = _CLICK_BUFFER - self._held[k]
-                pending.append((offset, bins[:room]))
-                self._held[k] = _CLICK_BUFFER
-                self._flush(k)
-                bins = bins[room:]
-            if bins.size:
-                held = bins if bins is whole else bins.copy()
-                pending.append((offset, held))
-                self._held[k] += bins.size
+        for channel, bins in enumerate(channels):
+            self._add(channel, offset, bins)
 
-    def _write(self, channel: int, bins: np.ndarray) -> None:
-        """Format the rows of ``bins``, ascending int64, at once."""
-        _write_rows(self._files[channel], _PREFIXES[channel], bins)
-        self.rows += bins.size
+    def _add(self, channel: int, offset: int, bins: np.ndarray) -> None:
+        """Copy ``bins + offset`` into the channel's buffer; format each fill."""
+        buffer = self._buffers[channel]
+        lo = 0
+        while lo < bins.size:
+            held = self._held[channel]
+            take = min(buffer.size - held, bins.size - lo)
+            np.add(bins[lo:lo + take], offset, out=buffer[held:held + take])
+            self._held[channel] = held + take
+            lo += take
+            if held + take == buffer.size:
+                self._flush(channel)
 
     def _flush(self, channel: int) -> None:
-        """Format the clicks ``channel`` holds, offset to run bins."""
-        pending = self._pending[channel]
-        if not pending:
-            return
-        bins = np.empty(self._held[channel], dtype=np.int64)
-        lo = 0
-        for offset, part in pending:
-            np.add(part, offset, out=bins[lo:lo + part.size])
-            lo += part.size
-        pending.clear()
-        self._held[channel] = 0
-        self._write(channel, bins)
+        """Format the clicks the channel's buffer holds."""
+        held = self._held[channel]
+        if held:
+            _write_rows(self._files[channel], _PREFIXES[channel],
+                        self._buffers[channel][:held])
+            self.rows += held
+            self._held[channel] = 0
 
     def close(self) -> int:
         """Put the finished file at ``path``; returns the rows written."""

@@ -11,6 +11,7 @@ REMOVED = {
     "analysis": ("klyshko_efficiency", "herald_efficiency"),
     "qm": ("g_factor",),
     "pcsft": ("mean_first_passage",),
+    "runner": ("segment_streams",),
 }
 
 

@@ -206,17 +206,20 @@ class TestPlacedBlocks:
     @pytest.mark.parametrize("block_bytes", [0, 1 << 11, 1 << 14,
                                              runner._BLOCK_BYTES, 1 << 40])
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_blocks_are_the_segments_joined(self, config, block_bytes):
+    def test_blocks_are_the_segments_joined(self, config, block_bytes,
+                                            monkeypatch):
+        # At a budget of 0 bytes every block is one segment.
         cfg = self.CONFIGS[config]()
-        segments = list(runner.segment_streams(cfg))
-        blocks = list(runner._placed_segments(cfg, block_bytes=block_bytes))
+        monkeypatch.setattr(runner, "_BLOCK_BYTES", 0)
+        segments = list(runner._placed_segments(cfg))
+        monkeypatch.setattr(runner, "_BLOCK_BYTES", block_bytes)
+        blocks = list(runner._placed_segments(cfg))
+        assert all(len(rows) == 1 for rows, _, _ in segments)
         assert ([row for rows, _, _ in blocks for row in rows]
-                == [row for row, _ in segments])
+                == [rows[0] for rows, _, _ in segments])
         assert_same_streams(
             blocks[0][1].concat(*[part for _, part, _ in blocks[1:]]),
-            segments[0][1].concat(*[part for _, part in segments[1:]]))
-        if block_bytes == 0:
-            assert len(blocks) == len(segments)
+            segments[0][1].concat(*[part for _, part, _ in segments[1:]]))
         if block_bytes == 1 << 40:
             assert len(blocks) == 1
         censuses = iter(runner._census_rows(cfg, 0))
@@ -245,13 +248,14 @@ class TestRunCounts:
         assert direct == accumulate(simulate_run(cfg),
                                     segment_bins=cfg.segment_bins)
 
-    def test_segment_streams_rows_are_run_counts(self):
+    def test_placed_segment_rows_are_run_counts(self):
         # The rows simulate writes come with their streams; run_counts
         # draws the same census without placing it.
         for cfg in (photon_config(n_bins=300_000, segment_bins=70_000,
                                   seed=8006),
                     coupled_noisy_config(), envelope_config()):
-            rows = [row for row, _ in runner.segment_streams(cfg)]
+            rows = [row for rows, _, _ in runner._placed_segments(cfg)
+                    for row in rows]
             assert np.array_equal(segment_table(rows), run_counts(cfg).segments)
 
     def test_census_table_memory_per_segment(self):

@@ -37,6 +37,42 @@ segment_bins = 4801
 seed = 1
 """
 
+# The simulate-qm benchmark config: README defaults, 1e7 bins in 48 000-bin
+# segments, about one click per 80 bins on the herald and fewer on the
+# signal arms, so every chunk goes through its nonzero bytes.
+SPARSE_INI = """
+[source]
+pair_mean_per_bin = 0.05
+mode_count = 1
+[optics]
+eta_h = 0.26
+eta_1 = 0.075
+eta_2 = 0.055
+[detectors]
+dark_rate_h = 150
+dark_rate_1 = 150
+dark_rate_2 = 150
+bin_width = 20.83e-9
+[run]
+theory = qm
+n_bins = 10000000
+segment_bins = 48000
+seed = 1
+"""
+
+
+def counted_write_rows(monkeypatch) -> list[int]:
+    """The rows of each ``_write_rows`` call from now on, in call order."""
+    write_rows = streams_module._write_rows
+    sizes = []
+
+    def counted(out, prefix, bins):
+        sizes.append(bins.size)
+        write_rows(out, prefix, bins)
+
+    monkeypatch.setattr(streams_module, "_write_rows", counted)
+    return sizes
+
 
 def random_streams(n_bins: int, seed: int = 0,
                    bin_width: float = 20.83e-9) -> ClickStreams:
@@ -276,29 +312,38 @@ class TestSparseCsv:
     def test_dense_steps_hold_at_most_a_click_buffer(self, tmp_path,
                                                      monkeypatch):
         # At three pairs per bin the herald clicks in most bins, so its
-        # chunks are unpacked in place.  Each step formats at most
-        # _CLICK_BUFFER rows, as a SparseCsvWriter flush does (its row
-        # block stays below the mmap threshold), into the bytes that the
-        # former steps of 4 096 bytes wrote.
+        # chunks are unpacked in place.  Each formatting call takes at
+        # most _CLICK_BUFFER rows, the writer's buffer (its row block
+        # stays below the mmap threshold), even when a step of 4 096
+        # bytes finds four buffers' worth of clicks at once; and the
+        # bytes do not depend on the step.
         cfg = parse_config(DENSE_INI)
         write_streams(simulate_run(cfg), tmp_path / "run.pstm")
-        write_rows = streams_module._write_rows
-        steps = []
-
-        def counted(out, prefix, bins):
-            steps.append(bins.size)
-            write_rows(out, prefix, bins)
-
-        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        steps = counted_write_rows(monkeypatch)
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
         assert sum(steps) == rows
         assert max(steps) <= streams_module._CLICK_BUFFER
         steps.clear()
         with mock.patch.object(streams_module, "_HOT_BYTES", 1 << 12):
-            write_sparse_csv(tmp_path / "run.pstm", tmp_path / "former.csv")
-        assert max(steps) > streams_module._CLICK_BUFFER
+            assert write_sparse_csv(tmp_path / "run.pstm",
+                                    tmp_path / "steps.csv") == rows
+        assert max(steps) <= streams_module._CLICK_BUFFER
         assert ((tmp_path / "clicks.csv").read_bytes()
-                == (tmp_path / "former.csv").read_bytes())
+                == (tmp_path / "steps.csv").read_bytes())
+
+    def test_sparse_container_fills_the_buffer_before_formatting(
+            self, tmp_path, monkeypatch):
+        # A sparse chunk yields about 1 200 clicks per step of
+        # _HOT_BYTES nonzero bytes.  The steps go through the writer's
+        # buffer, so rows are formatted a full buffer at a time, with one
+        # partial buffer per channel at the end.
+        write_streams(simulate_run(parse_config(SPARSE_INI)),
+                      tmp_path / "run.pstm")
+        steps = counted_write_rows(monkeypatch)
+        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
+        assert sum(steps) == rows
+        assert max(steps) <= streams_module._CLICK_BUFFER
+        assert len(steps) <= -(-rows // streams_module._CLICK_BUFFER) + 3
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         streams = ClickStreams.from_bools([0, 0], [0, 0], [0, 0],
@@ -381,7 +426,8 @@ class TestSparseCsv:
         # 16-byte chunks with 13, 12 and 11 nonzero bytes in turn (3/4 is
         # 12), then a partial chunk of 7 nonzero bytes out of 9.  Only a
         # chunk above three quarters is unpacked whole, in ceil(16 / 3)
-        # steps of 3 bytes; the others take ceil(nonzero / 3) steps.
+        # steps of 3 bytes; the others take ceil(nonzero / 3) steps.  Each
+        # step is one array of _chunk_bins; the silent signal 1 has none.
         monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 16)
         monkeypatch.setattr(streams_module, "_HOT_BYTES", 3)
         rng = np.random.default_rng(12)
@@ -395,14 +441,16 @@ class TestSparseCsv:
         empty = np.zeros_like(packed)
         streams = ClickStreams(n_bins, 1e-9, packed, empty, packed)
         write_streams(streams, tmp_path / "run.pstm")
-        write_rows = streams_module._write_rows
+        chunk_bins = streams_module._chunk_bins
         steps = []
 
-        def counted(out, prefix, bins):
-            steps.append(prefix)
-            write_rows(out, prefix, bins)
+        def counted(chunk, start):
+            steps.append(0)
+            for bins in chunk_bins(chunk, start):
+                steps[-1] += 1
+                yield bins
 
-        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        monkeypatch.setattr(streams_module, "_chunk_bins", counted)
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
         bits = np.unpackbits(packed, bitorder="little")
         expected = ["channel,bin_index"] + [
@@ -410,8 +458,8 @@ class TestSparseCsv:
             for i in range(n_bins) if bits[i]]
         assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
         assert rows == len(expected) - 1
-        per_channel = 2 * (6 + 4 + 4) + 3
-        assert steps == [b"H,"] * per_channel + [b"2,"] * per_channel
+        per_chunk = [6, 4, 4, 6, 4, 4, 3]
+        assert steps == per_chunk + [0] * 7 + per_chunk
 
     def test_bin_indices_beyond_31_bits(self, tmp_path):
         # A sparse container of 2**31 + 9 bins whose only clicks are herald
@@ -517,9 +565,10 @@ class TestSparseCsvWriter:
 
     def test_held_tail_does_not_keep_its_part_alive(self, tmp_path,
                                                     monkeypatch):
-        # A 100-click part into a 16-click buffer leaves 4 clicks held.
-        # They are held as a copy, so the part itself, once its caller
-        # drops it, is freed before the rows are written.
+        # A 100-click part into a 16-click buffer leaves 4 clicks held,
+        # and a 5-click part is held whole.  The writer copies clicks
+        # into its own buffer, so both parts, once their caller drops
+        # them, are freed before the rows are written.
         monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
         parts = [np.arange(0, 200, 2, dtype=np.int64),
                  np.arange(5, dtype=np.int64)]
@@ -528,8 +577,7 @@ class TestSparseCsvWriter:
             writer.append(0, [parts[0], parts[1], parts[1][:0]])
             del parts
             gc.collect()
-            # Held whole: fewer clicks than the buffer, no flush.
-            assert [ref() is None for ref in alive] == [True, False]
+            assert [ref() is None for ref in alive] == [True, True]
         assert (tmp_path / "clicks.csv").read_text() == "".join(
             ["channel,bin_index\n"] + [f"H,{i}\n" for i in range(0, 200, 2)]
             + [f"1,{i}\n" for i in range(5)])
@@ -538,14 +586,7 @@ class TestSparseCsvWriter:
         # A 100-click part into a 16-click buffer: every formatting call
         # takes at most 16 rows, and the rows come out whole and in order.
         monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
-        write_rows = streams_module._write_rows
-        sizes = []
-
-        def counted(out, prefix, bins):
-            sizes.append(bins.size)
-            write_rows(out, prefix, bins)
-
-        monkeypatch.setattr(streams_module, "_write_rows", counted)
+        sizes = counted_write_rows(monkeypatch)
         bins = np.arange(0, 300, 3, dtype=np.int64)
         with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
             writer.append(1000, [bins, bins[:5], np.empty(0, np.int64)])
