@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -30,7 +31,7 @@ from .analysis import InsufficientStatistics
 from .coincidence import (CoincidenceCounts, read_counts_json, segment_table,
                           write_counts_json, write_segment_csv)
 from .core import (ConfigError, ExperimentConfig, config_from_dict,
-                   config_to_dict, load_config)
+                   config_to_dict, load_config, validate_config)
 from .streams import SparseCsvWriter, StreamWriter
 
 __all__ = ["main"]
@@ -118,8 +119,6 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def _load_cfg(args) -> ExperimentConfig:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    if args.bins is not None and args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -141,7 +140,10 @@ def _read_background(path: Optional[str], points) -> Optional[CoincidenceCounts]
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     if args.bins is not None:
-        cfg = replace(cfg, n_bins=args.bins)
+        # The INI's warnings were given as it loaded.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = validate_config(replace(cfg, n_bins=args.bins))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .core import _MAX_BINS
 from .streams import ClickStreams, _replacing
 
 __all__ = [
@@ -449,6 +450,8 @@ def _stored_total_errors(payload: dict) -> list[str]:
     n_bins = payload["n_bins"]
     if n_bins < 1:
         return [f"'n_bins' must be >= 1, got {n_bins}"]
+    if n_bins > _MAX_BINS:
+        return [f"'n_bins' must be at most 2**63 - 1, got {n_bins}"]
     errors += [f"'{key}' = {payload[key]} is outside [0, n_bins = {n_bins}]"
                for key in COUNT_FIELDS if not 0 <= payload[key] <= n_bins]
     errors += [f"'{key}' = {payload[key]} exceeds '{bound}' = {payload[bound]}"

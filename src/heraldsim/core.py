@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import configparser
 import enum
+import math
 import threading
 import warnings
+from collections.abc import Mapping
 from dataclasses import (MISSING, Field, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from pathlib import Path
@@ -54,6 +56,8 @@ BIN_WIDTH_DEFAULT = 20.83e-9
 DARK_RATE_DEFAULT = 150.0
 # ~1 ms of bins per readout segment at the default bin width.
 SEGMENT_BINS_DEFAULT = 48_000
+# The most bins a run may hold: segment tables and their totals are int64.
+_MAX_BINS = 2**63 - 1
 
 # A per-bin Bernoulli probability for noise is taken as rate * bin_width
 # exactly (no 1 - exp(-r*dt) correction); reject configurations where that
@@ -191,11 +195,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     errors: list[str] = []
     src, opt, det = cfg.source, cfg.optics, cfg.detectors
 
-    _check(errors, src.pair_mean_per_bin >= 0.0,
-           f"source.pair_mean_per_bin must be >= 0, got {src.pair_mean_per_bin}")
+    _check(errors, 0.0 <= src.pair_mean_per_bin < math.inf,
+           f"source.pair_mean_per_bin must be finite and >= 0, got {src.pair_mean_per_bin}")
     _check(errors, isinstance(src.mode_count, (int, np.integer)) and src.mode_count >= 1,
            f"source.mode_count must be an integer >= 1, got {src.mode_count!r}")
-    if src.pair_mean_per_bin > PAIR_MEAN_WARN:
+    if PAIR_MEAN_WARN < src.pair_mean_per_bin < math.inf:
         warnings.warn(
             f"source.pair_mean_per_bin = {src.pair_mean_per_bin} is outside the "
             f"heralded regime (<= {PAIR_MEAN_WARN}); multi-pair corrections will be large",
@@ -211,13 +215,14 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check(errors, 0.0 <= val <= 1.0,
                f"optics.{name} must be in [0, 1], got {val}")
 
-    _check(errors, det.bin_width > 0.0,
-           f"detectors.bin_width must be > 0, got {det.bin_width}")
+    width_ok = 0.0 < det.bin_width < math.inf
+    _check(errors, width_ok,
+           f"detectors.bin_width must be finite and > 0, got {det.bin_width}")
     for name in ("dark_rate_h", "dark_rate_1", "dark_rate_2",
                  "background_rate_h", "background_rate_1", "background_rate_2"):
         rate = getattr(det, name)
         _check(errors, rate >= 0.0, f"detectors.{name} must be >= 0, got {rate}")
-        if rate >= 0.0 and det.bin_width > 0.0:
+        if rate >= 0.0 and width_ok:
             _check(errors, rate * det.bin_width < MAX_NOISE_PROB,
                    f"detectors.{name} * bin_width = {rate * det.bin_width:.3g} "
                    f"exceeds the per-bin Bernoulli limit {MAX_NOISE_PROB}")
@@ -245,8 +250,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                    "combined (the splitter coupling targets fixed per-bin click "
                    "probabilities)")
 
-    _check(errors, isinstance(cfg.n_bins, (int, np.integer)) and cfg.n_bins >= 1,
+    n_bins_int = isinstance(cfg.n_bins, (int, np.integer))
+    _check(errors, n_bins_int and cfg.n_bins >= 1,
            f"run.n_bins must be an integer >= 1, got {cfg.n_bins!r}")
+    _check(errors, not n_bins_int or cfg.n_bins <= _MAX_BINS,
+           f"run.n_bins must be at most 2**63 - 1, got {cfg.n_bins}")
     _check(errors, isinstance(cfg.segment_bins, (int, np.integer)) and cfg.segment_bins >= 1,
            f"run.segment_bins must be an integer >= 1, got {cfg.segment_bins!r}")
     _check(errors, isinstance(cfg.seed, (int, np.integer)),
@@ -408,33 +416,66 @@ def _read_utf8(path: str | Path) -> str:
         raise ConfigError(f"{path}: not UTF-8: {exc}") from None
 
 
-def _read_ini(text: str, origin: str) -> configparser.ConfigParser:
+def _read_sections(sections: Mapping, schema: dict, convert, required,
+                   complete=()) -> dict[str, dict]:
+    """Each section of ``schema`` in ``sections``, its values read by ``convert``.
+
+    The one reader of experiment INIs, sweep plans and config echoes.
+    ``schema`` maps each section to its (field, type) pairs.  Sections of
+    ``required`` or ``complete`` must be present, and so must a key whose
+    field has no default or whose section is ``complete``.  Every unknown
+    section or key (but ``_IGNORED_KEYS``), missing one and malformed
+    value is a line of the one ConfigError raised.
+    """
+    errors = [f"unknown section [{name}]" for name in sections if name not in schema]
+    values: dict[str, dict] = {}
+    for name, section_schema in schema.items():
+        if name not in sections:
+            if name in required or name in complete:
+                errors.append(f"missing required section [{name}]")
+            continue
+        stored = sections[name]
+        if not isinstance(stored, Mapping):
+            errors.append(f"[{name}]: not an object: {stored!r}")
+            continue
+        known = {f.name for f, _ in section_schema}.union(_IGNORED_KEYS.get(name, ()))
+        errors += [f"unknown key '{key}' in section [{name}]"
+                   for key in stored if key not in known]
+        values[name] = {}
+        for f, kind in section_schema:
+            if f.name in stored:
+                try:
+                    values[name][f.name] = convert(kind, stored[f.name],
+                                                   f"[{name}] {f.name}")
+                except ValueError as exc:
+                    errors.append(str(exc))
+            elif name in complete or not _has_default(f):
+                errors.append(f"missing required key '{f.name}' in section [{name}]")
+    if errors:
+        raise ConfigError("\n".join(errors))
+    return values
+
+
+def _parse_ini(text: str, origin: str, schema: dict, required, build):
+    """``build`` of an INI text's sections, read by ``schema`` and ``_parse_value``.
+
+    Every line of an error, the INI's or ``build``'s, is prefixed by ``origin``.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-    return parser
+        sections = {name: parser[name] for name in parser.sections()}
+        return build(_read_sections(sections, schema, _parse_value, required))
+    except (configparser.Error, ConfigError) as exc:
+        raise ConfigError("\n".join(f"{origin}: {line}"
+                                    for line in str(exc).splitlines())) from None
 
 
-def _read_section(sec: configparser.SectionProxy, schema, section: str,
-                  errors: list[str]) -> dict:
-    """Values of one INI section, read by the fields of its dataclass.
-
-    A missing required key or a malformed value is appended to ``errors``;
-    keys that no field names are left to the caller.
-    """
-    values = {}
-    for f, kind in schema:
-        if f.name not in sec:
-            if not _has_default(f):
-                errors.append(f"missing required key '{f.name}' in section [{section}]")
-            continue
-        try:
-            values[f.name] = _parse_value(kind, sec[f.name], f"[{section}] {f.name}")
-        except ValueError as exc:
-            errors.append(str(exc))
-    return values
+def _experiment(values: dict[str, dict]) -> ExperimentConfig:
+    """The validated configuration of read section values."""
+    run = values.pop("run", {})
+    return validate_config(ExperimentConfig(
+        **{name: _BLOCKS[name](**kwargs) for name, kwargs in values.items()}, **run))
 
 
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
@@ -444,36 +485,9 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     one-to-one onto the configuration dataclass fields, except the retired
     keys of ``_IGNORED_KEYS``, which are accepted and ignored; unknown
     sections or keys are hard errors, as is any malformed value.  Every
-    error is reported at once, each prefixed by ``origin``.
+    error is reported at once, each line prefixed by ``origin``.
     """
-    parser = _read_ini(text, origin)
-    errors: list[str] = []
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            errors.append(f"unknown section [{section}]")
-            continue
-        allowed = {f.name for f, _ in _SECTIONS[section]}
-        allowed.update(_IGNORED_KEYS.get(section, ()))
-        errors += [f"unknown key '{key}' in section [{section}]"
-                   for key in parser[section] if key not in allowed]
-
-    values: dict[str, dict] = {}
-    for section, schema in _SECTIONS.items():
-        if not parser.has_section(section):
-            if section in _REQUIRED_SECTIONS:
-                errors.append(f"missing required section [{section}]")
-            continue
-        values[section] = _read_section(parser[section], schema, section, errors)
-    if errors:
-        raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
-
-    run = values.pop("run", {})
-    cfg = ExperimentConfig(**{name: _BLOCKS[name](**kwargs)
-                              for name, kwargs in values.items()}, **run)
-    try:
-        return validate_config(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{origin}:\n{exc}") from None
+    return _parse_ini(text, origin, _SECTIONS, _REQUIRED_SECTIONS, _experiment)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -498,46 +512,34 @@ _ECHO_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                Optional[int]: ((int, type(None)), "an integer or null"), Theory: (str, "a string")}
 
 
+def _echo_value(kind, value, where: str):
+    """A stored echo's JSON value read as a field declared ``kind``.
+
+    A theory is then read as an INI's; raises ValueError whose message
+    starts with ``where``.
+    """
+    types, what = _ECHO_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where}: not {what}: {value!r}")
+    return _parse_value(kind, value, where) if kind is Theory else value
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict`, with full validation.
 
-    The record and each section must be objects, [run] and the required
-    sections and keys must be present, and each stored value must have its
-    field's type; every violation is reported at once, naming its section
-    and key.  Retired keys that older echoes carry (``_IGNORED_KEYS``) are
-    ignored.
+    Read as :func:`parse_config` reads an INI, but from objects of JSON
+    values of each field's type, and with every [run] key required, as
+    :func:`config_to_dict` writes them all.  Errors of the record are
+    reported at once under the header ``bad configuration record:``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"bad configuration record: not an object: {data!r}")
-    errors = [f"missing section [{name}]" for name in _SECTIONS if name not in data
-              and (name == "run" or name in _REQUIRED_SECTIONS)]
-    for name, schema in _SECTIONS.items():
-        stored = data.get(name, {})
-        if not isinstance(stored, dict):
-            errors.append(f"[{name}]: not an object: {stored!r}")
-            continue
-        for f, kind in schema:
-            types, what = _ECHO_TYPES[kind]
-            value = stored.get(f.name, MISSING)
-            if value is MISSING:
-                # config_to_dict writes every [run] key.
-                if name in data and (name == "run" or not _has_default(f)):
-                    errors.append(f"[{name}] {f.name}: missing")
-            elif isinstance(value, bool) or not isinstance(value, types):
-                errors.append(f"[{name}] {f.name}: not {what}: {value!r}")
-    if errors:
-        raise ConfigError("bad configuration record:\n" + "\n".join(errors))
     try:
-        blocks = {name: cls(**{k: v for k, v in data[name].items()
-                               if k not in _IGNORED_KEYS.get(name, ())})
-                  for name, cls in _BLOCKS.items() if name in data}
-        run = {f.name: Theory(data["run"][f.name]) if kind is Theory
-               else data["run"][f.name] for f, kind in _SECTIONS["run"]}
-        cfg = ExperimentConfig(**blocks, **run)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration record: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+        values = _read_sections(data, _SECTIONS, _echo_value, _REQUIRED_SECTIONS,
+                                complete=("run",))
+    except ConfigError as exc:
+        raise ConfigError(f"bad configuration record:\n{exc}") from None
+    return _experiment(values)
 
 
 def with_attenuation(cfg: ExperimentConfig, attenuation: float) -> ExperimentConfig:

@@ -36,8 +36,8 @@ import numpy as np
 from . import pcsft, qm
 from .coincidence import (CoincidenceCounts, _placed_channels,
                           _placement_bytes, counts_from_cells, segment_table)
-from .core import (ConfigError, ExperimentConfig, Role, Theory, _check,
-                   _field_types, _read_ini, _read_section, _read_utf8,
+from .core import (_MAX_BINS, ConfigError, ExperimentConfig, Role, Theory,
+                   _check, _field_types, _parse_ini, _read_utf8,
                    _segment_rng, with_attenuation)
 from .streams import ClickStreams
 
@@ -180,6 +180,8 @@ class SweepPlan:
                f"sweep target_triples must be >= 1, got {self.target_triples}")
         _check(errors, self.max_bins is None or self.max_bins >= 1,
                f"sweep max_bins must be >= 1, got {self.max_bins}")
+        _check(errors, self.max_bins is None or self.max_bins <= _MAX_BINS,
+               f"sweep max_bins must be at most 2**63 - 1, got {self.max_bins}")
         if errors:
             raise ConfigError("\n".join(errors))
         if list(self.attenuations) != sorted(self.attenuations, reverse=True):
@@ -210,24 +212,11 @@ def parse_sweep_plan(text: str, origin: str = "<string>") -> SweepPlan:
     """Parse the [sweep] section of an INI text into a plan.
 
     Keys are the fields of :class:`SweepPlan`, ``attenuations`` a
-    comma-separated list; other sections are ignored.  Every error is
-    reported at once, each prefixed by ``origin``.
+    comma-separated list.  Read as :func:`core.parse_config` reads an
+    experiment, so any other section is an error.
     """
-    parser = _read_ini(text, origin)
-    if not parser.has_section("sweep"):
-        raise ConfigError(f"{origin}: missing [sweep] section")
-    schema = _field_types(SweepPlan)
-    names = {f.name for f, _ in schema}
-    errors = [f"unknown key '{key}' in section [sweep]"
-              for key in parser["sweep"] if key not in names]
-    values = _read_section(parser["sweep"], schema, "sweep", errors)
-    if errors:
-        raise ConfigError("\n".join(f"{origin}: {e}" for e in errors))
-    try:
-        return SweepPlan(**values)
-    except ConfigError as exc:
-        raise ConfigError("\n".join(f"{origin}: {e}"
-                                     for e in str(exc).splitlines())) from None
+    return _parse_ini(text, origin, {"sweep": _field_types(SweepPlan)},
+                      {"sweep"}, lambda values: SweepPlan(**values["sweep"]))
 
 
 def load_sweep_plan(path) -> SweepPlan:

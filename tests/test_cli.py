@@ -156,6 +156,36 @@ class TestSimulate:
             f"configuration error: {cfg}: not UTF-8: {NOT_UTF8}\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # Each INI edit, the extra arguments, and the line naming the field.
+    REJECTED_RUNS = {
+        "n-bins-beyond-int64": (
+            ("n_bins = 20000", "n_bins = 100000000000000000000"), [],
+            "run.n_bins must be at most 2**63 - 1, got 100000000000000000000"),
+        "bins-beyond-int64": (
+            ("", ""), ["--bins", "100000000000000000000"],
+            "run.n_bins must be at most 2**63 - 1, got 100000000000000000000"),
+        "infinite-pair-mean": (
+            ("pair_mean_per_bin = 0.2", "pair_mean_per_bin = inf"), [],
+            "source.pair_mean_per_bin must be finite and >= 0, got inf"),
+        "infinite-bin-width": (
+            ("bin_width = 20.83e-9", "bin_width = inf"), [],
+            "detectors.bin_width must be finite and > 0, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_RUNS))
+    def test_rejected_run_names_the_field_and_writes_nothing(
+            self, tmp_path, capsys, case):
+        (old, new), extra, message = self.REJECTED_RUNS[case]
+        cfg, _ = write_inputs(tmp_path, RUN_INI.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.endswith(f"{message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_config_names_the_field(self, tmp_path, capsys):
         cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
             "splitter_ratio = 0.5", "splitter_ratio = 0.5\nattenuation = 1.5"))
@@ -481,6 +511,27 @@ class TestSweep:
             f"configuration error: {plan}: not UTF-8: {NOT_UTF8}\n")
         assert sorted(tmp_path.iterdir()) == [plan, cfg]
 
+    def test_plan_with_another_section_is_named(self, tmp_path, capsys):
+        cfg, plan = write_inputs(tmp_path)
+        plan.write_text(SWEEP_INI + "[source]\npair_mean_per_bin = 0.2\n",
+                        encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {plan}: unknown section [source]\n")
+        assert sorted(tmp_path.iterdir()) == [plan, cfg]
+
+    def test_bins_beyond_int64_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_counts", refuse_to_run)
+        cfg, plan = write_inputs(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(tmp_path / "out"),
+                     "--bins", str(10**20)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: sweep max_bins must be at most 2**63 - 1, "
+            f"got {10**20}\n")
+        assert sorted(tmp_path.iterdir()) == [plan, cfg]
+
     def test_background_subtraction_applies(self, tmp_path, background_json,
                                             capsys):
         cfg, plan = write_inputs(tmp_path)
@@ -785,13 +836,20 @@ class TestAnalyze:
                                  "[1, 2]"),
         "config-without-run": (lambda p: p["config"].pop("run"), 2,
                                "bad configuration record:\n"
-                               "missing section [run]"),
+                               "missing required section [run]"),
         "config-without-seed": (lambda p: p["config"]["run"].pop("seed"), 2,
                                 "bad configuration record:\n"
-                                "[run] seed: missing"),
+                                "missing required key 'seed' in section "
+                                "[run]"),
         "config-negative-n-bins": (
             lambda p: p["config"]["run"].update(n_bins=-5), 2,
             "run.n_bins must be an integer >= 1, got -5"),
+        "n-bins-beyond-int64": (lambda p: p.update(n_bins=10**20), 1,
+                                "'n_bins' must be at most 2**63 - 1, got "
+                                "100000000000000000000"),
+        "config-n-bins-beyond-int64": (
+            lambda p: p["config"]["run"].update(n_bins=10**20), 2,
+            "run.n_bins must be at most 2**63 - 1, got 100000000000000000000"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))

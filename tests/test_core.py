@@ -110,6 +110,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="envelope_modes"):
             validate_config(make_config(theory=Theory.PCSFT, pcsft=block))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_pair_mean_and_bin_width_rejected(self, value):
+        cfg = make_config(source=SourceConfig(pair_mean_per_bin=value),
+                          detectors=DetectorConfig(bin_width=value))
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value).splitlines() == [
+            f"source.pair_mean_per_bin must be finite and >= 0, got {value}",
+            f"detectors.bin_width must be finite and > 0, got {value}"]
+
+    def test_n_bins_bounded_by_int64(self):
+        assert validate_config(make_config(n_bins=2**63 - 1)).n_bins == 2**63 - 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(make_config(n_bins=2**63))
+        assert str(err.value) == (
+            f"run.n_bins must be at most 2**63 - 1, got {2**63}")
+
     def test_defaults_match_apparatus(self):
         det = DetectorConfig()
         assert det.bin_width == pytest.approx(20.83e-9)
@@ -212,6 +229,56 @@ class TestIniParsing:
         with pytest.raises(ConfigError, match="eta_h"):
             parse_config(INI_TEXT.replace("eta_h = 0.26\n", ""))
 
+    def test_missing_required_section_reported(self):
+        text = INI_TEXT.replace("[source]\npair_mean_per_bin = 0.02\n"
+                                "mode_count = 3\n", "")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, origin="run.ini")
+        assert str(err.value) == "run.ini: missing required section [source]"
+
+    def test_ini_validation_errors_each_name_the_origin(self):
+        text = INI_TEXT.replace("eta_h = 0.26", "eta_h = 2").replace(
+            "attenuation = 0.8", "attenuation = -1")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, origin="run.ini")
+        assert str(err.value).splitlines() == [
+            "run.ini: optics.attenuation must be in [0, 1], got -1.0",
+            "run.ini: optics.eta_h must be in [0, 1], got 2.0"]
+
+    def test_unknown_theory_names_the_choices(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(INI_TEXT.replace("theory = qm", "theory = classical"),
+                         origin="run.ini")
+        assert str(err.value) == (
+            "run.ini: [run] theory must be 'qm' or 'pcsft', got 'classical'")
+
+    @pytest.mark.parametrize("raw", ["none", "off", "", " OFF "])
+    def test_envelope_modes_switched_off(self, raw):
+        text = (INI_TEXT.replace("theory = qm", "theory = pcsft")
+                + PCSFT_INI.replace("coupling = 0.5", "coupling = 0"))
+        cfg = parse_config(text + f"envelope_modes = {raw}\n")
+        assert cfg.pcsft.envelope_modes is None
+        assert cfg == parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "pair_mean_per_bin = 0.02\n",
+        "[source]\npair_mean_per_bin = 0.02\n[source]\nmode_count = 3\n",
+        "[source]\npair_mean_per_bin = 0.02\npair_mean_per_bin = 0.03\n",
+        "[source]\nno key and value here\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key",
+            "line-without-value"])
+    def test_text_configparser_rejects_names_the_origin(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, origin="run.ini")
+        assert str(err.value).startswith("run.ini: ")
+        assert "run.ini" in str(err.value).split(": ", 1)[1]
+
+    def test_value_configparser_cannot_interpolate_names_the_origin(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(INI_TEXT.replace("seed = 7", "seed = 7%"),
+                         origin="run.ini")
+        assert str(err.value).startswith("run.ini: '%' must be followed by ")
+
     def test_pcsft_section_parsed(self):
         text = INI_TEXT.replace("theory = qm", "theory = pcsft") + PCSFT_INI
         cfg = parse_config(text)
@@ -288,6 +355,45 @@ class TestStoredEcho:
         echo["optics"] = "0.26"
         with pytest.raises(ConfigError, match="bad configuration record"):
             config_from_dict(echo)
+
+    # Each edit of an echo, and the line that names it as an INI would.
+    ECHO_ERRORS = {
+        "unknown-key": (lambda e: e["optics"].update(foo=1),
+                        "unknown key 'foo' in section [optics]"),
+        "unknown-section": (lambda e: e.update(pump={"power": 1}),
+                            "unknown section [pump]"),
+        "unknown-theory": (lambda e: e["run"].update(theory="classical"),
+                           "[run] theory must be 'qm' or 'pcsft', "
+                           "got 'classical'"),
+        "missing-section": (lambda e: e.pop("source"),
+                            "missing required section [source]"),
+        "missing-run-key": (lambda e: e["run"].pop("segment_bins"),
+                            "missing required key 'segment_bins' in "
+                            "section [run]"),
+        "missing-required-key": (lambda e: e["pcsft"].pop("pulse_duration"),
+                                 "missing required key 'pulse_duration' in "
+                                 "section [pcsft]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ECHO_ERRORS))
+    def test_echo_errors_use_the_ini_wording(self, case):
+        edit, line = self.ECHO_ERRORS[case]
+        echo = self.echo()
+        edit(echo)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(echo)
+        assert str(err.value) == f"bad configuration record:\n{line}"
+
+    def test_echo_theory_is_read_as_an_ini_theory(self):
+        echo = self.echo()
+        echo["run"]["theory"] = " PCSFT "
+        assert config_from_dict(echo) == config_from_dict(self.echo())
+
+    def test_echo_with_a_missing_default_key_loads(self):
+        # Outside [run], a key with a default may be left out, as in an INI.
+        echo = self.echo()
+        del echo["pcsft"]["coupling"]
+        assert config_from_dict(echo).pcsft.coupling == 0.5
 
 
 # INI sections holding a config dataclass; the other fields of

@@ -465,6 +465,17 @@ class TestSweepPlan:
         with pytest.raises(ConfigError, match="sweep"):
             parse_sweep_plan("[optics]\neta_h = 0.5\n")
 
+    def test_missing_section_uses_the_ini_wording(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_plan("", origin="plan.ini")
+        assert str(info.value) == "plan.ini: missing required section [sweep]"
+
+    def test_other_section_is_an_error(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep_plan(SWEEP_INI + "[source]\npair_mean_per_bin = 0.1\n",
+                             origin="plan.ini")
+        assert str(info.value) == "plan.ini: unknown section [source]"
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="powers"):
             parse_sweep_plan("[sweep]\nattenuations = 1.0\npowers = 3\n")
@@ -525,6 +536,13 @@ class TestSweepPlan:
     def test_bad_max_bins(self):
         with pytest.raises(ConfigError, match="max_bins"):
             SweepPlan(attenuations=(1.0,), max_bins=0)
+
+    def test_max_bins_bounded_by_int64(self):
+        assert SweepPlan(attenuations=(1.0,), max_bins=2**63 - 1).max_bins == 2**63 - 1
+        with pytest.raises(ConfigError) as info:
+            SweepPlan(attenuations=(1.0,), max_bins=2**63)
+        assert str(info.value) == (
+            f"sweep max_bins must be at most 2**63 - 1, got {2**63}")
 
     def test_unsorted_attenuations_warn(self):
         with pytest.warns(UserWarning, match="decreasing"):

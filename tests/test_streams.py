@@ -228,6 +228,25 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError, match="pad bits"):
             read_streams(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.pstm"
+        write_streams(random_streams(8), path)
+        path.write_bytes(path.read_bytes()[:struct.calcsize("<4sHQdB") - 1])
+        with pytest.raises(StreamFormatError) as info:
+            read_streams(path)
+        assert str(info.value) == f"{path}: truncated header"
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_channel_count_other_than_three_rejected(self, tmp_path, channels):
+        path = tmp_path / "bad.pstm"
+        write_streams(random_streams(8), path)
+        raw = bytearray(path.read_bytes())
+        raw[struct.calcsize("<4sHQd")] = channels
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError) as info:
+            read_streams(path)
+        assert str(info.value) == f"{path}: expected 3 channels, got {channels}"
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.pstm"
         write_streams(random_streams(800), path)
