@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import enum
 import math
+import sys
 import threading
 import warnings
 from collections.abc import Mapping
@@ -461,7 +462,8 @@ def _parse_ini(text: str, origin: str, schema: dict, required, build):
 
     Every line of an error, the INI's or ``build``'s, is prefixed by ``origin``.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(text, source=origin)
         sections = {name: parser[name] for name in parser.sections()}
@@ -515,11 +517,13 @@ _ECHO_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
 def _echo_value(kind, value, where: str):
     """A stored echo's JSON value read as a field declared ``kind``.
 
-    A theory is then read as an INI's; raises ValueError whose message
-    starts with ``where``.
+    A theory is then read as an INI's, and an integer given for a float
+    must be one a float can hold; raises ValueError whose message starts
+    with ``where``.
     """
     types, what = _ECHO_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (isinstance(value, bool) or not isinstance(value, types) or kind is float
+            and isinstance(value, int) and abs(value) > sys.float_info.max):
         raise ValueError(f"{where}: not {what}: {value!r}")
     return _parse_value(kind, value, where) if kind is Theory else value
 

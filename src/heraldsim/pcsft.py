@@ -93,7 +93,6 @@ __all__ = [
     "coupled_g2_target",
     "coincidence_probability",
     "pattern_probabilities",
-    "sampling_law",
     "segment_clicks",
     "segment_cells",
     "bound_energy",
@@ -339,11 +338,6 @@ def pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     return _or_channels(field_law, noise_probabilities(cfg))
 
 
-def sampling_law(cfg: ExperimentConfig) -> np.ndarray:
-    """The samplers' law, computed once per run: the pattern law."""
-    return pattern_probabilities(cfg)
-
-
 def _or_channels(law, probs) -> np.ndarray:
     """Pattern law after OR-ing independent clicks into each channel.
 
@@ -367,7 +361,7 @@ def _or_channels(law, probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int, point_index: int = 0, law=None,
+                   n_bins: int, point_index: int = 0, *, law,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin click sampler for one segment: its census in a random order.
 
@@ -375,25 +369,25 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     in a uniformly random order from the segment's placement stream, which
     the census never keys.  Streams follow the same (point, segment, role)
     discipline as the photon model, drawn from the pooled generators of
-    :func:`heraldsim.core.rng_stream`.  ``law`` is :func:`sampling_law` of
-    ``cfg``, computed when omitted.
+    :func:`heraldsim.core.rng_stream`.  ``law`` is
+    :func:`pattern_probabilities` of ``cfg``, which the runner computes
+    once per run.
     """
-    cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
+    cells = segment_cells(cfg, segment_index, n_bins, point_index, law=law)
     rng = _segment_rng(cfg, segment_index, Role.PLACEMENT, point_index)
     return clicks_from_cells(cells, n_bins, rng)
 
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int, point_index: int = 0, law=None) -> np.ndarray:
+                  n_bins: int, point_index: int = 0, *, law) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
-    One multinomial over :func:`sampling_law`, drawn from the segment's
-    (pooled) source stream.  Streams and ``law`` as in
-    :func:`segment_clicks`, which places this census bin by bin.
+    One multinomial over ``law``, drawn from the segment's (pooled) source
+    stream.  Streams and ``law`` as in :func:`segment_clicks`, which
+    places this census bin by bin.
     """
-    probs = sampling_law(cfg) if law is None else law
     rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
-    return rng.multinomial(n_bins, probs)
+    return rng.multinomial(n_bins, law)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "pair_prob",
     "no_click_prob",
     "joint_pattern_probabilities",
-    "sampling_law",
     "expected_counts",
     "heralded_g2_exact",
     "predicted_heralded_g2",
@@ -136,11 +135,6 @@ def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
     return probs
 
 
-def sampling_law(cfg: ExperimentConfig) -> np.ndarray:
-    """The samplers' law, computed once per run: the joint pattern law."""
-    return joint_pattern_probabilities(cfg)
-
-
 def expected_counts(cfg: ExperimentConfig, n_bins: int) -> dict[str, float]:
     """Expected marginal and coincidence counts over ``n_bins`` bins."""
     return law_counts(joint_pattern_probabilities(cfg), n_bins)
@@ -184,22 +178,22 @@ def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def segment_cells(cfg: ExperimentConfig, segment_index: int,
-                  n_bins: int, point_index: int = 0, law=None) -> np.ndarray:
+                  n_bins: int, point_index: int = 0, *, law) -> np.ndarray:
     """Count-level sampler: bins per joint click pattern for one segment.
 
     Returns an int64 array of length 8, element p being the number of
     bins showing exactly click pattern p: one multinomial
     over the exact per-bin law, drawn from the segment's (pooled) source
     stream, at a cost independent of the pair rate.  ``law`` is
-    :func:`sampling_law` of ``cfg``, computed if omitted.
+    :func:`joint_pattern_probabilities` of ``cfg``, which the runner
+    computes once per run.
     """
-    probs = sampling_law(cfg) if law is None else law
     rng = _segment_rng(cfg, segment_index, Role.SOURCE, point_index)
-    return rng.multinomial(n_bins, probs)
+    return rng.multinomial(n_bins, law)
 
 
 def segment_clicks(cfg: ExperimentConfig, segment_index: int,
-                   n_bins: int, point_index: int = 0, law=None,
+                   n_bins: int, point_index: int = 0, *, law,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin sampler for one segment: its census in a random order.
 
@@ -210,6 +204,6 @@ def segment_clicks(cfg: ExperimentConfig, segment_index: int,
     Each (point, segment, role) triple has its own counter-based stream, so
     segments reproduce independently of evaluation order.
     """
-    cells = segment_cells(cfg, segment_index, n_bins, point_index, law)
+    cells = segment_cells(cfg, segment_index, n_bins, point_index, law=law)
     rng = _segment_rng(cfg, segment_index, Role.PLACEMENT, point_index)
     return clicks_from_cells(cells, n_bins, rng)

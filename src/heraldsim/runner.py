@@ -6,19 +6,20 @@ segment's randomness comes from its own named Philox streams, so no
 segment's draws depend on another's.
 
 Every segment is one draw of its model's census (``segment_cells``, the
-bins per joint click pattern), with the model's sampling law built once
-per run.  One loop draws the censuses and counts each into its segment
-row (``counts_from_cells``), for both entry points.  :func:`run_counts`
-keeps only the rows.  ``_placed_segments``, for runs whose stream files
-are part of the deliverable, also places each census in a uniformly
-random order, straight into packed channel bitmaps
+bins per joint click pattern) on the model's per-bin pattern law
+(``qm.joint_pattern_probabilities`` or ``pcsft.pattern_probabilities``),
+built once per run.  One loop draws the censuses and counts each into
+its segment row (``counts_from_cells``), for both entry points.
+:func:`run_counts` keeps only the rows.  ``_placed_segments``, for runs
+whose stream files are part of the deliverable, also places each census
+in a uniformly random order, straight into packed channel bitmaps
 (``coincidence._placed_channels``, the draw ``clicks_from_cells``
 unpacks), a run of consecutive censuses whose placement arrays fit
 ``_BLOCK_BYTES`` at a time.  Each segment keeps its own draw, so the
 bytes are those of placing the segments one by one.  The placement also
 lists each channel's clicked bins in ascending order, and the CLI writes
-``clicks.csv`` from those lists in the loop that writes ``streams.pstm``,
-without reading the bitmaps back.
+``clicks.csv`` from those lists in the loop that writes
+``streams.pstm``, without reading the bitmaps back.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -56,8 +57,10 @@ TARGET_TRIPLES_DEFAULT = 10_000
 _BLOCK_BYTES = 1 << 17
 
 
-# Each theory's module: its sampling_law and segment_cells.
-_MODELS = {Theory.QM: qm, Theory.PCSFT: pcsft}
+# Each theory's module and the name of its law function there, looked up
+# on the module at each run, so a patched module attribute is the one called.
+_MODELS = {Theory.QM: (qm, "joint_pattern_probabilities"),
+           Theory.PCSFT: (pcsft, "pattern_probabilities")}
 
 
 def _census_rows(cfg: ExperimentConfig, point_index: int,
@@ -71,8 +74,8 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
     ``target_triples`` set, the loop ends with the first segment at which
     the cumulative N_H12 reaches it, and draws nothing past it.
     """
-    model = _MODELS[cfg.theory]
-    law = model.sampling_law(cfg)
+    model, law_name = _MODELS[cfg.theory]
+    law = getattr(model, law_name)(cfg)
     segment_cells = model.segment_cells
     size = cfg.segment_bins
     full, rest = divmod(cfg.n_bins, size)

@@ -181,14 +181,6 @@ class ClickStreams:
             signal_2=_pack(signal_2, n_bins),
         )
 
-    def bools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unpack back to three boolean arrays of length n_bins."""
-        out = []
-        for arr in (self.herald, self.signal_1, self.signal_2):
-            bits = np.unpackbits(arr, bitorder="little")[: self.n_bins]
-            out.append(bits.astype(bool))
-        return tuple(out)
-
     def concat(self, *others: "ClickStreams") -> "ClickStreams":
         """Append ``others`` after this stream, in order (equal bin widths).
 

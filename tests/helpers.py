@@ -22,6 +22,8 @@ it draws the ``OracleRole`` streams, which the package never keys.
 ``per_bin_envelope_clicks`` is the pcsft envelope's chain (a gain per bin,
 each channel clicking at that bin's power, per-bin noise), the oracle of
 the mixture law the pcsft samplers draw from.
+``bools`` unpacks a ``ClickStreams`` container to boolean arrays, and
+``with_law`` hands a sampler its model's law, as the runner does.
 ``g_factor`` (the source's bunching factor 1 + 1/M) and the
 correlated-photon efficiency estimators ``klyshko_efficiency`` and
 ``herald_efficiency`` are checked against the simulators here; the
@@ -193,12 +195,25 @@ def pattern_counts(herald, sig1, sig2) -> np.ndarray:
     return np.bincount(bin_patterns(herald, sig1, sig2), minlength=8)
 
 
+def bools(part: ClickStreams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unpack a container back to three boolean arrays of length n_bins."""
+    return tuple(
+        np.unpackbits(arr, bitorder="little")[:part.n_bins].astype(bool)
+        for arr in (part.herald, part.signal_1, part.signal_2))
+
+
+def with_law(sampler, law_of):
+    """``sampler`` drawing on ``law_of(cfg)``, the law the runner hands it."""
+    return lambda cfg, *args, **kwargs: sampler(cfg, *args, law=law_of(cfg),
+                                                **kwargs)
+
+
 def brute_force_counts(streams: ClickStreams) -> CoincidenceCounts:
     """Naive per-bin loop over the three channels; the counting oracle.
 
     One segment covering the whole stream.  Intended for small inputs.
     """
-    h, s1, s2 = (bits.tolist() for bits in streams.bools())
+    h, s1, s2 = (bits.tolist() for bits in bools(streams))
     n_h = n_1 = n_2 = n_h1 = n_h2 = n_12 = n_h12 = 0
     for a, b, c in zip(h, s1, s2):
         if a:

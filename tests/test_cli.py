@@ -18,6 +18,8 @@ from heraldsim.core import config_from_dict, config_to_dict, load_config
 from heraldsim.runner import run_counts, simulate_run
 from heraldsim.streams import write_sparse_csv, write_streams
 
+from helpers import bools
+
 RUN_INI = """\
 [source]
 pair_mean_per_bin = 0.2
@@ -236,7 +238,7 @@ def in_memory_artifacts(cfg_path, out):
     write_segment_csv(counts, out / "counts.csv")
     write_counts_json(counts, out / "counts.json", config=config_to_dict(cfg))
     rows = [f"{name},{i}" for name, bits in zip(("H", "1", "2"),
-                                                  streams.bools())
+                                                  bools(streams))
             for i in range(cfg.n_bins) if bits[i]]
     (out / "clicks.csv").write_text("\n".join(["channel,bin_index"] + rows)
                                     + "\n")
@@ -850,6 +852,10 @@ class TestAnalyze:
         "config-n-bins-beyond-int64": (
             lambda p: p["config"]["run"].update(n_bins=10**20), 2,
             "run.n_bins must be at most 2**63 - 1, got 100000000000000000000"),
+        "config-dark-rate-beyond-float": (
+            lambda p: p["config"]["detectors"].update(dark_rate_h=10**400), 2,
+            "bad configuration record:\n"
+            f"[detectors] dark_rate_h: not a number: {10**400}"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))

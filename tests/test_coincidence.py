@@ -22,8 +22,8 @@ from heraldsim.coincidence import (CHANNEL_BITS, COUNT_FIELDS, FIELD_MASKS,
                                    write_counts_json, write_segment_csv)
 from heraldsim.streams import ClickStreams
 
-from helpers import (brute_force_counts, fail_after_first_write, merge,
-                     pattern_counts, segment_csv_bytes)
+from helpers import (bools, brute_force_counts, fail_after_first_write,
+                     merge, pattern_counts, segment_csv_bytes)
 
 
 def streams_from_bits(h, s1, s2, bin_width=20.83e-9) -> ClickStreams:
@@ -99,7 +99,7 @@ class TestAgainstBruteForce:
     def test_each_row_is_its_segment_counted_bin_by_bin(self, segment_bins):
         # Aligned (8, 4096), unaligned (977, 1003) and one-segment cuts.
         streams = random_streams(10_007, seed=8)
-        bits = streams.bools()
+        bits = bools(streams)
         counts = accumulate(streams, segment_bins=segment_bins)
         starts = range(0, streams.n_bins, segment_bins)
         assert len(counts.segments) == len(starts)
@@ -120,10 +120,10 @@ class TestAgainstBruteForce:
         if segment_bins in (0, 5):
             segment_bins += n_bins
 
-        def refuse(self):
+        def refuse(*args, **kwargs):
             raise AssertionError("packed count unpacked its streams")
 
-        monkeypatch.setattr(ClickStreams, "bools", refuse)
+        monkeypatch.setattr(np, "unpackbits", refuse)
         counts = accumulate(streams, segment_bins=segment_bins)
         assert counts.totals() == slow.totals()
         if segment_bins is None or segment_bins >= n_bins:
@@ -157,7 +157,7 @@ class TestMerge:
         left = accumulate(random_streams(60_000, seed=6), segment_bins=8000)
         # Split at a segment boundary and merge the halves.
         first, second = streams, None
-        h, s1, s2 = streams.bools()
+        h, s1, s2 = bools(streams)
         cut = 24_000
         first = ClickStreams.from_bools(h[:cut], s1[:cut], s2[:cut],
                                         bin_width=streams.bin_width)

@@ -273,11 +273,16 @@ class TestIniParsing:
         assert str(err.value).startswith("run.ini: ")
         assert "run.ini" in str(err.value).split(": ", 1)[1]
 
-    def test_value_configparser_cannot_interpolate_names_the_origin(self):
+    def test_percent_is_an_ordinary_character(self):
+        # Values are read as written, without interpolation, so a '%' in a
+        # bad value is reported with the file's other errors.
+        text = INI_TEXT.replace("seed = 7", "seed = 7%").replace(
+            "mode_count = 3", "mode_count = x")
         with pytest.raises(ConfigError) as err:
-            parse_config(INI_TEXT.replace("seed = 7", "seed = 7%"),
-                         origin="run.ini")
-        assert str(err.value).startswith("run.ini: '%' must be followed by ")
+            parse_config(text, origin="run.ini")
+        assert str(err.value).splitlines() == [
+            "run.ini: [source] mode_count: not an integer: 'x'",
+            "run.ini: [run] seed: not an integer: '7%'"]
 
     def test_pcsft_section_parsed(self):
         text = INI_TEXT.replace("theory = qm", "theory = pcsft") + PCSFT_INI
@@ -324,6 +329,8 @@ class TestStoredEcho:
         ("pcsft", "envelope_modes", "4", "an integer or null"),
         ("run", "theory", 1, "a string"),
         ("run", "seed", [7], "an integer"),
+        pytest.param("detectors", "dark_rate_h", 10**400, "a number",
+                     id="detectors-dark_rate_h-beyond-float-a number"),
     ])
     def test_mistyped_value_names_section_and_key(self, section, key, value,
                                                   what):

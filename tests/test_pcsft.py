@@ -15,10 +15,14 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             stream_id, validate_config)
 from heraldsim.runner import simulate_run
 
-from helpers import (euler_exit_steps, first_passage_times, pattern_counts,
-                     per_bin_envelope_clicks)
+from helpers import (bools, euler_exit_steps, first_passage_times,
+                     pattern_counts, per_bin_envelope_clicks, with_law)
 
 BIN = 20.83e-9
+
+# The samplers on the config's pattern law, as the runner calls them.
+segment_cells = with_law(pcsft.segment_cells, pcsft.pattern_probabilities)
+segment_clicks = with_law(pcsft.segment_clicks, pcsft.pattern_probabilities)
 
 # -zeta(1/2) / sqrt(2 pi): checking a Wiener walk only at grid points with
 # step deviation s misses crossings as if the barrier sat beta * s further
@@ -211,6 +215,7 @@ class TestClickLaw:
             1.0, pc.incident_power * 0.4 * 0.4, pc.pulse_duration), rel=1e-12)
 
     def test_requires_field_block(self):
+        # The pattern law the samplers are handed needs the field block.
         cfg = dataclasses.replace(field_config(), pcsft=None, theory=Theory.QM)
         with pytest.raises(ValueError, match="pcsft"):
             pcsft.field_click_probabilities(cfg)
@@ -263,7 +268,7 @@ class TestClickLaw:
         assert (law >= 0.0).all()
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
         for index in range(20):
-            cells = pcsft.segment_cells(cfg, index, 10_000)
+            cells = segment_cells(cfg, index, 10_000)
             assert (cells >= 0).all()
             assert cells.sum() == 10_000
 
@@ -310,36 +315,37 @@ class TestClickLaw:
 class TestSegmentSamplers:
     def test_zero_power_is_silent(self):
         cfg = field_config(theta=0.0)
-        assert not any(arr.any() for arr in pcsft.segment_clicks(cfg, 0, 5000))
-        cells = pcsft.segment_cells(cfg, 0, 5000)
+        assert not any(arr.any() for arr in segment_clicks(cfg, 0, 5000))
+        cells = segment_cells(cfg, 0, 5000)
         assert cells[0] == 5000
 
     def test_dead_arm_is_silent(self):
         cfg = field_config(eta_1=0.0)
-        _, s1, s2 = pcsft.segment_clicks(cfg, 0, 5000)
+        _, s1, s2 = segment_clicks(cfg, 0, 5000)
         assert not s1.any()
         assert s2.any()
 
     def test_deterministic(self):
         cfg = field_config(seed=17)
-        first = pcsft.segment_clicks(cfg, 2, 5000, point_index=1)
-        second = pcsft.segment_clicks(cfg, 2, 5000, point_index=1)
+        first = segment_clicks(cfg, 2, 5000, point_index=1)
+        second = segment_clicks(cfg, 2, 5000, point_index=1)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(pcsft.segment_cells(cfg, 2, 5000),
-                                      pcsft.segment_cells(cfg, 2, 5000))
+        np.testing.assert_array_equal(segment_cells(cfg, 2, 5000),
+                                      segment_cells(cfg, 2, 5000))
 
     def test_requires_field_block(self):
+        # The pattern law the samplers are handed needs the field block.
         cfg = dataclasses.replace(field_config(), pcsft=None, theory=Theory.QM)
         with pytest.raises(ValueError, match="pcsft"):
-            pcsft.segment_clicks(cfg, 0, 100)
+            segment_clicks(cfg, 0, 100)
         with pytest.raises(ValueError, match="pcsft"):
-            pcsft.segment_cells(cfg, 0, 100)
+            segment_cells(cfg, 0, 100)
 
     def test_out_of_range_indices_rejected(self):
         cfg = parse_config(README_INI)
         for segment_index, point_index in ((0, 1 << 24), (-1, 0), (1 << 37, 0)):
-            for sample in (pcsft.segment_cells, pcsft.segment_clicks):
+            for sample in (segment_cells, segment_clicks):
                 with pytest.raises(ValueError, match="out of range"):
                     sample(cfg, segment_index, 100, point_index=point_index)
 
@@ -347,7 +353,7 @@ class TestSegmentSamplers:
         # Production per-bin route vs the literal per-step walk on a
         # 1000-point grid with the continuity-corrected band.
         cfg = field_config(n_bins=40_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 40_000)
+        herald, _, _ = segment_clicks(cfg, 0, 40_000)
         std = math.sqrt(cfg.pcsft.incident_power * 0.5
                         * cfg.pcsft.pulse_duration / 1000)
         literal = euler_exit_steps(rng_stream(6101, 0),
@@ -369,13 +375,13 @@ class TestSegmentSamplers:
         grid = pcsft.discrete_exit_steps(rng_stream(6102, 0), 1.0, std, 1000,
                                          150_000)
         assert np.mean(grid > 0) < f_cont - 3.0 * sigma
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 150_000)
+        herald, _, _ = segment_clicks(cfg, 0, 150_000)
         assert abs(herald.mean() - f_cont) < 3.0 * sigma
 
     def test_cells_census_matches_pattern_law(self):
         # Both routes: the census, and the per-bin clicks counted by pattern.
-        routes = (pcsft.segment_cells,
-                  lambda *args: pattern_counts(*pcsft.segment_clicks(*args)))
+        routes = (segment_cells,
+                  lambda *args: pattern_counts(*segment_clicks(*args)))
         for cfg in (field_config(n_bins=150_000, seed=5001),
                     field_config(n_bins=150_000, seed=5003,
                                  dark=(2e5, 1e5, 3e5))):
@@ -393,8 +399,8 @@ class TestSegmentSamplers:
                            envelope_modes=4, dark=(2e5, 1e5, 3e5))
         expected = pcsft.pattern_probabilities(cfg) * 150_000
         assert expected.min() > 5.0
-        for sample in (pcsft.segment_cells,
-                       lambda *args: pattern_counts(*pcsft.segment_clicks(*args))):
+        for sample in (segment_cells,
+                       lambda *args: pattern_counts(*segment_clicks(*args))):
             cells = sample(cfg, 0, 150_000)
             assert cells.sum() == 150_000
             assert stats.chisquare(cells, expected).pvalue > 0.001
@@ -403,7 +409,7 @@ class TestSegmentSamplers:
         # The click route draws the continuum law the census and the
         # closed forms use; an Euler-grid route clicks measurably less.
         cfg = parse_config(README_INI)
-        herald, sig1, sig2 = simulate_run(cfg).bools()
+        herald, sig1, sig2 = bools(simulate_run(cfg))
         law = pcsft.pattern_probabilities(cfg)
         n = cfg.n_bins
         for clicks, bit in ((herald, 4), (sig1, 2), (sig2, 1)):
@@ -413,7 +419,7 @@ class TestSegmentSamplers:
 
     def test_herald_independent_of_signals(self):
         cfg = field_config(seed=5004, n_bins=100_000)
-        herald, sig1, sig2 = pcsft.segment_clicks(cfg, 0, 100_000)
+        herald, sig1, sig2 = segment_clicks(cfg, 0, 100_000)
         for sig in (sig1, sig2):
             table = np.array([[np.sum(herald & sig), np.sum(herald & ~sig)],
                               [np.sum(~herald & sig), np.sum(~herald & ~sig)]])
@@ -422,8 +428,8 @@ class TestSegmentSamplers:
     def test_power_monotonicity_in_samples(self):
         lo = field_config(theta=0.5, seed=21, n_bins=10**5)
         hi = field_config(theta=1.0, seed=22, n_bins=10**5)
-        f_lo = pcsft.segment_clicks(lo, 0, 10**5)[0].mean()
-        f_hi = pcsft.segment_clicks(hi, 0, 10**5)[0].mean()
+        f_lo = segment_clicks(lo, 0, 10**5)[0].mean()
+        f_hi = segment_clicks(hi, 0, 10**5)[0].mean()
         sigma = math.sqrt(f_lo * (1 - f_lo) / 10**5 + f_hi * (1 - f_hi) / 10**5)
         assert (f_hi - f_lo) / sigma > 5.0
 
@@ -440,7 +446,7 @@ class TestSplitterCoupling:
             coupled, pcsft=dataclasses.replace(coupled.pcsft, coupling=0.0))
         law = pcsft.pattern_probabilities(free)
         for cfg in (coupled, free):
-            cells = np.array([pcsft.segment_cells(cfg, index, n_bins)
+            cells = np.array([segment_cells(cfg, index, n_bins)
                               for index in range(n_segments)])
             for bit in (4, 2, 1):
                 clicks = [i for i in range(8) if i & bit]
@@ -458,11 +464,11 @@ class TestSplitterCoupling:
     def test_measured_g2_hits_coupled_target(self, route, seed, n_bins):
         cfg = field_config(seed=seed, n_bins=n_bins)
         if route == "clicks":
-            _, s1, s2 = pcsft.segment_clicks(cfg, 0, cfg.n_bins)
+            _, s1, s2 = segment_clicks(cfg, 0, cfg.n_bins)
             n_12 = int(np.sum(s1 & s2))
             n_1, n_2 = int(s1.sum()), int(s2.sum())
         else:
-            cells = pcsft.segment_cells(cfg, 0, cfg.n_bins)
+            cells = segment_cells(cfg, 0, cfg.n_bins)
             n_12 = int(cells[3] + cells[7])
             n_1 = int(cells[2] + cells[3] + cells[6] + cells[7])
             n_2 = int(cells[1] + cells[3] + cells[5] + cells[7])
@@ -553,7 +559,7 @@ class TestEnvelope:
             1.0, cfg.pcsft.incident_power * 0.5, cfg.pcsft.pulse_duration)
         field_law = pcsft._or_channels((1.0,) + (0.0,) * 7, f)
         np.testing.assert_array_equal(
-            pcsft.sampling_law(cfg),
+            pcsft.pattern_probabilities(cfg),
             pcsft._or_channels(field_law, noise_probabilities(cfg)))
 
     def test_envelope_route_matches_literal_oracle(self):
@@ -579,7 +585,7 @@ class TestEnvelope:
         # rate, estimated here from an independent gain draw.
         cfg = field_config(coupling=0.0, envelope_modes=4, seed=5002,
                            n_bins=30_000)
-        herald, _, _ = pcsft.segment_clicks(cfg, 0, 30_000)
+        herald, _, _ = segment_clicks(cfg, 0, 30_000)
         rng = np.random.default_rng(99)
         gain = rng.gamma(4.0, 0.25, size=20_000)
         f = pcsft.crossing_probability(
@@ -604,8 +610,8 @@ class TestEnvelope:
                 cfg, pcsft=dataclasses.replace(cfg.pcsft, envelope_modes=None))) * n
             assert min(law.min(), flat.min()) > 5.0
             for cells in (pattern_counts(*per_bin_envelope_clicks(cfg, 0)),
-                          pcsft.segment_cells(cfg, 0, cfg.segment_bins),
-                          pattern_counts(*pcsft.segment_clicks(
+                          segment_cells(cfg, 0, cfg.segment_bins),
+                          pattern_counts(*segment_clicks(
                               cfg, 0, cfg.segment_bins))):
                 assert cells.sum() == n
                 assert stats.chisquare(cells, law).pvalue > 0.001

@@ -12,7 +12,12 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             SourceConfig, rng_stream)
 
 from helpers import (g_factor, mechanistic_qm_clicks, nb_pmf, pattern_counts,
-                     sample_pair_counts, series_no_click, series_pattern_probs)
+                     sample_pair_counts, series_no_click, series_pattern_probs,
+                     with_law)
+
+# The samplers on the config's joint law, as the runner calls them.
+segment_cells = with_law(qm.segment_cells, qm.joint_pattern_probabilities)
+segment_clicks = with_law(qm.segment_clicks, qm.joint_pattern_probabilities)
 
 
 def make_config(mu, mode_count=1, eta_h=0.26, eta_1=0.075, eta_2=0.055,
@@ -230,22 +235,22 @@ class TestPredictions:
 class TestSamplers:
     def test_no_light_no_noise_is_silent(self):
         cfg = make_config(0.0)
-        for arr in qm.segment_clicks(cfg, 0, 10_000):
+        for arr in segment_clicks(cfg, 0, 10_000):
             assert not arr.any()
-        cells = qm.segment_cells(cfg, 0, 10_000)
+        cells = segment_cells(cfg, 0, 10_000)
         assert cells[0] == 10_000 and cells[1:].sum() == 0
 
     def test_clicks_deterministic_per_stream(self):
         cfg = make_config(0.05, dark=(150.0, 150.0, 150.0))
-        first = qm.segment_clicks(cfg, 3, 20_000, point_index=2)
-        second = qm.segment_clicks(cfg, 3, 20_000, point_index=2)
+        first = segment_clicks(cfg, 3, 20_000, point_index=2)
+        second = segment_clicks(cfg, 3, 20_000, point_index=2)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_segments_are_distinct(self):
         cfg = make_config(0.05)
-        a = qm.segment_clicks(cfg, 0, 20_000)[0]
-        b = qm.segment_clicks(cfg, 1, 20_000)[0]
+        a = segment_clicks(cfg, 0, 20_000)[0]
+        b = segment_clicks(cfg, 1, 20_000)[0]
         assert not np.array_equal(a, b)
 
     def test_noise_streams_do_not_disturb_other_channels(self):
@@ -263,21 +268,21 @@ class TestSamplers:
         assert s2_b.sum() > 0
 
         n_bins = 10**6
-        h, s1, s2 = qm.segment_clicks(noisy, 0, n_bins)
+        h, s1, s2 = segment_clicks(noisy, 0, n_bins)
         pairs = np.bincount((h.astype(np.int64) << 1) | s1, minlength=4)
         marginal = qm.joint_pattern_probabilities(quiet).reshape(4, 2).sum(axis=1)
         assert stats.chisquare(pairs, marginal * n_bins).pvalue > 0.001
         assert s2.sum() > n_bins * qm.joint_pattern_probabilities(quiet)[1::2].sum()
 
     def test_cells_sum_to_bin_count(self):
-        cells = qm.segment_cells(make_config(0.05), 5, 33_333)
+        cells = segment_cells(make_config(0.05), 5, 33_333)
         assert cells.sum() == 33_333
         assert (cells >= 0).all()
 
     def test_cells_deterministic(self):
         cfg = make_config(0.05, mode_count=2)
-        np.testing.assert_array_equal(qm.segment_cells(cfg, 1, 10_000),
-                                      qm.segment_cells(cfg, 1, 10_000))
+        np.testing.assert_array_equal(segment_cells(cfg, 1, 10_000),
+                                      segment_cells(cfg, 1, 10_000))
 
 
 class TestDualRouteEquivalence:
@@ -296,8 +301,8 @@ class TestDualRouteEquivalence:
         assert expected.min() > 5.0
 
         from_chain = pattern_counts(*mechanistic_qm_clicks(cfg, 0, n_bins))
-        from_clicks = pattern_counts(*qm.segment_clicks(cfg, 1, n_bins))
-        from_cells = qm.segment_cells(cfg, 2, n_bins)
+        from_clicks = pattern_counts(*segment_clicks(cfg, 1, n_bins))
+        from_cells = segment_cells(cfg, 2, n_bins)
 
         for census in (from_chain, from_clicks, from_cells):
             assert census.sum() == n_bins
@@ -306,7 +311,7 @@ class TestDualRouteEquivalence:
     def test_clicks_recount_to_their_census(self):
         # The click route is its census placed: the same draw, not just
         # the same law, for every segment and point.
-        law = qm.sampling_law(self.CONFIG)
+        law = qm.joint_pattern_probabilities(self.CONFIG)
         for segment, point, n_bins in ((0, 0, 48_000), (7, 3, 12_345), (2, 1, 1)):
             clicks = qm.segment_clicks(self.CONFIG, segment, n_bins,
                                        point_index=point, law=law)

@@ -18,7 +18,11 @@ from heraldsim.core import (ConfigError, DetectorConfig, ExperimentConfig,
 from heraldsim.runner import (SweepPlan, load_sweep_plan, parse_sweep_plan,
                               run_counts, run_sweep, simulate_run)
 
+from helpers import bools
+
 BIN = 20.83e-9
+# Each model's law function, the law the runner hands its samplers.
+LAW_NAMES = {qm: "joint_pattern_probabilities", pcsft: "pattern_probabilities"}
 
 
 def photon_config(mu=0.05, mode_count=1, eta_h=0.5, eta_1=0.5, eta_2=0.5,
@@ -111,8 +115,9 @@ def assert_takes_the_census(model, cfg: ExperimentConfig) -> None:
     counts = run_counts(cfg)
     sizes = divmod_sizes(cfg.n_bins, cfg.segment_bins)
     assert len(counts.segments) == len(sizes)
+    law = getattr(model, LAW_NAMES[model])(cfg)
     for index, (seg, n_bins) in enumerate(zip(counts.segments, sizes)):
-        cells = model.segment_cells(cfg, index, n_bins=n_bins)
+        cells = model.segment_cells(cfg, index, n_bins=n_bins, law=law)
         assert seg.item() == counts_from_cells(cells, segment_index=index)
 
 
@@ -131,9 +136,11 @@ def census_rows(model, cfg: ExperimentConfig,
     segment at which the cumulative N_H12 reaches ``target_triples``.
     """
     rows, triples = [], 0
+    law = getattr(model, LAW_NAMES[model])(cfg)
     for index, n_bins in enumerate(divmod_sizes(cfg.n_bins, cfg.segment_bins)):
-        rows.append(counts_from_cells(model.segment_cells(cfg, index, n_bins),
-                                      segment_index=index))
+        rows.append(counts_from_cells(
+            model.segment_cells(cfg, index, n_bins, law=law),
+            segment_index=index))
         triples += rows[-1][-1]
         if target_triples is not None and triples >= target_triples:
             break
@@ -224,7 +231,7 @@ class TestPlacedBlocks:
             assert len(blocks) == 1
         censuses = iter(runner._census_rows(cfg, 0))
         for rows, part, clicked in blocks:
-            for bits, bins in zip(part.bools(), clicked):
+            for bits, bins in zip(bools(part), clicked):
                 assert bins.dtype == np.int64
                 np.testing.assert_array_equal(bins, np.flatnonzero(bits))
             costs = [_placement_bytes(*next(censuses)) for _ in rows]
@@ -287,15 +294,16 @@ class TestRunCounts:
         assert_takes_the_census(qm, validate_config(cfg))
 
     def test_joint_law_computed_once_per_config(self, monkeypatch):
-        # One sampling-law build per run, handed to every segment.
+        # One call of the model's law function per run, its law handed to
+        # every segment.
         for model, cfg in (
                 (qm, photon_config(n_bins=50_000, segment_bins=7_000,
                                    seed=8011)),
                 (pcsft, coupled_noisy_config(n_bins=50_000,
                                              segment_bins=7_000))):
             builds = []
-            build = model.sampling_law
-            monkeypatch.setattr(model, "sampling_law",
+            build = getattr(model, LAW_NAMES[model])
+            monkeypatch.setattr(model, LAW_NAMES[model],
                                 lambda c, build=build: builds.append(c) or build(c))
             counts = run_counts(cfg)
             assert len(counts.segments) > 1

@@ -19,7 +19,7 @@ from heraldsim.streams import (ClickStreams, SparseCsvWriter, StreamFormatError,
                                StreamWriter, read_streams, write_sparse_csv,
                                write_streams)
 
-from helpers import fail_after_first_write
+from helpers import bools, fail_after_first_write
 
 # The qm source at three pairs per bin in 4 801-bin segments, as the dense
 # simulate config of the CI runs.
@@ -96,7 +96,7 @@ part_sizes = st.lists(st.integers(min_value=0, max_value=70), min_size=1,
 def oracle_rows(streams: ClickStreams) -> str:
     """The sparse CSV of ``streams``, one f-string per click."""
     return "channel,bin_index\n" + "".join(
-        f"{name},{i}\n" for name, bits in zip(("H", "1", "2"), streams.bools())
+        f"{name},{i}\n" for name, bits in zip(("H", "1", "2"), bools(streams))
         for i in np.flatnonzero(bits).tolist())
 
 
@@ -106,7 +106,7 @@ def random_parts(sizes) -> list[ClickStreams]:
 
 def joined_bools(parts) -> list[np.ndarray]:
     return [np.concatenate(channel) for channel in
-            zip(*(part.bools() for part in parts))]
+            zip(*(bools(part) for part in parts))]
 
 
 class TestPacking:
@@ -115,7 +115,7 @@ class TestPacking:
     def test_round_trip_bools(self, channels):
         arrays = [np.array(c, dtype=bool) for c in channels]
         streams = ClickStreams.from_bools(*arrays, bin_width=1e-9)
-        for original, unpacked in zip(arrays, streams.bools()):
+        for original, unpacked in zip(arrays, bools(streams)):
             np.testing.assert_array_equal(original, unpacked)
 
     def test_bit_order_is_lsb_first(self):
@@ -149,8 +149,8 @@ class TestConcat:
         parts = [random_streams(n, seed=i + 1) for i, n in enumerate(sizes)]
         merged = parts[0].concat(*parts[1:])
         assert merged.n_bins == sum(sizes)
-        for channel, joined in zip(zip(*(p.bools() for p in parts)),
-                                   merged.bools()):
+        for channel, joined in zip(zip(*(bools(p) for p in parts)),
+                                   bools(merged)):
             np.testing.assert_array_equal(np.concatenate(channel), joined)
 
     @given(part_sizes)
@@ -159,10 +159,10 @@ class TestConcat:
         parts = random_parts(sizes)
         merged = parts[0].concat(*parts[1:])
         assert merged.n_bins == sum(sizes)
-        for expected, joined in zip(joined_bools(parts), merged.bools()):
+        for expected, joined in zip(joined_bools(parts), bools(merged)):
             np.testing.assert_array_equal(expected, joined)
         # Pad bits stay zero: repacking the bools gives the same bytes.
-        repacked = ClickStreams.from_bools(*merged.bools(), bin_width=1e-9)
+        repacked = ClickStreams.from_bools(*bools(merged), bin_width=1e-9)
         np.testing.assert_array_equal(repacked.herald, merged.herald)
 
     def test_concat_requires_matching_bin_width(self):
@@ -385,7 +385,7 @@ class TestSparseCsv:
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
         expected = ["channel,bin_index"] + [
             f"{name},{i}" for name, bits in zip(("H", "1", "2"),
-                                                 streams.bools())
+                                                 bools(streams))
             for i in range(n_bins) if bits[i]]
         assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
         assert rows == len(expected) - 1
@@ -551,7 +551,7 @@ class TestSparseCsv:
 
 def part_clicks(part: ClickStreams) -> list[np.ndarray]:
     """Each channel's clicked bins of ``part``, ascending int64."""
-    return [np.flatnonzero(bits).astype(np.int64) for bits in part.bools()]
+    return [np.flatnonzero(bits).astype(np.int64) for bits in bools(part)]
 
 
 class TestSparseCsvWriter:
