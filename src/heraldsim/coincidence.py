@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -228,45 +228,49 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
     independent bins whose census each model's ``segment_cells`` draws.
     """
-    packed, _ = _placed_channels([cells], [n_bins], lambda _: rng)
+    packed, _ = _placed_channels([np.asarray(cells).tolist()], [n_bins],
+                                 lambda _: rng)
     return tuple(np.unpackbits(channel, count=n_bins, bitorder="little")
                  .view(bool) for channel in packed)
 
 
-def _placement_bytes(cells: np.ndarray,
+def _placement_bytes(counts: list[int],
                      row: tuple[int, ...]) -> tuple[int, bool]:
     """What placing one census adds to a block of :func:`_placed_channels`.
 
-    ``row`` is the census's segment row.  Returns the bytes of the block's
-    arrays that grow with the segment (int64 placed positions and each
-    channel's bit of their patterns, packed bitmaps, int64 clicked bins),
-    and whether the segment can make a channel of its block scan, which
-    then holds a bool per bin of the block as well.  A segment that its
-    silent pattern fills, with fewer placed bins than one in
-    ``_SORT_BELOW``, cannot.  Joining the segments' draws holds the
-    positions twice for a moment, which this does not count.
+    ``counts`` is the census as a list and ``row`` its segment row.
+    Returns the bytes of the block's arrays that grow with the segment
+    (int64 placed positions and each channel's bit of their patterns,
+    packed bitmaps, int64 clicked bins), and whether the segment can make
+    a channel of its block scan, which then holds a bool per bin of the
+    block as well.  A segment that its silent pattern fills, with fewer
+    placed bins than one in ``_SORT_BELOW``, cannot.  Joining the
+    segments' draws holds the positions twice for a moment, which this
+    does not count.  A 48 000-bin simulate-qm segment counts about 32 KB,
+    so a block of the 512 KiB ``runner._BLOCK_BYTES`` holds 16 of them;
+    a 48 000-bin simulate-pcsft segment, which places about 10 700 bins
+    and scans, counts about 220 KB and is a block of its own.
     """
     n_bins, clicks = row[1], row[2] + row[3] + row[4]  # N_H + N_1 + N_2
-    counts = cells.tolist()
     top = max(counts)
     placed = n_bins - top
     scans = counts[0] != top or _SORT_BELOW * placed >= n_bins
     return 11 * placed + 8 * clicks + 3 * n_bins // 8, scans
 
 
-def _placed_channels(cells: Sequence, sizes: list[int],
+def _placed_channels(counts: list[list[int]], sizes: list[int],
                      rng_of: Callable[[int], np.random.Generator],
                      ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """The clicks of consecutive segments, placed, packed and as bin lists.
 
-    ``cells[i]`` is the census of a segment of ``sizes[i]`` bins,
-    which is placed as :func:`clicks_from_cells` places it alone: its most
-    frequent pattern fills it, and ``rng_of(i).choice``, asked for just
-    before that segment's draw, positions its other bins.  Returns one
-    bitmap per channel (herald, signal_1, signal_2) of the block's
-    ``sum(sizes)`` bins, packed as ClickStreams holds them (little-endian
-    bit order, zero pad bits), and each channel's clicked bins counted
-    from the block's first bin, ascending int64.
+    ``counts[i]`` is the census, as a list, of a segment of ``sizes[i]``
+    bins, which is placed as :func:`clicks_from_cells` places it alone:
+    its most frequent pattern fills it, and ``rng_of(i).choice``, asked
+    for just before that segment's draw, positions its other bins.
+    Returns one bitmap per channel (herald, signal_1, signal_2) of the
+    block's ``sum(sizes)`` bins, packed as ClickStreams holds them
+    (little-endian bit order, zero pad bits), and each channel's clicked
+    bins counted from the block's first bin, ascending int64.
 
     Whether a placed bin's pattern has a channel's bit comes from the
     rows' other cells repeated in index order.  A channel that no segment
@@ -276,19 +280,20 @@ def _placed_channels(cells: Sequence, sizes: list[int],
     array of the block, each segment's fill bit overwritten by the pattern
     bit of its placed bins, which is scanned for its clicks.
     """
-    counts = [np.asarray(census).tolist() for census in cells]
-    for row, n_bins in zip(counts, sizes):
+    fills, others, draws, start = [], [], [], 0
+    for i, (row, n_bins) in enumerate(zip(counts, sizes)):
         if len(row) != 8 or sum(row) != n_bins or min(row) < 0:
             raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
                              f"got {row}")
-    fills = [row.index(max(row)) for row in counts]
-    placed = [n_bins - row[fill]
-              for row, n_bins, fill in zip(counts, sizes, fills)]
-    draws, start = [], 0
-    for i, (n_bins, k) in enumerate(zip(sizes, placed)):
-        if k:
-            draw = rng_of(i).choice(n_bins, k, replace=False)
-            draw += start
+        top = max(row)
+        fill = row.index(top)
+        fills.append(fill)
+        others += row
+        others[fill - 8] = 0
+        if top < n_bins:
+            draw = rng_of(i).choice(n_bins, n_bins - top, replace=False)
+            if start:
+                draw += start
             draws.append(draw)
         start += n_bins
     # A lone draw is used as it is.  Allocating its copy before or after
@@ -297,9 +302,8 @@ def _placed_channels(cells: Sequence, sizes: list[int],
     # simulate-pcsft segment (minor faults).
     positions = draws[0] if len(draws) == 1 else np.concatenate(
         draws or [_NO_BINS])
-    others = np.array([row[:fill] + [0] + row[fill + 1:]
-                       for row, fill in zip(counts, fills)]).ravel()
-    on_bits = np.repeat(np.tile(_HAS_BIT, len(sizes)), others, axis=1)
+    on_bits = np.repeat(_HAS_BIT if len(fills) == 1
+                        else np.tile(_HAS_BIT, len(fills)), others, axis=1)
     packed, clicked = [], []
     for bit, on in zip(CHANNEL_BITS, on_bits):
         filled = [bool(fill & bit) for fill in fills]
@@ -471,7 +475,7 @@ def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "coincidence-counts":
         raise ValueError(f"{path}: not a coincidence-counts file")

@@ -15,7 +15,8 @@ whose stream files are part of the deliverable, also places each census
 in a uniformly random order, straight into packed channel bitmaps
 (``coincidence._placed_channels``, the draw ``clicks_from_cells``
 unpacks), a run of consecutive censuses whose placement arrays fit
-``_BLOCK_BYTES`` at a time.  Each segment keeps its own draw, so the
+``_BLOCK_BYTES`` (512 KiB) at a time: 13 blocks of 16 segments per
+simulate-qm run of 10^7 bins.  Each segment keeps its own draw, so the
 bytes are those of placing the segments one by one.  The placement also
 lists each channel's clicked bins in ascending order, and the CLI writes
 ``clicks.csv`` from those lists in the loop that writes
@@ -53,8 +54,27 @@ __all__ = [
 ]
 
 TARGET_TRIPLES_DEFAULT = 10_000
-# The bytes a block of simulate's segments may place at once.
-_BLOCK_BYTES = 1 << 17
+# The bytes a block of simulate's segments may place at once
+# (coincidence._placement_bytes), chosen by measurement.  Median ms of an
+# in-process simulate run over five fresh processes per budget, with the
+# range of minor page faults per run (one Xeon core, numpy 2.4; dense and
+# mixed are the CI configs of that name, the last column simulate-qm cut
+# into 4 800-bin segments):
+#
+#   budget  simulate-qm    simulate-pcsft  dense          mixed         qm 4 800
+#   2**16   27.0 (0)       3.67 (29-132)   96.8 (0)       51.9 (4-76)   57.6 (5-98)
+#   2**17   22.6 (1-2)     3.73 (0-157)    97.0 (0)       49.4 (3-5)    53.9 (4-5)
+#   2**18   21.2 (0)       3.69 (0-157)    92.3 (1-4)     48.5 (1-3)    51.1 (0-85)
+#   2**19   22.0 (134-164) 3.73 (0-157)    87.8 (144-222) 49.4 (1-2)    50.8 (1)
+#   2**20   20.8 (375-493) 3.67 (205-231)  88.9 (558-790) 48.0 (99-269) 51.2 (0-490)
+#
+# The benchmark's calibrated simulate-qm wall_s, whose process has run
+# the workload before it times it, read 18.3-18.8 ms at 2**19 against
+# 19.1-19.7 at 2**18 and 18.4-18.6 at 2**20 (21.2-21.5 for version
+# 13.0.0 at 2**17).  2**19 keeps a block's arrays within a core's 2 MB L2
+# cache and faults a third as often as 2**20.  simulate-pcsft places each
+# of its segments as a block of its own at every budget up to 2**19.
+_BLOCK_BYTES = 1 << 19
 
 
 # Each theory's module and the name of its law function there, looked up
@@ -107,33 +127,36 @@ def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
     generator is valid only until the next rekey.
     """
     bin_width = float(cfg.detectors.bin_width)
-    for block in _blocks(_census_rows(cfg, point_index)):
-        rows = [row for _, row in block]
-        sizes = [row[1] for row in rows]
+    for rows, counts, n_bins in _blocks(_census_rows(cfg, point_index)):
         first = rows[0][0]
         packed, clicked = _placed_channels(
-            [cells for cells, _ in block], sizes,
+            counts, [row[1] for row in rows],
             lambda i: _segment_rng(cfg, first + i, Role.PLACEMENT,
                                    point_index))
-        yield rows, ClickStreams(sum(sizes), bin_width, *packed), clicked
+        yield rows, ClickStreams(n_bins, bin_width, *packed), clicked
 
 
 def _blocks(censuses: Iterator[tuple[np.ndarray, tuple[int, ...]]],
-            ) -> Iterator[list]:
-    """Consecutive (cells, row) pairs grouped within ``_BLOCK_BYTES``."""
-    block, fixed, bins, scans = [], 0, 0, False
+            ) -> Iterator[tuple[list, list, int]]:
+    """Consecutive segments grouped within ``_BLOCK_BYTES``.
+
+    Yields each block's rows, its censuses as lists and its bins.
+    """
+    rows, counts, fixed, bins, scans = [], [], 0, 0, False
     for cells, row in censuses:
-        size, scan = _placement_bytes(cells, row)
-        if block and (fixed + size + (bins + row[1]) * (scans or scan)
-                      > _BLOCK_BYTES):
-            yield block
-            block, fixed, bins, scans = [], 0, 0, False
-        block.append((cells, row))
+        census = cells.tolist()
+        size, scan = _placement_bytes(census, row)
+        if rows and (fixed + size + (bins + row[1]) * (scans or scan)
+                     > _BLOCK_BYTES):
+            yield rows, counts, bins
+            rows, counts, fixed, bins, scans = [], [], 0, 0, False
+        rows.append(row)
+        counts.append(census)
         fixed += size
         bins += row[1]
         scans = scans or scan
-    if block:
-        yield block
+    if rows:
+        yield rows, counts, bins
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:

@@ -61,7 +61,10 @@ _NAMES = ("herald", "signal_1", "signal_2")
 # threshold.  At 2**14 the blocks were mapped afresh on every flush: a
 # simulate-qm run took 1 120 minor page faults against 3, and 4.9 % more
 # time (median of 30 interleaved in-process runs, one Xeon core, numpy
-# 2.4).
+# 2.4).  With simulate's placement blocks at 512 KiB, 2**14 ran no faster
+# in fresh processes (21.0 against 21.0-21.5 ms), faulted 161 pages per
+# run against 1, and raised the CLI's peak RSS by 0.2 MB; 2**12 took
+# 24-25 ms.
 _CLICK_BUFFER = 1 << 13
 # write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
 # finds the clicks of at most _HOT_BYTES bytes per step.  A byte holds at
@@ -250,18 +253,18 @@ class StreamWriter:
         """Write the next ``part.n_bins`` bins."""
         if part.bin_width != self.bin_width:
             raise ValueError("cannot append streams with a different bin width")
-        lo = self._written
-        if lo + part.n_bins > self.n_bins:
-            raise ValueError(f"{self.path}: {lo + part.n_bins} bins exceed "
+        lo, n_bins = self._written, part.n_bins
+        end = lo + n_bins
+        if end > self.n_bins:
+            raise ValueError(f"{self.path}: {end} bins exceed "
                              f"the declared {self.n_bins}")
-        end_bits = (lo + part.n_bins) % 8
-        for k, name in enumerate(_NAMES):
-            data = _splice(self._tails[k], lo % 8, getattr(part, name),
-                           part.n_bins)
-            self._fh.seek(_HEADER.size + k * self._nbytes + lo // 8)
+        at, shift, tails = _HEADER.size + lo // 8, lo % 8, self._tails
+        for k, bitmap in enumerate((part.herald, part.signal_1, part.signal_2)):
+            data = _splice(tails[k], shift, bitmap, n_bins)
+            self._fh.seek(at + k * self._nbytes)
             self._fh.write(np.ascontiguousarray(data))
-            self._tails[k] = int(data[-1]) if end_bits else 0
-        self._written += part.n_bins
+            tails[k] = int(data[-1]) if end % 8 else 0
+        self._written = end
 
     def close(self) -> None:
         """Put the finished container at ``path`` (all bins must be written)."""

@@ -54,6 +54,9 @@ attenuations = 1.0, 0.6, 0.3
 
 # How a JSON file that starts with the bytes ff fe 00 fails to decode.
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+# A JSON string that the malformed counts files replace with a 5 001-digit
+# integer literal, which json.dumps cannot write.
+HUGE = "<5001 digits>"
 
 
 def refuse_to_run(*args, **kwargs):
@@ -367,7 +370,7 @@ class TestStreamedSimulate:
             assert min(totals[k] for k in ("N_H", "N_1", "N_2")) > 5 * n_bins // 6
 
     def test_segments_are_written_in_blocks(self, tmp_path, monkeypatch):
-        # 209 segments of 4 800 bins at the README's rates go to the
+        # 625 segments of 4 800 bins at the README's rates go to the
         # writers in blocks of the placement budget, not one by one.
         appended = []
         append = streams.StreamWriter.append
@@ -382,18 +385,18 @@ class TestStreamedSimulate:
                .replace("eta_h = 0.8", "eta_h = 0.26")
                .replace("eta_1 = 0.7", "eta_1 = 0.075")
                .replace("eta_2 = 0.6", "eta_2 = 0.055")
-               .replace("n_bins = 20000", "n_bins = 1000000")
+               .replace("n_bins = 20000", "n_bins = 3000000")
                .replace("segment_bins = 5000", "segment_bins = 4800"))
         cfg, _ = write_inputs(tmp_path, ini)
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 0
         # Blocks are filled greedily, so two in a row always exceed the
         # budget: at most twice the bytes over the budget, plus one.
-        placed = sum(_placement_bytes(*census)[0] for census in
-                     runner._census_rows(load_config(cfg), 0))
-        assert sum(appended) == 1_000_000
+        placed = sum(_placement_bytes(cells.tolist(), row)[0] for cells, row
+                     in runner._census_rows(load_config(cfg), 0))
+        assert sum(appended) == 3_000_000
         assert 1 < len(appended) <= 2 * placed // runner._BLOCK_BYTES + 1
-        assert len(appended) < math.ceil(1_000_000 / 4800) / 10
+        assert len(appended) < math.ceil(3_000_000 / 4800) / 10
 
     def test_memory_does_not_grow_past_the_click_buffer(self, tmp_path):
         # Every channel clicks more than the writer buffers in both runs.
@@ -856,6 +859,11 @@ class TestAnalyze:
             lambda p: p["config"]["detectors"].update(dark_rate_h=10**400), 2,
             "bad configuration record:\n"
             f"[detectors] dark_rate_h: not a number: {10**400}"),
+        # Beyond the digits Python converts from a string (4 300 by
+        # default), so json.loads fails with a plain ValueError.
+        "config-dark-rate-of-5001-digits": (
+            lambda p: p["config"]["detectors"].update(dark_rate_h=HUGE), 1,
+            "not JSON: Exceeds the limit"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
@@ -865,7 +873,8 @@ class TestAnalyze:
         payload = json.loads((sweep_out / "point_001.json").read_text())
         edit(payload)
         bad = tmp_path / "point.json"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
+        bad.write_text(json.dumps(payload).replace(f'"{HUGE}"', "9" * 5001),
+                       encoding="utf-8")
         assert main(["analyze", "--counts", str(bad),
                      "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err

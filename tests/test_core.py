@@ -710,7 +710,7 @@ class TestClicksFromCells:
     def test_packed_placement_is_the_per_bin_placement(self, cells, seed):
         n_bins = sum(cells)
         channels, clicked = _placed_channels(
-            np.array([cells]), [n_bins],
+            [cells], [n_bins],
             lambda _: rng_stream(seed, Role.PLACEMENT))
         packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *channels)
         oracle = placed_clicks(np.array(cells), n_bins,
@@ -840,10 +840,13 @@ class TestBlockPlacement:
     # One pattern per segment: nothing is drawn.
     @example(block=[[0, 0, 0, 0, 9, 0, 0, 0], [13, 0, 0, 0, 0, 0, 0, 0]],
              seed=5)
+    # A simulate-pcsft segment, a block of its own: 48 000 bins, 10 710
+    # placed, the herald scanned and both signals sorted.
+    @example(block=[[37290, 0, 4, 0, 10704, 0, 2, 0]], seed=6)
     def test_block_is_its_segments_placed_one_by_one(self, block, seed):
         sizes = list(map(sum, block))
         packed, clicked = _placed_channels(
-            np.array(block), sizes,
+            block, sizes,
             lambda i: rng_stream(seed, stream_id(i, Role.PLACEMENT)))
         expected, expected_bins = self.segment_by_segment(block, seed)
         for name, bitmap, bins, want in zip(
@@ -872,10 +875,10 @@ class TestBlockPlacement:
             return Logged(i)
 
         block = [_census(0, 50, [0, 1, 2, 3, 4, 5, 6, 7])] * 4
-        _placed_channels(np.array(block), list(map(sum, block)), rng_of)
+        _placed_channels(block, list(map(sum, block)), rng_of)
         assert asked == [0, 1, 2, 3]
 
     def test_rejects_a_census_of_another_length(self):
         with pytest.raises(ValueError, match="summing to 20"):
-            _placed_channels(np.array([[10] + [0] * 7, [9] + [0] * 7]),
+            _placed_channels([[10] + [0] * 7, [9] + [0] * 7],
                              [10, 20], lambda _: rng_stream(0, 1))

@@ -210,7 +210,7 @@ class TestPlacedBlocks:
     }
 
     @pytest.mark.filterwarnings("ignore:source.pair_mean_per_bin")
-    @pytest.mark.parametrize("block_bytes", [0, 1 << 11, 1 << 14,
+    @pytest.mark.parametrize("block_bytes", [0, 1 << 11, 1 << 14, 1 << 17,
                                              runner._BLOCK_BYTES, 1 << 40])
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_blocks_are_the_segments_joined(self, config, block_bytes,
@@ -234,7 +234,8 @@ class TestPlacedBlocks:
             for bits, bins in zip(bools(part), clicked):
                 assert bins.dtype == np.int64
                 np.testing.assert_array_equal(bins, np.flatnonzero(bits))
-            costs = [_placement_bytes(*next(censuses)) for _ in rows]
+            costs = [_placement_bytes(cells.tolist(), row)
+                     for _, (cells, row) in zip(rows, censuses)]
             if len(rows) == 1:
                 continue
             # A block of several segments holds what it counted, and
