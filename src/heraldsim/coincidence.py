@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import _MAX_BINS
-from .streams import ClickStreams, _replacing
+from .streams import ClickStreams, _csv_lines, _replacing
 
 __all__ = [
     "CoincidenceCounts",
@@ -347,9 +347,24 @@ def alternating_sum(mask: int, value: Callable[[int], float]):
 _SEGMENT_HEADER = ("segment_index", "bins") + COUNT_FIELDS
 # csv.writer's dialect: comma-separated, no quoting needed, \r\n line ends.
 _CSV_HEADER = (",".join(_SEGMENT_HEADER) + "\r\n").encode()
-_CSV_ROW = ",".join(["%d"] * len(_SEGMENT_HEADER)) + "\r\n"
-# Segment rows formatted per write.  Small enough that each chunk's
-# strings reuse heap memory rather than raise the peak.
+# Segment rows formatted per write, chosen by measurement.  Median ms of
+# writing the four point tables of a sweep (sweep-qm 4 308 rows,
+# sweep-pcsft 4 000) in-process, range over three processes, with minor
+# page faults per write of the four and the tracemalloc peak (one Xeon
+# core, numpy 2.4):
+#
+#   chunk  sweep-qm    sweep-pcsft  faults   peak
+#   128    2.17-2.44   2.02-2.22    0         70 KiB
+#   256    1.84-2.07   1.68-1.85    0        136 KiB
+#   512    1.75-1.93   1.54-1.72    0-1      261 KiB
+#   1024   2.00-2.22   1.82-2.02    119-152  511 KiB
+#   2048   1.98-2.16   1.84-1.98    148-203  622 KiB
+#
+# The %d row template of version 13.0.1 took 3.45-4.09 and 3.13-3.73 ms
+# at 256 rows.  From 1024 rows the arrays are mapped afresh on every
+# chunk.  512 rows ran about 5 % faster than 256 (0.1 ms a sweep) at
+# twice the heap peak, so 256 it is: a chunk's word array is then at
+# most 63 KiB (9 cells of 7 words), half glibc's 128 KiB mmap threshold.
 _CSV_CHUNK = 256
 _INT64_SEGMENT = _segment_dtype(np.int64)
 
@@ -358,10 +373,12 @@ def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     """The segment table as CSV, one row per segment, in order.
 
     The bytes are those of ``csv.writer``: each chunk of rows is read as
-    one flat int64 array and formatted through one row template.  Counts
-    of a type int64 cannot hold exactly (floats, say) are refused with a
-    ValueError naming the file and the type, and nothing is written.  The
-    file is renamed to ``path`` only once complete.
+    one int64 array and formatted by ``streams._csv_lines`` from the
+    table of ASCII words ``0000`` ... ``9999`` that formats
+    ``clicks.csv``.  Counts of a type int64 cannot hold exactly (floats,
+    say) are refused with a ValueError naming the file and the type, and
+    nothing is written.  The file is renamed to ``path`` only once
+    complete.
     """
     table = counts.segments.view(np.ndarray)
     count_type = table.dtype[COUNT_FIELDS[0]]
@@ -372,8 +389,7 @@ def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
         fh.write(_CSV_HEADER)
         for lo in range(0, len(table), _CSV_CHUNK):
             rows = table[lo:lo + _CSV_CHUNK].astype(_INT64_SEGMENT, order="C")
-            values = rows.view(np.int64).tolist()
-            fh.write(((_CSV_ROW * len(rows)) % tuple(values)).encode())
+            fh.write(_csv_lines(rows.view(np.int64).reshape(len(rows), -1)))
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
@@ -393,6 +409,9 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
             segments = segment_table(_csv_rows(reader, path))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    except OverflowError:  # from the row just read, as the table takes it
+        raise ValueError(f"{path}, line {reader.line_num}: "
+                         "a value outside the int64 range") from None
     return CoincidenceCounts(bin_width=bin_width, segments=segments)
 
 

@@ -10,8 +10,9 @@ into exit times, for the first-passage checks.  ``merge`` joins two
 segment tables, for the split-and-rejoin checks of counting, and
 ``pattern_counts`` takes the pattern census of click arrays.
 ``segment_csv_bytes`` writes a segment table through ``csv.writer``, the
-oracle of ``write_segment_csv``'s row template.  ``fail_after_first_write``
-makes the package's file writes fail part way, as a full disk does.
+oracle of ``write_segment_csv``'s word-table formatter.
+``fail_after_first_write`` makes the package's file writes fail part way,
+as a full disk does.
 ``placed_clicks`` places a census through a per-bin pattern array, the
 oracle of the packed placement, and ``placed_segment`` packs it one
 segment at a time, channel by channel, the oracle of the block placement.

@@ -354,7 +354,11 @@ class TestSegmentTable:
         "1,10,1,1,1,1,1,1",
         "1,10,1,1,1,1,1,1,1,1",
         "1,10,1,1,x,1,1,1,1",
-    ], ids=["too-few-columns", "too-many-columns", "not-an-integer"])
+        "1,10,1,1,99999999999999999999,1,1,1,1",
+        "1,10,1,1,1,1,1,1,9223372036854775808",
+        "-9223372036854775809,10,1,1,1,1,1,1,1",
+    ], ids=["too-few-columns", "too-many-columns", "not-an-integer",
+            "above-int64", "just-above-int64", "below-int64"])
     def test_malformed_csv_row_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "counts.csv"
         header = ",".join(("segment_index", "bins") + COUNT_FIELDS)
@@ -365,7 +369,8 @@ class TestSegmentTable:
     @pytest.mark.parametrize("line", [
         "30000,10,1,1,1,1,1,1",
         "30000,10,1,1,x,1,1,1,1",
-    ], ids=["too-few-columns", "not-an-integer"])
+        "30000,10,1,1,99999999999999999999,1,1,1,1",
+    ], ids=["too-few-columns", "not-an-integer", "above-int64"])
     def test_malformed_row_deep_in_a_long_csv_names_its_line(self, tmp_path,
                                                              line):
         # The rows stream into the table, so the error comes from inside
@@ -453,10 +458,14 @@ class TestAtomicWrites:
 # Both ends of int64's non-negative range and every change in digit count.
 _DIGIT_EDGES = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
 _COUNT = st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, 2**63 - 1))
+# The same edges negated, and -2**63, whose negation int64 cannot hold.
+_SIGNED_EDGES = _DIGIT_EDGES + [-v for v in _DIGIT_EDGES[1:]] + [-2**63]
+_SIGNED = st.one_of(st.sampled_from(_SIGNED_EDGES),
+                    st.integers(-2**63, 2**63 - 1))
 
 
 class TestSegmentCsvBytes:
-    """write_segment_csv's template gives csv.writer's bytes, and reads back."""
+    """write_segment_csv's formatter gives csv.writer's bytes, and reads back."""
 
     @staticmethod
     def assert_written_as_csv_writer(rows) -> None:
@@ -477,6 +486,46 @@ class TestSegmentCsvBytes:
                    for i in range(0, 9 * len(_DIGIT_EDGES), 9)])
     def test_bytes_are_csv_writers(self, rows):
         self.assert_written_as_csv_writer(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[_SIGNED] * 9), max_size=12))
+    @example(rows=[(-2**63,) * 9])
+    @example(rows=[(2**63 - 1, -2**63, -1, 0, 1, -9999, 9999, -10000, 10000)])
+    @example(rows=[tuple((_SIGNED_EDGES * 9)[i:i + 9])
+                   for i in range(0, 9 * len(_SIGNED_EDGES), 9)])
+    def test_signed_bytes_are_csv_writers(self, rows):
+        self.assert_written_as_csv_writer(rows)
+
+    def test_chunks_that_change_word_count_and_sign(self):
+        # One digit word and no sign, then five words and a sign, then one
+        # word again: each chunk is laid out for its own values.
+        rng = np.random.default_rng(26)
+        chunk = coincidence._CSV_CHUNK
+        small = rng.integers(0, 10, size=(chunk, 9))
+        large = rng.integers(-2**63, -10**18, size=(chunk, 9), endpoint=True)
+        values = np.concatenate([small, large, small[:7]])
+        self.assert_written_as_csv_writer([tuple(r) for r in values.tolist()])
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path):
+        n = 200_000
+        table = np.zeros(n, dtype=segment_table().dtype)
+        table["segment_index"] = np.arange(n)
+        table["n_bins"] = 48_000
+        for k, field in enumerate(COUNT_FIELDS):
+            table[field] = np.arange(n) * (k + 1) % 40_000
+        counts = CoincidenceCounts(1e-9, table.view(np.recarray))
+        tracemalloc.start()
+        try:
+            write_segment_csv(counts, tmp_path / "counts.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "counts.csv").stat().st_size > 10**7
+        # The table is 14.4 MB and its CSV 11 MB.  One chunk's int64 rows
+        # take 72 bytes each; its words, their bytes and the formatter's
+        # index arrays peaked at 7.4 times that (0.14 MB at 256 rows), and
+        # a write of the whole table as one chunk at 100 MB.
+        assert peak < 16 * 72 * coincidence._CSV_CHUNK, peak
 
     def test_rows_across_chunk_boundaries(self):
         rng = np.random.default_rng(24)
