@@ -19,10 +19,11 @@ field's set.  Each model's per-bin law and each segment's census are 8
 cells in that index, which :func:`counts_from_cells` turns into counts,
 :func:`clicks_from_cells` into clicks; :func:`alternating_sum` is their
 inclusion-exclusion.  The placement behind :func:`clicks_from_cells`
-places a block of consecutive segments at once, each from its own draw,
-and also gives each channel's clicked bins in ascending order, the rows
-of ``clicks.csv``, so a run's click record is written without scanning
-its bitmaps.
+also places a run's censuses as they arrive, a block of consecutive
+segments within ``_BLOCK_BYTES`` at a time, each from its own draw, and
+gives each channel's clicked bins in ascending order, the rows of
+``clicks.csv``, so a run's click record is written without scanning its
+bitmaps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -75,6 +76,27 @@ _NO_BINS = np.empty(0, dtype=np.int64)
 # against 105 us for the scan, 24 000 flips 254 us against 305 us, and
 # 32 000 flips 437 us against 330 us (one Xeon core, numpy 2.4).
 _SORT_BELOW = 6
+# The bytes a block of simulate's segments may place at once
+# (_placed_blocks), chosen by measurement.  Median ms of an in-process
+# simulate run over five fresh processes per budget, with the range of
+# minor page faults per run (one Xeon core, numpy 2.4; dense and mixed
+# are the CI configs of that name, the last column simulate-qm cut into
+# 4 800-bin segments):
+#
+#   budget  simulate-qm    simulate-pcsft  dense          mixed         qm 4 800
+#   2**16   27.0 (0)       3.67 (29-132)   96.8 (0)       51.9 (4-76)   57.6 (5-98)
+#   2**17   22.6 (1-2)     3.73 (0-157)    97.0 (0)       49.4 (3-5)    53.9 (4-5)
+#   2**18   21.2 (0)       3.69 (0-157)    92.3 (1-4)     48.5 (1-3)    51.1 (0-85)
+#   2**19   22.0 (134-164) 3.73 (0-157)    87.8 (144-222) 49.4 (1-2)    50.8 (1)
+#   2**20   20.8 (375-493) 3.67 (205-231)  88.9 (558-790) 48.0 (99-269) 51.2 (0-490)
+#
+# The benchmark's calibrated simulate-qm wall_s, whose process has run
+# the workload before it times it, read 18.3-18.8 ms at 2**19 against
+# 19.1-19.7 at 2**18 and 18.4-18.6 at 2**20 (21.2-21.5 for version
+# 13.0.0 at 2**17).  2**19 keeps a block's arrays within a core's 2 MB L2
+# cache and faults a third as often as 2**20.  simulate-pcsft places each
+# of its segments as a block of its own at every budget up to 2**19.
+_BLOCK_BYTES = 1 << 19
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                           axis=1).sum(axis=1).astype(np.uint8)
@@ -219,83 +241,97 @@ def clicks_from_cells(cells, n_bins: int, rng: np.random.Generator,
     """Per-bin clicks (herald, signal_1, signal_2) showing a given census.
 
     ``cells[(h << 2) | (s1 << 1) | s2]`` is the number of bins with exactly
-    that joint click pattern; the cells sum to ``n_bins``.  The most
-    frequent pattern fills the segment.  ``rng.choice`` draws the positions
-    of the other bins as a uniformly random subset in uniformly random
-    order, and consecutive blocks of those positions take the remaining
-    patterns in index order.  Every arrangement of the census is therefore
-    equally likely: the law of any exchangeable bin sequence given its
-    census (Diaconis & Freedman, Ann. Probab. 8, 1980), such as the
-    independent bins whose census each model's ``segment_cells`` draws.
+    that joint click pattern: 8 integers summing to ``n_bins``, or a
+    ValueError naming the census.  The most frequent pattern fills the
+    segment.  ``rng.choice`` draws the positions of the other bins as a
+    uniformly random subset in uniformly random order, and consecutive
+    blocks of those positions take the remaining patterns in index order.
+    Every arrangement of the census is therefore equally likely: the law
+    of any exchangeable bin sequence given its census (Diaconis &
+    Freedman, Ann. Probab. 8, 1980), such as the independent bins whose
+    census each model's ``segment_cells`` draws.
     """
-    packed, _ = _placed_channels([np.asarray(cells).tolist()], [n_bins],
-                                 lambda _: rng)
+    census = np.asarray(cells)
+    if (census.shape != (8,) or census.dtype.kind not in "iu"
+            or census.sum() != n_bins or census.min() < 0):
+        raise ValueError(f"expected 8 pattern cells, integers summing to "
+                         f"{n_bins}, got {census.tolist()}")
+    (_, _, packed, _), = _placed_blocks([(census, counts_from_cells(census))],
+                                        lambda _: rng)
     return tuple(np.unpackbits(channel, count=n_bins, bitorder="little")
                  .view(bool) for channel in packed)
 
 
-def _placement_bytes(counts: list[int],
-                     row: tuple[int, ...]) -> tuple[int, bool]:
-    """What placing one census adds to a block of :func:`_placed_channels`.
+def _placed_blocks(censuses: Iterable[tuple[np.ndarray, tuple[int, ...]]],
+                   rng_of: Callable[[int], np.random.Generator],
+                   ) -> Iterator[tuple]:
+    """Consecutive segments' clicks, placed, packed and listed a block at a time.
 
-    ``counts`` is the census as a list and ``row`` its segment row.
-    Returns the bytes of the block's arrays that grow with the segment
-    (int64 placed positions and each channel's bit of their patterns,
-    packed bitmaps, int64 clicked bins), and whether the segment can make
-    a channel of its block scan, which then holds a bool per bin of the
-    block as well.  A segment that its silent pattern fills, with fewer
-    placed bins than one in ``_SORT_BELOW``, cannot.  Joining the
-    segments' draws holds the positions twice for a moment, which this
-    does not count.  A 48 000-bin simulate-qm segment counts about 32 KB,
-    so a block of the 512 KiB ``runner._BLOCK_BYTES`` holds 16 of them;
-    a 48 000-bin simulate-pcsft segment, which places about 10 700 bins
-    and scans, counts about 220 KB and is a block of its own.
+    ``censuses`` yields each segment's census, an integer array, and its
+    :func:`counts_from_cells` row.  Each segment is placed as
+    :func:`clicks_from_cells` places it alone, ``rng_of(segment_index)``
+    drawing its positions.  Yields each block's rows, its bins, one bitmap
+    per channel (herald, signal_1, signal_2) packed as ClickStreams holds
+    them, and each channel's clicked bins counted from the block's first
+    bin, ascending int64.
+
+    A block takes segments while its placement arrays stay within
+    ``_BLOCK_BYTES``, and at least one.  A segment adds 11 bytes per
+    placed bin (an int64 position and a bool per channel), 8 per click
+    (int64 clicked bins) and 3 per 8 bins (bitmaps).  The block also
+    holds a bool per bin once a segment can make a channel scan: one
+    filled by a clicking pattern, or placing one bin in ``_SORT_BELOW``.
+    Joining the draws holds the positions twice for a moment, uncounted.
+    A 48 000-bin simulate-qm segment counts about 32 KB, 16 to a block; a
+    simulate-pcsft one places about 10 700 bins and scans, counts about
+    220 KB and is a block of its own.
     """
-    n_bins, clicks = row[1], row[2] + row[3] + row[4]  # N_H + N_1 + N_2
-    top = max(counts)
-    placed = n_bins - top
-    scans = counts[0] != top or _SORT_BELOW * placed >= n_bins
-    return 11 * placed + 8 * clicks + 3 * n_bins // 8, scans
+    block, others, held, bins, scans = [], [], 0, 0, False
+    for cells, row in censuses:
+        census = cells.tolist()
+        n_bins, top = row[1], max(census)
+        fill = census.index(top)
+        scan = fill != 0 or _SORT_BELOW * (n_bins - top) >= n_bins
+        size = (11 * (n_bins - top) + 3 * n_bins // 8
+                + 8 * (row[2] + row[3] + row[4]))  # N_H + N_1 + N_2 clicks
+        if block and (held + size + (bins + n_bins) * (scans or scan)
+                      > _BLOCK_BYTES):
+            yield _placed_block(block, others, rng_of)
+            block, others, held, bins, scans = [], [], 0, 0, False
+        census[fill] = 0
+        block.append((row, fill, top))
+        others += census
+        held += size
+        bins += n_bins
+        scans = scans or scan
+    if block:
+        yield _placed_block(block, others, rng_of)
 
 
-def _placed_channels(counts: list[list[int]], sizes: list[int],
-                     rng_of: Callable[[int], np.random.Generator],
-                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The clicks of consecutive segments, placed, packed and as bin lists.
+def _placed_block(block: list[tuple], others: list[int],
+                  rng_of: Callable[[int], np.random.Generator]) -> tuple:
+    """Place a block of :func:`_placed_blocks` once its last census is in.
 
-    ``counts[i]`` is the census, as a list, of a segment of ``sizes[i]``
-    bins, which is placed as :func:`clicks_from_cells` places it alone:
-    its most frequent pattern fills it, and ``rng_of(i).choice``, asked
-    for just before that segment's draw, positions its other bins.
-    Returns one bitmap per channel (herald, signal_1, signal_2) of the
-    block's ``sum(sizes)`` bins, packed as ClickStreams holds them
-    (little-endian bit order, zero pad bits), and each channel's clicked
-    bins counted from the block's first bin, ascending int64.
-
-    Whether a placed bin's pattern has a channel's bit comes from the
-    rows' other cells repeated in index order.  A channel that no segment
-    fills clicks on exactly the placed bins whose pattern has its bit;
-    while they are fewer than one bin in ``_SORT_BELOW`` they are sorted
-    and packed straight into its bitmap.  Any other channel is a bool
-    array of the block, each segment's fill bit overwritten by the pattern
-    bit of its placed bins, which is scanned for its clicks.
+    ``block`` holds each segment's row, fill pattern and fill count, and
+    ``others`` its cells with the fill's zeroed, whose repeats give each
+    placed bin's pattern.  Each generator is asked for just before its
+    draw, as a pooled one is valid only until the next rekey.  A channel
+    that no segment fills clicks on exactly the placed bins whose pattern
+    has its bit; while they are fewer than one bin in ``_SORT_BELOW``
+    they are sorted and packed straight into its bitmap.  Any other
+    channel is a bool array of the block, each segment's fill bit
+    overwritten by the pattern bit of its placed bins, and scanned.
     """
-    fills, others, draws, start = [], [], [], 0
-    for i, (row, n_bins) in enumerate(zip(counts, sizes)):
-        if len(row) != 8 or sum(row) != n_bins or min(row) < 0:
-            raise ValueError(f"expected 8 pattern cells summing to {n_bins}, "
-                             f"got {row}")
-        top = max(row)
-        fill = row.index(top)
-        fills.append(fill)
-        others += row
-        others[fill - 8] = 0
-        if top < n_bins:
-            draw = rng_of(i).choice(n_bins, n_bins - top, replace=False)
+    rows, fills, tops = zip(*block)
+    sizes = [row[1] for row in rows]
+    draws, start = [], 0
+    for row, size, top in zip(rows, sizes, tops):
+        if top < size:
+            draw = rng_of(row[0]).choice(size, size - top, replace=False)
             if start:
                 draw += start
             draws.append(draw)
-        start += n_bins
+        start += size
     # A lone draw is used as it is.  Allocating its copy before or after
     # the choice, whose scratch array for a draw of many bins is larger
     # than the mmap threshold, made glibc map 196 KiB afresh at each
@@ -323,7 +359,7 @@ def _placed_channels(counts: list[list[int]], sizes: list[int],
             bitmap = np.packbits(bits, bitorder="little")
         packed.append(bitmap)
         clicked.append(bins)
-    return tuple(packed), tuple(clicked)
+    return rows, start, tuple(packed), tuple(clicked)
 
 
 def alternating_sum(mask: int, value: Callable[[int], float]):

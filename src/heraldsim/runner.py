@@ -12,15 +12,15 @@ built once per run.  One loop draws the censuses and counts each into
 its segment row (``counts_from_cells``), for both entry points.
 :func:`run_counts` keeps only the rows.  ``_placed_segments``, for runs
 whose stream files are part of the deliverable, also places each census
-in a uniformly random order, straight into packed channel bitmaps
-(``coincidence._placed_channels``, the draw ``clicks_from_cells``
-unpacks), a run of consecutive censuses whose placement arrays fit
-``_BLOCK_BYTES`` (512 KiB) at a time: 13 blocks of 16 segments per
-simulate-qm run of 10^7 bins.  Each segment keeps its own draw, so the
-bytes are those of placing the segments one by one.  The placement also
-lists each channel's clicked bins in ascending order, and the CLI writes
-``clicks.csv`` from those lists in the loop that writes
-``streams.pstm``, without reading the bitmaps back.
+in a uniformly random order, straight into packed channel bitmaps, a
+block of consecutive segments at a time (``coincidence._placed_blocks``,
+the placement ``clicks_from_cells`` unpacks, which also sets the block
+budget): 13 blocks of 16 segments per simulate-qm run of 10^7 bins.
+Each segment keeps its own draw, so the bytes are those of placing the
+segments one by one.  The placement also lists each channel's clicked
+bins in ascending order, and the CLI writes ``clicks.csv`` from those
+lists in the loop that writes ``streams.pstm``, without reading the
+bitmaps back.
 
 Early stop on a triple-count target is decided by scanning segments in
 index order, so the set of retained segments is a pure function of the
@@ -36,8 +36,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import pcsft, qm
-from .coincidence import (CoincidenceCounts, _placed_channels,
-                          _placement_bytes, counts_from_cells, segment_table)
+from .coincidence import (CoincidenceCounts, _placed_blocks, counts_from_cells,
+                          segment_table)
 from .core import (_MAX_BINS, ConfigError, ExperimentConfig, Role, Theory,
                    _check, _field_types, _parse_ini, _read_utf8,
                    _segment_rng, with_attenuation)
@@ -54,28 +54,6 @@ __all__ = [
 ]
 
 TARGET_TRIPLES_DEFAULT = 10_000
-# The bytes a block of simulate's segments may place at once
-# (coincidence._placement_bytes), chosen by measurement.  Median ms of an
-# in-process simulate run over five fresh processes per budget, with the
-# range of minor page faults per run (one Xeon core, numpy 2.4; dense and
-# mixed are the CI configs of that name, the last column simulate-qm cut
-# into 4 800-bin segments):
-#
-#   budget  simulate-qm    simulate-pcsft  dense          mixed         qm 4 800
-#   2**16   27.0 (0)       3.67 (29-132)   96.8 (0)       51.9 (4-76)   57.6 (5-98)
-#   2**17   22.6 (1-2)     3.73 (0-157)    97.0 (0)       49.4 (3-5)    53.9 (4-5)
-#   2**18   21.2 (0)       3.69 (0-157)    92.3 (1-4)     48.5 (1-3)    51.1 (0-85)
-#   2**19   22.0 (134-164) 3.73 (0-157)    87.8 (144-222) 49.4 (1-2)    50.8 (1)
-#   2**20   20.8 (375-493) 3.67 (205-231)  88.9 (558-790) 48.0 (99-269) 51.2 (0-490)
-#
-# The benchmark's calibrated simulate-qm wall_s, whose process has run
-# the workload before it times it, read 18.3-18.8 ms at 2**19 against
-# 19.1-19.7 at 2**18 and 18.4-18.6 at 2**20 (21.2-21.5 for version
-# 13.0.0 at 2**17).  2**19 keeps a block's arrays within a core's 2 MB L2
-# cache and faults a third as often as 2**20.  simulate-pcsft places each
-# of its segments as a block of its own at every budget up to 2**19.
-_BLOCK_BYTES = 1 << 19
-
 
 # Each theory's module and the name of its law function there, looked up
 # on the module at each run, so a patched module attribute is the one called.
@@ -113,50 +91,19 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
 
 
 def _placed_segments(cfg: ExperimentConfig, point_index: int = 0,
-                     ) -> Iterator[tuple[list[tuple[int, ...]], ClickStreams,
-                                         tuple[np.ndarray, ...]]]:
+                     ) -> Iterator[tuple[tuple, ClickStreams, tuple]]:
     """The run's segments placed a block at a time, in index order.
 
     Yields each block's rows (those of :func:`run_counts`), its
     consecutive segments' streams as one part, and each channel's clicked
     bins, ascending int64 counted from the block's first bin
-    (``coincidence._placed_channels``).  A block takes segments while the
-    arrays its placement builds stay within ``_BLOCK_BYTES``
-    (``coincidence._placement_bytes``), and at least one.  Each segment's
-    placement stream is keyed just before its draw, as the pooled
-    generator is valid only until the next rekey.
+    (``coincidence._placed_blocks``).
     """
     bin_width = float(cfg.detectors.bin_width)
-    for rows, counts, n_bins in _blocks(_census_rows(cfg, point_index)):
-        first = rows[0][0]
-        packed, clicked = _placed_channels(
-            counts, [row[1] for row in rows],
-            lambda i: _segment_rng(cfg, first + i, Role.PLACEMENT,
-                                   point_index))
+    for rows, n_bins, packed, clicked in _placed_blocks(
+            _census_rows(cfg, point_index),
+            lambda i: _segment_rng(cfg, i, Role.PLACEMENT, point_index)):
         yield rows, ClickStreams(n_bins, bin_width, *packed), clicked
-
-
-def _blocks(censuses: Iterator[tuple[np.ndarray, tuple[int, ...]]],
-            ) -> Iterator[tuple[list, list, int]]:
-    """Consecutive segments grouped within ``_BLOCK_BYTES``.
-
-    Yields each block's rows, its censuses as lists and its bins.
-    """
-    rows, counts, fixed, bins, scans = [], [], 0, 0, False
-    for cells, row in censuses:
-        census = cells.tolist()
-        size, scan = _placement_bytes(census, row)
-        if rows and (fixed + size + (bins + row[1]) * (scans or scan)
-                     > _BLOCK_BYTES):
-            yield rows, counts, bins
-            rows, counts, fixed, bins, scans = [], [], 0, 0, False
-        rows.append(row)
-        counts.append(census)
-        fixed += size
-        bins += row[1]
-        scans = scans or scan
-    if rows:
-        yield rows, counts, bins
 
 
 def simulate_run(cfg: ExperimentConfig, point_index: int = 0) -> ClickStreams:
@@ -210,7 +157,8 @@ class SweepPlan:
                f"sweep max_bins must be at most 2**63 - 1, got {self.max_bins}")
         if errors:
             raise ConfigError("\n".join(errors))
-        if list(self.attenuations) != sorted(self.attenuations, reverse=True):
+        if any(later >= earlier for earlier, later
+               in zip(self.attenuations, self.attenuations[1:])):
             warnings.warn("sweep attenuations are not strictly decreasing; "
                           "points will be plotted in the order given",
                           stacklevel=2)

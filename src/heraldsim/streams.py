@@ -17,12 +17,12 @@ to keep its seeks and writes few.  A sparse CSV export (one row per
 click), for eyeballing and for interoperability with spreadsheet
 tooling, is written by :class:`SparseCsvWriter`: ``simulate`` appends
 each part's clicked bins as the parts are made, and
-:func:`write_sparse_csv` feeds it a container's clicks in fixed-size
-chunks (a chunk that is mostly clicks unpacked whole, any other only at
-its nonzero bytes).  Its fixed per-channel buffer is the one place rows
-are batched: they are formatted ``_CLICK_BUFFER`` at a time, each run of
-rows with equally many digits as one numpy byte array, four digits per
-lookup in a table of the words ``0000`` ... ``9999``.  The segment tables
+:func:`write_sparse_csv` feeds it a container's clicks, unpacking and
+scanning each channel a fixed-size chunk at a time.  Its fixed
+per-channel buffer is the one place rows are batched: they are
+formatted ``_CLICK_BUFFER`` at a time, each run of rows with equally
+many digits as one numpy byte array, four digits per lookup in a table
+of the words ``0000`` ... ``9999``.  The segment tables
 of :mod:`heraldsim.coincidence` are formatted from the same words, with
 their leading zeros padded out (:func:`_csv_lines`).
 Every file is written under a temporary name and renamed into place
@@ -68,13 +68,15 @@ _NAMES = ("herald", "signal_1", "signal_2")
 # run against 1, and raised the CLI's peak RSS by 0.2 MB; 2**12 took
 # 24-25 ms.
 _CLICK_BUFFER = 1 << 13
-# write_sparse_csv reads each channel _CHUNK_BYTES packed bytes at a time and
-# finds the clicks of at most _HOT_BYTES bytes per step.  A byte holds at
-# most 8 clicks, so a step's array holds at most _CLICK_BUFFER bins, and its
-# memory is bounded however densely the detectors click: 8 bytes per chunk
-# byte for the int64 index of its nonzero bytes.
-_CHUNK_BYTES = 1 << 17
-_HOT_BYTES = _CLICK_BUFFER // 8
+# write_sparse_csv reads, unpacks and scans each channel _CHUNK_BYTES
+# packed bytes at a time: a bool per bin and an int64 per click of one
+# chunk, however densely the detectors click.  The simulate-qm
+# container's 159 896 rows took a median of 20 ms at 2**14 against 71-81
+# at 2**10, 29 at 2**12 and 19 at 2**15 and 2**17, at tracemalloc peaks
+# of 645, 497, 527, 802 and 2 394 KiB (21 runs each, one Xeon core,
+# numpy 2.4); version 13.0.2's index of a sparse chunk's nonzero bytes
+# took 15-17 ms at 742 KiB.
+_CHUNK_BYTES = 1 << 14
 _PREFIXES = (b"H,", b"1,", b"2,")
 # 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
 # indices have at most 19.
@@ -365,12 +367,10 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
     """Write one ``channel,bin_index`` row per click of the container ``source``.
 
     The rows are those :class:`SparseCsvWriter` writes, one channel after
-    another, through the same buffer.  Each channel is read in fixed-size
-    chunks.  A chunk whose bytes are more than three quarters nonzero is
-    unpacked in place, a bounded slice at a time; otherwise only its
-    nonzero bytes are gathered and unpacked, a bounded number at a time.
-    So memory stays fixed whatever the run length and click rate.
-    Returns the number of click rows written.
+    another, through the same buffer.  Each channel is read, unpacked and
+    scanned for its clicks ``_CHUNK_BYTES`` at a time, so memory stays
+    fixed whatever the run length and click rate.  Returns the number of
+    click rows written.
     """
     with open(source, "rb") as fh, SparseCsvWriter(path) as writer:
         _, _, nbytes = _read_header(fh, source)
@@ -378,8 +378,8 @@ def write_sparse_csv(source: str | Path, path: str | Path) -> int:
             for start in range(0, nbytes, _CHUNK_BYTES):
                 chunk = np.fromfile(fh, dtype=np.uint8,
                                     count=min(_CHUNK_BYTES, nbytes - start))
-                for bins in _chunk_bins(chunk, start):
-                    writer._add(channel, 0, bins)
+                bits = np.unpackbits(chunk, bitorder="little").view(bool)
+                writer._add(channel, 8 * start, np.flatnonzero(bits))
     return writer.rows
 
 
@@ -462,33 +462,6 @@ class SparseCsvWriter:
             self.close()
         else:
             self._stack.__exit__(exc_type, exc, tb)
-
-
-def _chunk_bins(chunk: np.ndarray, start: int) -> Iterator[np.ndarray]:
-    """The clicked bins of ``chunk``, packed bytes from byte ``start`` on.
-
-    Yields ascending int64 arrays of the clicks of at most ``_HOT_BYTES``
-    bytes each.  Gathering the nonzero bytes costs an index per byte, which
-    pays only when many bytes are zero.  Finding the bins of a 128 KiB
-    chunk by unpacking every byte took 3.0 ms against 1.5 ms by the index
-    at 49 % nonzero bytes, 1.5 against 1.8 ms at 64 % and 1.2 against
-    2.0 ms at 83 % (one Xeon core, numpy 2.4).
-    """
-    if 4 * np.count_nonzero(chunk) > 3 * chunk.size:
-        for lo in range(0, chunk.size, _HOT_BYTES):
-            set_bits = np.flatnonzero(np.unpackbits(
-                chunk[lo:lo + _HOT_BYTES], bitorder="little").view(bool))
-            yield 8 * (start + lo) + set_bits.astype(np.int64, copy=False)
-        return
-    # numpy finds the nonzero entries of a bool array several times faster
-    # than those of a uint8 one.
-    hot = np.flatnonzero(chunk != 0)
-    for lo in range(0, hot.size, _HOT_BYTES):
-        part = hot[lo:lo + _HOT_BYTES]
-        set_bits = np.flatnonzero(np.unpackbits(
-            chunk[part], bitorder="little").view(bool))
-        byte = start + part[set_bits >> 3].astype(np.int64, copy=False)
-        yield byte * 8 + (set_bits & 7)
 
 
 def _write_rows(out, prefix: bytes, bins: np.ndarray) -> None:

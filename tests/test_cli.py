@@ -9,11 +9,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heraldsim import cli, pcsft, qm, runner, streams
+from heraldsim import cli, coincidence, pcsft, qm, runner, streams
 from heraldsim.cli import main
-from heraldsim.coincidence import (_placement_bytes, accumulate,
-                                   read_counts_json, read_segment_csv,
-                                   write_counts_json, write_segment_csv)
+from heraldsim.coincidence import (accumulate, read_counts_json,
+                                   read_segment_csv, write_counts_json,
+                                   write_segment_csv)
 from heraldsim.core import config_from_dict, config_to_dict, load_config
 from heraldsim.runner import run_counts, simulate_run
 from heraldsim.streams import write_sparse_csv, write_streams
@@ -372,14 +372,20 @@ class TestStreamedSimulate:
     def test_segments_are_written_in_blocks(self, tmp_path, monkeypatch):
         # 625 segments of 4 800 bins at the README's rates go to the
         # writers in blocks of the placement budget, not one by one.
-        appended = []
+        appended = []  # each block's bins and bytes of bitmaps and clicks
         append = streams.StreamWriter.append
+        append_clicks = streams.SparseCsvWriter.append
 
         def logged(writer, part):
-            appended.append(part.n_bins)
+            appended.append([part.n_bins, 3 * part.herald.nbytes])
             append(writer, part)
 
+        def logged_clicks(writer, offset, channels):
+            appended[-1][1] += sum(bins.nbytes for bins in channels)
+            append_clicks(writer, offset, channels)
+
         monkeypatch.setattr(streams.StreamWriter, "append", logged)
+        monkeypatch.setattr(streams.SparseCsvWriter, "append", logged_clicks)
         ini = (RUN_INI.replace("pair_mean_per_bin = 0.2",
                                "pair_mean_per_bin = 0.05")
                .replace("eta_h = 0.8", "eta_h = 0.26")
@@ -390,12 +396,19 @@ class TestStreamedSimulate:
         cfg, _ = write_inputs(tmp_path, ini)
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 0
+        budget = coincidence._BLOCK_BYTES
+        assert sum(n_bins for n_bins, _ in appended) == 3_000_000
+        assert all(held <= budget for n_bins, held in appended
+                   if n_bins > 4800)
         # Blocks are filled greedily, so two in a row always exceed the
-        # budget: at most twice the bytes over the budget, plus one.
-        placed = sum(_placement_bytes(cells.tolist(), row)[0] for cells, row
-                     in runner._census_rows(load_config(cfg), 0))
-        assert sum(appended) == 3_000_000
-        assert 1 < len(appended) <= 2 * placed // runner._BLOCK_BYTES + 1
+        # budget: at most twice the bytes counted over the budget, plus
+        # one.  No segment here places one bin in six, so none scans, and
+        # each counts 11 bytes per placed bin, each of which clicks, 8 per
+        # click and 3 per 8 bins.
+        totals = json.loads((tmp_path / "out" / "counts.json").read_text())
+        clicks = totals["N_H"] + totals["N_1"] + totals["N_2"]
+        counted = 19 * clicks + 3 * 3_000_000 // 8
+        assert 1 < len(appended) <= 2 * counted // budget + 1
         assert len(appended) < math.ceil(3_000_000 / 4800) / 10
 
     def test_memory_does_not_grow_past_the_click_buffer(self, tmp_path):

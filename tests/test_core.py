@@ -8,13 +8,16 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heraldsim.coincidence import _placed_channels, accumulate, clicks_from_cells
+from heraldsim import coincidence
+from heraldsim.coincidence import (accumulate, clicks_from_cells,
+                                   counts_from_cells)
 from heraldsim.core import (BIN_WIDTH_DEFAULT, DARK_RATE_DEFAULT, ConfigError,
                             DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, Role, SourceConfig, Theory,
@@ -709,9 +712,8 @@ class TestClicksFromCells:
     @example(cells=[0, 2, 0, 0, 0, 0, 9, 0], seed=8)         # 11 bins, 5 pad bits
     def test_packed_placement_is_the_per_bin_placement(self, cells, seed):
         n_bins = sum(cells)
-        channels, clicked = _placed_channels(
-            [cells], [n_bins],
-            lambda _: rng_stream(seed, Role.PLACEMENT))
+        channels, clicked = placed_block(
+            [cells], lambda _: rng_stream(seed, Role.PLACEMENT))
         packed = ClickStreams(n_bins, BIN_WIDTH_DEFAULT, *channels)
         oracle = placed_clicks(np.array(cells), n_bins,
                                rng_stream(seed, Role.PLACEMENT))
@@ -728,6 +730,15 @@ class TestClicksFromCells:
             np.testing.assert_array_equal(bins, np.flatnonzero(want))
             if n_bins % 8:  # zero pad bits
                 assert getattr(packed, name)[-1] >> (n_bins % 8) == 0
+
+    def test_rejects_a_census_of_another_total(self):
+        # A one-pattern census draws nothing that could fail instead.
+        with pytest.raises(ValueError, match="summing to 20"):
+            clicks_from_cells([9] + [0] * 7, 20, rng_stream(0, 1))
+
+    def test_rejects_a_non_integer_cell(self):
+        with pytest.raises(ValueError, match=r"summing to 5, got \[4\.0, 1\.0"):
+            clicks_from_cells([4.0, 1.0, 0, 0, 0, 0, 0, 0], 5, rng_stream(0, 1))
 
     def test_rejects_a_negative_cell(self):
         with pytest.raises(ValueError, match="summing to 100"):
@@ -789,6 +800,15 @@ class TestClicksFromCells:
         assert all(abs(z) > 5.0 for z in pulls), pulls
 
 
+def placed_block(block, rng_of):
+    """The bitmaps and clicked bins of ``block``'s censuses as one block."""
+    censuses = [(np.array(cells), counts_from_cells(cells, i))
+                for i, cells in enumerate(block)]
+    with mock.patch.object(coincidence, "_BLOCK_BYTES", 1 << 40):
+        (_, _, packed, clicked), = coincidence._placed_blocks(censuses, rng_of)
+    return packed, clicked
+
+
 def _census(fill: int, extra: int, cells: list[int]) -> list[int]:
     """``cells`` with ``extra`` more bins of pattern ``fill``."""
     return [count + extra * (pattern == fill)
@@ -844,10 +864,8 @@ class TestBlockPlacement:
     # placed, the herald scanned and both signals sorted.
     @example(block=[[37290, 0, 4, 0, 10704, 0, 2, 0]], seed=6)
     def test_block_is_its_segments_placed_one_by_one(self, block, seed):
-        sizes = list(map(sum, block))
-        packed, clicked = _placed_channels(
-            block, sizes,
-            lambda i: rng_stream(seed, stream_id(i, Role.PLACEMENT)))
+        packed, clicked = placed_block(
+            block, lambda i: rng_stream(seed, stream_id(i, Role.PLACEMENT)))
         expected, expected_bins = self.segment_by_segment(block, seed)
         for name, bitmap, bins, want in zip(
                 ("herald", "signal_1", "signal_2"), packed, clicked,
@@ -875,10 +893,5 @@ class TestBlockPlacement:
             return Logged(i)
 
         block = [_census(0, 50, [0, 1, 2, 3, 4, 5, 6, 7])] * 4
-        _placed_channels(block, list(map(sum, block)), rng_of)
+        placed_block(block, rng_of)
         assert asked == [0, 1, 2, 3]
-
-    def test_rejects_a_census_of_another_length(self):
-        with pytest.raises(ValueError, match="summing to 20"):
-            _placed_channels([[10] + [0] * 7, [9] + [0] * 7],
-                             [10, 20], lambda _: rng_stream(0, 1))

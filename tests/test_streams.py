@@ -330,12 +330,11 @@ class TestSparseCsv:
     @pytest.mark.filterwarnings("ignore:source.pair_mean_per_bin")
     def test_dense_steps_hold_at_most_a_click_buffer(self, tmp_path,
                                                      monkeypatch):
-        # At three pairs per bin the herald clicks in most bins, so its
-        # chunks are unpacked in place.  Each formatting call takes at
-        # most _CLICK_BUFFER rows, the writer's buffer (its row block
-        # stays below the mmap threshold), even when a step of 4 096
-        # bytes finds four buffers' worth of clicks at once; and the
-        # bytes do not depend on the step.
+        # At three pairs per bin the herald clicks in most bins.  Each
+        # formatting call takes at most _CLICK_BUFFER rows, the writer's
+        # buffer (its row block stays below the mmap threshold), even
+        # when a chunk of 4 096 bytes finds four buffers' worth of clicks
+        # at once; and the bytes do not depend on the chunk.
         cfg = parse_config(DENSE_INI)
         write_streams(simulate_run(cfg), tmp_path / "run.pstm")
         steps = counted_write_rows(monkeypatch)
@@ -343,7 +342,7 @@ class TestSparseCsv:
         assert sum(steps) == rows
         assert max(steps) <= streams_module._CLICK_BUFFER
         steps.clear()
-        with mock.patch.object(streams_module, "_HOT_BYTES", 1 << 12):
+        with mock.patch.object(streams_module, "_CHUNK_BYTES", 1 << 12):
             assert write_sparse_csv(tmp_path / "run.pstm",
                                     tmp_path / "steps.csv") == rows
         assert max(steps) <= streams_module._CLICK_BUFFER
@@ -352,10 +351,10 @@ class TestSparseCsv:
 
     def test_sparse_container_fills_the_buffer_before_formatting(
             self, tmp_path, monkeypatch):
-        # A sparse chunk yields about 1 200 clicks per step of
-        # _HOT_BYTES nonzero bytes.  The steps go through the writer's
-        # buffer, so rows are formatted a full buffer at a time, with one
-        # partial buffer per channel at the end.
+        # A chunk of this container holds about 1 700 herald clicks, a
+        # fifth of the writer's buffer, and fewer signal clicks.  Rows
+        # are formatted a full buffer at a time, with one partial buffer
+        # per channel at the end.
         write_streams(simulate_run(parse_config(SPARSE_INI)),
                       tmp_path / "run.pstm")
         steps = counted_write_rows(monkeypatch)
@@ -375,11 +374,9 @@ class TestSparseCsv:
     @pytest.mark.parametrize("n_bins", [1, 8, 63, 64, 65, 1001])
     def test_chunked_rows_match_per_bin_rows(self, tmp_path, monkeypatch,
                                              n_bins):
-        # Chunks of 3 bytes, formatted 2 nonzero bytes at a time, cross many
-        # boundaries; the rows must be those of a per-bin scan, grouped by
-        # channel, bins ascending.
+        # Chunks of 3 bytes cross many boundaries; the rows must be those
+        # of a per-bin scan, grouped by channel, bins ascending.
         monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 3)
-        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
         streams = random_streams(n_bins, seed=n_bins)
         write_streams(streams, tmp_path / "run.pstm")
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
@@ -393,10 +390,8 @@ class TestSparseCsv:
     @pytest.mark.parametrize("n_bins", [1, 7, 13, 1001])
     def test_every_byte_hot_and_every_step_split(self, tmp_path, monkeypatch,
                                                  n_bins):
-        # All clicks, a partial last byte: each 3-byte chunk is hot
-        # throughout and formatted in two steps of at most 2 bytes.
+        # All clicks, a partial last byte, in 3-byte chunks.
         monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 3)
-        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
         ones = [1] * n_bins
         streams = ClickStreams.from_bools(ones, ones, ones, bin_width=1e-9)
         write_streams(streams, tmp_path / "run.pstm")
@@ -404,16 +399,14 @@ class TestSparseCsv:
         assert rows == 3 * n_bins
         assert (tmp_path / "clicks.csv").read_text() == oracle_rows(streams)
 
-    @given(bool_arrays, st.integers(min_value=1, max_value=9),
-           st.integers(min_value=1, max_value=9))
+    @given(bool_arrays, st.integers(min_value=1, max_value=9))
     @settings(max_examples=60, deadline=None)
     def test_rows_match_f_string_rows(self, tmp_path_factory, channels,
-                                      chunk_bytes, hot_bytes):
+                                      chunk_bytes):
         tmp_path = tmp_path_factory.mktemp("csv")
         streams = ClickStreams.from_bools(*channels, bin_width=1e-9)
         write_streams(streams, tmp_path / "run.pstm")
-        with mock.patch.multiple(streams_module, _CHUNK_BYTES=chunk_bytes,
-                                 _HOT_BYTES=hot_bytes):
+        with mock.patch.object(streams_module, "_CHUNK_BYTES", chunk_bytes):
             rows = write_sparse_csv(tmp_path / "run.pstm",
                                     tmp_path / "clicks.csv")
         expected = oracle_rows(streams)
@@ -421,17 +414,12 @@ class TestSparseCsv:
         assert rows == expected.count("\n") - 1
 
     def test_sparse_clicks_match_per_bin_rows(self, tmp_path, monkeypatch):
-        # One click per 200 bins, as in a qm signal arm: every 8-byte chunk
-        # is mostly zero bytes and goes through the index of its nonzero
-        # ones.
+        # One click per 200 bins, as in a qm signal arm, in 8-byte chunks
+        # that are mostly zero bytes.
         monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 8)
-        monkeypatch.setattr(streams_module, "_HOT_BYTES", 2)
         rng = np.random.default_rng(200)
         channels = [rng.random(20_011) < 1 / 200 for _ in range(3)]
         streams = ClickStreams.from_bools(*channels, bin_width=1e-9)
-        for packed in (streams.herald, streams.signal_1, streams.signal_2):
-            assert all(4 * np.count_nonzero(packed[lo:lo + 8]) <= 3 * 8
-                       for lo in range(0, packed.size, 8))
         write_streams(streams, tmp_path / "run.pstm")
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
         expected = ["channel,bin_index"] + [
@@ -439,46 +427,6 @@ class TestSparseCsv:
             for i in range(bits.size) if bits[i]]
         assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
         assert rows == len(expected) - 1
-
-    def test_chunks_either_side_of_the_three_quarter_switch(self, tmp_path,
-                                                              monkeypatch):
-        # 16-byte chunks with 13, 12 and 11 nonzero bytes in turn (3/4 is
-        # 12), then a partial chunk of 7 nonzero bytes out of 9.  Only a
-        # chunk above three quarters is unpacked whole, in ceil(16 / 3)
-        # steps of 3 bytes; the others take ceil(nonzero / 3) steps.  Each
-        # step is one array of _chunk_bins; the silent signal 1 has none.
-        monkeypatch.setattr(streams_module, "_CHUNK_BYTES", 16)
-        monkeypatch.setattr(streams_module, "_HOT_BYTES", 3)
-        rng = np.random.default_rng(12)
-        packed = np.zeros(6 * 16 + 9, dtype=np.uint8)
-        for k, nonzero in enumerate([13, 12, 11, 13, 12, 11, 7]):
-            lo = 16 * k
-            where = lo + rng.choice(min(16, packed.size - lo), nonzero,
-                                    replace=False)
-            packed[where] = rng.integers(1, 256, nonzero)
-        n_bins = 8 * packed.size
-        empty = np.zeros_like(packed)
-        streams = ClickStreams(n_bins, 1e-9, packed, empty, packed)
-        write_streams(streams, tmp_path / "run.pstm")
-        chunk_bins = streams_module._chunk_bins
-        steps = []
-
-        def counted(chunk, start):
-            steps.append(0)
-            for bins in chunk_bins(chunk, start):
-                steps[-1] += 1
-                yield bins
-
-        monkeypatch.setattr(streams_module, "_chunk_bins", counted)
-        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
-        bits = np.unpackbits(packed, bitorder="little")
-        expected = ["channel,bin_index"] + [
-            f"{name},{i}" for name in ("H", "2")
-            for i in range(n_bins) if bits[i]]
-        assert (tmp_path / "clicks.csv").read_text().splitlines() == expected
-        assert rows == len(expected) - 1
-        per_chunk = [6, 4, 4, 6, 4, 4, 3]
-        assert steps == per_chunk + [0] * 7 + per_chunk
 
     def test_bin_indices_beyond_31_bits(self, tmp_path):
         # A sparse container of 2**31 + 9 bins whose only clicks are herald
