@@ -22,14 +22,15 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import pcsft, report, runner, svgplot
 from .analysis import InsufficientStatistics
-from .coincidence import (CoincidenceCounts, read_counts_json, segment_table,
-                          write_counts_json, write_segment_csv)
+from .coincidence import (COUNT_FIELDS, CoincidenceCounts, read_counts_json,
+                          segment_table, write_counts_json, write_segment_csv)
 from .core import (ConfigError, ExperimentConfig, config_from_dict,
                    config_to_dict, load_config, validate_config)
 from .streams import SparseCsvWriter, StreamWriter
@@ -116,12 +117,26 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> ExperimentConfig:
+@contextmanager
+def _warnings_of(origin) -> Iterator[None]:
+    """Print the block's warnings once each, as ``warning: <origin>: ...``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {origin}: {message}", file=sys.stderr)
+
+
+def _load_cfg(args, n_bins: Optional[int] = None) -> ExperimentConfig:
+    """The INI's configuration with ``--seed``, and ``n_bins`` when given."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    with _warnings_of(args.config):
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if n_bins is not None:
+            cfg = validate_config(replace(cfg, n_bins=n_bins))
     return cfg
 
 
@@ -138,12 +153,7 @@ def _read_background(path: Optional[str], points) -> Optional[CoincidenceCounts]
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    if args.bins is not None:
-        # The INI's warnings were given as it loaded.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = validate_config(replace(cfg, n_bins=args.bins))
+    cfg = _load_cfg(args, args.bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -169,9 +179,7 @@ def cmd_simulate(args) -> int:
     totals = counts.totals()
     print(f"simulated {cfg.n_bins} bins ({counts.duration:.6g} s) "
           f"under {cfg.theory.value}")
-    print("  " + "  ".join(f"{k}={totals[k]}" for k in
-                           ("N_H", "N_1", "N_2", "N_H1", "N_H2", "N_12",
-                            "N_H12")))
+    print("  " + "  ".join(f"{k}={totals[k]}" for k in COUNT_FIELDS))
     print(f"wrote {out / 'streams.pstm'}, {out / 'clicks.csv'}, "
           f"{out / 'counts.csv'}, {out / 'counts.json'}")
     return 0
@@ -219,15 +227,16 @@ def _write_report(points: Iterable[tuple], background, out: Path) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    plan = runner.load_sweep_plan(args.sweep)
-    if args.bins is not None:
-        plan = replace(plan, max_bins=args.bins)
+    with _warnings_of(args.sweep):
+        plan = runner.load_sweep_plan(args.sweep)
+        if args.bins is not None:
+            plan = replace(plan, max_bins=args.bins)
     background = _read_background(
         args.background, [(args.config, cfg, cfg.detectors.bin_width)])
     out = Path(args.out)
 
     def written():
-        for point in runner.run_sweep(cfg, plan):
+        for point in runner._sweep_points(cfg, plan):
             out.mkdir(parents=True, exist_ok=True)
             stem = out / f"point_{point.point_index:03d}"
             write_segment_csv(point.counts, stem.with_suffix(".csv"))
@@ -249,7 +258,8 @@ def cmd_analyze(args) -> int:
                 f"{path}: counts file carries no configuration echo; "
                 "reanalysis needs the generating parameters")
         try:
-            cfg = config_from_dict(cfg_dict)
+            with _warnings_of(path):
+                cfg = config_from_dict(cfg_dict)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
         stored.append((path, cfg, counts))

@@ -10,20 +10,21 @@ row per segment (:func:`segment_table`), bundled with the bin width in
 :class:`CoincidenceCounts`, whose run totals are column sums.  The table
 is what ``counts.csv`` holds (``n_bins`` is its ``bins`` column), and the
 totals are what ``counts.json`` holds, so analysis never needs the raw
-streams.
+streams.  Both are written and read here; a negative value is refused.
 
-The click-pattern encoding lives here alone.  A bin's joint click pattern
-is ``(h << 2) | (s1 << 1) | s2``, the channel bits ``CHANNEL_BITS``; a
-channel set is a mask of them, and ``FIELD_MASKS`` holds each count
-field's set.  Each model's per-bin law and each segment's census are 8
-cells in that index, which :func:`counts_from_cells` turns into counts,
-:func:`clicks_from_cells` into clicks; :func:`alternating_sum` is their
-inclusion-exclusion.  The placement behind :func:`clicks_from_cells`
-also places a run's censuses as they arrive, a block of consecutive
-segments within ``_BLOCK_BYTES`` at a time, each from its own draw, and
-gives each channel's clicked bins in ascending order, the rows of
-``clicks.csv``, so a run's click record is written without scanning its
-bitmaps.
+The click-pattern encoding lives here, and in the outer product that
+lays out ``pcsft``'s coupled law, herald bit highest.  A bin's joint
+click pattern is ``(h << 2) | (s1 << 1) | s2``, the channel bits
+``CHANNEL_BITS``; a channel set is a mask of them, and ``FIELD_MASKS``
+holds each count field's set.  Each model's per-bin law and each
+segment's census are 8 cells in that index, which
+:func:`counts_from_cells` turns into counts, :func:`clicks_from_cells`
+into clicks; :func:`alternating_sum` is their inclusion-exclusion.  The
+placement behind :func:`clicks_from_cells` also places a run's censuses
+as they arrive, a block of consecutive segments within ``_BLOCK_BYTES``
+at a time, each from its own draw, and gives each channel's clicked bins
+in ascending order, the rows of ``clicks.csv``, so a run's click record
+is written without scanning its bitmaps.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import _MAX_BINS
-from .streams import ClickStreams, _csv_lines, _replacing
+from .streams import _WORDS, ClickStreams, _replacing
 
 __all__ = [
     "CoincidenceCounts",
@@ -92,10 +93,10 @@ _SORT_BELOW = 6
 #
 # The benchmark's calibrated simulate-qm wall_s, whose process has run
 # the workload before it times it, read 18.3-18.8 ms at 2**19 against
-# 19.1-19.7 at 2**18 and 18.4-18.6 at 2**20 (21.2-21.5 for version
-# 13.0.0 at 2**17).  2**19 keeps a block's arrays within a core's 2 MB L2
-# cache and faults a third as often as 2**20.  simulate-pcsft places each
-# of its segments as a block of its own at every budget up to 2**19.
+# 19.1-19.7 at 2**18 and 18.4-18.6 at 2**20.  2**19 keeps a block's
+# arrays within a core's 2 MB L2 cache and faults a third as often as
+# 2**20.  simulate-pcsft places each of its segments as a block of its
+# own at every budget up to 2**19.
 _BLOCK_BYTES = 1 << 19
 # Bits set per byte value, for popcounting packed bitmaps.
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
@@ -396,25 +397,53 @@ _CSV_HEADER = (",".join(_SEGMENT_HEADER) + "\r\n").encode()
 #   1024   2.00-2.22   1.82-2.02    119-152  511 KiB
 #   2048   1.98-2.16   1.84-1.98    148-203  622 KiB
 #
-# The %d row template of version 13.0.1 took 3.45-4.09 and 3.13-3.73 ms
-# at 256 rows.  From 1024 rows the arrays are mapped afresh on every
-# chunk.  512 rows ran about 5 % faster than 256 (0.1 ms a sweep) at
-# twice the heap peak, so 256 it is: a chunk's word array is then at
-# most 63 KiB (9 cells of 7 words), half glibc's 128 KiB mmap threshold.
+# From 1024 rows the arrays are mapped afresh on every chunk.  512 rows
+# ran about 5 % faster than 256 (0.1 ms a sweep) at twice the heap peak,
+# so 256 it is: a chunk's word array is then at most 54 KiB (9 cells of
+# 6 words), half glibc's 128 KiB mmap threshold.
 _CSV_CHUNK = 256
 _INT64_SEGMENT = _segment_dtype(np.int64)
+# No byte of a CSV line is 0xFF, so :func:`_csv_lines` can drop it.
+_PAD = b"\xff"
+
+
+def _word(text: bytes) -> np.uint32:
+    """``text`` right-aligned in a native uint32, left-padded with 0xFF."""
+    return np.frombuffer(text.rjust(4, _PAD), dtype=np.uint32)[0]
+
+
+def _padded_words(zero: bytes) -> np.ndarray:
+    """A word table of :func:`_csv_lines`: 20 000 native uint32.
+
+    Entry ``10000 + w`` is ``streams._WORDS[w]``.  Entry ``w`` is the same
+    word with its leading zeros replaced by the pad byte, and entry 0 is
+    ``zero`` padded.
+    """
+    padded = _WORDS.copy()
+    digits = padded.view(np.uint8).reshape(-1, 4)
+    for k in range(3):  # digit k is a leading zero of the words below 10**(3-k)
+        digits[:10**(3 - k), k] = _PAD[0]
+    padded[0] = _word(zero)
+    return np.concatenate([padded, _WORDS])
+
+
+# A cell's lowest word ("0" for a zero cell) and its higher words (all pad
+# above the cell's leading digit).
+_UNIT_WORDS = _padded_words(b"0")
+_HIGH_WORDS = _padded_words(b"")
+_COMMA = _word(b",")
+_CRLF = _word(b"\r\n")
 
 
 def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     """The segment table as CSV, one row per segment, in order.
 
     The bytes are those of ``csv.writer``: each chunk of rows is read as
-    one int64 array and formatted by ``streams._csv_lines`` from the
-    table of ASCII words ``0000`` ... ``9999`` that formats
-    ``clicks.csv``.  Counts of a type int64 cannot hold exactly (floats,
-    say) are refused with a ValueError naming the file and the type, and
-    nothing is written.  The file is renamed to ``path`` only once
-    complete.
+    one int64 array, in place when the counts are int64, and formatted by
+    :func:`_csv_lines`.  Counts of a type int64 cannot hold exactly
+    (floats, say) are refused with a ValueError naming the file and the
+    type, a negative value with one naming the file, and nothing is
+    written.  The file is renamed to ``path`` only once complete.
     """
     table = counts.segments.view(np.ndarray)
     count_type = table.dtype[COUNT_FIELDS[0]]
@@ -424,8 +453,46 @@ def write_segment_csv(counts: CoincidenceCounts, path: str | Path) -> None:
     with _replacing(path) as fh:
         fh.write(_CSV_HEADER)
         for lo in range(0, len(table), _CSV_CHUNK):
-            rows = table[lo:lo + _CSV_CHUNK].astype(_INT64_SEGMENT, order="C")
-            fh.write(_csv_lines(rows.view(np.int64).reshape(len(rows), -1)))
+            rows = np.ascontiguousarray(table[lo:lo + _CSV_CHUNK],
+                                        dtype=_INT64_SEGMENT)
+            values = rows.view(np.int64).reshape(len(rows), -1)
+            if values.min() < 0:
+                raise ValueError(f"{path}: cannot write a negative value")
+            fh.write(_csv_lines(values))
+
+
+def _csv_lines(values: np.ndarray) -> bytes:
+    """``csv.writer``'s lines of the non-empty, non-negative int64 ``values``.
+
+    Every cell is laid out as fixed native uint32 words of one
+    ``(rows, columns, words)`` array: the fewest digit words that hold the
+    largest value (4 digits each, one ``np.take`` per word, in uint32
+    arithmetic below 2**32), then a comma word, or CRLF for the last
+    column.  A digit word's index is its value, plus 10 000 when a higher
+    word is nonzero, so that only the leading word takes its padded
+    entry; the pad bytes are dropped by one ``bytes.translate``.
+    """
+    rows, columns = values.shape
+    top = int(values.max())
+    k = 1
+    while top >= 10000**k:
+        k += 1
+    x = values.astype(np.uint32) if top < 2**32 else values
+    words = np.empty((rows, columns, k + 1), dtype=np.uint32)
+    words[..., -1] = _COMMA
+    words[:, -1, -1] = _CRLF
+    table = _UNIT_WORDS
+    for j in range(k - 1, 0, -1):  # lowest word first
+        q = x // 10000
+        t = q * 10000
+        index = x - t
+        np.minimum(t, 10000, out=t)  # 10 000 when a higher word is nonzero
+        index += t
+        # Every index is in range; "clip" writes out unbuffered.
+        np.take(table, index, out=words[..., j], mode="clip")
+        table, x = _HIGH_WORDS, q
+    np.take(table, x, out=words[..., 0], mode="clip")
+    return words.tobytes().translate(None, _PAD)
 
 
 def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
@@ -434,7 +501,8 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
     The CSV carries no bin width, so it must be supplied (it lives in the
     JSON summary written alongside).  Rows go into the table as they are
     read.  Raises ValueError naming the file when it is not UTF-8, and the
-    file and line of a malformed row.
+    file and line of a malformed row, or of one that holds a value outside
+    the range 0 to 2**63 - 1.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -445,9 +513,6 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
             segments = segment_table(_csv_rows(reader, path))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    except OverflowError:  # from the row just read, as the table takes it
-        raise ValueError(f"{path}, line {reader.line_num}: "
-                         "a value outside the int64 range") from None
     return CoincidenceCounts(bin_width=bin_width, segments=segments)
 
 
@@ -459,6 +524,8 @@ def _csv_rows(reader, path) -> Iterable[tuple[int, ...]]:
                              f"{len(_SEGMENT_HEADER)} columns, got {len(row)}")
         try:
             values = tuple(int(v) for v in row)
+            if not 0 <= min(values) <= max(values) <= _MAX_BINS:
+                raise ValueError("a value outside the range 0 to 2**63 - 1")
         except ValueError as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         yield values

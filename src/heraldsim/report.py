@@ -166,18 +166,10 @@ def write_report_csv(report: dict, path) -> None:
     """
     rows = [_CSV_COLUMNS]
     # qm_band is empty or holds one entry per point.
-    for record, b in zip_longest(report["points"], report["qm_band"]):
-        rows.append([
-            _fmt(record["attenuation"]),
-            _fmt(record["x_rate"]),
-            _fmt(record["g2"]),
-            _fmt(record["sigma"]),
-            _fmt(record["upper_limit"]),
-            _fmt(record["g2_raw"]),
-            _fmt(record["sigma_raw"]),
-            _fmt(b["lower"] if b else None),
-            _fmt(b["upper"] if b else None),
-            _fmt(record.get("pcsft_bound")),
-        ])
+    for record, band in zip_longest(report["points"], report["qm_band"],
+                                    fillvalue={}):
+        cells = {**record, "band_lower": band.get("lower"),
+                 "band_upper": band.get("upper")}
+        rows.append([_fmt(cells.get(column)) for column in _CSV_COLUMNS])
     with _replacing(path) as fh:
         fh.write("".join(",".join(row) + "\r\n" for row in rows).encode())

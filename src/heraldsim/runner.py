@@ -204,13 +204,16 @@ def run_sweep(cfg: ExperimentConfig, plan: SweepPlan) -> list[SweepPoint]:
     so sweeping never replays the randomness of a plain run or of another
     point, whatever order the points execute in.
     """
-    points = []
-    for i, attenuation in enumerate(plan.attenuations):
+    return list(_sweep_points(cfg, plan))
+
+
+def _sweep_points(cfg: ExperimentConfig,
+                  plan: SweepPlan) -> Iterator[SweepPoint]:
+    """The points of :func:`run_sweep`, each yielded once it is counted."""
+    for index, attenuation in enumerate(plan.attenuations, start=1):
         point_cfg = with_attenuation(cfg, attenuation)
         if plan.max_bins is not None:
             point_cfg = replace(point_cfg, n_bins=plan.max_bins)
-        counts = run_counts(point_cfg, point_index=i + 1,
+        counts = run_counts(point_cfg, point_index=index,
                             target_triples=plan.target_triples)
-        points.append(SweepPoint(config=point_cfg, point_index=i + 1,
-                                 counts=counts))
-    return points
+        yield SweepPoint(config=point_cfg, point_index=index, counts=counts)

@@ -21,12 +21,11 @@ each part's clicked bins as the parts are made, and
 scanning each channel a fixed-size chunk at a time.  Its fixed
 per-channel buffer is the one place rows are batched: they are
 formatted ``_CLICK_BUFFER`` at a time, each run of rows with equally
-many digits as one numpy byte array, four digits per lookup in a table
-of the words ``0000`` ... ``9999``.  The segment tables
-of :mod:`heraldsim.coincidence` are formatted from the same words, with
-their leading zeros padded out (:func:`_csv_lines`).
-Every file is written under a temporary name and renamed into place
-when complete.
+many digits as one numpy byte array, four digits per lookup in the
+table ``_WORDS`` of the words ``0000`` ... ``9999``, from which
+:mod:`heraldsim.coincidence` also formats its segment tables.  Every
+file is written under a temporary name and renamed into place when
+complete.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ _CLICK_BUFFER = 1 << 13
 # container's 159 896 rows took a median of 20 ms at 2**14 against 71-81
 # at 2**10, 29 at 2**12 and 19 at 2**15 and 2**17, at tracemalloc peaks
 # of 645, 497, 527, 802 and 2 394 KiB (21 runs each, one Xeon core,
-# numpy 2.4); version 13.0.2's index of a sparse chunk's nonzero bytes
-# took 15-17 ms at 742 KiB.
+# numpy 2.4).
 _CHUNK_BYTES = 1 << 14
 _PREFIXES = (b"H,", b"1,", b"2,")
 # 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
@@ -94,39 +92,6 @@ def _ascii_words() -> np.ndarray:
 
 _WORDS = _ascii_words()
 
-
-# No byte of a CSV line is 0xFF, so :func:`_csv_lines` can drop it.
-_PAD = b"\xff"
-
-
-def _word(text: bytes) -> np.uint32:
-    """``text`` right-aligned in a native uint32, left-padded with 0xFF."""
-    return np.frombuffer(text.rjust(4, _PAD), dtype=np.uint32)[0]
-
-
-def _padded_words(zero: bytes) -> np.ndarray:
-    """A word table of :func:`_csv_lines`: 20 000 native uint32.
-
-    Entry ``10000 + w`` is ``_WORDS[w]``.  Entry ``w`` is the same word
-    with its leading zeros replaced by the pad byte, and entry 0 is
-    ``zero`` padded.
-    """
-    padded = _WORDS.copy()
-    digits = padded.view(np.uint8).reshape(-1, 4)
-    for k in range(3):  # digit k is a leading zero of the words below 10**(3-k)
-        digits[:10**(3 - k), k] = _PAD[0]
-    padded[0] = _word(zero)
-    return np.concatenate([padded, _WORDS])
-
-
-# A cell's lowest word ("0" for a zero cell) and its higher words (all pad
-# above the cell's leading digit).
-_UNIT_WORDS = _padded_words(b"0")
-_HIGH_WORDS = _padded_words(b"")
-_BLANK = _word(b"")
-_MINUS = _word(b"-")
-_COMMA = _word(b",")
-_CRLF = _word(b"\r\n")
 
 _HEADER = struct.Struct("<4sHQdB")  # magic, version, n_bins, bin_width, channels
 
@@ -506,45 +471,3 @@ def _write_rows(out, prefix: bytes, bins: np.ndarray) -> None:
         block[:, -1] = ord("\n")
         out.write(block)
         lo = hi
-
-
-def _csv_lines(values: np.ndarray) -> bytes:
-    """``csv.writer``'s lines of the non-empty int64 rows ``values``.
-
-    Every cell is laid out as fixed native uint32 words of one
-    ``(rows, columns, words)`` array: a sign word when any value is
-    negative, the fewest digit words that hold the largest magnitude (4
-    digits each, one ``np.take`` per word, in uint32 arithmetic below
-    2**32), then a comma word, or CRLF for the last column.  A digit
-    word's index is its value, plus 10 000 when a higher word is nonzero,
-    so that only the leading word takes its padded entry; the pad bytes
-    are dropped by one ``bytes.translate``.  A negative value is formatted
-    as the uint64 view of its negation, -2**63 included.
-    """
-    rows, columns = values.shape
-    low, high = int(values.min()), int(values.max())
-    top = max(high, -low)
-    k = 1
-    while top >= 10000**k:
-        k += 1
-    x = np.abs(values).view(np.uint64) if low < 0 else values
-    if top < 2**32:
-        x = x.astype(np.uint32)
-    sign = int(low < 0)
-    words = np.empty((rows, columns, sign + k + 1), dtype=np.uint32)
-    if sign:
-        words[..., 0] = np.where(values < 0, _MINUS, _BLANK)
-    words[..., -1] = _COMMA
-    words[:, -1, -1] = _CRLF
-    table = _UNIT_WORDS
-    for j in range(sign + k - 1, sign, -1):  # lowest word first
-        q = x // 10000
-        t = q * 10000
-        index = x - t
-        np.minimum(t, 10000, out=t)  # 10 000 when a higher word is nonzero
-        index += t
-        # Every index is in range; "clip" writes out unbuffered.
-        np.take(table, index, out=words[..., j], mode="clip")
-        table, x = _HIGH_WORDS, q
-    np.take(table, x, out=words[..., sign], mode="clip")
-    return words.tobytes().translate(None, _PAD)

@@ -580,6 +580,31 @@ class TestSweep:
         assert report["points"] == []
         assert (out / "point_003.json").exists()
 
+    def test_points_before_a_failure_are_kept(self, sweep_out, tmp_path,
+                                              capsys, monkeypatch):
+        # Each point is written as soon as its counts are in, so a third
+        # point that fails leaves the first two as an uninterrupted sweep
+        # writes them, and no report.
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("third point failed")
+            return run_counts(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_counts", fail_third)
+        cfg, plan = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: third point failed\n"
+        kept = ["point_001.csv", "point_001.json", "point_002.csv",
+                "point_002.json"]
+        assert sorted(path.name for path in out.iterdir()) == kept
+        for name in kept:
+            assert (out / name).read_bytes() == (sweep_out / name).read_bytes()
+
     @pytest.mark.parametrize("eta, value", [("eta_1", "0.7"), ("eta_2", "0.6")],
                              ids=["eta_1", "eta_2"])
     def test_dead_signal_arm_is_refused_before_any_point(
@@ -652,6 +677,60 @@ class TestSweep:
             rerun = run_counts(config_from_dict(echo), point_index=index,
                                target_triples=1_000_000)
             assert rerun.totals() == counts.totals()
+
+
+PAIR_MEAN_WARNING = ("source.pair_mean_per_bin = 0.5 is outside the heralded "
+                     "regime (<= 0.2); multi-pair corrections will be large")
+UNSORTED_WARNING = ("sweep attenuations are not strictly decreasing; points "
+                    "will be plotted in the order given")
+
+
+@pytest.fixture
+def no_escaping_warnings():
+    """Turn any warning the CLI does not print itself into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("no_escaping_warnings")
+class TestWarnings:
+    """Each warning is one line on stderr naming its file, given once."""
+
+    @pytest.mark.parametrize("bins", [[], ["--bins", "10000"]],
+                             ids=["ini", "bins-override"])
+    def test_simulate_names_the_ini(self, tmp_path, capsys, bins):
+        cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
+            "pair_mean_per_bin = 0.2", "pair_mean_per_bin = 0.5"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), *bins]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {cfg}: {PAIR_MEAN_WARNING}\n")
+
+    @pytest.mark.parametrize("bins", [[], ["--bins", "6000"]],
+                             ids=["plan", "bins-override"])
+    def test_sweep_names_the_plan(self, tmp_path, capsys, bins):
+        cfg, plan = write_inputs(tmp_path)
+        plan.write_text("[sweep]\nattenuations = 0.3, 0.6, 1.0\n",
+                        encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(tmp_path / "out"), *bins]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {plan}: {UNSORTED_WARNING}\n")
+
+    def test_analyze_names_each_counts_file(self, tmp_path, capsys):
+        cfg, plan = write_inputs(tmp_path, RUN_INI.replace(
+            "pair_mean_per_bin = 0.2", "pair_mean_per_bin = 0.5"))
+        swept = tmp_path / "swept"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(swept)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {cfg}: {PAIR_MEAN_WARNING}\n")
+        points = [str(swept / f"point_{i:03d}.json") for i in (1, 2, 3)]
+        assert main(["analyze", "--counts", *points,
+                     "--out", str(tmp_path / "analyzed")]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {point}: {PAIR_MEAN_WARNING}\n" for point in points)
 
 
 def summary(captured: str) -> list[str]:

@@ -234,6 +234,21 @@ class TestSerialisation:
         assert first[7] == repr(report["qm_band"][0]["lower"])
         assert first[9] == ""  # photon run carries no field-model bound
 
+    def test_csv_without_band_leaves_its_columns_blank(self, tmp_path):
+        # A dead herald has no photon-model band, so qm_band is empty.
+        cfg = photon_config(eta_h=0.0)
+        report = build_report(cfg, sample_points(cfg))
+        assert report["qm_band"] == []
+        path = tmp_path / "report.csv"
+        write_report_csv(report, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + len(report["points"])
+        for line, record in zip(lines[1:], report["points"]):
+            row = line.split(",")
+            assert len(row) == 10
+            assert row[7] == row[8] == ""
+            assert row[2] == repr(record["g2"])
+
     def test_csv_carries_field_bound(self, tmp_path):
         cfg = field_config()
         report = build_report(cfg, sample_points(cfg))
