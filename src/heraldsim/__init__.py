@@ -28,7 +28,7 @@ from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "__version__",

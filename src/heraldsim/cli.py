@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -225,6 +226,10 @@ def _write_report(points: Iterable[tuple], background, out: Path) -> int:
     return 1 if failures else 0
 
 
+# The names cmd_sweep writes, deleted from an earlier sweep's directory.
+_SWEEP_FILE = re.compile(r"report\.(json|csv)|point_\d{3,}\.(json|csv)")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     with _warnings_of(args.sweep):
@@ -237,6 +242,10 @@ def cmd_sweep(args) -> int:
 
     def written():
         for point in runner._sweep_points(cfg, plan):
+            if point.point_index == 1:  # counted, nothing written yet
+                for path in out.glob("*"):
+                    if _SWEEP_FILE.fullmatch(path.name):
+                        path.unlink()
             out.mkdir(parents=True, exist_ok=True)
             stem = out / f"point_{point.point_index:03d}"
             write_segment_csv(point.counts, stem.with_suffix(".csv"))

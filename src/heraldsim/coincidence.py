@@ -73,9 +73,11 @@ _BIT_VALUES = np.array([1 << k for k in range(8)], dtype=np.uint8)
 _NO_BINS = np.empty(0, dtype=np.int64)
 # A channel's clicked bins are its flips sorted while they are fewer than
 # one bin in _SORT_BELOW, and a scan of its bits otherwise.  In a block of
-# four 48 000-bin segments, sorting and packing 2 000 flips took 22 us
-# against 105 us for the scan, 24 000 flips 254 us against 305 us, and
-# 32 000 flips 437 us against 330 us (one Xeon core, numpy 2.4).
+# sixteen 48 000-bin segments, sorting and packing 8 000 flips took 97-116
+# us against 409-417 us for the scan, 96 000 flips 1 188-1 658 us against
+# 902-1 276 us, and 128 000 flips 1 555-2 233 us against 904-1 370 us
+# (medians of 15, two runs, one Xeon core, numpy 2.4).  A block within
+# _BLOCK_BYTES places at most about 47 000 bins, where sorting wins.
 _SORT_BELOW = 6
 # The bytes a block of simulate's segments may place at once
 # (_placed_blocks), chosen by measurement.  Median ms of an in-process
@@ -501,8 +503,9 @@ def read_segment_csv(path: str | Path, bin_width: float) -> CoincidenceCounts:
     The CSV carries no bin width, so it must be supplied (it lives in the
     JSON summary written alongside).  Rows go into the table as they are
     read.  Raises ValueError naming the file when it is not UTF-8, and the
-    file and line of a malformed row, or of one that holds a value outside
-    the range 0 to 2**63 - 1.
+    file and line of a malformed row, of one that holds a value outside
+    the range 0 to 2**63 - 1, and of one whose counts no run can give:
+    each row is checked as :func:`read_counts_json` checks its totals.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -528,6 +531,10 @@ def _csv_rows(reader, path) -> Iterable[tuple[int, ...]]:
                 raise ValueError("a value outside the range 0 to 2**63 - 1")
         except ValueError as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        errors = _count_errors(dict(zip(_SEGMENT_HEADER, values)), "bins")
+        if errors:
+            raise ValueError("\n".join(f"{path}, line {reader.line_num}: {e}"
+                                       for e in errors))
         yield values
 
 
@@ -571,18 +578,22 @@ def _stored_total_errors(payload: dict) -> list[str]:
             errors.append(f"missing key '{key}'")
         elif type(payload[key]) is not int:
             errors.append(f"'{key}' is not an integer: {payload[key]!r}")
-    if errors:
-        return errors
-    n_bins = payload["n_bins"]
+    return errors or _count_errors(payload, "n_bins")
+
+
+def _count_errors(counts: dict, bins: str) -> list[str]:
+    """What breaks the invariants of :class:`CoincidenceCounts` in ``counts``,
+    which maps the key ``bins`` and each of ``COUNT_FIELDS`` to an int."""
+    n_bins = counts[bins]
     if n_bins < 1:
-        return [f"'n_bins' must be >= 1, got {n_bins}"]
+        return [f"'{bins}' must be >= 1, got {n_bins}"]
     if n_bins > _MAX_BINS:
-        return [f"'n_bins' must be at most 2**63 - 1, got {n_bins}"]
-    errors += [f"'{key}' = {payload[key]} is outside [0, n_bins = {n_bins}]"
-               for key in COUNT_FIELDS if not 0 <= payload[key] <= n_bins]
-    errors += [f"'{key}' = {payload[key]} exceeds '{bound}' = {payload[bound]}"
+        return [f"'{bins}' must be at most 2**63 - 1, got {n_bins}"]
+    errors = [f"'{key}' = {counts[key]} is outside [0, {bins} = {n_bins}]"
+              for key in COUNT_FIELDS if not 0 <= counts[key] <= n_bins]
+    errors += [f"'{key}' = {counts[key]} exceeds '{bound}' = {counts[bound]}"
                for key, bounds in _COUNT_BOUNDS.items() for bound in bounds
-               if payload[key] > payload[bound]]
+               if counts[key] > counts[bound]]
     return errors
 
 

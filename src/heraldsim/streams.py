@@ -16,16 +16,17 @@ one part per block of segments, so the writer needs no buffer of its own
 to keep its seeks and writes few.  A sparse CSV export (one row per
 click), for eyeballing and for interoperability with spreadsheet
 tooling, is written by :class:`SparseCsvWriter`: ``simulate`` appends
-each part's clicked bins as the parts are made, and
-:func:`write_sparse_csv` feeds it a container's clicks, unpacking and
-scanning each channel a fixed-size chunk at a time.  Its fixed
-per-channel buffer is the one place rows are batched: they are
-formatted ``_CLICK_BUFFER`` at a time, each run of rows with equally
-many digits as one numpy byte array, four digits per lookup in the
-table ``_WORDS`` of the words ``0000`` ... ``9999``, from which
-:mod:`heraldsim.coincidence` also formats its segment tables.  Every
-file is written under a temporary name and renamed into place when
-complete.
+each block's clicked bins as the blocks are placed, and the writer
+formats them at once, so a block of clicks is the batch and none is
+held between appends.  :func:`write_sparse_csv` writes the same file
+from a container, unpacking and scanning each channel a fixed-size
+chunk at a time; it shares only the header and the row formatter with
+the writer, so comparing the two checks each.  Rows are formatted by :func:`_write_rows`, each
+run of rows with equally many digits as one numpy byte array, four
+digits per lookup in the table ``_WORDS`` of the words ``0000`` ...
+``9999``, from which :mod:`heraldsim.coincidence` also formats its
+segment tables.  Every file is written under a temporary name and
+renamed into place when complete.
 """
 
 from __future__ import annotations
@@ -55,26 +56,15 @@ MAGIC = b"PSTM"
 FORMAT_VERSION = 1
 _CHANNELS = 3  # herald, signal 1, signal 2
 _NAMES = ("herald", "signal_1", "signal_2")
-# SparseCsvWriter formats a channel's clicks once this many are
-# held: enough to spread the cost of a formatting call thin, few enough
-# that a run's peak memory is reached within its first segments and that
-# the row block of 7-digit bins (80 KiB) stays below glibc's 128 KiB mmap
-# threshold.  At 2**14 the blocks were mapped afresh on every flush: a
-# simulate-qm run took 1 120 minor page faults against 3, and 4.9 % more
-# time (median of 30 interleaved in-process runs, one Xeon core, numpy
-# 2.4).  With simulate's placement blocks at 512 KiB, 2**14 ran no faster
-# in fresh processes (21.0 against 21.0-21.5 ms), faulted 161 pages per
-# run against 1, and raised the CLI's peak RSS by 0.2 MB; 2**12 took
-# 24-25 ms.
-_CLICK_BUFFER = 1 << 13
-# write_sparse_csv reads, unpacks and scans each channel _CHUNK_BYTES
-# packed bytes at a time: a bool per bin and an int64 per click of one
-# chunk, however densely the detectors click.  The simulate-qm
-# container's 159 896 rows took a median of 20 ms at 2**14 against 71-81
-# at 2**10, 29 at 2**12 and 19 at 2**15 and 2**17, at tracemalloc peaks
-# of 645, 497, 527, 802 and 2 394 KiB (21 runs each, one Xeon core,
-# numpy 2.4).
+# write_sparse_csv reads, unpacks, scans and formats each channel
+# _CHUNK_BYTES packed bytes at a time: a bool per bin and an int64 and a
+# row per click of one chunk, however densely the detectors click.  The
+# simulate-qm container's 159 896 rows took a median of 21 ms at 2**14
+# against 106 at 2**10, 39 at 2**12, 17.5 at 2**15 and 16.4 at 2**17, at
+# tracemalloc peaks of 301, 34, 87, 586 and 2 297 KiB (21 runs each, one
+# Xeon core, numpy 2.4).
 _CHUNK_BYTES = 1 << 14
+_CLICKS_HEADER = b"channel,bin_index\n"
 _PREFIXES = (b"H,", b"1,", b"2,")
 # 10**1 ... 10**18: a bin index below 10**d has at most d digits; int64
 # indices have at most 19.
@@ -331,88 +321,68 @@ def read_streams(path: str | Path) -> ClickStreams:
 def write_sparse_csv(source: str | Path, path: str | Path) -> int:
     """Write one ``channel,bin_index`` row per click of the container ``source``.
 
-    The rows are those :class:`SparseCsvWriter` writes, one channel after
-    another, through the same buffer.  Each channel is read, unpacked and
-    scanned for its clicks ``_CHUNK_BYTES`` at a time, so memory stays
-    fixed whatever the run length and click rate.  Returns the number of
+    The rows are those :class:`SparseCsvWriter` writes, but no writer is
+    involved: each channel, in order, is read, unpacked and scanned for
+    its clicks ``_CHUNK_BYTES`` at a time, and each chunk's clicks are
+    formatted straight into the file, so memory stays fixed whatever the
+    run length and click rate.  The file is written under a temporary
+    name and renamed to ``path`` when complete.  Returns the number of
     click rows written.
     """
-    with open(source, "rb") as fh, SparseCsvWriter(path) as writer:
+    rows = 0
+    with open(source, "rb") as fh, _replacing(path) as out:
         _, _, nbytes = _read_header(fh, source)
-        for channel in range(_CHANNELS):
+        out.write(_CLICKS_HEADER)
+        for prefix in _PREFIXES:
             for start in range(0, nbytes, _CHUNK_BYTES):
                 chunk = np.fromfile(fh, dtype=np.uint8,
                                     count=min(_CHUNK_BYTES, nbytes - start))
                 bits = np.unpackbits(chunk, bitorder="little").view(bool)
-                writer._add(channel, 8 * start, np.flatnonzero(bits))
-    return writer.rows
+                bins = np.flatnonzero(bits) + 8 * start
+                _write_rows(out, prefix, bins)
+                rows += bins.size
+    return rows
 
 
 class SparseCsvWriter:
     """Write ``clicks.csv``: one ``channel,bin_index`` row per click.
 
     Channels are named H, 1, 2; rows are grouped by channel and ordered by
-    bin within each.  Each channel's clicks may arrive in any interleaving
-    with the others', each channel's in ascending order.  Herald rows go
-    straight to the file, which is written under a temporary name; the
-    rows of channels 1 and 2 go to unnamed spill files in the same
-    directory, copied in after the herald rows when the ``with`` block
-    ends.  Each channel's clicks are copied into its own buffer of
-    ``_CLICK_BUFFER`` bins and formatted each time it fills, so memory
-    does not grow with the run and no appended array is held.  An
+    bin within each.  Each appended part's clicks are formatted at once,
+    one call per channel that clicked, so the writer holds no click and
+    no reference to the part between appends.  Herald rows go straight
+    to the file, which is written under a temporary name; the rows of
+    channels 1 and 2 go to unnamed spill files in the same directory,
+    copied in after the herald rows when the ``with`` block ends.  An
     exception deletes the temporary file and the spill files instead.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.rows = 0
-        self._buffers = np.empty((_CHANNELS, _CLICK_BUFFER), dtype=np.int64)
-        self._held = [0] * _CHANNELS
         with ExitStack() as stack:
             out = stack.enter_context(_replacing(self.path))
-            out.write(b"channel,bin_index\n")
+            out.write(_CLICKS_HEADER)
             self._files = [out] + [
                 stack.enter_context(tempfile.TemporaryFile(dir=self.path.parent))
                 for _ in range(_CHANNELS - 1)]
             self._stack = stack.pop_all()
 
     def append(self, offset: int, channels) -> None:
-        """Add the clicks of one part that starts at bin ``offset``.
+        """Write the clicks of one part that starts at bin ``offset``.
 
         ``channels`` holds each channel's clicked bins of the part,
         ascending int64 from the part's first bin, all past the clicks
         appended before.
         """
-        for channel, bins in enumerate(channels):
-            self._add(channel, offset, bins)
-
-    def _add(self, channel: int, offset: int, bins: np.ndarray) -> None:
-        """Copy ``bins + offset`` into the channel's buffer; format each fill."""
-        buffer = self._buffers[channel]
-        lo = 0
-        while lo < bins.size:
-            held = self._held[channel]
-            take = min(buffer.size - held, bins.size - lo)
-            np.add(bins[lo:lo + take], offset, out=buffer[held:held + take])
-            self._held[channel] = held + take
-            lo += take
-            if held + take == buffer.size:
-                self._flush(channel)
-
-    def _flush(self, channel: int) -> None:
-        """Format the clicks the channel's buffer holds."""
-        held = self._held[channel]
-        if held:
-            _write_rows(self._files[channel], _PREFIXES[channel],
-                        self._buffers[channel][:held])
-            self.rows += held
-            self._held[channel] = 0
+        for out, prefix, bins in zip(self._files, _PREFIXES, channels):
+            if bins.size:
+                _write_rows(out, prefix, bins + offset)
+                self.rows += bins.size
 
     def close(self) -> int:
         """Put the finished file at ``path``; returns the rows written."""
         with self._stack:
-            for channel in range(_CHANNELS):
-                self._flush(channel)
             out = self._files[0]
             for spill in self._files[1:]:
                 spill.seek(0)

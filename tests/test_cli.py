@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import threading
 import tracemalloc
 import warnings
@@ -61,6 +62,24 @@ HUGE = "<5001 digits>"
 
 def refuse_to_run(*args, **kwargs):
     raise AssertionError("a sweep point ran")
+
+
+def failing_run_counts(failing_call: int):
+    """``run_counts`` that raises on its ``failing_call``-th call."""
+    calls = []
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise ValueError(f"point {failing_call} failed")
+        return run_counts(*args, **kwargs)
+
+    return run
+
+
+def directory_bytes(root) -> dict:
+    """Each file of the directory ``root`` by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in root.iterdir()}
 
 
 def write_inputs(root, run_ini=RUN_INI):
@@ -295,9 +314,17 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_segment_leaves_no_stream_file(self, tmp_path,
                                                   monkeypatch, threads):
-        # A 16-click buffer has formatted rows of every channel into the
-        # temporary clicks.csv and its spill files by segment 2.
-        monkeypatch.setattr(streams, "_CLICK_BUFFER", 16)
+        # With a block budget of one byte each segment is a block of its
+        # own, so segment 0's bitmaps and rows of every channel are in
+        # the temporary streams.pstm, clicks.csv and its spill files when
+        # drawing segment 2 fails.
+        monkeypatch.setattr(coincidence, "_BLOCK_BYTES", 1)
+        appended = []
+        for writer in (streams.StreamWriter, streams.SparseCsvWriter):
+            def logged(self, *args, append=writer.append):
+                appended.append(type(self).__name__)
+                append(self, *args)
+            monkeypatch.setattr(writer, "append", logged)
         sample = qm.segment_cells
 
         def fail_on_segment_2(cfg, index, **kwargs):
@@ -311,6 +338,7 @@ class TestStreamedSimulate:
         with pytest.raises(RuntimeError, match="segment 2"):
             main(["simulate", "--config", str(cfg), "--out", str(out),
                   "--threads", str(threads)])
+        assert appended == ["StreamWriter", "SparseCsvWriter"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("model", sorted(STREAMED_MODELS))
@@ -411,8 +439,9 @@ class TestStreamedSimulate:
         assert 1 < len(appended) <= 2 * counted // budget + 1
         assert len(appended) < math.ceil(3_000_000 / 4800) / 10
 
-    def test_memory_does_not_grow_past_the_click_buffer(self, tmp_path):
-        # Every channel clicks more than the writer buffers in both runs.
+    def test_memory_does_not_grow_with_clicks(self, tmp_path):
+        # Each channel's rows are formatted block by block, so eight times
+        # the clicks in eight times the bins must not raise the peak.
         cfg, _ = write_inputs(tmp_path, RUN_INI.replace(
             "segment_bins = 5000", "segment_bins = 48000"))
 
@@ -425,11 +454,15 @@ class TestStreamedSimulate:
             finally:
                 tracemalloc.stop()
 
+        def clicks() -> list[int]:
+            totals = json.loads((tmp_path / "out" / "counts.json").read_text())
+            return [totals[k] for k in ("N_H", "N_1", "N_2")]
+
         peak_bytes(400_000)  # warm-up: imports, caches, first allocations
         small = peak_bytes(400_000)
-        totals = json.loads((tmp_path / "out" / "counts.json").read_text())
-        assert min(totals[k] for k in ("N_H", "N_1", "N_2")) > streams._CLICK_BUFFER
+        fewer = clicks()
         large = peak_bytes(3_200_000)
+        assert min(more / few for more, few in zip(clicks(), fewer)) > 7
         assert large - small < 1 << 18, (small, large)
 
     def test_memory_does_not_grow_with_bins(self, tmp_path):
@@ -585,25 +618,73 @@ class TestSweep:
         # Each point is written as soon as its counts are in, so a third
         # point that fails leaves the first two as an uninterrupted sweep
         # writes them, and no report.
-        calls = []
-
-        def fail_third(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise ValueError("third point failed")
-            return run_counts(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "run_counts", fail_third)
+        monkeypatch.setattr(runner, "run_counts", failing_run_counts(3))
         cfg, plan = write_inputs(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: third point failed\n"
+        assert capsys.readouterr().err == "error: point 3 failed\n"
         kept = ["point_001.csv", "point_001.json", "point_002.csv",
                 "point_002.json"]
         assert sorted(path.name for path in out.iterdir()) == kept
         for name in kept:
             assert (out / name).read_bytes() == (sweep_out / name).read_bytes()
+
+    def test_shorter_rerun_leaves_no_stale_point(self, sweep_out, tmp_path):
+        # A 4-point sweep, then the 3-point sweep into the same directory:
+        # only the second sweep's files are left, with the files no sweep
+        # names, and analyze over every point file rewrites its report.
+        cfg, plan = write_inputs(tmp_path)
+        longer = tmp_path / "longer.ini"
+        longer.write_text(SWEEP_INI.replace("0.3", "0.3, 0.1"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(longer),
+                     "--out", str(out)]) == 0
+        others = {"notes.txt": b"kept", "point_01.csv": b"kept",
+                  "point_004.txt": b"kept", "report.svg": b"kept"}
+        for name, data in others.items():
+            (out / name).write_bytes(data)
+        assert (out / "point_004.json").exists()
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 0
+        assert directory_bytes(out) == {**directory_bytes(sweep_out), **others}
+        points = sorted(str(path) for path in out.glob("point_*.json"))
+        assert main(["analyze", "--counts", *points,
+                     "--out", str(tmp_path / "analyzed")]) == 0
+        for name in ("report.json", "report.csv"):
+            assert ((tmp_path / "analyzed" / name).read_bytes()
+                    == (out / name).read_bytes())
+
+    def test_failed_rerun_keeps_only_its_own_points(self, sweep_out, tmp_path,
+                                                    capsys, monkeypatch):
+        # A seed-2 rerun over a seed-11 sweep whose third point fails
+        # leaves the first two points of an uninterrupted seed-2 sweep,
+        # and neither the earlier third point nor the earlier report.
+        cfg, plan = write_inputs(tmp_path)
+        seed_2 = tmp_path / "seed_2"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(seed_2), "--seed", "2"]) == 0
+        out = tmp_path / "out"
+        shutil.copytree(sweep_out, out)
+        monkeypatch.setattr(runner, "run_counts", failing_run_counts(3))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out), "--seed", "2"]) == 1
+        assert capsys.readouterr().err == "error: point 3 failed\n"
+        kept = ["point_001.csv", "point_001.json", "point_002.csv",
+                "point_002.json"]
+        assert directory_bytes(out) == {name: (seed_2 / name).read_bytes()
+                                        for name in kept}
+
+    def test_failed_first_point_leaves_the_directory_whole(
+            self, sweep_out, tmp_path, capsys, monkeypatch):
+        cfg, plan = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        shutil.copytree(sweep_out, out)
+        monkeypatch.setattr(runner, "run_counts", failing_run_counts(1))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out), "--seed", "2"]) == 1
+        assert capsys.readouterr().err == "error: point 1 failed\n"
+        assert directory_bytes(out) == directory_bytes(sweep_out)
 
     @pytest.mark.parametrize("eta, value", [("eta_1", "0.7"), ("eta_2", "0.6")],
                              ids=["eta_1", "eta_2"])

@@ -358,8 +358,14 @@ class TestSegmentTable:
         "1,10,1,1,1,1,1,1,9223372036854775808",
         "-9223372036854775809,10,1,1,1,1,1,1,1",
         "1,10,1,1,1,1,-1,1,1",
+        "1,0,50,0,0,0,0,0,0",
+        "1,10,11,1,1,1,1,1,1",
+        "1,10,1,1,1,5,1,1,1",
+        "1,10,5,5,5,5,5,5,9",
     ], ids=["too-few-columns", "too-many-columns", "not-an-integer",
-            "above-int64", "just-above-int64", "below-int64", "negative"])
+            "above-int64", "just-above-int64", "below-int64", "negative",
+            "no-bins", "count-above-bins", "pair-above-single",
+            "triple-above-pair"])
     def test_malformed_csv_row_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "counts.csv"
         header = ",".join(("segment_index", "bins") + COUNT_FIELDS)
@@ -461,17 +467,35 @@ _DIGIT_EDGES = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10
 _COUNT = st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, 2**63 - 1))
 
 
+def within_count_bounds(row) -> tuple:
+    """``row`` with its bins raised to at least 1 and its largest count,
+    and each pair and triple count lowered to the counts that bound it."""
+    index, bins, h, s1, s2, h1, h2, s12, h12 = row
+    h1, h2, s12 = min(h1, h, s1), min(h2, h, s2), min(s12, s1, s2)
+    return (index, max(bins, h, s1, s2, 1), h, s1, s2, h1, h2, s12,
+            min(h12, h1, h2, s12))
+
+
 class TestSegmentCsvBytes:
     """write_segment_csv's formatter gives csv.writer's bytes, and reads back."""
 
     @staticmethod
     def assert_written_as_csv_writer(rows) -> None:
+        # The table reads back when every row keeps the count bounds, and
+        # is refused at the first row that does not.
         counts = CoincidenceCounts(bin_width=1e-9, segments=segment_table(rows))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "counts.csv"
             write_segment_csv(counts, path)
             assert path.read_bytes() == segment_csv_bytes(counts)
-            assert read_segment_csv(path, bin_width=1e-9) == counts
+            line = next((line for line, row in enumerate(rows, start=2)
+                         if tuple(row) != within_count_bounds(row)), None)
+            if line is None:
+                assert read_segment_csv(path, bin_width=1e-9) == counts
+            else:
+                with pytest.raises(ValueError,
+                                   match=rf"counts\.csv, line {line}: "):
+                    read_segment_csv(path, bin_width=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(*[_COUNT] * 9), max_size=12))
@@ -483,6 +507,7 @@ class TestSegmentCsvBytes:
                    for i in range(0, 9 * len(_DIGIT_EDGES), 9)])
     def test_bytes_are_csv_writers(self, rows):
         self.assert_written_as_csv_writer(rows)
+        self.assert_written_as_csv_writer(list(map(within_count_bounds, rows)))
 
     def test_negative_values_are_refused(self, tmp_path):
         # Each negative row is in the second chunk, after the first chunk
@@ -509,7 +534,9 @@ class TestSegmentCsvBytes:
         small = rng.integers(0, 10, size=(chunk, 9))
         large = rng.integers(10**18, 2**63 - 1, size=(chunk, 9), endpoint=True)
         values = np.concatenate([small, large, small[:7]])
-        self.assert_written_as_csv_writer([tuple(r) for r in values.tolist()])
+        rows = [tuple(r) for r in values.tolist()]
+        self.assert_written_as_csv_writer(rows)
+        self.assert_written_as_csv_writer(list(map(within_count_bounds, rows)))
 
     def test_memory_is_bounded_by_the_chunk(self, tmp_path):
         n = 200_000
@@ -537,7 +564,9 @@ class TestSegmentCsvBytes:
         n = 2 * coincidence._CSV_CHUNK + 1
         values = rng.integers(0, 2**63 - 1, size=(n, 9), dtype=np.int64)
         values[:, 0] = np.arange(n)
-        self.assert_written_as_csv_writer([tuple(r) for r in values.tolist()])
+        rows = [tuple(r) for r in values.tolist()]
+        self.assert_written_as_csv_writer(rows)
+        self.assert_written_as_csv_writer(list(map(within_count_bounds, rows)))
 
     def test_a_table_view_of_strided_rows(self, tmp_path):
         counts = accumulate(random_streams(10_000, seed=25), segment_bins=100)

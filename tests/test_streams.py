@@ -37,29 +37,6 @@ segment_bins = 4801
 seed = 1
 """
 
-# The simulate-qm benchmark config: README defaults, 1e7 bins in 48 000-bin
-# segments, about one click per 80 bins on the herald and fewer on the
-# signal arms, so every chunk goes through its nonzero bytes.
-SPARSE_INI = """
-[source]
-pair_mean_per_bin = 0.05
-mode_count = 1
-[optics]
-eta_h = 0.26
-eta_1 = 0.075
-eta_2 = 0.055
-[detectors]
-dark_rate_h = 150
-dark_rate_1 = 150
-dark_rate_2 = 150
-bin_width = 20.83e-9
-[run]
-theory = qm
-n_bins = 10000000
-segment_bins = 48000
-seed = 1
-"""
-
 
 def counted_write_rows(monkeypatch) -> list[int]:
     """The rows of each ``_write_rows`` call from now on, in call order."""
@@ -328,40 +305,26 @@ class TestSparseCsv:
         assert lines == ["channel,bin_index", "H,0", "H,2", "1,1"]
 
     @pytest.mark.filterwarnings("ignore:source.pair_mean_per_bin")
-    def test_dense_steps_hold_at_most_a_click_buffer(self, tmp_path,
-                                                     monkeypatch):
+    def test_dense_steps_hold_at_most_a_chunk(self, tmp_path, monkeypatch):
         # At three pairs per bin the herald clicks in most bins.  Each
-        # formatting call takes at most _CLICK_BUFFER rows, the writer's
-        # buffer (its row block stays below the mmap threshold), even
-        # when a chunk of 4 096 bytes finds four buffers' worth of clicks
-        # at once; and the bytes do not depend on the chunk.
+        # formatting call takes the clicks of one chunk of one channel,
+        # at most eight per chunk byte however densely it clicks, at the
+        # default chunk and at one of 4 096 bytes; and the bytes do not
+        # depend on the chunk.
         cfg = parse_config(DENSE_INI)
         write_streams(simulate_run(cfg), tmp_path / "run.pstm")
+        nbytes = (cfg.n_bins + 7) // 8
         steps = counted_write_rows(monkeypatch)
-        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
-        assert sum(steps) == rows
-        assert max(steps) <= streams_module._CLICK_BUFFER
-        steps.clear()
-        with mock.patch.object(streams_module, "_CHUNK_BYTES", 1 << 12):
-            assert write_sparse_csv(tmp_path / "run.pstm",
-                                    tmp_path / "steps.csv") == rows
-        assert max(steps) <= streams_module._CLICK_BUFFER
+        for chunk, name in ((streams_module._CHUNK_BYTES, "clicks.csv"),
+                            (1 << 12, "steps.csv")):
+            steps.clear()
+            with mock.patch.object(streams_module, "_CHUNK_BYTES", chunk):
+                rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / name)
+            assert sum(steps) == rows
+            assert len(steps) == 3 * -(-nbytes // chunk)
+            assert 4 * chunk < max(steps) <= 8 * chunk
         assert ((tmp_path / "clicks.csv").read_bytes()
                 == (tmp_path / "steps.csv").read_bytes())
-
-    def test_sparse_container_fills_the_buffer_before_formatting(
-            self, tmp_path, monkeypatch):
-        # A chunk of this container holds about 1 700 herald clicks, a
-        # fifth of the writer's buffer, and fewer signal clicks.  Rows
-        # are formatted a full buffer at a time, with one partial buffer
-        # per channel at the end.
-        write_streams(simulate_run(parse_config(SPARSE_INI)),
-                      tmp_path / "run.pstm")
-        steps = counted_write_rows(monkeypatch)
-        rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "clicks.csv")
-        assert sum(steps) == rows
-        assert max(steps) <= streams_module._CLICK_BUFFER
-        assert len(steps) <= -(-rows // streams_module._CLICK_BUFFER) + 3
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         streams = ClickStreams.from_bools([0, 0], [0, 0], [0, 0],
@@ -505,24 +468,23 @@ def part_clicks(part: ClickStreams) -> list[np.ndarray]:
 class TestSparseCsvWriter:
     """Rows appended part by part, as simulate writes clicks.csv."""
 
-    @given(part_sizes, st.integers(min_value=1, max_value=9))
+    @given(part_sizes)
     @settings(max_examples=60, deadline=None)
     def test_appended_parts_write_the_rows_of_their_container(
-            self, tmp_path_factory, sizes, buffer):
-        # A buffer of a few clicks splits parts across flushes and flushes
-        # across parts; the bytes must be write_sparse_csv's of the
+            self, tmp_path_factory, sizes):
+        # Parts of up to 70 bins, empty ones and ones that end inside a
+        # byte among them; the bytes must be write_sparse_csv's of the
         # container the parts make, and the rows of an f-string per click.
         tmp_path = tmp_path_factory.mktemp("writer")
         parts = random_parts(sizes)
         whole = parts[0].concat(*parts[1:])
         write_streams(whole, tmp_path / "run.pstm")
         rows = write_sparse_csv(tmp_path / "run.pstm", tmp_path / "scan.csv")
-        with mock.patch.object(streams_module, "_CLICK_BUFFER", buffer):
-            with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
-                lo = 0
-                for part in parts:
-                    writer.append(lo, part_clicks(part))
-                    lo += part.n_bins
+        with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
+            lo = 0
+            for part in parts:
+                writer.append(lo, part_clicks(part))
+                lo += part.n_bins
         assert writer.rows == rows
         assert ((tmp_path / "clicks.csv").read_bytes()
                 == (tmp_path / "scan.csv").read_bytes())
@@ -530,13 +492,10 @@ class TestSparseCsvWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "clicks.csv", "run.pstm", "scan.csv"]
 
-    def test_held_tail_does_not_keep_its_part_alive(self, tmp_path,
-                                                    monkeypatch):
-        # A 100-click part into a 16-click buffer leaves 4 clicks held,
-        # and a 5-click part is held whole.  The writer copies clicks
-        # into its own buffer, so both parts, once their caller drops
-        # them, are freed before the rows are written.
-        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
+    def test_appended_parts_are_not_kept_alive(self, tmp_path):
+        # The writer keeps no reference to an appended part, so a
+        # 100-click and a 5-click part, once their caller drops them, are
+        # freed before the file is complete.
         parts = [np.arange(0, 200, 2, dtype=np.int64),
                  np.arange(5, dtype=np.int64)]
         alive = [weakref.ref(part) for part in parts]
@@ -549,24 +508,29 @@ class TestSparseCsvWriter:
             ["channel,bin_index\n"] + [f"H,{i}\n" for i in range(0, 200, 2)]
             + [f"1,{i}\n" for i in range(5)])
 
-    def test_flushes_hold_at_most_the_buffer(self, tmp_path, monkeypatch):
-        # A 100-click part into a 16-click buffer: every formatting call
-        # takes at most 16 rows, and the rows come out whole and in order.
-        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 16)
+    def test_each_append_formats_each_clicking_channel_once(self, tmp_path,
+                                                            monkeypatch):
+        # One formatting call per channel that clicks in the part, with
+        # all its rows, and none for a channel without clicks; the rows
+        # come out whole and in order.
         sizes = counted_write_rows(monkeypatch)
         bins = np.arange(0, 300, 3, dtype=np.int64)
+        none = np.empty(0, np.int64)
         with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
-            writer.append(1000, [bins, bins[:5], np.empty(0, np.int64)])
-        assert max(sizes) == 16 and sum(sizes) == 105
+            writer.append(1000, [bins, bins[:5], none])
+            assert sizes == [100, 5]
+            writer.append(2000, [bins[:2], none, bins[:3]])
+            assert sizes == [100, 5, 2, 3]
         assert (tmp_path / "clicks.csv").read_text() == (
-            "channel,bin_index\n" + "".join(f"H,{1000 + i}\n" for i in bins)
-            + "".join(f"1,{1000 + i}\n" for i in bins[:5]))
+            "channel,bin_index\n"
+            + "".join(f"H,{1000 + i}\n" for i in bins)
+            + "".join(f"H,{2000 + i}\n" for i in bins[:2])
+            + "".join(f"1,{1000 + i}\n" for i in bins[:5])
+            + "".join(f"2,{2000 + i}\n" for i in bins[:3]))
 
-    def test_exception_leaves_previous_file_and_no_temporary(self, tmp_path,
-                                                            monkeypatch):
+    def test_exception_leaves_previous_file_and_no_temporary(self, tmp_path):
         # Rows of every channel were formatted before the failure, into
         # the file and both spill files.
-        monkeypatch.setattr(streams_module, "_CLICK_BUFFER", 4)
         path = tmp_path / "clicks.csv"
         path.write_bytes(b"before")
         clicks = [np.arange(10, dtype=np.int64)] * 3
@@ -578,14 +542,11 @@ class TestSparseCsvWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
 
     def test_failure_at_close_leaves_no_file(self, tmp_path, monkeypatch):
-        write_rows = streams_module._write_rows
+        # Copying the signal rows in after the herald rows fails.
+        def copy_fails(source, target):
+            raise OSError("disk full")
 
-        def signal_rows_fail(out, prefix, bins):
-            if prefix != b"H,":
-                raise OSError("disk full")
-            write_rows(out, prefix, bins)
-
-        monkeypatch.setattr(streams_module, "_write_rows", signal_rows_fail)
+        monkeypatch.setattr(streams_module.shutil, "copyfileobj", copy_fails)
         with pytest.raises(OSError, match="disk full"):
             with SparseCsvWriter(tmp_path / "clicks.csv") as writer:
                 writer.append(0, [np.arange(3, dtype=np.int64)] * 3)
@@ -599,8 +560,8 @@ class TestSparseCsvWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_does_not_grow_with_clicks(self, tmp_path):
-        # 2**17 and 2**19 clicks per channel, both far past the buffer,
-        # appended 4 096 at a time from one reused part.
+        # 2**17 and 2**19 clicks per channel, appended 4 096 at a time
+        # from one reused part.
         part = np.arange(4096, dtype=np.int64)
         peaks = []
         for clicks in (1 << 17, 1 << 19):
