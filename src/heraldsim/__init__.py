@@ -22,13 +22,12 @@ from .core import (ConfigError, DetectorConfig, ExperimentConfig,
                    parse_config, rng_stream, stream_id, validate_config,
                    with_attenuation)
 from .pcsft import bound_counts, bound_energy, crossing_probability
-from .qm import (heralded_g2_exact, pair_prob, predicted_g2_band,
-                 predicted_heralded_g2)
+from .qm import heralded_g2_exact
 from .runner import (SweepPlan, SweepPoint, load_sweep_plan, run_counts,
                      run_sweep, simulate_run)
 from .streams import ClickStreams, read_streams, write_streams
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "__version__",
@@ -42,8 +41,7 @@ __all__ = [
     "segment_table", "accumulate", "counts_from_cells", "read_counts_json",
     "write_counts_json", "read_segment_csv", "write_segment_csv",
     # models
-    "pair_prob", "heralded_g2_exact", "predicted_heralded_g2",
-    "predicted_g2_band", "crossing_probability", "bound_energy",
+    "heralded_g2_exact", "crossing_probability", "bound_energy",
     "bound_counts",
     # drivers
     "simulate_run", "run_counts", "run_sweep", "SweepPlan", "SweepPoint",

@@ -283,6 +283,10 @@ def cmd_plot(args) -> int:
             rep = json.load(fh)
         if not isinstance(rep, dict) or rep.get("format") != report.REPORT_FORMAT:
             raise ValueError(f"not a {report.REPORT_FORMAT} file")
+        version = rep.get("version")
+        if type(version) is not int or version != report.REPORT_VERSION:
+            raise ValueError(
+                f"unsupported {report.REPORT_FORMAT} version {version!r}")
         svgplot.write_report_svg(rep, args.out)
     except KeyError as exc:
         raise ValueError(f"{args.report}: missing key {exc}") from None

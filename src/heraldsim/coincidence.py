@@ -538,6 +538,10 @@ def _csv_rows(reader, path) -> Iterable[tuple[int, ...]]:
         yield values
 
 
+# The version write_counts_json writes, the only one read_counts_json reads.
+_COUNTS_VERSION = 1
+
+
 def write_counts_json(counts: CoincidenceCounts, path: str | Path,
                       config: dict | None = None) -> None:
     """Run totals as JSON, optionally echoing the generating configuration.
@@ -547,7 +551,7 @@ def write_counts_json(counts: CoincidenceCounts, path: str | Path,
     """
     payload: dict = {
         "format": "coincidence-counts",
-        "version": 1,
+        "version": _COUNTS_VERSION,
         "bin_width": counts.bin_width,
         "duration": counts.duration,
         "n_segments": len(counts.segments),
@@ -601,10 +605,11 @@ def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
     """Read totals written by :func:`write_counts_json` (as one segment).
 
     Returns the counts and the configuration echo (None when the file was
-    written without one).  Raises ValueError naming the file and each key
-    that is missing or malformed: the bin width must be a finite number
-    > 0, the totals integers with n_bins >= 1 that keep the invariants of
-    :class:`CoincidenceCounts`.
+    written without one).  Raises ValueError naming the file when it is
+    not a coincidence-counts file of the version written here, and naming
+    the file and each key that is missing or malformed: the bin width must
+    be a finite number > 0, the totals integers with n_bins >= 1 that keep
+    the invariants of :class:`CoincidenceCounts`.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -612,6 +617,10 @@ def read_counts_json(path: str | Path) -> tuple[CoincidenceCounts, dict | None]:
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "coincidence-counts":
         raise ValueError(f"{path}: not a coincidence-counts file")
+    version = payload.get("version")
+    if type(version) is not int or version != _COUNTS_VERSION:
+        raise ValueError(
+            f"{path}: unsupported coincidence-counts version {version!r}")
     errors = _stored_total_errors(payload)
     if errors:
         raise ValueError("\n".join(f"{path}: {e}" for e in errors))

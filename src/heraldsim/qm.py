@@ -23,7 +23,10 @@ Both samplers draw from the exact per-bin law of
 
 Counting a segment's clicks therefore gives its census, draw for draw.
 The chain itself lives in the test suite as an oracle; the tests check
-both samplers against it and against the law.
+both samplers against it and against the law.  The law's heralded g2
+(:func:`heralded_g2_exact`) is each report point's ``g2_law`` under this
+model; the leading-order G·P(1)·(2 - eta_h) approximation to it is a test
+oracle too.
 
 All closed forms below follow from the probability generating function of
 the pair number, E[z^n] = (1 + m(1-z))^(-M) with m = mu/M: a detector set S
@@ -33,7 +36,6 @@ E[q_S^n] = (1 + m(1-q_S))^(-M), times the per-channel no-noise factors.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -49,39 +51,13 @@ from .core import (
 )
 
 __all__ = [
-    "pair_prob",
     "no_click_prob",
     "joint_pattern_probabilities",
     "expected_counts",
     "heralded_g2_exact",
-    "predicted_heralded_g2",
-    "predicted_g2_band",
     "segment_clicks",
     "segment_cells",
 ]
-
-
-def pair_prob(n, pair_mean: float, mode_count: int = 1):
-    """Exact pmf of the per-bin pair number (negative binomial).
-
-    P(n) = C(n+M-1, n) (m/(1+m))^n (1+m)^(-M),  m = pair_mean / M.
-    Accepts scalar or array ``n``; returns float or float array.
-    """
-    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    if np.any(n_arr < 0):
-        raise ValueError("pair number must be non-negative")
-    M = mode_count
-    if pair_mean == 0.0:
-        out = (n_arr == 0).astype(float)
-        return out[0] if np.isscalar(n) or np.ndim(n) == 0 else out
-    m = pair_mean / M
-    log_ratio = math.log(m) - math.log1p(m)
-    log_norm = -M * math.log1p(m)
-    out = np.empty(n_arr.shape, dtype=float)
-    for i, k in enumerate(n_arr.ravel()):
-        log_binom = math.lgamma(k + M) - math.lgamma(k + 1) - math.lgamma(M)
-        out.ravel()[i] = math.exp(log_binom + k * log_ratio + log_norm)
-    return out[0] if np.isscalar(n) or np.ndim(n) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +105,10 @@ def joint_pattern_probabilities(cfg: ExperimentConfig) -> np.ndarray:
              for mask in range(8)]
     probs = np.array([alternating_sum(p, lambda t, p=p: quiet[(7 ^ p) | t])
                       for p in range(8)])
+    # A channel that never clicks leaves its patterns at exactly 0, where
+    # the cancellation can leave a residue of about 1e-16.
+    dead = sum(bit for bit in CHANNEL_BITS if quiet[bit] == 1.0)
+    probs[[p for p in range(8) if p & dead]] = 0.0
     # Tiny negatives from float cancellation are clipped, then renormalised.
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -143,34 +123,6 @@ def expected_counts(cfg: ExperimentConfig, n_bins: int) -> dict[str, float]:
 def heralded_g2_exact(cfg: ExperimentConfig) -> float:
     """Population value of the heralded autocorrelation: the joint law's g2."""
     return law_g2(joint_pattern_probabilities(cfg))
-
-
-def predicted_heralded_g2(pair_prob_1: float, eta_h: float,
-                          bunching: float = 1.0) -> float:
-    """Leading-order heralded-g2 prediction G * P1 * (2 - eta_h).
-
-    ``pair_prob_1`` is the single-pair probability per bin and ``bunching``
-    the source factor G, 1 + 1/M for M modes (1 = Poissonian, 2 =
-    single-mode thermal).  Double pairs dominate the heralded g2 at
-    P1 << 1: their probability is (G/2) P1^2 and a fraction
-    1 - (1 - eta_h)^2 of them raises the herald, giving
-    2 (G/2 P1^2 / P1) (1-(1-eta_h)^2)/eta_h = G P1 (2 - eta_h).
-    """
-    if eta_h <= 0.0:
-        raise ValueError("eta_h must be > 0 (heralding on a dead detector)")
-    if pair_prob_1 < 0.0:
-        raise ValueError("pair_prob_1 must be >= 0")
-    return bunching * pair_prob_1 * (2.0 - eta_h)
-
-
-def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
-    """Mode-structure band: heralded-g2 predictions at G = 1 and G = 2.
-
-    Any thermal mode count lands between the Poissonian (many-mode) floor
-    and the single-mode ceiling; the band collapses to (0, 0) at P1 = 0.
-    """
-    return (predicted_heralded_g2(pair_prob_1, eta_h, 1.0),
-            predicted_heralded_g2(pair_prob_1, eta_h, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,23 @@
 
 A report is a plain dict (JSON-serialisable, fully deterministic — no
 timestamps, no environment echoes) with one entry per sweep point plus
-the pooled results: the weighted line fit, the photon-model prediction
-band, and the threshold-field ceiling at each point.  The CSV mirror
-carries the same per-point table for spreadsheet use.
+the weighted line fit.  Each point carries its estimates, ``g2_law`` (the
+g2 of the configured model's exact per-bin law at that point's config,
+detector noise included) and, for the threshold-field model, its
+ceiling.  The CSV mirror carries the same per-point table for
+spreadsheet use.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import zip_longest
+import math
 from typing import Optional, Sequence
 
-from . import pcsft, qm
+from . import pcsft, runner
 from .analysis import (G2Estimate, InsufficientStatistics, background_subtract,
-                       corrected_rate, heralded_g2, weighted_linear_fit)
+                       corrected_rate, heralded_g2, law_g2,
+                       weighted_linear_fit)
 from .coincidence import CoincidenceCounts
 from .core import ExperimentConfig
 from .streams import _replacing
@@ -30,11 +33,11 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "g2-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _CSV_COLUMNS = (
     "attenuation", "x_rate", "g2", "sigma", "upper_limit",
-    "g2_raw", "sigma_raw", "band_lower", "band_upper", "pcsft_bound",
+    "g2_raw", "sigma_raw", "g2_law", "pcsft_bound",
 )
 
 
@@ -46,6 +49,8 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
     noise-subtracted estimate is added and becomes the headline ``g2``;
     uncertainties always come from the raw counts, which dominate the
     statistics.  ``x_rate`` is the efficiency-corrected signal rate.
+    ``g2_law`` is what ``g2_raw`` converges to under ``cfg``'s model, and
+    is left out where that law has no g2 (P(H,1) or P(H,2) is 0).
     """
     raw = heralded_g2(counts)
     record: dict = {
@@ -81,6 +86,9 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
     record["background_subtracted"] = background is not None
     record["x_rate"] = corrected_rate(basis, cfg.optics)
 
+    g2_law = law_g2(runner._law(cfg))
+    if math.isfinite(g2_law):
+        record["g2_law"] = g2_law
     if cfg.pcsft is not None:
         record["pcsft_bound"] = pcsft.bound_counts(
             cfg.pcsft.pulse_duration, cfg.detectors.bin_width,
@@ -90,8 +98,8 @@ def point_record(cfg: ExperimentConfig, counts: CoincidenceCounts,
 
 def build_report(cfg: ExperimentConfig, records: Sequence[dict],
                  background: Optional[CoincidenceCounts] = None) -> dict:
-    """Combine per-point records with the fit, prediction band, and notes
-    (raw-only when no ``background`` was given to :func:`point_record`)."""
+    """Combine per-point records with the fit and notes (raw-only when no
+    ``background`` was given to :func:`point_record`)."""
     records = list(records)
     report: dict = {
         "format": REPORT_FORMAT,
@@ -100,7 +108,6 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict],
         "points": records,
         "fit": None,
         "fit_note": None,
-        "qm_band": [],
     }
     if background is None:
         report["note"] = "raw-only: no background run supplied"
@@ -126,18 +133,6 @@ def build_report(cfg: ExperimentConfig, records: Sequence[dict],
     if report["fit"] is not None and limits:
         report["fit_note"] = (f"{limits} of {len(records)} fitted points are "
                               "one-count upper limits (no triples)")
-
-    # Photon-model prediction band (mode structure G in [1, 2]) at each
-    # point's abscissa.  The single-pair probability is a source property,
-    # so the band edges are flat in the swept power.
-    pair1 = qm.pair_prob(1, cfg.source.pair_mean_per_bin,
-                         cfg.source.mode_count)
-    if cfg.optics.eta_h > 0.0:
-        lower, upper = qm.predicted_g2_band(pair1, cfg.optics.eta_h)
-        report["qm_band"] = [
-            {"x": r["x_rate"], "lower": lower, "upper": upper}
-            for r in records
-        ]
     return report
 
 
@@ -165,11 +160,7 @@ def write_report_csv(report: dict, path) -> None:
     Renamed to ``path`` only once complete, as the JSON report is.
     """
     rows = [_CSV_COLUMNS]
-    # qm_band is empty or holds one entry per point.
-    for record, band in zip_longest(report["points"], report["qm_band"],
-                                    fillvalue={}):
-        cells = {**record, "band_lower": band.get("lower"),
-                 "band_upper": band.get("upper")}
-        rows.append([_fmt(cells.get(column)) for column in _CSV_COLUMNS])
+    rows += [[_fmt(record.get(column)) for column in _CSV_COLUMNS]
+             for record in report["points"]]
     with _replacing(path) as fh:
         fh.write("".join(",".join(row) + "\r\n" for row in rows).encode())

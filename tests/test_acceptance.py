@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from heraldsim import pcsft, qm, report
+from heraldsim import pcsft, report
 from heraldsim.analysis import heralded_g2, weighted_linear_fit
 from heraldsim.cli import main
 from heraldsim.coincidence import COUNT_FIELDS, ClickStreams, accumulate
@@ -21,8 +21,8 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
 from heraldsim.runner import SweepPlan, run_counts, run_sweep
 
 from helpers import (brute_force_counts, first_passage_times, g_factor,
-                     herald_efficiency, klyshko_efficiency, merge,
-                     sample_pair_counts)
+                     herald_efficiency, klyshko_efficiency, merge, nb_pmf,
+                     predicted_heralded_g2, sample_pair_counts)
 
 BIN = 20.83e-9
 
@@ -100,8 +100,8 @@ def _pair_gof_p(stream: int, mode_count: int) -> float:
     draws = sample_pair_counts(rng_stream(9102, stream), 10_000_000, 0.5,
                                mode_count)
     observed = np.bincount(draws)
-    expected = qm.pair_prob(np.arange(observed.size + 40), 0.5,
-                            mode_count) * draws.size
+    expected = nb_pmf(np.arange(observed.size + 40), 0.5,
+                      mode_count) * draws.size
     # Pool the tail so every expected cell holds at least 10 counts.
     cut = int(np.searchsorted(np.cumsum(expected[::-1]), 10.0))
     head = min(expected.size - cut, observed.size)
@@ -151,8 +151,8 @@ def test_c03_heralded_g2_closure(capsys):
     for mode_count, seed in ((1, 9301), (100, 9302)):
         cfg = _photon_cfg(0.05, mode_count, 0.5, 0.5, 0.5, 10**8, 10**6, seed)
         estimate = heralded_g2(run_counts(cfg))
-        predicted = qm.predicted_heralded_g2(
-            qm.pair_prob(1, 0.05, mode_count), 0.5, g_factor(mode_count))
+        predicted = predicted_heralded_g2(
+            nb_pmf(1, 0.05, mode_count), 0.5, g_factor(mode_count))
         zs.append((estimate.value - predicted) / estimate.sigma)
     elapsed = time.monotonic() - started
     ok = max(abs(z) for z in zs) <= 3.0 and elapsed < 300.0

@@ -8,10 +8,13 @@ import heraldsim
 # Names that only the tests called, removed since version 9.0.0; the tests
 # keep g_factor and the two efficiency estimators in ``helpers``.  The
 # sampling_law wrappers went in 13.0.0: the runner calls each model's law
-# function itself.
+# function itself.  The pair pmf and the leading-order g2 predictions went
+# in 16.0.0, when the report's law curve replaced the prediction band; the
+# tests keep the predictions in ``helpers`` and take the pmf from scipy.
 REMOVED = {
     "analysis": ("klyshko_efficiency", "herald_efficiency"),
-    "qm": ("g_factor", "sampling_law"),
+    "qm": ("g_factor", "sampling_law", "pair_prob", "predicted_heralded_g2",
+           "predicted_g2_band"),
     "pcsft": ("mean_first_passage", "sampling_law"),
     "runner": ("segment_streams",),
 }

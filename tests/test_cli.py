@@ -8,9 +8,11 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from heraldsim import cli, coincidence, pcsft, qm, runner, streams
+from heraldsim.analysis import law_g2
 from heraldsim.cli import main
 from heraldsim.coincidence import (accumulate, read_counts_json,
                                    read_segment_csv, write_counts_json,
@@ -1039,6 +1041,32 @@ class TestAnalyze:
             "not JSON: Exceeds the limit"),
     }
 
+    @pytest.mark.parametrize("role", ["counts", "background"])
+    @pytest.mark.parametrize("version", [7, 2, "1", 1.0, True, None],
+                             ids=["7", "2", "string", "float", "bool",
+                                  "missing"])
+    def test_unsupported_counts_version_is_an_error_naming_the_file(
+            self, sweep_out, background_json, tmp_path, capsys, role,
+            version):
+        source = sweep_out / "point_001.json" if role == "counts" \
+            else background_json
+        payload = json.loads(source.read_text())
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        counts = bad if role == "counts" else sweep_out / "point_001.json"
+        extra = ["--background", str(bad)] if role == "background" else []
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", str(counts), *extra,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: unsupported coincidence-counts version "
+            f"{version!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
     def test_malformed_counts_are_errors_naming_the_file(
             self, sweep_out, tmp_path, capsys, case):
@@ -1055,6 +1083,77 @@ class TestAnalyze:
         assert err.startswith(f"{prefix}{bad}: ")
         assert f"{bad}: {message}" in err or f"{bad}:\n{message}" in err
         assert "Traceback" not in err
+
+
+class TestG2Law:
+    """Each report point's g2_law is the law of its own stored config."""
+
+    LAWS = {"qm": qm.joint_pattern_probabilities,
+            "pcsft": pcsft.pattern_probabilities,
+            "pcsft-envelope": pcsft.pattern_probabilities}
+
+    @staticmethod
+    def echo(path):
+        """The config echo of a stored counts file."""
+        return config_from_dict(read_counts_json(path)[1])
+
+    @pytest.mark.parametrize("model", sorted(STREAMED_MODELS))
+    def test_each_point_carries_its_models_law(self, tmp_path, capsys,
+                                               model):
+        cfg, plan = write_inputs(tmp_path, STREAMED_MODELS[model])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(plan),
+                     "--out", str(out)]) == 0
+        points = json.loads((out / "report.json").read_text())["points"]
+        assert [p["attenuation"] for p in points] == [1.0, 0.6, 0.3]
+        for index, point in enumerate(points, start=1):
+            point_cfg = self.echo(out / f"point_{index:03d}.json")
+            assert point_cfg.optics.attenuation == point["attenuation"]
+            law = law_g2(self.LAWS[model](point_cfg))
+            np.testing.assert_equal(point["g2_law"], law)
+            if model == "qm":
+                np.testing.assert_equal(point["g2_law"],
+                                        qm.heralded_g2_exact(point_cfg))
+        assert len({point["g2_law"] for point in points}) == 3
+
+    def test_points_of_different_sources_keep_their_own_law(
+            self, sweep_out, tmp_path, capsys):
+        payload = json.loads((sweep_out / "point_002.json").read_text())
+        payload["config"]["source"]["pair_mean_per_bin"] = 0.05
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(payload), encoding="utf-8")
+        files = [sweep_out / "point_001.json", other]
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", *map(str, files),
+                     "--out", str(out)]) == 0
+        points = json.loads((out / "report.json").read_text())["points"]
+        laws = [qm.heralded_g2_exact(self.echo(path)) for path in files]
+        assert [point["g2_law"] for point in points] == laws
+        # At a quarter of the pairs, the double-pair share falls too.
+        assert laws[1] < laws[0] / 2
+
+    def test_dead_herald_point_has_no_law(self, sweep_out, tmp_path, capsys):
+        # At attenuation 0.3 the qm inclusion-exclusion once left 1e-16
+        # on the all-click pattern of this dead herald, and a g2_law of 1.
+        payload = json.loads((sweep_out / "point_003.json").read_text())
+        payload["config"]["optics"]["eta_h"] = 0.0
+        payload["config"]["detectors"]["dark_rate_h"] = 0.0
+        dead = tmp_path / "dead.json"
+        dead.write_text(json.dumps(payload), encoding="utf-8")
+        files = [sweep_out / "point_001.json", dead]
+        out = tmp_path / "out"
+        assert main(["analyze", "--counts", *map(str, files),
+                     "--out", str(out)]) == 0
+        points = json.loads((out / "report.json").read_text())["points"]
+        assert "g2_law" in points[0] and "g2_law" not in points[1]
+        rows = (out / "report.csv").read_text().splitlines()
+        assert rows[0].split(",")[7] == "g2_law"
+        assert rows[1].split(",")[7] == repr(points[0]["g2_law"])
+        assert rows[2].split(",")[7] == ""
+        fig = tmp_path / "fig.svg"
+        assert main(["plot", "--report", str(out / "report.json"),
+                     "--out", str(fig)]) == 0
+        assert 'id="qm-band"' in fig.read_text()
 
 
 class TestPlot:
@@ -1105,27 +1204,22 @@ class TestPlot:
                              "fit: slope is not a number: 'steep'"),
         "string-fit-intercept": (lambda r: r["fit"].update(intercept="0.1"),
                                  "fit: intercept is not a number: '0.1'"),
-        "null-band-x": (lambda r: r["qm_band"][0].update(x=None),
-                        "qm_band entry 1: x is not a number: None"),
-        "null-band-lower": (lambda r: r["qm_band"][1].update(lower=None),
-                            "qm_band entry 2: lower is not a number: None"),
-        "null-band-upper": (lambda r: r["qm_band"][2].update(upper=None),
-                            "qm_band entry 3: upper is not a number: None"),
-        "string-band-upper": (lambda r: r["qm_band"][0].update(upper="high"),
-                              "qm_band entry 1: upper is not a number: 'high'"),
-        "band-entry-not-an-object": (lambda r: r["qm_band"].append("wide"),
-                                     "qm_band entry 4 is not an object: 'wide'"),
-        "band-not-a-list": (lambda r: r.update(qm_band={"x": 1.0}),
-                            "qm_band is not a list: {'x': 1.0}"),
+        "null-g2-law": (lambda r: r["points"][0].update(g2_law=None),
+                        "point 1: g2_law is not a number: None"),
+        "string-g2-law": (lambda r: r["points"][1].update(g2_law="high"),
+                          "point 2: g2_law is not a number: 'high'"),
         "infinite-x-rate": (lambda r: r["points"][1].update(x_rate=math.inf),
                             "point 2: x_rate is not a finite number: inf"),
         "nan-g2": (lambda r: r["points"][0].update(g2=math.nan),
                    "point 1: g2 is not a finite number: nan"),
         "nan-fit-slope": (lambda r: r["fit"].update(slope=math.nan),
                           "fit: slope is not a finite number: nan"),
-        "negative-infinite-band-upper": (
-            lambda r: r["qm_band"][2].update(upper=-math.inf),
-            "qm_band entry 3: upper is not a finite number: -inf"),
+        "infinite-g2-law": (
+            lambda r: r["points"][0].update(g2_law=math.inf),
+            "point 1: g2_law is not a finite number: inf"),
+        "negative-infinite-g2-law": (
+            lambda r: r["points"][2].update(g2_law=-math.inf),
+            "point 3: g2_law is not a finite number: -inf"),
         "string-pcsft-bound": (
             lambda r: r["points"][1].update(pcsft_bound="high"),
             "point 2: pcsft_bound is not a number: 'high'"),
@@ -1142,13 +1236,32 @@ class TestPlot:
             self, sweep_out, tmp_path, capsys, case):
         edit, message = self.MALFORMED[case]
         payload = json.loads((sweep_out / "report.json").read_text())
-        assert payload["fit"] is not None and len(payload["qm_band"]) == 3
+        assert payload["fit"] is not None
+        assert all("g2_law" in point for point in payload["points"])
         edit(payload)
         bogus = tmp_path / "report.json"
         bogus.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["plot", "--report", str(bogus),
                      "--out", str(tmp_path / "fig.svg")]) == 1
         assert capsys.readouterr().err == f"error: {bogus}: {message}\n"
+        assert not (tmp_path / "fig.svg").exists()
+
+    @pytest.mark.parametrize("version", [1, 99, "2", 2.0, True, None],
+                             ids=["1", "99", "string", "float", "bool",
+                                  "missing"])
+    def test_unsupported_version_is_an_error_naming_the_file(
+            self, sweep_out, tmp_path, capsys, version):
+        payload = json.loads((sweep_out / "report.json").read_text())
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
+        bogus = tmp_path / "report.json"
+        bogus.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["plot", "--report", str(bogus),
+                     "--out", str(tmp_path / "fig.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bogus}: unsupported g2-report version {version!r}\n")
         assert not (tmp_path / "fig.svg").exists()
 
     def test_integer_pcsft_bound_is_plotted(self, sweep_out, tmp_path,

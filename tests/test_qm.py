@@ -1,4 +1,5 @@
-"""Quantum detection model: pair statistics, exact click law, predictions."""
+"""Quantum detection model: pair statistics, exact click law, and the
+leading-order predictions of ``helpers`` against that law."""
 
 import math
 
@@ -12,6 +13,7 @@ from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             SourceConfig, rng_stream)
 
 from helpers import (g_factor, mechanistic_qm_clicks, nb_pmf, pattern_counts,
+                     predicted_g2_band, predicted_heralded_g2,
                      sample_pair_counts, series_no_click, series_pattern_probs,
                      with_law)
 
@@ -32,37 +34,41 @@ def make_config(mu, mode_count=1, eta_h=0.26, eta_1=0.075, eta_2=0.055,
 
 
 class TestPairProb:
+    """The pair-number pmf the tests score the samplers against
+    (``nb_pmf``), checked against its closed form and known values."""
+
     def test_vacuum_certainty(self):
-        assert qm.pair_prob(0, 0.0, 1) == 1.0
-        assert qm.pair_prob(0, 0.0, 5) == 1.0
-        assert qm.pair_prob(3, 0.0, 5) == 0.0
+        assert nb_pmf(0, 0.0, 1) == 1.0
+        assert nb_pmf(0, 0.0, 5) == 1.0
+        assert nb_pmf(3, 0.0, 5) == 0.0
 
     def test_normalisation(self):
-        total = qm.pair_prob(np.arange(51), 0.1, 3).sum()
+        total = nb_pmf(np.arange(51), 0.1, 3).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_single_mode_double_pair_ratio(self):
         # Geometric law: P(2)/P(1)^2 = 1 + mu exactly.
-        ratio = qm.pair_prob(2, 0.01, 1) / qm.pair_prob(1, 0.01, 1) ** 2
+        ratio = nb_pmf(2, 0.01, 1) / nb_pmf(1, 0.01, 1) ** 2
         assert ratio == pytest.approx(1.01, rel=1e-9)
         assert abs(ratio - 1.0) <= 0.0101
 
     @pytest.mark.parametrize("mu", [0.01, 0.1, 1.5])
     @pytest.mark.parametrize("mode_count", [1, 2, 10, 100])
     def test_matches_negative_binomial_pmf(self, mu, mode_count):
-        n = np.arange(21)
-        expected = nb_pmf(n, mu, mode_count)
-        np.testing.assert_allclose(qm.pair_prob(n, mu, mode_count),
+        # C(n+M-1, n) (m/(1+m))^n (1+m)^(-M), m = mu / M, in log space.
+        m = mu / mode_count
+        expected = [math.exp(math.lgamma(n + mode_count) - math.lgamma(n + 1)
+                             - math.lgamma(mode_count)
+                             + n * (math.log(m) - math.log1p(m))
+                             - mode_count * math.log1p(m))
+                    for n in range(21)]
+        np.testing.assert_allclose(nb_pmf(np.arange(21), mu, mode_count),
                                    expected, rtol=1e-10)
 
     def test_array_and_scalar_agree(self):
-        arr = qm.pair_prob(np.arange(5), 0.3, 4)
+        arr = nb_pmf(np.arange(5), 0.3, 4)
         for n in range(5):
-            assert qm.pair_prob(n, 0.3, 4) == arr[n]
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            qm.pair_prob(-1, 0.1, 1)
+            assert nb_pmf(n, 0.3, 4) == arr[n]
 
 
 def _empirical_ratio(seed: int, mu: float, mode_count: int,
@@ -88,7 +94,7 @@ def _pair_sampler_gof_p(seed: int, mu: float, mode_count: int,
     m = mu / mode_count
     draws = rng.negative_binomial(mode_count, 1.0 / (1.0 + m), size=total)
     observed = np.bincount(draws, minlength=32)
-    expected = qm.pair_prob(np.arange(len(observed)), mu, mode_count) * total
+    expected = nb_pmf(np.arange(len(observed)), mu, mode_count) * total
     tail = total - expected.sum()  # mass beyond the largest observed value
     cut = len(expected)
     while cut > 1 and tail + expected[cut - 1:].sum() < 5.0:
@@ -176,6 +182,21 @@ class TestClickLaw:
         assert expected["N_H1"] == pytest.approx(10**6 * p_h1, rel=1e-9)
 
 
+    # Configs whose inclusion-exclusion, left alone, puts about 1e-16 on a
+    # pattern of the dead channel.
+    @pytest.mark.parametrize("cfg,dead", [
+        (make_config(0.02, eta_h=0.0, dark=(0.0, 150.0, 150.0)), 4),
+        (make_config(0.1, eta_h=0.0, attenuation=0.6), 4),
+        (make_config(0.2, eta_h=0.0, eta_1=0.7, attenuation=0.3), 4),
+        (make_config(0.05, eta_1=0.0, eta_2=0.6, attenuation=0.6), 2),
+    ], ids=["herald-1", "herald-2", "herald-3", "signal-1"])
+    def test_dead_channel_never_clicks(self, cfg, dead):
+        law = qm.joint_pattern_probabilities(cfg)
+        assert [law[p] for p in range(8) if p & dead] == [0.0] * 4
+        assert law.sum() == pytest.approx(1.0, abs=1e-15)
+        if dead == 4:
+            assert math.isnan(law_g2(law))
+
     @pytest.mark.parametrize("cfg", LAW_CONFIGS)
     def test_law_g2_is_the_masked_pattern_ratio(self, cfg):
         # P(H) P(H,1,2) / (P(H,1) P(H,2)) from boolean masks of the patterns.
@@ -190,33 +211,33 @@ class TestClickLaw:
 
 class TestPredictions:
     def test_predicted_zero_at_zero_pairs(self):
-        assert qm.predicted_heralded_g2(0.0, 0.26) == 0.0
+        assert predicted_heralded_g2(0.0, 0.26) == 0.0
 
     def test_predicted_round_trip(self):
         # Solve G * P1 * (2 - eta_h) = 0.00376 for P1 at G=1, eta_h=0.26,
         # then plug back.
         p1 = 0.00376 / (1.0 * (2.0 - 0.26))
         assert p1 == pytest.approx(0.00216, abs=5e-5)
-        assert qm.predicted_heralded_g2(p1, 0.26, 1.0) == pytest.approx(
+        assert predicted_heralded_g2(p1, 0.26, 1.0) == pytest.approx(
             0.00376, rel=1e-12)
 
     def test_predicted_direct_arithmetic(self):
-        assert qm.predicted_heralded_g2(0.01, 0.5, 2.0) == pytest.approx(
+        assert predicted_heralded_g2(0.01, 0.5, 2.0) == pytest.approx(
             0.03, rel=1e-12)
 
     def test_predicted_rejects_dead_herald(self):
         with pytest.raises(ValueError):
-            qm.predicted_heralded_g2(0.01, 0.0)
+            predicted_heralded_g2(0.01, 0.0)
 
     def test_band_collapses_at_zero(self):
-        assert qm.predicted_g2_band(0.0, 0.26) == (0.0, 0.0)
+        assert predicted_g2_band(0.0, 0.26) == (0.0, 0.0)
 
     def test_band_ratio_is_exactly_two(self):
-        lower, upper = qm.predicted_g2_band(0.0123, 0.7)
+        lower, upper = predicted_g2_band(0.0123, 0.7)
         assert upper / lower == 2.0
 
     def test_band_frozen_values(self):
-        lower, upper = qm.predicted_g2_band(0.00216, 0.26)
+        lower, upper = predicted_g2_band(0.00216, 0.26)
         assert lower == pytest.approx(0.0037584, rel=1e-12)
         assert upper == pytest.approx(0.0075168, rel=1e-12)
         # Rounded presentation values.
@@ -227,8 +248,8 @@ class TestPredictions:
                                         (0.05, 2e-2)])
     def test_exact_g2_approaches_leading_order(self, mu, tol):
         cfg = make_config(mu)
-        predicted = qm.predicted_heralded_g2(
-            qm.pair_prob(1, mu, 1), 0.26, g_factor(1))
+        predicted = predicted_heralded_g2(nb_pmf(1, mu, 1), 0.26,
+                                          g_factor(1))
         assert qm.heralded_g2_exact(cfg) == pytest.approx(predicted, rel=tol)
 
 

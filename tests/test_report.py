@@ -3,11 +3,12 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from heraldsim import pcsft, svgplot
+from heraldsim import pcsft, qm, svgplot
 from heraldsim.analysis import (InsufficientStatistics, background_subtract,
-                                corrected_rate, heralded_g2)
+                                corrected_rate, heralded_g2, law_g2)
 from heraldsim.core import (DetectorConfig, ExperimentConfig, OpticsConfig,
                             PCSFTConfig, SourceConfig, Theory,
                             validate_config)
@@ -19,11 +20,12 @@ from heraldsim.svgplot import render_report, write_report_svg
 from helpers import BIN, fail_after_first_write, make_counts
 
 
-def photon_config(eta_h=0.26, attenuation=1.0) -> ExperimentConfig:
+def photon_config(eta_h=0.26, attenuation=1.0,
+                  dark_rate_h=150.0) -> ExperimentConfig:
     return validate_config(ExperimentConfig(
         source=SourceConfig(0.02, 1),
         optics=OpticsConfig(eta_h, 0.075, 0.055, attenuation, 0.5),
-        detectors=DetectorConfig(),
+        detectors=DetectorConfig(dark_rate_h=dark_rate_h),
         theory=Theory.QM, n_bins=10**6, segment_bins=10**6, seed=3))
 
 
@@ -38,9 +40,9 @@ def field_config() -> ExperimentConfig:
         n_bins=10**6, segment_bins=10**6, seed=3))
 
 
-def sample_points(cfg) -> list[dict]:
-    """Three synthetic sweep points with distinct rates and triples."""
-    variants = [
+def sample_counts() -> list:
+    """Three synthetic sweep points' counts with distinct rates and triples."""
+    return [
         make_counts(N_H=10**5, N_1=4000, N_2=3600, N_H1=4000, N_H2=3600,
                     N_12=150, N_H12=20),
         make_counts(N_H=10**5, N_1=2400, N_2=2200, N_H1=2400, N_H2=2200,
@@ -48,7 +50,11 @@ def sample_points(cfg) -> list[dict]:
         make_counts(N_H=10**5, N_1=1000, N_2=900, N_H1=1000, N_H2=900,
                     N_12=12, N_H12=2),
     ]
-    return [point_record(cfg, counts) for counts in variants]
+
+
+def sample_points(cfg) -> list[dict]:
+    """The records of :func:`sample_counts` under ``cfg``."""
+    return [point_record(cfg, counts) for counts in sample_counts()]
 
 
 class TestPointRecord:
@@ -127,6 +133,24 @@ class TestPointRecord:
         assert record["pcsft_bound"] == pcsft.bound_counts(
             BIN, BIN, counts.N_1, counts.N_2, counts.duration)
 
+    @pytest.mark.parametrize("cfg,law_of", [
+        (photon_config(attenuation=0.8), qm.joint_pattern_probabilities),
+        (field_config(), pcsft.pattern_probabilities),
+    ], ids=["qm", "pcsft"])
+    def test_g2_law_is_the_models_law_at_the_points_config(self, cfg, law_of):
+        counts = make_counts(N_H=10**5, N_1=4000, N_2=3600, N_H1=4000,
+                             N_H2=3600, N_12=150, N_H12=20)
+        g2_law = point_record(cfg, counts)["g2_law"]
+        np.testing.assert_equal(g2_law, law_g2(law_of(cfg)))
+        assert 0.0 < g2_law < 2.0
+
+    def test_dead_herald_without_noise_has_no_g2_law(self):
+        # No herald click, so the law has no heralded g2 at all.
+        cfg = photon_config(eta_h=0.0, dark_rate_h=0.0)
+        record = point_record(cfg, sample_counts()[0])
+        assert "g2_law" not in record
+        json.dumps(record, allow_nan=False)
+
     def test_zero_denominator_propagates(self):
         with pytest.raises(InsufficientStatistics):
             point_record(photon_config(), make_counts(N_H=10**5))
@@ -138,8 +162,9 @@ class TestBuildReport:
         records = sample_points(cfg)
         report = build_report(cfg, records)
         assert report["format"] == REPORT_FORMAT == "g2-report"
-        assert report["version"] == REPORT_VERSION == 1
+        assert report["version"] == REPORT_VERSION == 2
         assert report["theory"] == "qm"
+        assert "qm_band" not in report
         assert report["points"] == records
         assert report["fit_note"] is None
         fit = report["fit"]
@@ -158,23 +183,6 @@ class TestBuildReport:
         assert report["fit"] is not None
         assert report["fit_note"] == ("4 of 4 fitted points are one-count "
                                       "upper limits (no triples)")
-
-    def test_band_is_flat_with_ratio_two(self):
-        cfg = photon_config()
-        report = build_report(cfg, sample_points(cfg))
-        band = report["qm_band"]
-        assert [b["x"] for b in band] == [r["x_rate"]
-                                          for r in report["points"]]
-        lowers = {b["lower"] for b in band}
-        uppers = {b["upper"] for b in band}
-        assert len(lowers) == len(uppers) == 1
-        assert band[0]["upper"] == 2.0 * band[0]["lower"]
-
-    def test_dead_herald_suppresses_band(self):
-        cfg = photon_config(eta_h=0.0)
-        records = [{"x_rate": float(i + 1), "g2": 0.1, "sigma": 0.01}
-                   for i in range(3)]
-        assert build_report(cfg, records)["qm_band"] == []
 
     def test_too_few_points_noted(self):
         cfg = photon_config()
@@ -224,28 +232,27 @@ class TestSerialisation:
         write_report_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ("attenuation,x_rate,g2,sigma,upper_limit,"
-                            "g2_raw,sigma_raw,band_lower,band_upper,"
-                            "pcsft_bound")
+                            "g2_raw,sigma_raw,g2_law,pcsft_bound")
         assert len(lines) == 1 + len(report["points"])
         first = lines[1].split(",")
         assert first[0] == repr(report["points"][0]["attenuation"])
         assert first[1] == repr(report["points"][0]["x_rate"])
         assert first[4] == "0"  # boolean rendered as 0/1
-        assert first[7] == repr(report["qm_band"][0]["lower"])
-        assert first[9] == ""  # photon run carries no field-model bound
+        assert first[7] == repr(report["points"][0]["g2_law"])
+        assert first[8] == ""  # photon run carries no field-model bound
 
-    def test_csv_without_band_leaves_its_columns_blank(self, tmp_path):
-        # A dead herald has no photon-model band, so qm_band is empty.
-        cfg = photon_config(eta_h=0.0)
+    def test_csv_without_g2_law_leaves_its_cell_blank(self, tmp_path):
+        # A dead, noiseless herald has no law g2, so no point has g2_law.
+        cfg = photon_config(eta_h=0.0, dark_rate_h=0.0)
         report = build_report(cfg, sample_points(cfg))
-        assert report["qm_band"] == []
+        assert not any("g2_law" in record for record in report["points"])
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + len(report["points"])
         for line, record in zip(lines[1:], report["points"]):
             row = line.split(",")
-            assert len(row) == 10
+            assert len(row) == 9
             assert row[7] == row[8] == ""
             assert row[2] == repr(record["g2"])
 
@@ -255,7 +262,8 @@ class TestSerialisation:
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         first = path.read_text(encoding="utf-8").splitlines()[1].split(",")
-        assert first[9] == repr(report["points"][0]["pcsft_bound"])
+        assert first[7] == repr(report["points"][0]["g2_law"])
+        assert first[8] == repr(report["points"][0]["pcsft_bound"])
 
 
 class TestAtomicWrites:
@@ -322,6 +330,38 @@ class TestSvg:
         assert "points-corrected" not in ids
         assert "bounds-pcsft" not in ids
 
+    @staticmethod
+    def law_vertices(report) -> list[tuple[float, float]]:
+        """The canvas vertices of the report's law curve."""
+        root = ET.fromstring(render_report(report))
+        curve, = (el for el in root.iter() if el.get("id") == "qm-band")
+        return [tuple(map(float, vertex.split(",")))
+                for vertex in curve.get("points").split()]
+
+    def test_law_curve_joins_the_points_g2_law_in_order_of_x(self):
+        cfg = photon_config()
+        records = sample_points(cfg)  # x_rate falls from point to point
+        for record, g2_law in zip(records, (0.3, 0.1, 0.2)):
+            record["g2_law"] = g2_law
+        vertices = self.law_vertices(build_report(cfg, records))
+        assert len(vertices) == 3
+        xs, ys = zip(*vertices)
+        assert list(xs) == sorted(xs)
+        # Canvas y grows downward: 0.2, 0.1, 0.3 in order of x.
+        assert ys[2] < ys[0] < ys[1]
+
+    def test_lone_law_value_is_a_level_line(self):
+        cfg = photon_config()
+        (x0, y0), (x1, y1) = self.law_vertices(
+            build_report(cfg, sample_points(cfg)[:1]))
+        assert x0 < x1 and y0 == y1
+
+    def test_no_law_curve_without_g2_law(self):
+        cfg = photon_config(eta_h=0.0, dark_rate_h=0.0)
+        svg = render_report(build_report(cfg, sample_points(cfg)))
+        assert "qm-band" not in svg_ids(svg)
+        assert "points-raw" in svg_ids(svg)
+
     def test_field_report_shows_bound_ticks(self):
         cfg = field_config()
         svg = render_report(build_report(cfg, sample_points(cfg)))
@@ -347,7 +387,7 @@ class TestSvg:
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="points"):
-            render_report({"points": [], "qm_band": [], "fit": None})
+            render_report({"points": [], "fit": None})
 
     def test_write_matches_render(self, tmp_path):
         cfg = photon_config()
